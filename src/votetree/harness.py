@@ -23,7 +23,7 @@ from .executor import (
     run_episode,
     serialize_trace,
 )
-from .plans import Command, Plan, extract_unique_commands, parse_plan_text
+from .plans import Command, ParseDiagnostic, Plan, extract_unique_commands, parse_plan_text
 from .prompts import (
     PROG,
     REORDER,
@@ -208,6 +208,54 @@ def make_provider(config: RunConfig, task: Task, scene: Scene) -> PlanGenerator:
     raise ConfigError(f"unknown provider {config.provider!r}")
 
 
+class RunMemo:
+    """What the episodes of one run share, worked out once per run.
+
+    ``run_suite`` and ``record_suite`` make one per call over their bundle and
+    drop it when they return, so nothing carries over from one run to the
+    next.  It holds the bundled prompt examples, each task's prog prompt and
+    goal conditions, and a parse memo keyed by raw plan line.  The parse memo
+    is keyed by line, not by whole text: the run's distinct lines are few,
+    while holding the parsed commands of every distinct text for a whole run
+    raised peak memory by a third.
+    """
+
+    def __init__(self, bundle: DatasetBundle):
+        self.bundle = bundle
+        self.known_actions = frozenset(bundle.catalog.action_names)
+        self.prog_examples = default_prog_examples()
+        self.reorder_examples = default_reorder_examples()
+        self.lines: dict[str, tuple] = {}
+        self._prog_prompts: dict[Task, PromptDocument] = {}
+        self._goals: dict[Task, GoalSpec] = {}
+
+    def parse(self, text: str, provenance: str,
+              sample_index: int) -> tuple[Plan, list[ParseDiagnostic]]:
+        return parse_plan_text(text, self.known_actions, provenance, sample_index, self.lines)
+
+    def prog_prompt(self, task: Task) -> PromptDocument:
+        prompt = self._prog_prompts.get(task)
+        if prompt is None:
+            scene = self.bundle.scenes[task.scene_id]
+            prompt = self._prog_prompts[task] = format_prog_prompt(
+                task.task_name, self.bundle.catalog.action_names, sorted(scene.objects),
+                self.prog_examples,
+            )
+        return prompt
+
+    def goal(self, task: Task) -> GoalSpec:
+        goal = self._goals.get(task)
+        if goal is None:
+            if task.goal_conditions is not None:
+                goal = GoalSpec(task.task_name, frozenset(task.goal_conditions), source="explicit")
+            else:
+                scene = self.bundle.scenes[task.scene_id]
+                goal = derive_goal_conditions(World(self.bundle.catalog, scene.objects),
+                                              scene.initial_state, task.goal_plan, task.task_name)
+            self._goals[task] = goal
+        return goal
+
+
 @dataclass
 class PipelineArtifacts:
     """Intermediate products of one task episode, kept for reports."""
@@ -221,33 +269,41 @@ class PipelineArtifacts:
     diagnostics: list[str] = field(default_factory=list)
 
 
+def _sampling_configs(config: RunConfig, rep: int,
+                      task: Task) -> tuple[SamplingConfig, SamplingConfig]:
+    """The prog and reorder sampling configs of one (repetition, task) episode."""
+    prog_config = SamplingConfig(
+        config.prog_temperature, config.prog_num_samples, config.max_length,
+        seed=derive_seed(config.master_seed, rep, task.task_name, PROG),
+    )
+    reorder_config = SamplingConfig(
+        config.reorder_temperature, config.reorder_num_samples, config.max_length,
+        seed=derive_seed(config.master_seed, rep, task.task_name, REORDER),
+    )
+    return prog_config, reorder_config
+
+
 def run_task_pipeline(
     task: Task,
-    bundle: DatasetBundle,
+    memo: RunMemo,
     provider: PlanGenerator,
     prog_config: SamplingConfig,
     reorder_config: SamplingConfig,
 ) -> PipelineArtifacts:
     """Sample, pool, reorder and aggregate one task into its vote tree."""
-    scene = bundle.scenes[task.scene_id]
-    known_actions = frozenset(bundle.catalog.action_names)
-
-    prog_prompt = format_prog_prompt(
-        task.task_name, bundle.catalog.action_names, sorted(scene.objects),
-        default_prog_examples(),
-    )
+    prog_prompt = memo.prog_prompt(task)
     diagnostics: list[str] = []
     generated: list[Plan] = []
     for k, text in enumerate(provider.generate(prog_prompt, prog_config)):
-        plan, diags = parse_plan_text(text, known_actions, "generated", k)
+        plan, diags = memo.parse(text, "generated", k)
         generated.append(plan)
         diagnostics.extend(f"{PROG}[{k}]: {d.code}" for d in diags)
 
     pool = extract_unique_commands(generated)
-    reorder_prompt = format_reorder_prompt(pool, task.task_name, default_reorder_examples())
+    reorder_prompt = format_reorder_prompt(pool, task.task_name, memo.reorder_examples)
     reordered: list[Plan] = []
     for k, text in enumerate(provider.generate(reorder_prompt, reorder_config)):
-        plan, diags = parse_plan_text(text, known_actions, "reordered", k)
+        plan, diags = memo.parse(text, "reordered", k)
         diagnostics.extend(f"{REORDER}[{k}]: {d.code}" for d in diags)
         if plan.commands:
             reordered.append(plan)
@@ -279,25 +335,23 @@ def run_one_episode(
     bundle: DatasetBundle,
     config: RunConfig,
     rep: int,
+    memo: RunMemo | None = None,
 ) -> tuple[EpisodeResult, PipelineArtifacts]:
+    """Run and execute one (repetition, task) episode.
+
+    ``memo`` is the run's shared memo over ``bundle``; without one, the
+    episode gets its own.
+    """
+    if memo is None:
+        memo = RunMemo(bundle)
     scene = bundle.scenes[task.scene_id]
     world = World(bundle.catalog, scene.objects)
-    if task.goal_conditions is not None:
-        goal = GoalSpec(task.task_name, frozenset(task.goal_conditions), source="explicit")
-    else:
-        goal = derive_goal_conditions(world, scene.initial_state, task.goal_plan, task.task_name)
+    goal = memo.goal(task)
 
     provider = make_provider(config, task, scene)
-    prog_config = SamplingConfig(
-        config.prog_temperature, config.prog_num_samples, config.max_length,
-        seed=derive_seed(config.master_seed, rep, task.task_name, PROG),
-    )
-    reorder_config = SamplingConfig(
-        config.reorder_temperature, config.reorder_num_samples, config.max_length,
-        seed=derive_seed(config.master_seed, rep, task.task_name, REORDER),
-    )
+    prog_config, reorder_config = _sampling_configs(config, rep, task)
     try:
-        artifacts = run_task_pipeline(task, bundle, provider, prog_config, reorder_config)
+        artifacts = run_task_pipeline(task, memo, provider, prog_config, reorder_config)
     except ProviderError as exc:
         raise ProviderError(f"task {task.task_name!r}, repetition {rep}: {exc}") from exc
 
@@ -331,6 +385,7 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     if not tasks:
         raise ConfigError("no tasks to evaluate after applying the seen-task split")
 
+    memo = RunMemo(bundle)
     per_rep: list[dict] = []
     episode_records: list[dict] = []
     episode_files: list[tuple[str, int, dict, dict]] = []
@@ -338,7 +393,7 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
         gcrs: list[float] = []
         execs: list[float] = []
         for task_index, task in enumerate(tasks):
-            episode, artifacts = run_one_episode(task, bundle, config, rep)
+            episode, artifacts = run_one_episode(task, bundle, config, rep, memo)
             gcr = metrics_mod.compute_gcr(episode.achieved, episode.goal.goal_conditions)
             exec_rate = metrics_mod.compute_exec(episode.trace)
             gcrs.append(gcr)
@@ -475,30 +530,18 @@ def record_suite(config: RunConfig, bundle: DatasetBundle | None = None) -> list
         raise ConfigError("record needs fixtures_dir")
     bundle = bundle or load_dataset(config)
     tasks = evaluated_tasks(bundle, config.include_seen)
+    memo = RunMemo(bundle)
+    replay = ReplayProvider(config.fixtures_dir)
     written: list[Path] = []
     for task in tasks:
-        scene = bundle.scenes[task.scene_id]
-        provider = make_provider(config, task, scene)
-        prog_config = SamplingConfig(
-            config.prog_temperature, config.prog_num_samples, config.max_length,
-            seed=derive_seed(config.master_seed, 0, task.task_name, PROG),
-        )
-        reorder_config = SamplingConfig(
-            config.reorder_temperature, config.reorder_num_samples, config.max_length,
-            seed=derive_seed(config.master_seed, 0, task.task_name, REORDER),
-        )
-        prog_prompt = format_prog_prompt(
-            task.task_name, bundle.catalog.action_names, sorted(scene.objects),
-            default_prog_examples(),
-        )
+        provider = make_provider(config, task, bundle.scenes[task.scene_id])
+        prog_config, reorder_config = _sampling_configs(config, 0, task)
+        prog_prompt = memo.prog_prompt(task)
         written.append(record_fixtures(provider, prog_prompt, prog_config, config.fixtures_dir))
-        generated = []
-        replay = ReplayProvider(config.fixtures_dir)
-        for k, text in enumerate(replay.generate(prog_prompt, prog_config)):
-            plan, _ = parse_plan_text(text, frozenset(bundle.catalog.action_names), "generated", k)
-            generated.append(plan)
+        generated = [memo.parse(text, "generated", k)[0]
+                     for k, text in enumerate(replay.generate(prog_prompt, prog_config))]
         pool = extract_unique_commands(generated)
-        reorder_prompt = format_reorder_prompt(pool, task.task_name, default_reorder_examples())
+        reorder_prompt = format_reorder_prompt(pool, task.task_name, memo.reorder_examples)
         written.append(record_fixtures(provider, reorder_prompt, reorder_config, config.fixtures_dir))
     return written
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EmptyCommandPoolError
 
@@ -19,13 +20,19 @@ ACTION_ALIASES = {"walk": "find", "put": "putback"}
 _CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\(([^()]*)\)")
 _DEF_RE = re.compile(r"^\s*def\s+\w+\s*\(")
 _SAMPLE_SEP_RE = re.compile(r"^---\s*sample\s+(\d+)\s*---\s*$", re.MULTILINE)
+_SPACE_RE = re.compile(r"\s+")
 
 PROVENANCES = ("generated", "reordered", "goal")
 
 
 def _clean_token(raw: str) -> str:
-    token = raw.strip().strip("'\"").strip().lower()
-    return re.sub(r"\s+", "_", token)
+    """Trim quotes and whitespace from both ends (however nested), lowercase,
+    and join inner whitespace runs with ``_``."""
+    token = raw.strip()
+    trimmed = token.strip("'\"").strip()
+    while trimmed != token:
+        token, trimmed = trimmed, trimmed.strip("'\"").strip()
+    return _SPACE_RE.sub("_", token.lower())
 
 
 @dataclass(frozen=True, order=True)
@@ -41,7 +48,7 @@ class Command:
         if len(self.args) not in (1, 2):
             raise ValueError(f"command {self.action!r} needs 1 or 2 arguments, got {len(self.args)}")
 
-    @property
+    @cached_property
     def canonical_form(self) -> str:
         return f"{self.action}({','.join(self.args)})"
 
@@ -51,9 +58,7 @@ class Command:
         m = _CALL_RE.search(text)
         if not m or m.group(0).strip() != text.strip():
             raise ValueError(f"cannot parse command string {text!r}")
-        action, argtext = m.groups()
-        args = [a for a in (_clean_token(p) for p in argtext.split(",")) if a]
-        return normalize_command(action, args)
+        return _call_command(*m.groups())
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.canonical_form
@@ -65,11 +70,19 @@ def normalize_command(action: str, args: list[str] | tuple[str, ...]) -> Command
     Unknown actions pass through unchanged; whether they execute is decided
     by the environment, not the parser.
     """
+    return _command(action, tuple(_clean_token(a) for a in args))
+
+
+def _command(action: str, clean_args: tuple[str, ...]) -> Command:
     token = _clean_token(action)
     if not token:
         raise ValueError("empty action token")
-    token = ACTION_ALIASES.get(token, token)
-    return Command(action=token, args=tuple(_clean_token(a) for a in args))
+    return Command(action=ACTION_ALIASES.get(token, token), args=clean_args)
+
+
+def _call_command(action: str, argtext: str) -> Command:
+    """The command of one ``action(argtext)`` call; empty arguments are skipped."""
+    return _command(action, tuple(a for a in map(_clean_token, argtext.split(",")) if a))
 
 
 @dataclass(frozen=True)
@@ -102,11 +115,46 @@ class ParseDiagnostic:
     text: str = ""
 
 
+# What one raw line parses to, in order: a Command per call, or a
+# (code, text) diagnostic.  Line numbers and known-action checks are added
+# per text, so one entry serves every text that contains the line.
+_LineEntries = tuple[Command | tuple[str, str], ...]
+
+
+def _parse_line(raw_line: str) -> _LineEntries:
+    line = raw_line.split("#", 1)[0].strip()
+    if not line or _DEF_RE.match(line) or line in ("pass", "return"):
+        return ()
+
+    scaffold = False
+    if line.startswith("assert"):
+        scaffold = True
+        _, _, line = line.partition("else:")
+        line = line.strip()
+    elif line.startswith("else:"):
+        scaffold = True
+        line = line[len("else:"):].strip()
+    if not line:
+        return ()
+
+    calls = _CALL_RE.findall(line)
+    if not calls:
+        return () if scaffold else (("unparseable_line", raw_line.strip()),)
+    entries: list[Command | tuple[str, str]] = []
+    for action, argtext in calls:
+        try:
+            entries.append(_call_command(action, argtext))
+        except ValueError:
+            entries.append(("bad_arity", f"{action}({argtext})"))
+    return tuple(entries)
+
+
 def parse_plan_text(
     text: str,
     known_actions: set[str] | frozenset[str] | None = None,
     provenance: str = "generated",
     sample_index: int = 0,
+    line_memo: dict[str, _LineEntries] | None = None,
 ) -> tuple[Plan, list[ParseDiagnostic]]:
     """Extract the command sequence from one generated plan text.
 
@@ -116,43 +164,28 @@ def parse_plan_text(
     sample parses to an empty Plan plus a ``no_commands_found`` diagnostic
     (the Plan is built with provenance "generated" in that case, since only
     generated plans may be empty).
+
+    ``line_memo`` maps raw lines to what they parse to.  Passing one dict to
+    many calls parses each distinct line once; the result is the same as
+    without it.
     """
+    memo = {} if line_memo is None else line_memo
     commands: list[Command] = []
     diagnostics: list[ParseDiagnostic] = []
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line or _DEF_RE.match(line) or line in ("pass", "return"):
-            continue
-
-        scaffold = False
-        if line.startswith("assert"):
-            scaffold = True
-            _, _, line = line.partition("else:")
-            line = line.strip()
-        elif line.startswith("else:"):
-            scaffold = True
-            line = line[len("else:"):].strip()
-        if not line:
-            continue
-
-        calls = _CALL_RE.findall(line)
-        if not calls:
-            if not scaffold:
-                diagnostics.append(ParseDiagnostic("unparseable_line", line_no, raw_line.strip()))
-            continue
-        for action, argtext in calls:
-            args = [a for a in (_clean_token(p) for p in argtext.split(",")) if a]
-            try:
-                command = normalize_command(action, args)
-            except ValueError:
-                diagnostics.append(ParseDiagnostic("bad_arity", line_no, f"{action}({argtext})"))
-                continue
-            if known_actions is not None and command.action not in known_actions:
-                diagnostics.append(
-                    ParseDiagnostic("unknown_action", line_no, command.canonical_form)
-                )
-            commands.append(command)
+        entries = memo.get(raw_line)
+        if entries is None:
+            entries = memo[raw_line] = _parse_line(raw_line)
+        for entry in entries:
+            if isinstance(entry, Command):
+                if known_actions is not None and entry.action not in known_actions:
+                    diagnostics.append(
+                        ParseDiagnostic("unknown_action", line_no, entry.canonical_form)
+                    )
+                commands.append(entry)
+            else:
+                diagnostics.append(ParseDiagnostic(entry[0], line_no, entry[1]))
 
     if not commands:
         diagnostics.append(ParseDiagnostic("no_commands_found"))

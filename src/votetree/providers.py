@@ -13,6 +13,7 @@ exactly ``num_samples`` raw plan texts out):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -169,10 +170,11 @@ class SyntheticProvider:
 
     def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
         texts = []
+        prompt_hash = prompt.content_hash
         for k in range(config.num_samples):
             # Per-call randomness comes from (seed, prompt hash, k), so
             # concurrent generate() calls cannot change outputs.
-            rng = random.Random(derive_seed(config.seed, prompt.content_hash, k))
+            rng = random.Random(derive_seed(config.seed, prompt_hash, k))
             commands = _perturb(self.seed_plan.commands, self.noise, rng)
             if config.max_length:
                 commands = commands[: config.max_length]
@@ -181,6 +183,10 @@ class SyntheticProvider:
 
 
 # -- remote -------------------------------------------------------------------
+
+class _BadResponse(ProviderError):
+    """A response no retry can fix: its body is not JSON or has the wrong shape."""
+
 
 def _http_transport(request: dict, endpoint: str, api_key: str, timeout: float) -> str:
     payload = json.dumps(request).encode("utf-8")
@@ -193,11 +199,23 @@ def _http_transport(request: dict, endpoint: str, api_key: str, timeout: float) 
         },
     )
     with urllib.request.urlopen(req, timeout=timeout) as resp:
-        body = json.loads(resp.read().decode("utf-8"))
+        raw = resp.read()
     try:
-        return body["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ProviderError(f"unexpected response shape: {body!r}") from exc
+        content = json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise _BadResponse(f"unexpected response body: {raw[:200]!r}") from exc
+    if not isinstance(content, str):
+        raise _BadResponse(f"unexpected response body: {raw[:200]!r}")
+    return content
+
+
+def _is_fatal(exc: Exception) -> bool:
+    """A remote failure that retrying cannot fix: a malformed response, or
+    HTTP 4xx other than 408 (request timeout) and 429 (rate limited)."""
+    if isinstance(exc, _BadResponse):
+        return True
+    return (isinstance(exc, urllib.error.HTTPError) and 400 <= exc.code < 500
+            and exc.code not in (408, 429))
 
 
 class RemoteProvider:
@@ -205,7 +223,9 @@ class RemoteProvider:
 
     Every sample is cached under ``<cache_dir>/<prompt-hash>/<stage>/<k>.txt``
     (atomic write-then-rename), so a finished remote run can be replayed
-    offline by pointing a ReplayProvider at the cache directory.
+    offline by pointing a ReplayProvider at the cache directory.  Timeouts,
+    connection errors, HTTP 5xx, 408 and 429 are retried with backoff; missing
+    credentials, other HTTP 4xx and malformed responses fail at once.
     """
 
     def __init__(
@@ -226,23 +246,28 @@ class RemoteProvider:
         self.retries = retries
         self._transport = transport
 
-    def _call(self, request: dict) -> str:
+    def _sender(self) -> Callable[[dict], str]:
+        """The injected transport, or HTTP with the API key from the environment."""
         if self._transport is not None:
-            return self._transport(request)
+            return self._transport
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise ProviderError(f"remote provider needs credentials in ${self.api_key_env}")
-        return _http_transport(request, self.endpoint, api_key, self.timeout)
+        return functools.partial(_http_transport, endpoint=self.endpoint, api_key=api_key,
+                                 timeout=self.timeout)
 
     def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
         stage_dir = self.cache_dir / prompt.content_hash / prompt.kind
         self._check_manifest(stage_dir, config)
         texts = []
+        send = None
         for k in range(config.num_samples):
             cached = stage_dir / f"{k}.txt"
             if cached.exists():
                 texts.append(cached.read_text(encoding="utf-8"))
                 continue
+            if send is None:
+                send = self._sender()
             request = {
                 "model": self.model,
                 "messages": [{"role": "user", "content": prompt.text}],
@@ -251,7 +276,7 @@ class RemoteProvider:
                 "seed": derive_seed(config.seed, k) % (2**31),
                 "n": 1,
             }
-            text = self._call_with_retries(request)
+            text = self._call_with_retries(send, request)
             _atomic_write(cached, text)
             texts.append(text)
         manifest = stage_dir / "manifest.json"
@@ -276,7 +301,7 @@ class RemoteProvider:
 
     def _check_manifest(self, stage_dir: Path, config: SamplingConfig) -> None:
         """Cache entries are keyed by prompt hash AND sampling config: refuse
-        to serve samples recorded under different settings."""
+        to serve samples recorded under different settings or by another model."""
         manifest_path = stage_dir / "manifest.json"
         if not manifest_path.exists():
             return
@@ -288,14 +313,22 @@ class RemoteProvider:
                 f"cache at {stage_dir} was recorded with (temperature, seed)="
                 f"{recorded}, requested {requested}; clear it or use another cache_dir"
             )
+        model = manifest.get("model")
+        if model is not None and model != self.model:
+            raise ProviderError(
+                f"cache at {stage_dir} was recorded by model {model!r}, requested "
+                f"{self.model!r}; clear it or use another cache_dir"
+            )
 
-    def _call_with_retries(self, request: dict) -> str:
+    def _call_with_retries(self, send: Callable[[dict], str], request: dict) -> str:
         last: Exception | None = None
         for attempt in range(self.retries):
             try:
-                return self._call(request)
+                return send(request)
             except (urllib.error.URLError, TimeoutError, ProviderError) as exc:
+                if _is_fatal(exc):
+                    raise ProviderError(f"remote call failed, not retried: {exc}") from exc
                 last = exc
-                if attempt + 1 < self.retries:
-                    time.sleep(min(2.0**attempt, 8.0))
+            if attempt + 1 < self.retries:
+                time.sleep(min(2.0**attempt, 8.0))
         raise ProviderError(f"remote call failed after {self.retries} attempts: {last}")

@@ -104,8 +104,8 @@ class StatePredicate:
 class WorldState:
     """Immutable predicate set describing the environment at one instant.
 
-    ``held`` and ``agent_location`` are derived views over the predicate set,
-    which is the single source of truth.
+    ``held`` is a derived view over the predicate set, which is the single
+    source of truth.
     """
 
     predicates: frozenset[StatePredicate] = frozenset()
@@ -113,14 +113,6 @@ class WorldState:
     @property
     def held(self) -> frozenset[str]:
         return frozenset(p.subject for p in self.predicates if p.predicate == "HELD_BY_AGENT")
-
-    @property
-    def agent_location(self) -> str | None:
-        """The object the agent is currently CLOSE_TO, if any."""
-        for p in self.predicates:
-            if p.predicate == "CLOSE_TO" and p.subject == AGENT:
-                return p.object
-        return None
 
     def holds(self, predicate: StatePredicate) -> bool:
         return predicate in self.predicates

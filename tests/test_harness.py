@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from votetree import harness
 from votetree.errors import ConfigError
 from votetree.executor import ExecutionMode, execute_tree
 from votetree.harness import (
@@ -11,6 +13,7 @@ from votetree.harness import (
     evaluated_tasks,
     plan_diff_report,
     recompute_metrics,
+    record_suite,
     run_one_episode,
     run_suite,
 )
@@ -113,6 +116,62 @@ class TestSuite:
             means.append(run_suite(cfg, bundle, write_outputs=False).row.sr_mean)
         slope = np.polyfit(drops, means, 1)[0]
         assert slope <= 0.02, f"SR should not increase with drop noise: {means}"
+
+
+class TestRunMemo:
+    NOISY = dict(drop_prob=0.2, swap_prob=0.1, insert_prob=0.1)
+
+    def test_noisy_outputs_are_pinned(self, bundle, tmp_path):
+        """SHA-256 of a small noisy run's outputs: a change to them changes behaviour."""
+        cfg = RunConfig(master_seed=7, repetitions=2, output_dir=str(tmp_path), **self.NOISY)
+        run_suite(cfg, bundle)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("summary.txt", "metrics.jsonl")}
+        assert digests == {
+            "summary.txt": "1e37d9be9699f6264c7ea19102419caa32b6ddf102c045def9b62d45c32bcb89",
+            "metrics.jsonl": "bae538aa50ef3c04b3ba2f49d373c1da3bbecca4ecd0ac9f3d3e699ca775cfa7",
+        }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of every call to the per-run work, made through the
+        ``votetree.harness`` namespace."""
+        seen: dict[str, list[tuple]] = {
+            name: [] for name in ("default_prog_examples", "default_reorder_examples",
+                                  "format_prog_prompt", "derive_goal_conditions",
+                                  "parse_plan_text")
+        }
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                seen[name].append(args)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        return seen
+
+    def test_per_run_work_done_once_per_run(self, bundle, calls, tmp_path):
+        names = sorted(t.task_name for t in evaluated_tasks(bundle))
+        cfg = RunConfig(master_seed=3, repetitions=2, output_dir=None, **self.NOISY)
+        for _ in range(2):  # a second run repeats the counts: no state carries over
+            for args in calls.values():
+                args.clear()
+            run_suite(cfg, bundle, write_outputs=False)
+            assert len(calls["default_prog_examples"]) == 1
+            assert len(calls["default_reorder_examples"]) == 1
+            assert sorted(args[0] for args in calls["format_prog_prompt"]) == names
+            assert sorted(args[3] for args in calls["derive_goal_conditions"]) == names
+            assert len(calls["parse_plan_text"]) == 2 * len(names) * (30 + 20)
+
+        for args in calls.values():
+            args.clear()
+        record_suite(RunConfig(master_seed=3, fixtures_dir=str(tmp_path), **self.NOISY), bundle)
+        assert len(calls["default_prog_examples"]) == 1
+        assert len(calls["default_reorder_examples"]) == 1
+        assert sorted(args[0] for args in calls["format_prog_prompt"]) == names
+        assert len(calls["parse_plan_text"]) == len(names) * 30
 
 
 class TestPlanDiff:

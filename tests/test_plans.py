@@ -3,6 +3,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from votetree.errors import EmptyCommandPoolError
 from votetree.plans import (
@@ -105,6 +107,34 @@ class TestParse:
             parsed, diags = parse_plan_text(render_plan(plan))
             assert parsed.commands == plan.commands
             assert diags == []
+
+
+# Lines a generator may emit: commands, scaffolding, comments and garbage.
+PLAN_LINES = st.one_of(
+    st.sampled_from([
+        "find('salmon')", "  grab('salmon')  # take it", "walk(Kitchen)", "put('plate', 'table')",
+        "def microwave_salmon():", "assert('fridge' is 'opened') else: open('fridge')",
+        "else: close('fridge')", "assert('salmon' in 'hand')", "# comment", "pass", "return", "",
+        "flomp('cup')", "find()", "find(a, b, c)", "find('a') grab('a')", "no call on this line",
+        "find(' \"Wine  Glass\" ')",
+    ]),
+    st.text(alphabet="abfind()',\" #:\t_", max_size=30),
+    st.text(max_size=30),
+)
+PLAN_TEXTS = st.lists(PLAN_LINES, max_size=12).map("\n".join)
+
+
+KNOWN_ACTIONS = st.sampled_from([None, frozenset({"find", "grab", "open", "close", "putback"})])
+
+
+class TestLineMemo:
+    @given(samples=st.lists(st.tuples(PLAN_TEXTS, KNOWN_ACTIONS), max_size=8),
+           provenance=st.sampled_from(["generated", "reordered"]))
+    def test_shared_memo_matches_fresh_parse(self, samples, provenance):
+        memo: dict = {}
+        for k, (text, known) in enumerate(samples):
+            shared = parse_plan_text(text, known, provenance, k, line_memo=memo)
+            assert shared == parse_plan_text(text, known, provenance, k)
 
 
 class TestCorpusSplit:

@@ -1,4 +1,8 @@
+import io
 import json
+import time
+import urllib.error
+import urllib.request
 from collections import Counter
 
 import pytest
@@ -186,6 +190,14 @@ class TestRemoteProvider:
         with pytest.raises(ProviderError, match="recorded with"):
             provider.generate(prompt, SamplingConfig(num_samples=1, temperature=0.9, seed=7))
 
+    def test_cache_rejects_another_models_samples(self, tmp_path, prompt):
+        cfg = SamplingConfig(num_samples=1, seed=7)
+        self._provider(tmp_path, lambda request: "find('a')\n").generate(prompt, cfg)
+        other = self._provider(tmp_path, lambda request: "find('b')\n")
+        other.model = "other-model"
+        with pytest.raises(ProviderError, match="recorded by model 'test-model'"):
+            other.generate(prompt, cfg)
+
     def test_transport_failures_exhaust_retries(self, tmp_path, prompt):
         def failing(request):
             raise ProviderError("boom")
@@ -200,6 +212,84 @@ class TestRemoteProvider:
         provider = self._provider(tmp_path, None)
         with pytest.raises(ProviderError, match="VOTETREE_API_KEY"):
             provider.generate(prompt, SamplingConfig(num_samples=1))
+
+
+class TestRemoteRetries:
+    """Retryable failures back off and retry; fatal ones fail at once, asleep never."""
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        slept: list[float] = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        return slept
+
+    @pytest.fixture
+    def http(self, monkeypatch):
+        """Scripted ``urlopen``: each call pops the next response or raises it."""
+        script: list = []
+        calls: list = []
+
+        def urlopen(request, timeout):
+            calls.append(request)
+            outcome = script.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return io.BytesIO(outcome.encode("utf-8"))
+
+        monkeypatch.setenv("VOTETREE_API_KEY", "test-key")
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        return script, calls
+
+    def _provider(self, tmp_path, retries=3):
+        return RemoteProvider(endpoint="https://example.invalid/v1/chat/completions",
+                              model="test-model", cache_dir=tmp_path, retries=retries)
+
+    @staticmethod
+    def _status(code):
+        return urllib.error.HTTPError("https://example.invalid", code, "status", {}, None)
+
+    def test_missing_credentials_fail_before_any_attempt(self, tmp_path, prompt, sleeps,
+                                                         monkeypatch):
+        monkeypatch.delenv("VOTETREE_API_KEY", raising=False)
+        with pytest.raises(ProviderError, match="VOTETREE_API_KEY"):
+            self._provider(tmp_path).generate(prompt, SamplingConfig(num_samples=2))
+        assert sleeps == []
+
+    @pytest.mark.parametrize("response", [
+        400, 401, 403, 404, 422,
+        "not json",
+        json.dumps({"choices": []}),
+        json.dumps({"choices": [{"message": {"content": None}}]}),
+    ])
+    def test_fatal_responses_are_not_retried(self, tmp_path, prompt, sleeps, http, response):
+        script, calls = http
+        script.append(self._status(response) if isinstance(response, int) else response)
+        with pytest.raises(ProviderError, match="not retried"):
+            self._provider(tmp_path).generate(prompt, SamplingConfig(num_samples=1))
+        assert len(calls) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("failure", [
+        500, 503, 408, 429,
+        urllib.error.URLError("connection refused"),
+        TimeoutError("timed out"),
+    ])
+    def test_transient_failures_are_retried(self, tmp_path, prompt, sleeps, http, failure):
+        script, calls = http
+        error = self._status(failure) if isinstance(failure, int) else failure
+        script.extend([error, error, error])
+        with pytest.raises(ProviderError, match="after 3 attempts"):
+            self._provider(tmp_path).generate(prompt, SamplingConfig(num_samples=1))
+        assert len(calls) == 3
+        assert sleeps == [1.0, 2.0]
+
+    def test_retry_recovers(self, tmp_path, prompt, sleeps, http):
+        script, calls = http
+        script.extend([self._status(503),
+                       json.dumps({"choices": [{"message": {"content": "find('a')\n"}}]})])
+        texts = self._provider(tmp_path).generate(prompt, SamplingConfig(num_samples=1))
+        assert texts == ["find('a')\n"]
+        assert sleeps == [1.0]
 
 
 class TestSeedDerivation:
