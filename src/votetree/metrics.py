@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .executor import ExecutionTrace
 from .world import StatePredicate
@@ -38,9 +37,43 @@ def compute_exec(trace: ExecutionTrace) -> float:
     return trace.succeeded / trace.attempted
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Float sum in numpy's pairwise order, so results match numpy to the last bit.
+
+    Below 8 values a plain running sum; up to 128, eight interleaved
+    accumulators combined as a balanced tree, then the tail; above that, the
+    two halves (split at a multiple of 8) summed recursively.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[tail:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std())
+    """Mean and population standard deviation, bit-identical to numpy's
+    ``mean()`` and ``std()`` on a float64 array; ``nan`` for no values."""
+    xs = [float(v) for v in values]
+    if not xs:
+        return math.nan, math.nan
+    n = len(xs)
+    mean = _pairwise_sum(xs) / n
+    return mean, math.sqrt(_pairwise_sum([(x - mean) * (x - mean) for x in xs]) / n)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ exactly ``num_samples`` raw plan texts out):
   for offline reproducible runs.
 * ``SyntheticProvider`` perturbs a known-good seed plan with seeded
   drop/swap/insert noise, emulating generator sample diversity.
-* ``RemoteProvider`` calls an HTTP chat-completions style endpoint and caches
-  every response on disk; a cache directory doubles as a replay fixture tree.
+* ``RemoteProvider`` calls an HTTP chat-completions style endpoint, up to
+  ``MAX_INFLIGHT`` requests at a time, and caches every response on disk; a
+  cache directory doubles as a replay fixture tree.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ import json
 import os
 import random
 import tempfile
+import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -67,7 +70,7 @@ class ReplayProvider:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``text`` to ``path`` by rename; the parent directory must exist."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -92,8 +95,17 @@ def record_fixtures(
     """
     texts = provider.generate(prompt, config)
     stage_dir = Path(root) / prompt.content_hash / prompt.kind
+    stage_dir.mkdir(parents=True, exist_ok=True)
     for k, text in enumerate(texts):
         _atomic_write(stage_dir / f"{k}.txt", text)
+    _write_manifest(stage_dir, prompt, config, getattr(provider, "model", None))
+    return stage_dir
+
+
+def _write_manifest(stage_dir: Path, prompt: PromptDocument, config: SamplingConfig,
+                    model: str | None) -> None:
+    """Record what the samples in ``stage_dir`` were drawn with (and by which
+    model, when the generator has one)."""
     manifest = {
         "instruction": prompt.instruction,
         "stage": prompt.kind,
@@ -102,8 +114,9 @@ def record_fixtures(
         "temperature": config.temperature,
         "seed": config.seed,
     }
+    if model is not None:
+        manifest["model"] = model
     _atomic_write(stage_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return stage_dir
 
 
 # -- synthetic noise model ----------------------------------------------------
@@ -218,14 +231,29 @@ def _is_fatal(exc: Exception) -> bool:
             and exc.code not in (408, 429))
 
 
+MAX_INFLIGHT = 8
+"""Most requests ``RemoteProvider`` keeps in flight for one prompt."""
+
+
 class RemoteProvider:
     """Chat-completions style HTTP provider with an on-disk response cache.
 
     Every sample is cached under ``<cache_dir>/<prompt-hash>/<stage>/<k>.txt``
     (atomic write-then-rename), so a finished remote run can be replayed
-    offline by pointing a ReplayProvider at the cache directory.  Timeouts,
-    connection errors, HTTP 5xx, 408 and 429 are retried with backoff; missing
-    credentials, other HTTP 4xx and malformed responses fail at once.
+    offline by pointing a ReplayProvider at the cache directory.  The manifest
+    beside the samples is written before the first request, so samples left
+    by a run that failed partway are never served under other settings.
+
+    The samples a prompt still lacks are requested concurrently, at most
+    ``MAX_INFLIGHT`` at a time, so an injected ``transport`` is called from
+    worker threads.  Sample k's request and cache file depend on k only, and
+    results are placed by k: texts and cache bytes do not depend on the order
+    in which responses arrive.
+
+    Timeouts, connection errors, HTTP 5xx, 408 and 429 are retried with
+    backoff; missing credentials, other HTTP 4xx and malformed responses fail
+    at once.  After the first failure no further request is sent, the ones in
+    flight finish, and the error of the lowest failing sample is raised.
     """
 
     def __init__(
@@ -259,15 +287,28 @@ class RemoteProvider:
     def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
         stage_dir = self.cache_dir / prompt.content_hash / prompt.kind
         self._check_manifest(stage_dir, config)
-        texts = []
-        send = None
+        texts: list[str | None] = []
         for k in range(config.num_samples):
             cached = stage_dir / f"{k}.txt"
-            if cached.exists():
-                texts.append(cached.read_text(encoding="utf-8"))
-                continue
-            if send is None:
-                send = self._sender()
+            texts.append(cached.read_text(encoding="utf-8") if cached.exists() else None)
+        missing = [k for k, text in enumerate(texts) if text is None]
+        send = self._sender() if missing else None
+        if not (stage_dir / "manifest.json").exists():
+            stage_dir.mkdir(parents=True, exist_ok=True)
+            _write_manifest(stage_dir, prompt, config, self.model)
+        if missing:
+            self._fetch_missing(send, prompt, config, stage_dir, missing, texts)
+        return texts
+
+    def _fetch_missing(self, send: Callable[[dict], str], prompt: PromptDocument,
+                       config: SamplingConfig, stage_dir: Path, missing: list[int],
+                       texts: list[str | None]) -> None:
+        """Request and cache sample k for every k in ``missing``, storing it in ``texts[k]``."""
+        failed = threading.Event()
+
+        def fetch(k: int) -> str | None:
+            if failed.is_set():  # dequeued after a failure: send nothing
+                return None
             request = {
                 "model": self.model,
                 "messages": [{"role": "user", "content": prompt.text}],
@@ -276,28 +317,25 @@ class RemoteProvider:
                 "seed": derive_seed(config.seed, k) % (2**31),
                 "n": 1,
             }
-            text = self._call_with_retries(send, request)
-            _atomic_write(cached, text)
-            texts.append(text)
-        manifest = stage_dir / "manifest.json"
-        if not manifest.exists():
-            _atomic_write(
-                manifest,
-                json.dumps(
-                    {
-                        "instruction": prompt.instruction,
-                        "stage": prompt.kind,
-                        "prompt_hash": prompt.content_hash,
-                        "num_samples": config.num_samples,
-                        "temperature": config.temperature,
-                        "seed": config.seed,
-                        "model": self.model,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                ) + "\n",
-            )
-        return texts
+            try:
+                text = self._call_with_retries(send, request)
+                _atomic_write(stage_dir / f"{k}.txt", text)
+            except BaseException:
+                failed.set()
+                raise
+            return text
+
+        pool = ThreadPoolExecutor(max_workers=min(MAX_INFLIGHT, len(missing)))
+        try:
+            futures = [pool.submit(fetch, k) for k in missing]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+        for future in futures:  # k order: the lowest failing k is raised
+            if not future.cancelled() and future.exception() is not None:
+                raise future.exception()
+        for k, future in zip(missing, futures):
+            texts[k] = future.result()
 
     def _check_manifest(self, stage_dir: Path, config: SamplingConfig) -> None:
         """Cache entries are keyed by prompt hash AND sampling config: refuse

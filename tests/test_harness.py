@@ -1,7 +1,7 @@
 import hashlib
 import json
+import statistics
 
-import numpy as np
 import pytest
 
 from votetree import harness
@@ -114,7 +114,7 @@ class TestSuite:
         for drop in drops:
             cfg = RunConfig(master_seed=11, repetitions=10, drop_prob=drop, output_dir=None)
             means.append(run_suite(cfg, bundle, write_outputs=False).row.sr_mean)
-        slope = np.polyfit(drops, means, 1)[0]
+        slope = statistics.linear_regression(drops, means).slope
         assert slope <= 0.02, f"SR should not increase with drop noise: {means}"
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from votetree.executor import ExecutionTrace, StepRecord
 from votetree.metrics import (
@@ -88,6 +90,10 @@ class TestAggregation:
         mean, std = mean_std([0.0, 1.0])
         assert mean == 0.5 and std == 0.5
 
+    def test_mean_std_of_nothing_is_nan(self):
+        mean, std = mean_std([])
+        assert mean != mean and std != std
+
     def test_aggregate_bounds(self):
         per_rep = [
             {"sr": 0.4, "gcr": 0.7, "exec": 0.9},
@@ -104,3 +110,23 @@ class TestAggregation:
         row = MetricsRow("method", 0.43, 0.04, 0.70, 0.04, 0.89, 0.02, 10)
         assert format_table([row]) == format_table([row])
         assert "0.430" in format_table([row])
+
+
+@pytest.fixture(scope="module")
+def numpy():
+    return pytest.importorskip("numpy")
+
+
+class TestMeanStdMatchesNumpy:
+    """``mean_std`` replaced numpy; run outputs pin its results to numpy's last bit."""
+
+    @given(st.one_of(
+        st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=300),
+        # above 128 values numpy splits the sum in two
+        st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=129, max_size=400),
+        # per-repetition ratios such as SR over 31 tasks, the values runs aggregate
+        st.lists(st.integers(0, 31).map(lambda k: k / 31), min_size=1, max_size=40),
+    ))
+    def test_matches_numpy(self, numpy, values):
+        arr = numpy.asarray(values, dtype=float)
+        assert mean_std(values) == (float(arr.mean()), float(arr.std()))

@@ -1,5 +1,6 @@
 import io
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -7,10 +8,12 @@ from collections import Counter
 
 import pytest
 
+from votetree import providers
 from votetree.errors import ConfigError, ProviderError
 from votetree.plans import Command, parse_plan_text
 from votetree.prompts import PromptDocument, SamplingConfig
 from votetree.providers import (
+    MAX_INFLIGHT,
     NoiseModel,
     RemoteProvider,
     ReplayProvider,
@@ -138,6 +141,21 @@ class TestRecordFixtures:
         assert manifest["num_samples"] == 12
         replayed = ReplayProvider(tmp_path).generate(prompt, cfg)
         assert replayed == provider.generate(prompt, cfg)
+
+    def test_recording_keeps_the_remote_model(self, tmp_path, prompt):
+        """Recording into a remote cache must not erase the model it was drawn by."""
+        cfg = SamplingConfig(num_samples=3, seed=4)
+
+        def remote(model):
+            return RemoteProvider(endpoint="https://example.invalid/v1/chat/completions",
+                                  model=model, cache_dir=tmp_path,
+                                  transport=lambda request: f"find('{model}')\n")
+
+        stage_dir = record_fixtures(remote("m1"), prompt, cfg, tmp_path)
+        manifest = json.loads((stage_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["model"] == "m1"
+        with pytest.raises(ProviderError, match="recorded by model 'm1'"):
+            remote("m2").generate(prompt, cfg)
 
 
 class TestRemoteProvider:
@@ -290,6 +308,143 @@ class TestRemoteRetries:
         texts = self._provider(tmp_path).generate(prompt, SamplingConfig(num_samples=1))
         assert texts == ["find('a')\n"]
         assert sleeps == [1.0]
+
+
+class TestRemoteConcurrency:
+    """Missing samples are requested up to MAX_INFLIGHT at a time, placed by k."""
+
+    @staticmethod
+    def _k_of(cfg):
+        """Sample index of a request, recovered from its seed."""
+        by_seed = {derive_seed(cfg.seed, k) % (2**31): k for k in range(cfg.num_samples)}
+        return lambda request: by_seed[request["seed"]]
+
+    @staticmethod
+    def _provider(cache_dir, transport, model="test-model"):
+        return RemoteProvider(endpoint="https://example.invalid/v1/chat/completions",
+                              model=model, cache_dir=cache_dir, transport=transport)
+
+    @staticmethod
+    def _files(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def test_out_of_order_responses_land_in_k_order(self, tmp_path, prompt, monkeypatch):
+        cfg = SamplingConfig(num_samples=12, seed=3)
+        k_of = self._k_of(cfg)
+        finished: list[int] = []
+        lock = threading.Lock()
+        pause = threading.Event()
+
+        def reversed_transport(request):
+            k = k_of(request)
+            pause.wait(0.004 * (cfg.num_samples - k))  # later k answer sooner
+            with lock:
+                finished.append(k)
+            return f"find('obj{k}')\n"
+
+        texts = self._provider(tmp_path / "concurrent", reversed_transport).generate(prompt, cfg)
+        assert finished != sorted(finished)
+        assert texts == [f"find('obj{k}')\n" for k in range(cfg.num_samples)]
+
+        # Reference: one worker sends the samples one at a time, in k order.
+        monkeypatch.setattr(providers, "MAX_INFLIGHT", 1)
+        finished.clear()
+        assert self._provider(tmp_path / "serial", reversed_transport).generate(prompt, cfg) == texts
+        assert finished == sorted(finished)
+        assert self._files(tmp_path / "concurrent") == self._files(tmp_path / "serial")
+
+    def test_in_flight_requests_are_bounded(self, tmp_path, prompt):
+        cfg = SamplingConfig(num_samples=30, seed=1)
+        lock = threading.Lock()
+        active = [0]
+        peak = [0]
+        pause = threading.Event()
+
+        def transport(request):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            pause.wait(0.01)
+            with lock:
+                active[0] -= 1
+            return "find('a')\n"
+
+        texts = self._provider(tmp_path, transport).generate(prompt, cfg)
+        assert len(texts) == 30
+        assert 1 < peak[0] <= MAX_INFLIGHT
+
+    def test_fatal_error_stops_queued_requests(self, tmp_path, prompt, monkeypatch):
+        slept: list[float] = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        cfg = SamplingConfig(num_samples=40, seed=2)
+        k_of = self._k_of(cfg)
+        sent: list[int] = []
+        lock = threading.Lock()
+        pause = threading.Event()
+
+        def transport(request):
+            k = k_of(request)
+            with lock:
+                sent.append(k)
+            if k == 0:
+                raise urllib.error.HTTPError("https://example.invalid", 400, "bad", {}, None)
+            pause.wait(0.05)  # still in flight when sample 0 fails
+            return "find('a')\n"
+
+        with pytest.raises(ProviderError, match="not retried"):
+            self._provider(tmp_path, transport).generate(prompt, cfg)
+        assert len(sent) <= MAX_INFLIGHT
+        assert slept == []
+
+    def test_lowest_failing_sample_is_raised(self, tmp_path, prompt):
+        cfg = SamplingConfig(num_samples=4, seed=2)
+        k_of = self._k_of(cfg)
+        pause = threading.Event()
+
+        def transport(request):
+            k = k_of(request)
+            if k == 3:
+                raise urllib.error.HTTPError("https://example.invalid", 403, "three", {}, None)
+            if k == 1:
+                pause.wait(0.05)  # fails after sample 3 has
+                raise urllib.error.HTTPError("https://example.invalid", 401, "one", {}, None)
+            return "find('a')\n"
+
+        with pytest.raises(ProviderError, match="401"):
+            self._provider(tmp_path, transport).generate(prompt, cfg)
+
+    def test_missing_credentials_send_and_write_nothing(self, tmp_path, prompt, monkeypatch):
+        monkeypatch.delenv("VOTETREE_API_KEY", raising=False)
+        opened: list = []
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: opened.append(a))
+        provider = RemoteProvider(endpoint="https://example.invalid/v1/chat/completions",
+                                  model="test-model", cache_dir=tmp_path)
+        with pytest.raises(ProviderError, match="VOTETREE_API_KEY"):
+            provider.generate(prompt, SamplingConfig(num_samples=20))
+        assert opened == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_partial_cache_is_not_served_under_other_settings(self, tmp_path, prompt):
+        """A run that fails partway leaves some samples; its manifest must guard them."""
+        calls = [0]
+        lock = threading.Lock()
+
+        def fails_on_third_call(request):
+            with lock:
+                calls[0] += 1
+                n = calls[0]
+            if n == 3:
+                raise urllib.error.HTTPError("https://example.invalid", 400, "bad", {}, None)
+            return f"seedA-{request['seed']}\n"
+
+        with pytest.raises(ProviderError):
+            self._provider(tmp_path, fails_on_third_call, model="m1").generate(
+                prompt, SamplingConfig(num_samples=6, seed=1))
+        other = self._provider(tmp_path, lambda request: f"seedB-{request['seed']}\n",
+                               model="other-model")
+        with pytest.raises(ProviderError, match="recorded with"):
+            other.generate(prompt, SamplingConfig(num_samples=6, seed=2))
 
 
 class TestSeedDerivation:
