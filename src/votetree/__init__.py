@@ -58,7 +58,6 @@ from .providers import (
     ReplayProvider,
     SyntheticProvider,
     derive_seed,
-    record_fixtures,
     synthesize_noisy_plans,
 )
 from .tree import (

@@ -6,7 +6,7 @@ Subcommands:
     execute     tree + scene -> execution trace
     metrics     recompute the summary table from persisted artifacts
     diff        side-by-side comparison of two trace files
-    record      drive the configured provider to populate replay fixtures
+    record      run the suite to fill the fixture store, writing no artifacts
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
     config = RunConfig.from_file(args.config)
     if args.master_seed is not None:
         config.master_seed = args.master_seed
-    written = record_suite(config)
-    print(f"recorded {len(written)} fixture stage(s) under {config.fixtures_dir}")
+    result = record_suite(config)
+    print(f"recorded {len(result.episodes)} episode(s) under {config.fixtures_dir}")
     return 0
 
 
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-b", default="b")
     p.set_defaults(func=_cmd_diff)
 
-    p = sub.add_parser("record", help="populate replay fixtures from a provider")
+    p = sub.add_parser("record", help="fill the fixture store from a provider")
     p.add_argument("--config", required=True)
     p.add_argument("--master-seed", type=int, default=None)
     p.set_defaults(func=_cmd_record)
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VoteTreeError as exc:
+    except (VoteTreeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,10 @@ from . import metrics as metrics_mod
 from .errors import ConfigError, DatasetError, ProviderError
 from .executor import (
     DEFAULT_STEP_LIMIT,
+    NO_CORRECTION,
+    TERMINATE_CHILDLESS,
+    TERMINATE_END_MARKER,
+    WITH_CORRECTION,
     EpisodeResult,
     ExecutionMode,
     ExecutionTrace,
@@ -41,11 +45,11 @@ from .providers import (
     PlanGenerator,
     RemoteProvider,
     ReplayProvider,
+    StoredProvider,
     SyntheticProvider,
     derive_seed,
-    record_fixtures,
 )
-from .tree import SelectionStrategy, VoteTreeNode, build_vote_tree, tree_to_dict
+from .tree import MAX_VOTE, RANDOM, SelectionStrategy, VoteTreeNode, build_vote_tree, tree_to_dict
 from .world import (
     ActionCatalog,
     GoalSpec,
@@ -70,7 +74,7 @@ class RunConfig:
     scenes_dir: str | None = None       # scene file directory; None = bundled
     actions: str | None = None          # action catalog; None = bundled
     provider: str = SYNTHETIC
-    fixtures_dir: str | None = None     # replay source / record target
+    fixtures_dir: str | None = None     # fixture store: replay source, remote cache, record target
     remote_endpoint: str = ""
     remote_model: str = ""
     remote_api_key_env: str = "VOTETREE_API_KEY"
@@ -93,6 +97,18 @@ class RunConfig:
     include_seen: bool = False
     output_dir: str | None = "results"
     method_label: str | None = None
+
+    def __post_init__(self) -> None:
+        if type(self.repetitions) is not int or self.repetitions < 1:
+            raise ConfigError(f"repetitions must be an integer >= 1, got {self.repetitions!r}")
+        for name, known in (("provider", (SYNTHETIC, REPLAY, REMOTE)),
+                            ("mode", (WITH_CORRECTION, NO_CORRECTION)),
+                            ("selection", (MAX_VOTE, RANDOM)),
+                            ("termination", (TERMINATE_CHILDLESS, TERMINATE_END_MARKER))):
+            if (value := getattr(self, name)) not in known:
+                raise ConfigError(f"unknown {name} {value!r}; expected one of {', '.join(known)}")
+        if self.provider != SYNTHETIC and not self.fixtures_dir:
+            raise ConfigError(f"{self.provider} provider needs fixtures_dir")
 
     @property
     def label(self) -> str:
@@ -182,6 +198,7 @@ def build_distractors(task: Task, scene: Scene) -> tuple[Command, ...]:
 
 
 def make_provider(config: RunConfig, task: Task, scene: Scene) -> PlanGenerator:
+    """The configured generator; a synthetic one records into ``fixtures_dir`` when set."""
     if config.provider == SYNTHETIC:
         noise = NoiseModel(
             drop_prob=config.drop_prob,
@@ -189,35 +206,30 @@ def make_provider(config: RunConfig, task: Task, scene: Scene) -> PlanGenerator:
             insert_prob=config.insert_prob,
             distractor_pool=build_distractors(task, scene),
         )
-        return SyntheticProvider(task.goal_plan, noise)
+        synthetic = SyntheticProvider(task.goal_plan, noise)
+        return StoredProvider(synthetic, config.fixtures_dir) if config.fixtures_dir else synthetic
     if config.provider == REPLAY:
-        if not config.fixtures_dir:
-            raise ConfigError("replay provider needs fixtures_dir")
         return ReplayProvider(config.fixtures_dir)
-    if config.provider == REMOTE:
-        if not config.fixtures_dir:
-            raise ConfigError("remote provider needs fixtures_dir as its response cache")
-        return RemoteProvider(
-            endpoint=config.remote_endpoint,
-            model=config.remote_model,
-            cache_dir=config.fixtures_dir,
-            api_key_env=config.remote_api_key_env,
-            timeout=config.remote_timeout,
-            retries=config.remote_retries,
-        )
-    raise ConfigError(f"unknown provider {config.provider!r}")
+    return RemoteProvider(
+        endpoint=config.remote_endpoint,
+        model=config.remote_model,
+        cache_dir=config.fixtures_dir,
+        api_key_env=config.remote_api_key_env,
+        timeout=config.remote_timeout,
+        retries=config.remote_retries,
+    )
 
 
 class RunMemo:
     """What the episodes of one run share, worked out once per run.
 
-    ``run_suite`` and ``record_suite`` make one per call over their bundle and
-    drop it when they return, so nothing carries over from one run to the
-    next.  It holds the bundled prompt examples, each task's prog prompt and
-    goal conditions, and a parse memo keyed by raw plan line.  The parse memo
-    is keyed by line, not by whole text: the run's distinct lines are few,
-    while holding the parsed commands of every distinct text for a whole run
-    raised peak memory by a third.
+    ``run_suite`` makes one per call over its bundle and drops it when it
+    returns, so nothing carries over from one run to the next.  It holds the
+    bundled prompt examples, each task's prog prompt and goal conditions, and
+    a parse memo keyed by raw plan line.  The parse memo is keyed by line, not
+    by whole text: the run's distinct lines are few, while holding the parsed
+    commands of every distinct text for a whole run raised peak memory by a
+    third.
     """
 
     def __init__(self, bundle: DatasetBundle):
@@ -267,20 +279,6 @@ class PipelineArtifacts:
     pool_size: int
     root: VoteTreeNode
     diagnostics: list[str] = field(default_factory=list)
-
-
-def _sampling_configs(config: RunConfig, rep: int,
-                      task: Task) -> tuple[SamplingConfig, SamplingConfig]:
-    """The prog and reorder sampling configs of one (repetition, task) episode."""
-    prog_config = SamplingConfig(
-        config.prog_temperature, config.prog_num_samples, config.max_length,
-        seed=derive_seed(config.master_seed, rep, task.task_name, PROG),
-    )
-    reorder_config = SamplingConfig(
-        config.reorder_temperature, config.reorder_num_samples, config.max_length,
-        seed=derive_seed(config.master_seed, rep, task.task_name, REORDER),
-    )
-    return prog_config, reorder_config
 
 
 def run_task_pipeline(
@@ -349,7 +347,14 @@ def run_one_episode(
     goal = memo.goal(task)
 
     provider = make_provider(config, task, scene)
-    prog_config, reorder_config = _sampling_configs(config, rep, task)
+    prog_config = SamplingConfig(
+        config.prog_temperature, config.prog_num_samples, config.max_length,
+        seed=derive_seed(config.master_seed, rep, task.task_name, PROG),
+    )
+    reorder_config = SamplingConfig(
+        config.reorder_temperature, config.reorder_num_samples, config.max_length,
+        seed=derive_seed(config.master_seed, rep, task.task_name, REORDER),
+    )
     try:
         artifacts = run_task_pipeline(task, memo, provider, prog_config, reorder_config)
     except ProviderError as exc:
@@ -518,32 +523,12 @@ def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:
     return metrics_mod.aggregate(method, per_rep)
 
 
-def record_suite(config: RunConfig, bundle: DatasetBundle | None = None) -> list[Path]:
-    """Drive the configured provider over every prompt and persist fixtures.
-
-    With the remote provider this populates its response cache; any provider
-    can be recorded, which is how offline replay fixtures are produced.
-    """
-    if config.master_seed is None:
-        raise ConfigError("record needs a master_seed")
+def record_suite(config: RunConfig, bundle: DatasetBundle | None = None) -> SuiteResult:
+    """Run the suite without writing artifacts, filling the fixture store at
+    ``config.fixtures_dir`` with every sample of every repetition and stage."""
     if not config.fixtures_dir:
         raise ConfigError("record needs fixtures_dir")
-    bundle = bundle or load_dataset(config)
-    tasks = evaluated_tasks(bundle, config.include_seen)
-    memo = RunMemo(bundle)
-    replay = ReplayProvider(config.fixtures_dir)
-    written: list[Path] = []
-    for task in tasks:
-        provider = make_provider(config, task, bundle.scenes[task.scene_id])
-        prog_config, reorder_config = _sampling_configs(config, 0, task)
-        prog_prompt = memo.prog_prompt(task)
-        written.append(record_fixtures(provider, prog_prompt, prog_config, config.fixtures_dir))
-        generated = [memo.parse(text, "generated", k)[0]
-                     for k, text in enumerate(replay.generate(prog_prompt, prog_config))]
-        pool = extract_unique_commands(generated)
-        reorder_prompt = format_reorder_prompt(pool, task.task_name, memo.reorder_examples)
-        written.append(record_fixtures(provider, reorder_prompt, reorder_config, config.fixtures_dir))
-    return written
+    return run_suite(config, bundle, write_outputs=False)
 
 
 # -- qualitative plan comparison ----------------------------------------------

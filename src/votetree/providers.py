@@ -1,15 +1,17 @@
-"""Plan generators behind one interface.
+"""Plan generators behind one interface, and the fixture store they share.
 
-Three implementations of the generation contract (prompt + sampling config in,
+Implementations of the generation contract (prompt + sampling config in,
 exactly ``num_samples`` raw plan texts out):
 
-* ``ReplayProvider`` returns recorded samples keyed by prompt content hash,
-  for offline reproducible runs.
+* ``ReplayProvider`` serves samples recorded in a fixture store, for offline
+  reproducible runs.
 * ``SyntheticProvider`` perturbs a known-good seed plan with seeded
-  drop/swap/insert noise, emulating generator sample diversity.
-* ``RemoteProvider`` calls an HTTP chat-completions style endpoint, up to
-  ``MAX_INFLIGHT`` requests at a time, and caches every response on disk; a
-  cache directory doubles as a replay fixture tree.
+  drop/swap/insert noise, emulating generator sample diversity;
+  ``StoredProvider`` reads it through a fixture store, recording as it goes.
+* ``RemoteProvider`` calls an HTTP chat-completions style endpoint and keeps
+  every response in a fixture store.
+
+``read_through`` is the store they share, keyed by (prompt hash, stage, seed).
 """
 
 from __future__ import annotations
@@ -47,26 +49,107 @@ class PlanGenerator(Protocol):
         ...
 
 
-# -- replay -------------------------------------------------------------------
+# -- fixture store --------------------------------------------------------------
 
-class ReplayProvider:
-    """Replays recorded samples from ``<root>/<prompt-hash>/<stage>/<k>.txt``."""
+MAX_INFLIGHT = 8
+"""Most samples ``read_through`` draws at a time for one prompt."""
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
 
-    def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
-        stage_dir = self.root / prompt.content_hash / prompt.kind
-        texts = []
-        for k in range(config.num_samples):
-            path = stage_dir / f"{k}.txt"
-            if not path.exists():
-                raise ProviderError(
-                    f"replay fixture missing: {path} "
-                    f"(prompt hash {prompt.content_hash}, stage {prompt.kind})"
-                )
-            texts.append(path.read_text(encoding="utf-8"))
+def _describe(identity: dict) -> str:
+    return ", ".join(f"{key} {value!r}" for key, value in sorted(identity.items())) or "nothing"
+
+
+def read_through(
+    root: str | Path,
+    prompt: PromptDocument,
+    config: SamplingConfig,
+    identity: dict | None = None,
+    sampler: Callable[[PromptDocument, SamplingConfig], Callable[[int], str]] | None = None,
+) -> list[str]:
+    """The ``config.num_samples`` samples of ``prompt`` in the fixture store at ``root``.
+
+    Sample k is ``<root>/<prompt-hash>/<stage>/<seed>/<k>.txt``; the seed
+    directory's ``manifest.json`` records the sampling settings and
+    ``identity``, the generator that drew them.  A store recorded with another
+    temperature or seed, or (when ``identity`` is given) by another generator,
+    is refused.  Without a ``sampler`` a missing sample is an error and nothing
+    is written.  Otherwise ``sampler(prompt, config)``, called only when
+    samples are missing and before any write, draws them: the manifest is
+    written first, then up to ``MAX_INFLIGHT`` samples at a time are drawn in
+    worker threads, each written atomically and placed by k.  After the first
+    failure no queued sample is drawn, those in flight finish, and the error
+    of the lowest failing k is raised.
+    """
+    seed_dir = Path(root) / prompt.content_hash / prompt.kind / str(config.seed)
+    manifest = {"instruction": prompt.instruction, "stage": prompt.kind,
+                "prompt_hash": prompt.content_hash, "num_samples": config.num_samples,
+                "temperature": config.temperature, "seed": config.seed}
+    try:
+        recorded = json.loads((seed_dir / "manifest.json").read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        recorded = None
+    if recorded is not None:
+        settings = (recorded.get("temperature"), recorded.get("seed"))
+        if settings != (config.temperature, config.seed):
+            raise ProviderError(
+                f"store at {seed_dir} was recorded with (temperature, seed)={settings}, "
+                f"requested {(config.temperature, config.seed)}; clear it or use another "
+                "fixtures_dir"
+            )
+        recorded_by = {key: value for key, value in recorded.items() if key not in manifest}
+        if identity is not None and recorded_by != identity:
+            raise ProviderError(
+                f"store at {seed_dir} was recorded by {_describe(recorded_by)}, requested "
+                f"{_describe(identity)}; clear it or use another fixtures_dir"
+            )
+
+    texts: list[str | None] = []
+    for k in range(config.num_samples):
+        try:
+            texts.append((seed_dir / f"{k}.txt").read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            texts.append(None)
+    missing = [k for k, text in enumerate(texts) if text is None]
+    if sampler is None:
+        if missing:
+            raise ProviderError(
+                f"replay fixture missing: {seed_dir / f'{missing[0]}.txt'} (prompt hash "
+                f"{prompt.content_hash}, stage {prompt.kind}, seed {config.seed})"
+            )
         return texts
+    draw = sampler(prompt, config) if missing else None
+    if recorded is None:
+        seed_dir.mkdir(parents=True, exist_ok=True)
+        _atomic_write(seed_dir / "manifest.json",
+                      json.dumps({**manifest, **(identity or {})}, indent=2, sort_keys=True) + "\n")
+    if not missing:
+        return texts
+
+    failed = threading.Event()
+
+    def fill(k: int) -> str | None:
+        if failed.is_set():  # dequeued after a failure: draw nothing
+            return None
+        try:
+            text = draw(k)
+            _atomic_write(seed_dir / f"{k}.txt", text)
+        except BaseException:
+            failed.set()
+            raise
+        return text
+
+    pool = ThreadPoolExecutor(max_workers=min(MAX_INFLIGHT, len(missing)))
+    try:
+        futures = [pool.submit(fill, k) for k in missing]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    for future in futures:  # k order: the lowest failing k is raised
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    for k, future in zip(missing, futures):
+        texts[k] = future.result()
+    return texts
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -82,41 +165,18 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def record_fixtures(
-    provider: PlanGenerator,
-    prompt: PromptDocument,
-    config: SamplingConfig,
-    root: str | Path,
-) -> Path:
-    """Run ``provider`` once and persist its samples as a replay fixture.
+class ReplayProvider:
+    """Replays the samples recorded in the fixture store at ``root``.
 
-    Writes ``<root>/<hash>/<stage>/<k>.txt`` plus a manifest recording the
-    sampling config. Returns the stage directory.
+    Any generator's samples are served, but only under the temperature and
+    seed they were recorded with; a missing sample is an error.
     """
-    texts = provider.generate(prompt, config)
-    stage_dir = Path(root) / prompt.content_hash / prompt.kind
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    for k, text in enumerate(texts):
-        _atomic_write(stage_dir / f"{k}.txt", text)
-    _write_manifest(stage_dir, prompt, config, getattr(provider, "model", None))
-    return stage_dir
 
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
 
-def _write_manifest(stage_dir: Path, prompt: PromptDocument, config: SamplingConfig,
-                    model: str | None) -> None:
-    """Record what the samples in ``stage_dir`` were drawn with (and by which
-    model, when the generator has one)."""
-    manifest = {
-        "instruction": prompt.instruction,
-        "stage": prompt.kind,
-        "prompt_hash": prompt.content_hash,
-        "num_samples": config.num_samples,
-        "temperature": config.temperature,
-        "seed": config.seed,
-    }
-    if model is not None:
-        manifest["model"] = model
-    _atomic_write(stage_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
+        return read_through(self.root, prompt, config)
 
 
 # -- synthetic noise model ----------------------------------------------------
@@ -182,17 +242,37 @@ class SyntheticProvider:
         self.noise = noise
 
     def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
-        texts = []
+        draw = self.sampler(prompt, config)
+        return [draw(k) for k in range(config.num_samples)]
+
+    def sampler(self, prompt: PromptDocument, config: SamplingConfig) -> Callable[[int], str]:
         prompt_hash = prompt.content_hash
-        for k in range(config.num_samples):
-            # Per-call randomness comes from (seed, prompt hash, k), so
-            # concurrent generate() calls cannot change outputs.
+
+        def draw(k: int) -> str:
+            # Sample k depends on (seed, prompt hash, k) only, so concurrent
+            # draws cannot change outputs.
             rng = random.Random(derive_seed(config.seed, prompt_hash, k))
             commands = _perturb(self.seed_plan.commands, self.noise, rng)
             if config.max_length:
                 commands = commands[: config.max_length]
-            texts.append(render_plan(Plan(tuple(commands), sample_index=k)) + "\n")
-        return texts
+            return render_plan(Plan(tuple(commands), sample_index=k)) + "\n"
+
+        return draw
+
+
+class StoredProvider:
+    """A synthetic generator read through the fixture store at ``root``:
+    stored samples are served, missing ones are drawn and stored."""
+
+    def __init__(self, synthetic: SyntheticProvider, root: str | Path):
+        self.synthetic = synthetic
+        self.root = Path(root)
+        noise = synthetic.noise
+        self.identity = {"noise": {"drop_prob": noise.drop_prob, "swap_prob": noise.swap_prob,
+                                   "insert_prob": noise.insert_prob}}
+
+    def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
+        return read_through(self.root, prompt, config, self.identity, self.synthetic.sampler)
 
 
 # -- remote -------------------------------------------------------------------
@@ -231,29 +311,19 @@ def _is_fatal(exc: Exception) -> bool:
             and exc.code not in (408, 429))
 
 
-MAX_INFLIGHT = 8
-"""Most requests ``RemoteProvider`` keeps in flight for one prompt."""
-
-
 class RemoteProvider:
-    """Chat-completions style HTTP provider with an on-disk response cache.
+    """Chat-completions style HTTP provider over a fixture store.
 
-    Every sample is cached under ``<cache_dir>/<prompt-hash>/<stage>/<k>.txt``
-    (atomic write-then-rename), so a finished remote run can be replayed
-    offline by pointing a ReplayProvider at the cache directory.  The manifest
-    beside the samples is written before the first request, so samples left
-    by a run that failed partway are never served under other settings.
-
-    The samples a prompt still lacks are requested concurrently, at most
-    ``MAX_INFLIGHT`` at a time, so an injected ``transport`` is called from
-    worker threads.  Sample k's request and cache file depend on k only, and
-    results are placed by k: texts and cache bytes do not depend on the order
-    in which responses arrive.
+    Every response is kept in the fixture store at ``cache_dir`` (see
+    ``read_through``), so a finished remote run can be replayed offline by
+    pointing a ReplayProvider at it, and a store recorded by another model is
+    refused.  Missing samples are requested up to ``MAX_INFLIGHT`` at a time,
+    so an injected ``transport`` is called from worker threads.  Sample k's
+    request depends on k and the sampling config only.
 
     Timeouts, connection errors, HTTP 5xx, 408 and 429 are retried with
     backoff; missing credentials, other HTTP 4xx and malformed responses fail
-    at once.  After the first failure no further request is sent, the ones in
-    flight finish, and the error of the lowest failing sample is raised.
+    at once.  Credentials are checked before anything is written.
     """
 
     def __init__(
@@ -274,89 +344,32 @@ class RemoteProvider:
         self.retries = retries
         self._transport = transport
 
-    def _sender(self) -> Callable[[dict], str]:
-        """The injected transport, or HTTP with the API key from the environment."""
-        if self._transport is not None:
-            return self._transport
-        api_key = os.environ.get(self.api_key_env)
-        if not api_key:
-            raise ProviderError(f"remote provider needs credentials in ${self.api_key_env}")
-        return functools.partial(_http_transport, endpoint=self.endpoint, api_key=api_key,
-                                 timeout=self.timeout)
-
     def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
-        stage_dir = self.cache_dir / prompt.content_hash / prompt.kind
-        self._check_manifest(stage_dir, config)
-        texts: list[str | None] = []
-        for k in range(config.num_samples):
-            cached = stage_dir / f"{k}.txt"
-            texts.append(cached.read_text(encoding="utf-8") if cached.exists() else None)
-        missing = [k for k, text in enumerate(texts) if text is None]
-        send = self._sender() if missing else None
-        if not (stage_dir / "manifest.json").exists():
-            stage_dir.mkdir(parents=True, exist_ok=True)
-            _write_manifest(stage_dir, prompt, config, self.model)
-        if missing:
-            self._fetch_missing(send, prompt, config, stage_dir, missing, texts)
-        return texts
+        return read_through(self.cache_dir, prompt, config, {"model": self.model},
+                            self._sampler)
 
-    def _fetch_missing(self, send: Callable[[dict], str], prompt: PromptDocument,
-                       config: SamplingConfig, stage_dir: Path, missing: list[int],
-                       texts: list[str | None]) -> None:
-        """Request and cache sample k for every k in ``missing``, storing it in ``texts[k]``."""
-        failed = threading.Event()
+    def _sampler(self, prompt: PromptDocument, config: SamplingConfig) -> Callable[[int], str]:
+        """Sample k's request through the injected transport, or HTTP with the
+        API key from the environment."""
+        send = self._transport
+        if send is None:
+            api_key = os.environ.get(self.api_key_env)
+            if not api_key:
+                raise ProviderError(f"remote provider needs credentials in ${self.api_key_env}")
+            send = functools.partial(_http_transport, endpoint=self.endpoint, api_key=api_key,
+                                     timeout=self.timeout)
 
-        def fetch(k: int) -> str | None:
-            if failed.is_set():  # dequeued after a failure: send nothing
-                return None
-            request = {
+        def draw(k: int) -> str:
+            return self._call_with_retries(send, {
                 "model": self.model,
                 "messages": [{"role": "user", "content": prompt.text}],
                 "temperature": config.temperature,
                 "max_tokens": 16 * config.max_length,
                 "seed": derive_seed(config.seed, k) % (2**31),
                 "n": 1,
-            }
-            try:
-                text = self._call_with_retries(send, request)
-                _atomic_write(stage_dir / f"{k}.txt", text)
-            except BaseException:
-                failed.set()
-                raise
-            return text
+            })
 
-        pool = ThreadPoolExecutor(max_workers=min(MAX_INFLIGHT, len(missing)))
-        try:
-            futures = [pool.submit(fetch, k) for k in missing]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-        for future in futures:  # k order: the lowest failing k is raised
-            if not future.cancelled() and future.exception() is not None:
-                raise future.exception()
-        for k, future in zip(missing, futures):
-            texts[k] = future.result()
-
-    def _check_manifest(self, stage_dir: Path, config: SamplingConfig) -> None:
-        """Cache entries are keyed by prompt hash AND sampling config: refuse
-        to serve samples recorded under different settings or by another model."""
-        manifest_path = stage_dir / "manifest.json"
-        if not manifest_path.exists():
-            return
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        recorded = (manifest.get("temperature"), manifest.get("seed"))
-        requested = (config.temperature, config.seed)
-        if recorded != requested:
-            raise ProviderError(
-                f"cache at {stage_dir} was recorded with (temperature, seed)="
-                f"{recorded}, requested {requested}; clear it or use another cache_dir"
-            )
-        model = manifest.get("model")
-        if model is not None and model != self.model:
-            raise ProviderError(
-                f"cache at {stage_dir} was recorded by model {model!r}, requested "
-                f"{self.model!r}; clear it or use another cache_dir"
-            )
+        return draw
 
     def _call_with_retries(self, send: Callable[[dict], str], request: dict) -> str:
         last: Exception | None = None

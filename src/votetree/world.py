@@ -262,12 +262,13 @@ def load_scene(document: Mapping | str | Path) -> Scene:
     Raises SceneError naming the offending entry on malformed input,
     duplicate ids or predicate references to unknown objects.
     """
-    if isinstance(document, (str, Path)):
-        path = Path(document)
-        if path.exists():
-            document = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            document = json.loads(str(document))
+    if isinstance(document, str) and document.lstrip().startswith("{"):
+        document = json.loads(document)
+    elif isinstance(document, (str, Path)):
+        try:
+            document = json.loads(Path(document).read_text(encoding="utf-8"))
+        except FileNotFoundError as exc:
+            raise SceneError(f"scene file not found: {document}") from exc
     if not isinstance(document, Mapping):
         raise SceneError(f"scene document must be a mapping, got {type(document).__name__}")
 

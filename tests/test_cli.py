@@ -113,8 +113,50 @@ def test_record_command(tmp_path, capsys):
 
 
 def test_error_paths_return_nonzero(tmp_path, capsys):
-    cfg = RunConfig(provider="replay", output_dir=None)  # no master seed, no fixtures
+    cfg = dict(RunConfig(output_dir=None).to_dict(), provider="replay")  # no master seed, no fixtures
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"repetitions": 0}, "repetitions"),
+    ({"repetitions": "3"}, "repetitions"),
+    ({"repetitions": 2.0}, "repetitions"),
+    ({"provider": "bogus"}, "provider"),
+    ({"mode": "bogus"}, "mode"),
+    ({"selection": "bogus"}, "selection"),
+    ({"termination": "bogus"}, "termination"),
+    ({"provider": "replay"}, "fixtures_dir"),
+    ({"provider": "remote"}, "fixtures_dir"),
+])
+def test_bad_run_config_fails_before_any_episode(tmp_path, capsys, overrides, named):
+    out = tmp_path / "results"
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"master_seed": 1, "output_dir": str(out), **overrides}),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file):
+    not_json = tmp_path / "run.json"
+    not_json.write_text("{master_seed: 1", encoding="utf-8")
+    missing = str(tmp_path / "missing.json")
+    tree = tmp_path / "tree.json"
+    main(["build-tree", "--corpus", str(corpus_file), "--out", str(tree)])
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"scene_id": "cli", "objects": [], "init": []}), encoding="utf-8")
+    capsys.readouterr()
+    for argv, named in ((["run", "--config", missing], "missing.json"),
+                        (["run", "--config", str(not_json)], "line 1"),
+                        (["record", "--config", missing], "missing.json"),
+                        (["execute", "--tree", missing, "--scene", str(scene)], "missing.json"),
+                        (["execute", "--tree", str(tree), "--scene", missing], "missing.json")):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, (argv, err)

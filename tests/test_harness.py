@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 import statistics
+import threading
 
 import pytest
 
 from votetree import harness
-from votetree.errors import ConfigError
+from votetree.errors import ConfigError, ProviderError
 from votetree.executor import ExecutionMode, execute_tree
 from votetree.harness import (
     RunConfig,
@@ -17,7 +19,9 @@ from votetree.harness import (
     run_one_episode,
     run_suite,
 )
-from votetree.plans import Command
+from votetree.plans import Command, render_plan
+from votetree.prompts import instruction_slug
+from votetree.providers import NoiseModel, RemoteProvider, synthesize_noisy_plans
 from votetree.tree import build_vote_tree
 from votetree.world import World, load_scene
 
@@ -42,8 +46,8 @@ class TestRunConfig:
             run_suite(RunConfig(output_dir=None), bundle, write_outputs=False)
 
     def test_replay_requires_fixtures_dir(self, bundle):
-        cfg = RunConfig(master_seed=1, provider="replay", repetitions=1, output_dir=None)
         with pytest.raises(ConfigError, match="fixtures_dir"):
+            cfg = RunConfig(master_seed=1, provider="replay", repetitions=1, output_dir=None)
             run_suite(cfg, bundle, write_outputs=False)
 
 
@@ -167,11 +171,82 @@ class TestRunMemo:
 
         for args in calls.values():
             args.clear()
-        record_suite(RunConfig(master_seed=3, fixtures_dir=str(tmp_path), **self.NOISY), bundle)
+        record_suite(RunConfig(master_seed=3, repetitions=2, fixtures_dir=str(tmp_path),
+                               **self.NOISY), bundle)
         assert len(calls["default_prog_examples"]) == 1
         assert len(calls["default_reorder_examples"]) == 1
         assert sorted(args[0] for args in calls["format_prog_prompt"]) == names
-        assert len(calls["parse_plan_text"]) == len(names) * 30
+        assert sorted(args[3] for args in calls["derive_goal_conditions"]) == names
+        assert len(calls["parse_plan_text"]) == 2 * len(names) * (30 + 20)
+
+
+class FakeTransport:
+    """A remote endpoint: a noisy rendering of the prompted task's goal plan,
+    chosen by the request's prompt text and seed alone."""
+
+    def __init__(self, bundle):
+        self.calls = 0
+        self.lock = threading.Lock()
+        self.by_slug = {instruction_slug(t.task_name): t.goal_plan for t in bundle.tasks}
+        self.by_name = {t.task_name: t.goal_plan for t in bundle.tasks}
+
+    def __call__(self, request: dict) -> str:
+        with self.lock:
+            self.calls += 1
+        text = request["messages"][0]["content"]
+        prog = re.search(r"^def (\w+)\(\):\s*\Z", text, re.MULTILINE)
+        goal_plan = (self.by_slug[prog.group(1)] if prog
+                     else self.by_name[re.findall(r"^Task: (.+)$", text, re.MULTILINE)[-1]])
+        noise = NoiseModel(drop_prob=0.2, swap_prob=0.1)
+        return render_plan(synthesize_noisy_plans(goal_plan, noise, 1, request["seed"])[0]) + "\n"
+
+
+class TestFixtureStore:
+    NOISY = TestRunMemo.NOISY
+
+    @staticmethod
+    def _outputs(out):
+        return {name: (out / name).read_bytes() for name in ("summary.txt", "metrics.jsonl")}
+
+    def test_replay_reproduces_every_repetition(self, bundle, tmp_path):
+        fixtures = str(tmp_path / "fixtures")
+        base = dict(master_seed=7, repetitions=5, **self.NOISY)
+        plain = run_suite(RunConfig(output_dir=str(tmp_path / "plain"), **base), bundle)
+        recording = run_suite(RunConfig(fixtures_dir=fixtures, output_dir=str(tmp_path / "rec"),
+                                        **base), bundle)
+        replay = run_suite(RunConfig(master_seed=7, repetitions=5, provider="replay",
+                                     fixtures_dir=fixtures, output_dir=str(tmp_path / "replay")),
+                           bundle)
+        assert self._outputs(plain.output_dir) == self._outputs(recording.output_dir)
+        assert self._outputs(replay.output_dir) == self._outputs(recording.output_dir)
+        assert replay.row.sr_std > 0
+
+    def test_remote_suite_with_repetitions(self, bundle, tmp_path, monkeypatch):
+        fake = FakeTransport(bundle)
+
+        def make_provider(config, task, scene):
+            return RemoteProvider(endpoint="", model="fake", cache_dir=config.fixtures_dir,
+                                  transport=fake)
+
+        monkeypatch.setattr(harness, "make_provider", make_provider)
+        cache = str(tmp_path / "cache")
+        remote = run_suite(RunConfig(master_seed=4, repetitions=2, provider="remote",
+                                     fixtures_dir=cache, output_dir=str(tmp_path / "remote")),
+                           bundle)
+        assert fake.calls == 2 * 31 * (30 + 20)
+        monkeypatch.undo()
+        replay = run_suite(RunConfig(master_seed=4, repetitions=2, provider="replay",
+                                     fixtures_dir=cache, output_dir=str(tmp_path / "replay")),
+                           bundle)
+        assert self._outputs(replay.output_dir) == self._outputs(remote.output_dir)
+
+    def test_store_filled_under_other_noise_is_refused(self, bundle, tmp_path):
+        fixtures = str(tmp_path / "fixtures")
+        record_suite(RunConfig(master_seed=2, repetitions=1, fixtures_dir=fixtures,
+                               drop_prob=0.2), bundle)
+        with pytest.raises(ProviderError, match="recorded by noise"):
+            run_suite(RunConfig(master_seed=2, repetitions=1, fixtures_dir=fixtures,
+                                drop_prob=0.5, output_dir=None), bundle)
 
 
 class TestPlanDiff:

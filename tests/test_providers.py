@@ -17,9 +17,9 @@ from votetree.providers import (
     NoiseModel,
     RemoteProvider,
     ReplayProvider,
+    StoredProvider,
     SyntheticProvider,
     derive_seed,
-    record_fixtures,
     synthesize_noisy_plans,
 )
 from votetree.tree import build_vote_tree, tree_to_dict
@@ -44,7 +44,7 @@ def seed_plan():
 
 class TestReplayProvider:
     def test_returns_recorded_texts_in_order(self, tmp_path, prompt):
-        stage = tmp_path / prompt.content_hash / "prog"
+        stage = tmp_path / prompt.content_hash / "prog" / "0"
         stage.mkdir(parents=True)
         for k in range(30):
             (stage / f"{k}.txt").write_text(f"find('obj{k}')\n", encoding="utf-8")
@@ -57,13 +57,28 @@ class TestReplayProvider:
     def test_missing_fixture_names_path(self, tmp_path, prompt):
         with pytest.raises(ProviderError, match=prompt.content_hash):
             ReplayProvider(tmp_path).generate(prompt, SamplingConfig(num_samples=1))
+        assert list(tmp_path.iterdir()) == []
 
     def test_shortfall_is_an_error(self, tmp_path, prompt):
-        stage = tmp_path / prompt.content_hash / "prog"
+        stage = tmp_path / prompt.content_hash / "prog" / "0"
         stage.mkdir(parents=True)
         (stage / "0.txt").write_text("find('a')\n", encoding="utf-8")
         with pytest.raises(ProviderError):
             ReplayProvider(tmp_path).generate(prompt, SamplingConfig(num_samples=2))
+
+    def test_serves_any_generator_but_only_its_settings(self, tmp_path, prompt, seed_plan):
+        """Replay accepts every generator's store, and refuses another
+        temperature; another seed is another directory."""
+        cfg = SamplingConfig(num_samples=4, temperature=0.1, seed=3)
+        recorded = StoredProvider(SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.5)),
+                                  tmp_path).generate(prompt, cfg)
+        assert ReplayProvider(tmp_path).generate(prompt, cfg) == recorded
+        with pytest.raises(ProviderError, match="recorded with"):
+            ReplayProvider(tmp_path).generate(
+                prompt, SamplingConfig(num_samples=4, temperature=0.7, seed=3))
+        with pytest.raises(ProviderError, match="fixture missing"):
+            ReplayProvider(tmp_path).generate(
+                prompt, SamplingConfig(num_samples=4, temperature=0.1, seed=4))
 
 
 class TestSyntheticProvider:
@@ -135,12 +150,26 @@ class TestRecordFixtures:
     def test_record_then_replay_round_trip(self, tmp_path, prompt, seed_plan):
         provider = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.2))
         cfg = SamplingConfig(num_samples=12, seed=4)
-        stage_dir = record_fixtures(provider, prompt, cfg, tmp_path)
-        assert stage_dir.exists()
-        manifest = json.loads((stage_dir / "manifest.json").read_text(encoding="utf-8"))
+        StoredProvider(provider, tmp_path).generate(prompt, cfg)
+        seed_dir = tmp_path / prompt.content_hash / "prog" / "4"
+        assert seed_dir.exists()
+        manifest = json.loads((seed_dir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["num_samples"] == 12
         replayed = ReplayProvider(tmp_path).generate(prompt, cfg)
         assert replayed == provider.generate(prompt, cfg)
+
+    def test_store_filled_under_other_noise_is_refused(self, tmp_path, prompt, seed_plan):
+        cfg = SamplingConfig(num_samples=5, seed=4)
+        drop_2 = StoredProvider(SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.2)), tmp_path)
+        texts = drop_2.generate(prompt, cfg)
+        assert drop_2.generate(prompt, cfg) == texts
+        drop_5 = StoredProvider(SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.5)), tmp_path)
+        with pytest.raises(ProviderError, match="recorded by noise .*'drop_prob': 0.2"):
+            drop_5.generate(prompt, cfg)
+        remote = RemoteProvider(endpoint="", model="m1", cache_dir=tmp_path,
+                                transport=lambda request: "find('a')\n")
+        with pytest.raises(ProviderError, match="recorded by noise"):
+            remote.generate(prompt, cfg)
 
     def test_recording_keeps_the_remote_model(self, tmp_path, prompt):
         """Recording into a remote cache must not erase the model it was drawn by."""
@@ -151,8 +180,9 @@ class TestRecordFixtures:
                                   model=model, cache_dir=tmp_path,
                                   transport=lambda request: f"find('{model}')\n")
 
-        stage_dir = record_fixtures(remote("m1"), prompt, cfg, tmp_path)
-        manifest = json.loads((stage_dir / "manifest.json").read_text(encoding="utf-8"))
+        remote("m1").generate(prompt, cfg)
+        seed_dir = tmp_path / prompt.content_hash / "prog" / "4"
+        manifest = json.loads((seed_dir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["model"] == "m1"
         with pytest.raises(ProviderError, match="recorded by model 'm1'"):
             remote("m2").generate(prompt, cfg)
@@ -444,7 +474,10 @@ class TestRemoteConcurrency:
         other = self._provider(tmp_path, lambda request: f"seedB-{request['seed']}\n",
                                model="other-model")
         with pytest.raises(ProviderError, match="recorded with"):
-            other.generate(prompt, SamplingConfig(num_samples=6, seed=2))
+            other.generate(prompt, SamplingConfig(num_samples=6, temperature=0.9, seed=1))
+        seed_2 = SamplingConfig(num_samples=6, seed=2)
+        assert other.generate(prompt, seed_2) == [
+            f"seedB-{derive_seed(2, k) % 2**31}\n" for k in range(6)]
 
 
 class TestSeedDerivation:

@@ -62,6 +62,12 @@ class TestSceneLoading:
         with pytest.raises(SceneError, match="both"):
             load_scene(doc)
 
+    def test_missing_scene_file_named(self, tmp_path):
+        missing = tmp_path / "nowhere.json"
+        for document in (missing, str(missing)):
+            with pytest.raises(SceneError, match="nowhere.json"):
+                load_scene(document)
+
     def test_four_bundled_scenes_have_distinct_catalogs(self, bundle):
         assert len(bundle.scenes) == 4
         catalogs = [frozenset(s.objects) for s in bundle.scenes.values()]
