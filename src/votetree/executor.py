@@ -178,10 +178,6 @@ class EpisodeResult:
     goal: GoalSpec
     achieved: frozenset
 
-    @property
-    def goal_hits(self) -> int:
-        return len(self.goal.goal_conditions & self.achieved)
-
 
 def run_episode(
     task_name: str,

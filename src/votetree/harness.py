@@ -118,6 +118,8 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"run config {path} must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:

@@ -71,10 +71,10 @@ def read_through(
     Sample k is ``<root>/<prompt-hash>/<stage>/<seed>/<k>.txt``; the seed
     directory's ``manifest.json`` records the sampling settings and
     ``identity``, the generator that drew them.  A store recorded with another
-    temperature or seed, or (when ``identity`` is given) by another generator,
-    is refused.  Without a ``sampler`` a missing sample is an error and nothing
-    is written.  Otherwise ``sampler(prompt, config)``, called only when
-    samples are missing and before any write, draws them: the manifest is
+    temperature, seed or max_length, or (when ``identity`` is given) by another
+    generator, is refused.  Without a ``sampler`` a missing sample is an error
+    and nothing is written.  Otherwise ``sampler(prompt, config)``, called only
+    when samples are missing and before any write, draws them: the manifest is
     written first, then up to ``MAX_INFLIGHT`` samples at a time are drawn in
     worker threads, each written atomically and placed by k.  After the first
     failure no queued sample is drawn, those in flight finish, and the error
@@ -83,18 +83,19 @@ def read_through(
     seed_dir = Path(root) / prompt.content_hash / prompt.kind / str(config.seed)
     manifest = {"instruction": prompt.instruction, "stage": prompt.kind,
                 "prompt_hash": prompt.content_hash, "num_samples": config.num_samples,
-                "temperature": config.temperature, "seed": config.seed}
+                "temperature": config.temperature, "seed": config.seed,
+                "max_length": config.max_length}
     try:
         recorded = json.loads((seed_dir / "manifest.json").read_text(encoding="utf-8"))
     except FileNotFoundError:
         recorded = None
     if recorded is not None:
-        settings = (recorded.get("temperature"), recorded.get("seed"))
-        if settings != (config.temperature, config.seed):
+        requested = (config.temperature, config.seed, config.max_length)
+        settings = tuple(recorded.get(key) for key in ("temperature", "seed", "max_length"))
+        if settings != requested:
             raise ProviderError(
-                f"store at {seed_dir} was recorded with (temperature, seed)={settings}, "
-                f"requested {(config.temperature, config.seed)}; clear it or use another "
-                "fixtures_dir"
+                f"store at {seed_dir} was recorded with (temperature, seed, max_length)="
+                f"{settings}, requested {requested}; clear it or use another fixtures_dir"
             )
         recorded_by = {key: value for key, value in recorded.items() if key not in manifest}
         if identity is not None and recorded_by != identity:
@@ -268,8 +269,11 @@ class StoredProvider:
         self.synthetic = synthetic
         self.root = Path(root)
         noise = synthetic.noise
+        # The seed plan and distractors come from the dataset, not the prompt.
+        plans = json.dumps([render_plan(synthetic.seed_plan), render_plan(Plan(noise.distractor_pool))])
         self.identity = {"noise": {"drop_prob": noise.drop_prob, "swap_prob": noise.swap_prob,
-                                   "insert_prob": noise.insert_prob}}
+                                   "insert_prob": noise.insert_prob},
+                         "plans": hashlib.blake2b(plans.encode("utf-8"), digest_size=8).hexdigest()}
 
     def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
         return read_through(self.root, prompt, config, self.identity, self.synthetic.sampler)

@@ -338,10 +338,6 @@ class World:
         self.catalog = catalog
         self.objects = dict(objects)
 
-    @property
-    def object_ids(self) -> list[str]:
-        return sorted(self.objects)
-
     def _precondition_met(self, state: WorldState, tpl: _Template, binding: Mapping[str, str]) -> bool:
         args = tpl.substitute(binding)
         if tpl.predicate == HANDS_FREE:

@@ -146,6 +146,10 @@ def test_bad_run_config_fails_before_any_episode(tmp_path, capsys, overrides, na
 def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file):
     not_json = tmp_path / "run.json"
     not_json.write_text("{master_seed: 1", encoding="utf-8")
+    not_objects = []
+    for name, doc in (("list", "[]"), ("null", "null"), ("number", "3")):
+        not_objects.append(tmp_path / f"{name}.json")
+        not_objects[-1].write_text(doc, encoding="utf-8")
     missing = str(tmp_path / "missing.json")
     tree = tmp_path / "tree.json"
     main(["build-tree", "--corpus", str(corpus_file), "--out", str(tree)])
@@ -154,6 +158,7 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     capsys.readouterr()
     for argv, named in ((["run", "--config", missing], "missing.json"),
                         (["run", "--config", str(not_json)], "line 1"),
+                        *((["run", "--config", str(path)], "JSON object") for path in not_objects),
                         (["record", "--config", missing], "missing.json"),
                         (["execute", "--tree", missing, "--scene", str(scene)], "missing.json"),
                         (["execute", "--tree", str(tree), "--scene", missing], "missing.json")):

@@ -248,6 +248,14 @@ class TestFixtureStore:
             run_suite(RunConfig(master_seed=2, repetitions=1, fixtures_dir=fixtures,
                                 drop_prob=0.5, output_dir=None), bundle)
 
+    def test_store_filled_at_another_max_length_is_refused(self, bundle, tmp_path):
+        fixtures = str(tmp_path / "fixtures")
+        record_suite(RunConfig(master_seed=2, repetitions=1, fixtures_dir=fixtures), bundle)
+        for provider in ("synthetic", "replay"):
+            with pytest.raises(ProviderError, match="recorded with"):
+                run_suite(RunConfig(master_seed=2, repetitions=1, provider=provider,
+                                    fixtures_dir=fixtures, max_length=2, output_dir=None), bundle)
+
 
 class TestPlanDiff:
     def _trace(self, world, state, commands):

@@ -171,6 +171,33 @@ class TestRecordFixtures:
         with pytest.raises(ProviderError, match="recorded by noise"):
             remote.generate(prompt, cfg)
 
+    def test_store_filled_at_another_max_length_is_refused(self, tmp_path, prompt, seed_plan):
+        provider = StoredProvider(SyntheticProvider(seed_plan), tmp_path)
+        provider.generate(prompt, SamplingConfig(num_samples=3, seed=4, max_length=80))
+        short = SamplingConfig(num_samples=3, seed=4, max_length=2)
+        with pytest.raises(ProviderError, match="recorded with"):
+            provider.generate(prompt, short)
+        with pytest.raises(ProviderError, match="recorded with"):
+            ReplayProvider(tmp_path).generate(prompt, short)
+        remote = RemoteProvider(endpoint="", model="m1", cache_dir=tmp_path / "remote",
+                                transport=lambda request: "find('a')\n")
+        remote.generate(prompt, SamplingConfig(num_samples=1, seed=4, max_length=80))
+        with pytest.raises(ProviderError, match="recorded with"):
+            remote.generate(prompt, SamplingConfig(num_samples=1, seed=4, max_length=2))
+
+    def test_store_filled_from_another_seed_plan_is_refused(self, tmp_path, prompt, seed_plan):
+        """The seed plan and distractors come from the dataset, not the prompt,
+        so the store names them too."""
+        cfg = SamplingConfig(num_samples=3, seed=4)
+        noise = NoiseModel(drop_prob=0.2)
+        StoredProvider(SyntheticProvider(seed_plan, noise), tmp_path).generate(prompt, cfg)
+        shorter = plan_of(*(c.canonical_form for c in seed_plan.commands[:-1]), provenance="goal")
+        with pytest.raises(ProviderError, match="recorded by"):
+            StoredProvider(SyntheticProvider(shorter, noise), tmp_path).generate(prompt, cfg)
+        other_pool = NoiseModel(drop_prob=0.2, distractor_pool=(Command("find", ("sofa",)),))
+        with pytest.raises(ProviderError, match="recorded by"):
+            StoredProvider(SyntheticProvider(seed_plan, other_pool), tmp_path).generate(prompt, cfg)
+
     def test_recording_keeps_the_remote_model(self, tmp_path, prompt):
         """Recording into a remote cache must not erase the model it was drawn by."""
         cfg = SamplingConfig(num_samples=3, seed=4)
