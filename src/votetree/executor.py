@@ -29,6 +29,7 @@ TERMINATE_END_MARKER = "end_marker_or_childless"
 COMPLETED = "completed"
 EXHAUSTED = "exhausted"
 STEP_LIMIT = "step_limit"
+NO_PLAN = "no_plan"  # nothing to execute: set by the harness, never by execute_tree
 
 DEFAULT_STEP_LIMIT = 50
 

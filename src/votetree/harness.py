@@ -14,10 +14,11 @@ from importlib import resources
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .errors import ConfigError, DatasetError, ProviderError
+from .errors import ConfigError, DatasetError, EmptyCommandPoolError, NoPlansError, ProviderError
 from .executor import (
     DEFAULT_STEP_LIMIT,
     NO_CORRECTION,
+    NO_PLAN,
     TERMINATE_CHILDLESS,
     TERMINATE_END_MARKER,
     WITH_CORRECTION,
@@ -272,15 +273,20 @@ class RunMemo:
 
 @dataclass
 class PipelineArtifacts:
-    """Intermediate products of one task episode, kept for reports."""
+    """Intermediate products of one task episode, kept for reports.
+
+    ``error`` says why there is no plan to execute (an empty command pool, or
+    no usable reorder sample); ``root`` is then an empty tree.
+    """
 
     prog_prompt: PromptDocument
-    reorder_prompt: PromptDocument
+    reorder_prompt: PromptDocument | None
     generated: list[Plan]
     reordered: list[Plan]
     pool_size: int
     root: VoteTreeNode
     diagnostics: list[str] = field(default_factory=list)
+    error: str | None = None
 
 
 def run_task_pipeline(
@@ -290,7 +296,11 @@ def run_task_pipeline(
     prog_config: SamplingConfig,
     reorder_config: SamplingConfig,
 ) -> PipelineArtifacts:
-    """Sample, pool, reorder and aggregate one task into its vote tree."""
+    """Sample, pool, reorder and aggregate one task into its vote tree.
+
+    An empty command pool skips the reorder stage; it and a reorder stage
+    whose samples all parse empty leave an empty tree and the error.
+    """
     prog_prompt = memo.prog_prompt(task)
     diagnostics: list[str] = []
     generated: list[Plan] = []
@@ -299,18 +309,23 @@ def run_task_pipeline(
         generated.append(plan)
         diagnostics.extend(f"{PROG}[{k}]: {d.code}" for d in diags)
 
-    pool = extract_unique_commands(generated)
-    reorder_prompt = format_reorder_prompt(pool, task.task_name, memo.reorder_examples)
+    pool: list[Command] = []
+    reorder_prompt = None
     reordered: list[Plan] = []
-    for k, text in enumerate(provider.generate(reorder_prompt, reorder_config)):
-        plan, diags = memo.parse(text, "reordered", k)
-        diagnostics.extend(f"{REORDER}[{k}]: {d.code}" for d in diags)
-        if plan.commands:
-            reordered.append(plan)
-        else:
-            diagnostics.append(f"{REORDER}[{k}]: degenerate_sample_dropped")
-
-    root = build_vote_tree(reordered)
+    error = None
+    try:
+        pool = extract_unique_commands(generated)
+        reorder_prompt = format_reorder_prompt(pool, task.task_name, memo.reorder_examples)
+        for k, text in enumerate(provider.generate(reorder_prompt, reorder_config)):
+            plan, diags = memo.parse(text, "reordered", k)
+            diagnostics.extend(f"{REORDER}[{k}]: {d.code}" for d in diags)
+            if plan.commands:
+                reordered.append(plan)
+            else:
+                diagnostics.append(f"{REORDER}[{k}]: degenerate_sample_dropped")
+        root = build_vote_tree(reordered)
+    except (EmptyCommandPoolError, NoPlansError) as exc:
+        root, error = VoteTreeNode(), str(exc)
     return PipelineArtifacts(
         prog_prompt=prog_prompt,
         reorder_prompt=reorder_prompt,
@@ -319,6 +334,7 @@ def run_task_pipeline(
         pool_size=len(pool),
         root=root,
         diagnostics=diagnostics,
+        error=error,
     )
 
 
@@ -340,7 +356,8 @@ def run_one_episode(
     """Run and execute one (repetition, task) episode.
 
     ``memo`` is the run's shared memo over ``bundle``; without one, the
-    episode gets its own.
+    episode gets its own.  An episode with no plan to execute attempts
+    nothing and ends with termination ``no_plan``.
     """
     if memo is None:
         memo = RunMemo(bundle)
@@ -362,6 +379,9 @@ def run_one_episode(
     except ProviderError as exc:
         raise ProviderError(f"task {task.task_name!r}, repetition {rep}: {exc}") from exc
 
+    if artifacts.error is not None:
+        trace = ExecutionTrace((), scene.initial_state, NO_PLAN)
+        return EpisodeResult(task.task_name, trace, goal, frozenset()), artifacts
     mode = _episode_mode(config, rep, task)
     episode = run_episode(
         task.task_name, world, scene.initial_state, goal, artifacts.root, mode,
@@ -402,7 +422,8 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
         for task_index, task in enumerate(tasks):
             episode, artifacts = run_one_episode(task, bundle, config, rep, memo)
             gcr = metrics_mod.compute_gcr(episode.achieved, episode.goal.goal_conditions)
-            exec_rate = metrics_mod.compute_exec(episode.trace)
+            # A no-plan episode scores Exec 0 without compute_exec's empty-trace warning.
+            exec_rate = 0.0 if artifacts.error is not None else metrics_mod.compute_exec(episode.trace)
             gcrs.append(gcr)
             execs.append(exec_rate)
             episode_records.append(
@@ -421,22 +442,19 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
                 }
             )
             if write_outputs and config.output_dir:
-                episode_files.append(
-                    (
-                        instruction_slug(task.task_name),
-                        rep,
-                        {
-                            "task": task.task_name,
-                            "termination": episode.trace.termination,
-                            "gcr": gcr,
-                            "exec": exec_rate,
-                            "goal_conditions": sorted(p.render() for p in episode.goal.goal_conditions),
-                            "achieved": sorted(p.render() for p in episode.achieved),
-                            "steps": serialize_trace(episode.trace),
-                        },
-                        tree_to_dict(artifacts.root),
-                    )
-                )
+                trace_doc = {
+                    "task": task.task_name,
+                    "termination": episode.trace.termination,
+                    "gcr": gcr,
+                    "exec": exec_rate,
+                    "goal_conditions": sorted(p.render() for p in episode.goal.goal_conditions),
+                    "achieved": sorted(p.render() for p in episode.achieved),
+                    "steps": serialize_trace(episode.trace),
+                }
+                if artifacts.error is not None:
+                    trace_doc["error"] = artifacts.error
+                episode_files.append((instruction_slug(task.task_name), rep, trace_doc,
+                                      tree_to_dict(artifacts.root)))
         per_rep.append(
             {
                 "kind": "repetition",

@@ -68,76 +68,64 @@ def read_through(
 ) -> list[str]:
     """The ``config.num_samples`` samples of ``prompt`` in the fixture store at ``root``.
 
-    Sample k is ``<root>/<prompt-hash>/<stage>/<seed>/<k>.txt``; the seed
-    directory's ``manifest.json`` records the sampling settings and
-    ``identity``, the generator that drew them.  A store recorded with another
-    temperature, seed or max_length, or (when ``identity`` is given) by another
-    generator, is refused.  Without a ``sampler`` a missing sample is an error
-    and nothing is written.  Otherwise ``sampler(prompt, config)``, called only
-    when samples are missing and before any write, draws them: the manifest is
-    written first, then up to ``MAX_INFLIGHT`` samples at a time are drawn in
-    worker threads, each written atomically and placed by k.  After the first
-    failure no queued sample is drawn, those in flight finish, and the error
-    of the lowest failing k is raised.
+    The samples of one seed are one file, ``<root>/<prompt-hash>/<stage>/<seed>.json``:
+    the sampling settings, ``identity`` (the generator that drew them) and a
+    ``samples`` list indexed by k, ``null`` where a sample was never drawn.  A
+    store recorded with another temperature, seed or max_length, or (when
+    ``identity`` is given) by another generator, is refused.  Without a
+    ``sampler`` a missing sample is an error and nothing is written.
+    Otherwise ``sampler(prompt, config)``, called only when samples are
+    missing and before any write, draws them, up to ``MAX_INFLIGHT`` at a
+    time in worker threads, placed by k.  After the first failure no queued
+    sample is drawn and those in flight finish.  Then the file is written once,
+    atomically, keeping every sample drawn, and the error of the lowest failing
+    k, if any, is raised.
     """
-    seed_dir = Path(root) / prompt.content_hash / prompt.kind / str(config.seed)
-    manifest = {"instruction": prompt.instruction, "stage": prompt.kind,
-                "prompt_hash": prompt.content_hash, "num_samples": config.num_samples,
-                "temperature": config.temperature, "seed": config.seed,
-                "max_length": config.max_length}
+    path = Path(root) / prompt.content_hash / prompt.kind / f"{config.seed}.json"
+    header = {"instruction": prompt.instruction, "stage": prompt.kind,
+              "prompt_hash": prompt.content_hash, "temperature": config.temperature,
+              "seed": config.seed, "max_length": config.max_length}
     try:
-        recorded = json.loads((seed_dir / "manifest.json").read_text(encoding="utf-8"))
+        recorded = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        recorded = None
-    if recorded is not None:
+        recorded = {"samples": []}
+    samples: list[str | None] = recorded.pop("samples")
+    if recorded:
         requested = (config.temperature, config.seed, config.max_length)
         settings = tuple(recorded.get(key) for key in ("temperature", "seed", "max_length"))
         if settings != requested:
             raise ProviderError(
-                f"store at {seed_dir} was recorded with (temperature, seed, max_length)="
+                f"store at {path} was recorded with (temperature, seed, max_length)="
                 f"{settings}, requested {requested}; clear it or use another fixtures_dir"
             )
-        recorded_by = {key: value for key, value in recorded.items() if key not in manifest}
+        recorded_by = {key: value for key, value in recorded.items()
+                       if key not in header and key != "num_samples"}
         if identity is not None and recorded_by != identity:
             raise ProviderError(
-                f"store at {seed_dir} was recorded by {_describe(recorded_by)}, requested "
+                f"store at {path} was recorded by {_describe(recorded_by)}, requested "
                 f"{_describe(identity)}; clear it or use another fixtures_dir"
             )
 
-    texts: list[str | None] = []
-    for k in range(config.num_samples):
-        try:
-            texts.append((seed_dir / f"{k}.txt").read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            texts.append(None)
-    missing = [k for k, text in enumerate(texts) if text is None]
-    if sampler is None:
-        if missing:
-            raise ProviderError(
-                f"replay fixture missing: {seed_dir / f'{missing[0]}.txt'} (prompt hash "
-                f"{prompt.content_hash}, stage {prompt.kind}, seed {config.seed})"
-            )
-        return texts
-    draw = sampler(prompt, config) if missing else None
-    if recorded is None:
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(seed_dir / "manifest.json",
-                      json.dumps({**manifest, **(identity or {})}, indent=2, sort_keys=True) + "\n")
+    samples += [None] * (config.num_samples - len(samples))
+    missing = [k for k in range(config.num_samples) if samples[k] is None]
+    if missing and sampler is None:
+        raise ProviderError(
+            f"replay fixture missing: sample {missing[0]} of {path} (prompt hash "
+            f"{prompt.content_hash}, stage {prompt.kind}, seed {config.seed})"
+        )
     if not missing:
-        return texts
-
+        return samples[: config.num_samples]
+    draw = sampler(prompt, config)
     failed = threading.Event()
 
     def fill(k: int) -> str | None:
         if failed.is_set():  # dequeued after a failure: draw nothing
             return None
         try:
-            text = draw(k)
-            _atomic_write(seed_dir / f"{k}.txt", text)
+            return draw(k)
         except BaseException:
             failed.set()
             raise
-        return text
 
     pool = ThreadPoolExecutor(max_workers=min(MAX_INFLIGHT, len(missing)))
     try:
@@ -145,16 +133,21 @@ def read_through(
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-    for future in futures:  # k order: the lowest failing k is raised
-        if not future.cancelled() and future.exception() is not None:
-            raise future.exception()
-    for k, future in zip(missing, futures):
-        texts[k] = future.result()
-    return texts
+    errors = [None if future.cancelled() else future.exception() for future in futures]
+    for k, future, error in zip(missing, futures, errors):
+        if not future.cancelled() and error is None:
+            samples[k] = future.result()
+    document = {**header, **(identity or {}), "num_samples": len(samples), "samples": samples}
+    _atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    for error in errors:  # k order: the lowest failing k is raised
+        if error is not None:
+            raise error
+    return samples[: config.num_samples]
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` by rename; the parent directory must exist."""
+    """Write ``text`` to ``path`` by rename, making its directory if needed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

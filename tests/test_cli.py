@@ -112,6 +112,21 @@ def test_record_command(tmp_path, capsys):
     assert any(fixtures.iterdir())
 
 
+def test_run_with_an_empty_command_pool_scores_every_episode_no_plan(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"master_seed": 5, "repetitions": 1, "drop_prob": 1.0}),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    records = [json.loads(line) for line in
+               (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()]
+    episodes = [r for r in records if r["kind"] == "episode"]
+    assert len(episodes) == 31
+    assert {r["termination"] for r in episodes} == {"no_plan"}
+
+
 def test_error_paths_return_nonzero(tmp_path, capsys):
     cfg = dict(RunConfig(output_dir=None).to_dict(), provider="replay")  # no master seed, no fixtures
     cfg_path = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from votetree.errors import ConfigError
 from votetree.executor import (
@@ -183,6 +185,30 @@ class TestStructuralProperties:
             for path in ok_paths:
                 for depth in range(1, len(path)):
                     assert path[:depth] in ok_commands
+
+    COMMANDS = [f"c{i}(x)" for i in range(6)]
+
+    @given(
+        plans=st.lists(st.lists(st.sampled_from(COMMANDS), min_size=1, max_size=8),
+                       min_size=1, max_size=12),
+        failing=st.sets(st.sampled_from(COMMANDS)),
+        selection=st.sampled_from(["max_vote", "random"]),
+        rng_seed=st.integers(0, 2**16),
+        step_limit=st.integers(1, 60),
+    )
+    def test_correction_terminates_and_never_reattempts_a_node(
+        self, plans, failing, selection, rng_seed, step_limit
+    ):
+        tree = build_vote_tree([plan_of(*p, sample_index=i) for i, p in enumerate(plans)])
+        mode = ExecutionMode(selection=SelectionStrategy(selection, rng_seed=rng_seed))
+        outcomes = {c: c not in failing for c in self.COMMANDS}
+        trace = execute_tree(tree, scripted_runner(outcomes), WorldState(), mode, step_limit)
+        assert trace.attempted <= step_limit
+        paths = [s.node_path for s in trace.steps]
+        assert len(paths) == len(set(paths))
+        assert trace.termination in ("completed", "exhausted", "step_limit")
+        if trace.termination == "step_limit":
+            assert trace.attempted == step_limit
 
 
 class TestRunEpisode:

@@ -256,6 +256,44 @@ class TestFixtureStore:
                 run_suite(RunConfig(master_seed=2, repetitions=1, provider=provider,
                                     fixtures_dir=fixtures, max_length=2, output_dir=None), bundle)
 
+    def test_record_suite_writes_one_file_per_prompt_stage_and_seed(self, bundle, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        record_suite(RunConfig(master_seed=2, repetitions=1, fixtures_dir=str(fixtures),
+                               **self.NOISY), bundle)
+        files = [p for p in fixtures.rglob("*") if p.is_file()]
+        assert len(files) == 31 * 2
+        assert {p.parent.name for p in files} == {"prog", "reorder"}
+
+
+class TestNoPlan:
+    """A task with nothing to execute is a failed episode, not a failed suite."""
+
+    def test_empty_command_pool_scores_a_failed_episode(self, bundle, tmp_path):
+        result = run_suite(RunConfig(master_seed=3, repetitions=2, drop_prob=1.0,
+                                     output_dir=str(tmp_path)), bundle)
+        assert len(result.episodes) == 2 * 31
+        for record in result.episodes:
+            assert (record["termination"], record["gcr"], record["exec"], record["steps"],
+                    record["pool_size"]) == ("no_plan", 0.0, 0.0, 0, 0)
+        assert (result.row.sr_mean, result.row.gcr_mean, result.row.exec_mean) == (0.0, 0.0, 0.0)
+        trace = json.loads(next((tmp_path / "episodes").glob("*/1/trace.json"))
+                           .read_text(encoding="utf-8"))
+        assert trace["steps"] == [] and trace["termination"] == "no_plan"
+        assert "empty_command_pool" in trace["error"]
+
+    def test_reorder_samples_that_all_parse_empty(self, bundle, monkeypatch):
+        class GarbageReorder:
+            def generate(self, prompt, config):
+                text = "find('salmon')\n" if prompt.kind == "prog" else "not a plan\n"
+                return [text] * config.num_samples
+
+        monkeypatch.setattr(harness, "make_provider", lambda config, task, scene: GarbageReorder())
+        task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
+        episode, artifacts = run_one_episode(task, bundle, RunConfig(master_seed=1), rep=0)
+        assert episode.trace.termination == "no_plan" and episode.trace.steps == ()
+        assert artifacts.pool_size == 1 and artifacts.reordered == []
+        assert "no_plans" in artifacts.error
+
 
 class TestPlanDiff:
     def _trace(self, world, state, commands):

@@ -43,11 +43,14 @@ def seed_plan():
 
 
 class TestReplayProvider:
-    def test_returns_recorded_texts_in_order(self, tmp_path, prompt):
-        stage = tmp_path / prompt.content_hash / "prog" / "0"
+    @staticmethod
+    def _write_seed_file(root, prompt, samples):
+        stage = root / prompt.content_hash / "prog"
         stage.mkdir(parents=True)
-        for k in range(30):
-            (stage / f"{k}.txt").write_text(f"find('obj{k}')\n", encoding="utf-8")
+        (stage / "0.json").write_text(json.dumps({"samples": samples}), encoding="utf-8")
+
+    def test_returns_recorded_texts_in_order(self, tmp_path, prompt):
+        self._write_seed_file(tmp_path, prompt, [f"find('obj{k}')\n" for k in range(30)])
         provider = ReplayProvider(tmp_path)
         texts = provider.generate(prompt, SamplingConfig(num_samples=30))
         assert len(texts) == 30
@@ -60,10 +63,8 @@ class TestReplayProvider:
         assert list(tmp_path.iterdir()) == []
 
     def test_shortfall_is_an_error(self, tmp_path, prompt):
-        stage = tmp_path / prompt.content_hash / "prog" / "0"
-        stage.mkdir(parents=True)
-        (stage / "0.txt").write_text("find('a')\n", encoding="utf-8")
-        with pytest.raises(ProviderError):
+        self._write_seed_file(tmp_path, prompt, ["find('a')\n"])
+        with pytest.raises(ProviderError, match="fixture missing: sample 1 of"):
             ReplayProvider(tmp_path).generate(prompt, SamplingConfig(num_samples=2))
 
     def test_serves_any_generator_but_only_its_settings(self, tmp_path, prompt, seed_plan):
@@ -151,10 +152,10 @@ class TestRecordFixtures:
         provider = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.2))
         cfg = SamplingConfig(num_samples=12, seed=4)
         StoredProvider(provider, tmp_path).generate(prompt, cfg)
-        seed_dir = tmp_path / prompt.content_hash / "prog" / "4"
-        assert seed_dir.exists()
-        manifest = json.loads((seed_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["num_samples"] == 12
+        seed_file = tmp_path / prompt.content_hash / "prog" / "4.json"
+        assert seed_file.exists()
+        stored = json.loads(seed_file.read_text(encoding="utf-8"))
+        assert stored["num_samples"] == 12
         replayed = ReplayProvider(tmp_path).generate(prompt, cfg)
         assert replayed == provider.generate(prompt, cfg)
 
@@ -208,9 +209,9 @@ class TestRecordFixtures:
                                   transport=lambda request: f"find('{model}')\n")
 
         remote("m1").generate(prompt, cfg)
-        seed_dir = tmp_path / prompt.content_hash / "prog" / "4"
-        manifest = json.loads((seed_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["model"] == "m1"
+        seed_file = tmp_path / prompt.content_hash / "prog" / "4.json"
+        stored = json.loads(seed_file.read_text(encoding="utf-8"))
+        assert stored["model"] == "m1"
         with pytest.raises(ProviderError, match="recorded by model 'm1'"):
             remote("m2").generate(prompt, cfg)
 
@@ -505,6 +506,54 @@ class TestRemoteConcurrency:
         seed_2 = SamplingConfig(num_samples=6, seed=2)
         assert other.generate(prompt, seed_2) == [
             f"seedB-{derive_seed(2, k) % 2**31}\n" for k in range(6)]
+
+    def test_rerun_after_a_failure_sends_only_the_missing_requests(self, tmp_path, prompt):
+        """A fill that fails partway keeps what it drew; a rerun draws the rest."""
+        cfg = SamplingConfig(num_samples=6, seed=1)
+        lock = threading.Lock()
+        sent: list[int] = []
+
+        def answer(request):
+            return f"find('obj{request['seed']}')\n"
+
+        def fails_on_third_call(request):
+            with lock:
+                sent.append(request["seed"])
+                n = len(sent)
+            if n == 3:
+                raise urllib.error.HTTPError("https://example.invalid", 400, "bad", {}, None)
+            return answer(request)
+
+        with pytest.raises(ProviderError, match="not retried"):
+            self._provider(tmp_path / "resumed", fails_on_third_call).generate(prompt, cfg)
+        failed = sent[2]
+        stored = json.loads((tmp_path / "resumed" / prompt.content_hash / "prog" / "1.json")
+                            .read_text(encoding="utf-8"))["samples"]
+        kept = {derive_seed(cfg.seed, k) % 2**31 for k, text in enumerate(stored) if text}
+        assert failed not in kept and len(kept) >= 2
+
+        resent: list[int] = []
+
+        def working(request):
+            with lock:
+                resent.append(request["seed"])
+            return answer(request)
+
+        texts = self._provider(tmp_path / "resumed", working).generate(prompt, cfg)
+        every = {derive_seed(cfg.seed, k) % 2**31 for k in range(cfg.num_samples)}
+        assert sorted(resent) == sorted(every - kept)
+        clean = self._provider(tmp_path / "clean", answer).generate(prompt, cfg)
+        assert texts == clean
+        assert self._files(tmp_path / "resumed") == self._files(tmp_path / "clean")
+
+    def test_one_generate_call_writes_one_file(self, tmp_path, prompt, seed_plan):
+        cfg = SamplingConfig(num_samples=30, seed=5)
+        self._provider(tmp_path / "remote", lambda request: "find('a')\n").generate(prompt, cfg)
+        stored = StoredProvider(SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.2)),
+                                tmp_path / "synthetic")
+        stored.generate(prompt, cfg)
+        for root in (tmp_path / "remote", tmp_path / "synthetic"):
+            assert list(self._files(root)) == [f"{prompt.content_hash}/prog/5.json"]
 
 
 class TestSeedDerivation:
