@@ -9,6 +9,8 @@ so reruns of the same config over the same fixtures are byte-identical.
 from __future__ import annotations
 
 import json
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -66,6 +68,27 @@ SYNTHETIC = "synthetic"
 REPLAY = "replay"
 REMOTE = "remote"
 
+MAX_INFLIGHT = 16
+"""Most episodes a remote run keeps in flight.  Each sends one request at a
+time, so this also bounds the run's requests in flight."""
+
+
+def _is_number(value: object) -> bool:
+    return type(value) in (int, float)
+
+
+# (fields, check, what the check expects), applied when a RunConfig is built.
+_FIELD_CHECKS = (
+    (("repetitions", "prog_num_samples", "reorder_num_samples", "max_length", "step_limit",
+      "remote_retries"), lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    (("master_seed",), lambda v: v is None or type(v) is int, "an integer or null"),
+    (("prog_temperature", "reorder_temperature"), lambda v: _is_number(v) and v >= 0,
+     "a number >= 0"),
+    (("remote_timeout",), lambda v: _is_number(v) and v > 0, "a number > 0"),
+    (("drop_prob", "swap_prob", "insert_prob"), lambda v: _is_number(v) and 0 <= v <= 1,
+     "a number in [0, 1]"),
+)
+
 
 @dataclass
 class RunConfig:
@@ -100,8 +123,10 @@ class RunConfig:
     method_label: str | None = None
 
     def __post_init__(self) -> None:
-        if type(self.repetitions) is not int or self.repetitions < 1:
-            raise ConfigError(f"repetitions must be an integer >= 1, got {self.repetitions!r}")
+        for names, valid, expected in _FIELD_CHECKS:
+            for name in names:
+                if not valid(value := getattr(self, name)):
+                    raise ConfigError(f"{name} must be {expected}, got {value!r}")
         for name, known in (("provider", (SYNTHETIC, REPLAY, REMOTE)),
                             ("mode", (WITH_CORRECTION, NO_CORRECTION)),
                             ("selection", (MAX_VOTE, RANDOM)),
@@ -232,7 +257,10 @@ class RunMemo:
     a parse memo keyed by raw plan line.  The parse memo is keyed by line, not
     by whole text: the run's distinct lines are few, while holding the parsed
     commands of every distinct text for a whole run raised peak memory by a
-    third.
+    third.  A remote run's episode threads share one memo: ``run_suite``
+    fills the prog prompts and goals before any thread starts, and a parse
+    memo entry depends only on its line, so a racing write stores the same
+    value.
     """
 
     def __init__(self, bundle: DatasetBundle):
@@ -398,12 +426,49 @@ class SuiteResult:
     output_dir: Path | None = None
 
 
+def _episodes(config: RunConfig, bundle: DatasetBundle, memo: RunMemo,
+              jobs: list[tuple[int, int, Task]]):
+    """Yield each (rep, task index, task) job of ``jobs`` with its
+    ``run_one_episode`` result, in order.
+
+    A remote run keeps up to ``MAX_INFLIGHT`` episodes in flight in worker
+    threads, starting the next one as the oldest result is taken.  Once an
+    episode has failed no further episode starts; those running finish and
+    keep their samples in the store, and the error of the earliest failing
+    episode in run order is raised.  Every other provider is CPU-bound, so its
+    episodes run inline: threads would only contend for the interpreter lock.
+    """
+    if config.provider != REMOTE:
+        for job in jobs:
+            rep, _, task = job
+            yield job, run_one_episode(task, bundle, config, rep, memo)
+        return
+    window: deque[tuple[tuple[int, int, Task], Future]] = deque()
+    with ThreadPoolExecutor(max_workers=MAX_INFLIGHT) as pool:
+        try:
+            for job in jobs:
+                if any(future.done() and future.exception() is not None for _, future in window):
+                    break
+                rep, _, task = job
+                window.append((job, pool.submit(run_one_episode, task, bundle, config, rep, memo)))
+                if len(window) == MAX_INFLIGHT:
+                    oldest, future = window.popleft()
+                    yield oldest, future.result()
+            while window:
+                oldest, future = window.popleft()
+                yield oldest, future.result()
+        finally:
+            for _, future in window:
+                future.cancel()
+
+
 def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
               write_outputs: bool = True) -> SuiteResult:
     """Run the full evaluation protocol for one configuration.
 
     Per repetition: SR over tasks, mean GCR over tasks, mean Exec over tasks;
-    then mean +/- std across repetitions.
+    then mean +/- std across repetitions.  Episodes are scored in run order,
+    also when a remote run draws them concurrently.
     """
     if config.master_seed is None:
         raise ConfigError("run config needs a master_seed")
@@ -413,48 +478,52 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
         raise ConfigError("no tasks to evaluate after applying the seen-task split")
 
     memo = RunMemo(bundle)
-    per_rep: list[dict] = []
+    for task in tasks:  # before any episode thread reads them
+        memo.prog_prompt(task)
+        memo.goal(task)
+    jobs = [(rep, task_index, task) for rep in range(config.repetitions)
+            for task_index, task in enumerate(tasks)]
     episode_records: list[dict] = []
     episode_files: list[tuple[str, int, dict, dict]] = []
+    for (rep, task_index, task), (episode, artifacts) in _episodes(config, bundle, memo, jobs):
+        gcr = metrics_mod.compute_gcr(episode.achieved, episode.goal.goal_conditions)
+        # A no-plan episode scores Exec 0 without compute_exec's empty-trace warning.
+        exec_rate = 0.0 if artifacts.error is not None else metrics_mod.compute_exec(episode.trace)
+        episode_records.append(
+            {
+                "kind": "episode",
+                "rep": rep,
+                "task_index": task_index,
+                "task": task.task_name,
+                "scene": task.scene_id,
+                "gcr": gcr,
+                "exec": exec_rate,
+                "success": gcr == 1.0,
+                "steps": episode.trace.attempted,
+                "termination": episode.trace.termination,
+                "pool_size": artifacts.pool_size,
+            }
+        )
+        if write_outputs and config.output_dir:
+            trace_doc = {
+                "task": task.task_name,
+                "termination": episode.trace.termination,
+                "gcr": gcr,
+                "exec": exec_rate,
+                "goal_conditions": sorted(p.render() for p in episode.goal.goal_conditions),
+                "achieved": sorted(p.render() for p in episode.achieved),
+                "steps": serialize_trace(episode.trace),
+            }
+            if artifacts.error is not None:
+                trace_doc["error"] = artifacts.error
+            episode_files.append((instruction_slug(task.task_name), rep, trace_doc,
+                                  tree_to_dict(artifacts.root)))
+
+    per_rep: list[dict] = []
     for rep in range(config.repetitions):
-        gcrs: list[float] = []
-        execs: list[float] = []
-        for task_index, task in enumerate(tasks):
-            episode, artifacts = run_one_episode(task, bundle, config, rep, memo)
-            gcr = metrics_mod.compute_gcr(episode.achieved, episode.goal.goal_conditions)
-            # A no-plan episode scores Exec 0 without compute_exec's empty-trace warning.
-            exec_rate = 0.0 if artifacts.error is not None else metrics_mod.compute_exec(episode.trace)
-            gcrs.append(gcr)
-            execs.append(exec_rate)
-            episode_records.append(
-                {
-                    "kind": "episode",
-                    "rep": rep,
-                    "task_index": task_index,
-                    "task": task.task_name,
-                    "scene": task.scene_id,
-                    "gcr": gcr,
-                    "exec": exec_rate,
-                    "success": gcr == 1.0,
-                    "steps": episode.trace.attempted,
-                    "termination": episode.trace.termination,
-                    "pool_size": artifacts.pool_size,
-                }
-            )
-            if write_outputs and config.output_dir:
-                trace_doc = {
-                    "task": task.task_name,
-                    "termination": episode.trace.termination,
-                    "gcr": gcr,
-                    "exec": exec_rate,
-                    "goal_conditions": sorted(p.render() for p in episode.goal.goal_conditions),
-                    "achieved": sorted(p.render() for p in episode.achieved),
-                    "steps": serialize_trace(episode.trace),
-                }
-                if artifacts.error is not None:
-                    trace_doc["error"] = artifacts.error
-                episode_files.append((instruction_slug(task.task_name), rep, trace_doc,
-                                      tree_to_dict(artifacts.root)))
+        records = episode_records[rep * len(tasks):(rep + 1) * len(tasks)]
+        gcrs = [record["gcr"] for record in records]
+        execs = [record["exec"] for record in records]
         per_rep.append(
             {
                 "kind": "repetition",

@@ -22,11 +22,9 @@ import json
 import os
 import random
 import tempfile
-import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -51,10 +49,6 @@ class PlanGenerator(Protocol):
 
 # -- fixture store --------------------------------------------------------------
 
-MAX_INFLIGHT = 8
-"""Most samples ``read_through`` draws at a time for one prompt."""
-
-
 def _describe(identity: dict) -> str:
     return ", ".join(f"{key} {value!r}" for key, value in sorted(identity.items())) or "nothing"
 
@@ -75,11 +69,10 @@ def read_through(
     ``identity`` is given) by another generator, is refused.  Without a
     ``sampler`` a missing sample is an error and nothing is written.
     Otherwise ``sampler(prompt, config)``, called only when samples are
-    missing and before any write, draws them, up to ``MAX_INFLIGHT`` at a
-    time in worker threads, placed by k.  After the first failure no queued
-    sample is drawn and those in flight finish.  Then the file is written once,
-    atomically, keeping every sample drawn, and the error of the lowest failing
-    k, if any, is raised.
+    missing and before any write, draws them one at a time in k order, in the
+    calling thread, until one fails.  Then the file is written once,
+    atomically, keeping every sample drawn, and that failure, if any, is
+    raised.
     """
     path = Path(root) / prompt.content_hash / prompt.kind / f"{config.seed}.json"
     header = {"instruction": prompt.instruction, "stage": prompt.kind,
@@ -116,39 +109,22 @@ def read_through(
     if not missing:
         return samples[: config.num_samples]
     draw = sampler(prompt, config)
-    failed = threading.Event()
-
-    def fill(k: int) -> str | None:
-        if failed.is_set():  # dequeued after a failure: draw nothing
-            return None
-        try:
-            return draw(k)
-        except BaseException:
-            failed.set()
-            raise
-
-    pool = ThreadPoolExecutor(max_workers=min(MAX_INFLIGHT, len(missing)))
     try:
-        futures = [pool.submit(fill, k) for k in missing]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        for k in missing:
+            samples[k] = draw(k)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    errors = [None if future.cancelled() else future.exception() for future in futures]
-    for k, future, error in zip(missing, futures, errors):
-        if not future.cancelled() and error is None:
-            samples[k] = future.result()
-    document = {**header, **(identity or {}), "num_samples": len(samples), "samples": samples}
-    _atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-    for error in errors:  # k order: the lowest failing k is raised
-        if error is not None:
-            raise error
+        document = {**header, **(identity or {}), "num_samples": len(samples), "samples": samples}
+        _atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
     return samples[: config.num_samples]
 
 
 def _atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` by rename, making its directory if needed."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -243,8 +219,8 @@ class SyntheticProvider:
         prompt_hash = prompt.content_hash
 
         def draw(k: int) -> str:
-            # Sample k depends on (seed, prompt hash, k) only, so concurrent
-            # draws cannot change outputs.
+            # Sample k depends on (seed, prompt hash, k) only, so the samples
+            # a store lacks can be drawn in any run, in any order.
             rng = random.Random(derive_seed(config.seed, prompt_hash, k))
             commands = _perturb(self.seed_plan.commands, self.noise, rng)
             if config.max_length:
@@ -314,9 +290,10 @@ class RemoteProvider:
     Every response is kept in the fixture store at ``cache_dir`` (see
     ``read_through``), so a finished remote run can be replayed offline by
     pointing a ReplayProvider at it, and a store recorded by another model is
-    refused.  Missing samples are requested up to ``MAX_INFLIGHT`` at a time,
-    so an injected ``transport`` is called from worker threads.  Sample k's
-    request depends on k and the sampling config only.
+    refused.  Missing samples are requested one at a time, in k order, and
+    sample k's request depends on k and the sampling config only.  A remote
+    ``run_suite`` calls ``generate`` from several episode threads at once, so
+    an injected ``transport`` must be thread-safe.
 
     Timeouts, connection errors, HTTP 5xx, 408 and 429 are retried with
     backoff; missing credentials, other HTTP 4xx and malformed responses fail

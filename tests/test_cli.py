@@ -1,4 +1,5 @@
 import json
+import urllib.request
 
 import pytest
 
@@ -156,6 +157,51 @@ def test_bad_run_config_fails_before_any_episode(tmp_path, capsys, overrides, na
     assert captured.err.startswith("error: ") and named in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"prog_num_samples": "30"}, "prog_num_samples"),
+    ({"prog_num_samples": 0}, "prog_num_samples"),
+    ({"reorder_num_samples": True}, "reorder_num_samples"),
+    ({"max_length": 0}, "max_length"),
+    ({"step_limit": 0}, "step_limit"),
+    ({"step_limit": 2.5}, "step_limit"),
+    ({"remote_retries": 0}, "remote_retries"),
+    ({"master_seed": "x"}, "master_seed"),
+    ({"master_seed": 1.0}, "master_seed"),
+    ({"prog_temperature": -0.1}, "prog_temperature"),
+    ({"reorder_temperature": "0.65"}, "reorder_temperature"),
+    ({"remote_timeout": 0}, "remote_timeout"),
+    ({"drop_prob": 1.5}, "drop_prob"),
+    ({"swap_prob": -0.1}, "swap_prob"),
+    ({"insert_prob": float("nan")}, "insert_prob"),
+])
+def test_bad_numeric_run_config_fails_before_any_episode(tmp_path, capsys, overrides, named):
+    out = tmp_path / "results"
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"master_seed": 1, "output_dir": str(out), **overrides}),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_remote_run_with_a_bad_step_limit_sends_no_request(tmp_path, capsys, monkeypatch):
+    opened: list = []
+    monkeypatch.setenv("VOTETREE_API_KEY", "test-key")
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: opened.append(a))
+    cfg_path = tmp_path / "remote.json"
+    cfg_path.write_text(json.dumps({
+        "master_seed": 1, "provider": "remote", "remote_endpoint": "https://example.invalid/v1",
+        "remote_model": "m", "fixtures_dir": str(tmp_path / "cache"), "step_limit": 0,
+        "output_dir": str(tmp_path / "results"),
+    }), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "step_limit" in capsys.readouterr().err
+    assert opened == []
+    assert not (tmp_path / "cache").exists()
 
 
 def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file):

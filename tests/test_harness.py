@@ -2,7 +2,10 @@ import hashlib
 import json
 import re
 import statistics
+import sys
 import threading
+import urllib.error
+from collections import Counter
 
 import pytest
 
@@ -187,16 +190,21 @@ class FakeTransport:
     def __init__(self, bundle):
         self.calls = 0
         self.lock = threading.Lock()
-        self.by_slug = {instruction_slug(t.task_name): t.goal_plan for t in bundle.tasks}
+        self.by_slug = {instruction_slug(t.task_name): t.task_name for t in bundle.tasks}
         self.by_name = {t.task_name: t.goal_plan for t in bundle.tasks}
+
+    def task_of(self, request: dict) -> str:
+        """The name of the task a request prompts for."""
+        text = request["messages"][0]["content"]
+        prog = re.search(r"^def (\w+)\(\):\s*\Z", text, re.MULTILINE)
+        if prog:
+            return self.by_slug[prog.group(1)]
+        return re.findall(r"^Task: (.+)$", text, re.MULTILINE)[-1]
 
     def __call__(self, request: dict) -> str:
         with self.lock:
             self.calls += 1
-        text = request["messages"][0]["content"]
-        prog = re.search(r"^def (\w+)\(\):\s*\Z", text, re.MULTILINE)
-        goal_plan = (self.by_slug[prog.group(1)] if prog
-                     else self.by_name[re.findall(r"^Task: (.+)$", text, re.MULTILINE)[-1]])
+        goal_plan = self.by_name[self.task_of(request)]
         noise = NoiseModel(drop_prob=0.2, swap_prob=0.1)
         return render_plan(synthesize_noisy_plans(goal_plan, noise, 1, request["seed"])[0]) + "\n"
 
@@ -263,6 +271,173 @@ class TestFixtureStore:
         files = [p for p in fixtures.rglob("*") if p.is_file()]
         assert len(files) == 31 * 2
         assert {p.parent.name for p in files} == {"prog", "reorder"}
+
+
+def _remote_via(monkeypatch, transport):
+    """Route a remote run's requests to ``transport`` instead of HTTP."""
+    def make_provider(config, task, scene):
+        return RemoteProvider(endpoint="", model="fake", cache_dir=config.fixtures_dir,
+                              retries=1, transport=transport)
+
+    monkeypatch.setattr(harness, "make_provider", make_provider)
+
+
+def _remote_config(tmp_path, name, **overrides):
+    base = dict(master_seed=6, repetitions=1, provider="remote",
+                fixtures_dir=str(tmp_path / name / "cache"), output_dir=str(tmp_path / name / "out"))
+    return RunConfig(**{**base, **overrides})
+
+
+def _files(root):
+    """Every file under ``root`` by relative path, but the run config (it names paths)."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "run_config.json"}
+
+
+def _request_key(request):
+    return request["messages"][0]["content"], request["seed"]
+
+
+class TestRemoteRun:
+    """A remote run keeps up to MAX_INFLIGHT episodes, each with one request, in
+    flight, and scores them in run order."""
+
+    def test_in_flight_requests_are_bounded(self, bundle, tmp_path, monkeypatch):
+        fake = FakeTransport(bundle)
+        lock = threading.Lock()
+        active = [0]
+        peak = [0]
+        pause = threading.Event()
+
+        def transport(request):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            pause.wait(0.002)
+            with lock:
+                active[0] -= 1
+            return fake(request)
+
+        _remote_via(monkeypatch, transport)
+        result = run_suite(_remote_config(tmp_path, "bounded", output_dir=None), bundle)
+        assert len(result.episodes) == 31
+        assert fake.calls == 31 * (30 + 20)
+        assert 1 < peak[0] <= harness.MAX_INFLIGHT
+
+    def test_out_of_order_responses_land_in_k_order(self, bundle, tmp_path, monkeypatch):
+        fake = FakeTransport(bundle)
+        index = {task.task_name: i for i, task in enumerate(evaluated_tasks(bundle))}
+        lock = threading.Lock()
+        pause = threading.Event()
+        delayed: set[str] = set()
+        answered: list[int] = []  # task index of each task's first answer
+
+        def later_tasks_answer_sooner(request):
+            task = fake.task_of(request)
+            with lock:
+                first = task not in delayed
+                delayed.add(task)
+            if first:
+                pause.wait(0.002 * (len(index) - index[task]))
+                with lock:
+                    answered.append(index[task])
+            return fake(request)
+
+        _remote_via(monkeypatch, later_tasks_answer_sooner)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the episode threads finely
+        try:
+            run_suite(_remote_config(tmp_path, "concurrent", repetitions=2), bundle)
+        finally:
+            sys.setswitchinterval(switch)
+        assert answered != sorted(answered)
+
+        # Reference: one episode at a time, one request at a time.
+        monkeypatch.setattr(harness, "MAX_INFLIGHT", 1)
+        delayed.clear()
+        answered.clear()
+        run_suite(_remote_config(tmp_path, "serial", repetitions=2), bundle)
+        assert answered == sorted(answered)
+        for part in ("out", "cache"):
+            assert _files(tmp_path / "concurrent" / part) == _files(tmp_path / "serial" / part)
+        assert {"summary.txt", "metrics.jsonl"} <= set(_files(tmp_path / "concurrent" / "out"))
+        assert len(_files(tmp_path / "concurrent" / "cache")) == 2 * 31 * 2
+
+    def test_a_failing_episode_stops_the_run_and_a_rerun_resumes(self, bundle, tmp_path,
+                                                                monkeypatch):
+        fake = FakeTransport(bundle)
+        tasks = [task.task_name for task in evaluated_tasks(bundle)]
+        failing = tasks[3]
+        lock = threading.Lock()
+        pause = threading.Event()
+        started: list[str] = []
+        answered: list[tuple] = []
+        run_one_episode = harness.run_one_episode
+
+        def counted(task, *args):
+            with lock:
+                started.append(task.task_name)
+            return run_one_episode(task, *args)
+
+        def fails_for_one_task(request):
+            index = tasks.index(fake.task_of(request))
+            if index == 3:
+                raise urllib.error.HTTPError("https://example.invalid", 400, "bad", {}, None)
+            if index < 3:
+                # Episodes 0-2 end 0.1 s apart, long after episode 3 failed,
+                # and each one taken frees a place in the window.
+                pause.wait(0.002 * (index + 1))
+            text = fake(request)
+            with lock:
+                answered.append(_request_key(request))
+            return text
+
+        monkeypatch.setattr(harness, "run_one_episode", counted)
+        _remote_via(monkeypatch, fails_for_one_task)
+        config = _remote_config(tmp_path, "resumed", repetitions=2)
+        with pytest.raises(ProviderError, match=rf"task {failing!r}, repetition 0: .*not retried"):
+            run_suite(config, bundle)
+        # The episodes started before the failure was seen, a prefix of the run
+        # order, ran to their end; none queued behind them started.
+        assert 3 < len(started) <= harness.MAX_INFLIGHT
+        assert sorted(started) == sorted(tasks[:len(started)])
+        assert len(answered) == (len(started) - 1) * (30 + 20)
+
+        resent: list[tuple] = []
+
+        def working(request):
+            with lock:
+                resent.append(_request_key(request))
+            return fake(request)
+
+        _remote_via(monkeypatch, working)
+        run_suite(config, bundle)
+        resumed = list(resent)
+        resent.clear()
+        run_suite(_remote_config(tmp_path, "clean", repetitions=2), bundle)
+        assert not set(resumed) & set(answered)
+        assert Counter(resumed) + Counter(answered) == Counter(resent)
+        for part in ("out", "cache"):
+            assert _files(tmp_path / "resumed" / part) == _files(tmp_path / "clean" / part)
+
+    def test_the_earliest_failing_episode_in_run_order_is_raised(self, bundle, tmp_path,
+                                                                 monkeypatch):
+        fake = FakeTransport(bundle)
+        tasks = [task.task_name for task in evaluated_tasks(bundle)]
+        pause = threading.Event()
+
+        def transport(request):
+            task = fake.task_of(request)
+            if task == tasks[1]:
+                pause.wait(0.05)  # fails after task 3 has
+                raise urllib.error.HTTPError("https://example.invalid", 401, "one", {}, None)
+            if task == tasks[3]:
+                raise urllib.error.HTTPError("https://example.invalid", 403, "three", {}, None)
+            return fake(request)
+
+        _remote_via(monkeypatch, transport)
+        with pytest.raises(ProviderError, match=rf"task {tasks[1]!r}, repetition 0: .*401"):
+            run_suite(_remote_config(tmp_path, "two-failures", output_dir=None), bundle)
 
 
 class TestNoPlan:

@@ -137,6 +137,15 @@ class TestLineMemo:
             assert shared == parse_plan_text(text, known, provenance, k)
 
 
+class TestParserProperties:
+    @given(text=st.one_of(st.text(), PLAN_TEXTS), known=KNOWN_ACTIONS)
+    def test_never_raises_on_arbitrary_text(self, text, known):
+        plan, diagnostics = parse_plan_text(text, known, "reordered", 3)
+        assert plan.sample_index == 3
+        if not plan.commands:
+            assert diagnostics[-1].code == "no_commands_found"
+
+
 class TestCorpusSplit:
     def test_split_on_sample_separators(self):
         text = "--- sample 0 ---\nfind('a')\n--- sample 1 ---\nfind('b')\n"

@@ -8,12 +8,11 @@ from collections import Counter
 
 import pytest
 
-from votetree import providers
 from votetree.errors import ConfigError, ProviderError
+from votetree.harness import MAX_INFLIGHT
 from votetree.plans import Command, parse_plan_text
 from votetree.prompts import PromptDocument, SamplingConfig
 from votetree.providers import (
-    MAX_INFLIGHT,
     NoiseModel,
     RemoteProvider,
     ReplayProvider,
@@ -369,7 +368,8 @@ class TestRemoteRetries:
 
 
 class TestRemoteConcurrency:
-    """Missing samples are requested up to MAX_INFLIGHT at a time, placed by k."""
+    """Missing samples are requested one at a time, in k order; a remote run
+    draws several prompts' samples at once (see test_harness.TestRemoteRun)."""
 
     @staticmethod
     def _k_of(cfg):
@@ -387,50 +387,19 @@ class TestRemoteConcurrency:
         return {p.relative_to(root).as_posix(): p.read_bytes()
                 for p in sorted(root.rglob("*")) if p.is_file()}
 
-    def test_out_of_order_responses_land_in_k_order(self, tmp_path, prompt, monkeypatch):
+    def test_one_generate_sends_one_request_at_a_time_in_k_order(self, tmp_path, prompt):
         cfg = SamplingConfig(num_samples=12, seed=3)
         k_of = self._k_of(cfg)
-        finished: list[int] = []
-        lock = threading.Lock()
-        pause = threading.Event()
-
-        def reversed_transport(request):
-            k = k_of(request)
-            pause.wait(0.004 * (cfg.num_samples - k))  # later k answer sooner
-            with lock:
-                finished.append(k)
-            return f"find('obj{k}')\n"
-
-        texts = self._provider(tmp_path / "concurrent", reversed_transport).generate(prompt, cfg)
-        assert finished != sorted(finished)
-        assert texts == [f"find('obj{k}')\n" for k in range(cfg.num_samples)]
-
-        # Reference: one worker sends the samples one at a time, in k order.
-        monkeypatch.setattr(providers, "MAX_INFLIGHT", 1)
-        finished.clear()
-        assert self._provider(tmp_path / "serial", reversed_transport).generate(prompt, cfg) == texts
-        assert finished == sorted(finished)
-        assert self._files(tmp_path / "concurrent") == self._files(tmp_path / "serial")
-
-    def test_in_flight_requests_are_bounded(self, tmp_path, prompt):
-        cfg = SamplingConfig(num_samples=30, seed=1)
-        lock = threading.Lock()
-        active = [0]
-        peak = [0]
-        pause = threading.Event()
+        sent: list[tuple[int, int]] = []  # (k, thread) of each request
 
         def transport(request):
-            with lock:
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-            pause.wait(0.01)
-            with lock:
-                active[0] -= 1
-            return "find('a')\n"
+            sent.append((k_of(request), threading.get_ident()))
+            return f"find('obj{k_of(request)}')\n"
 
         texts = self._provider(tmp_path, transport).generate(prompt, cfg)
-        assert len(texts) == 30
-        assert 1 < peak[0] <= MAX_INFLIGHT
+        assert texts == [f"find('obj{k}')\n" for k in range(cfg.num_samples)]
+        # All from the calling thread, so one at a time, and in k order.
+        assert sent == [(k, threading.get_ident()) for k in range(cfg.num_samples)]
 
     def test_fatal_error_stops_queued_requests(self, tmp_path, prompt, monkeypatch):
         slept: list[float] = []

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from votetree.errors import DatasetError, SceneError
 from votetree.plans import Command, Plan
@@ -148,6 +150,29 @@ class TestExecuteCommand:
             for c in task.goal_plan.commands:
                 state = world.execute(state, c).state
                 assert state.invariant_violations() == []
+
+
+class TestInvariantProperty:
+    @given(data=st.data())
+    def test_any_command_sequence_keeps_the_invariants(self, bundle, data):
+        scene = bundle.scenes[data.draw(st.sampled_from(sorted(bundle.scenes)))]
+        world = World(bundle.catalog, scene.objects)
+        # A few objects per example, so that a sequence acts on the same ones
+        # again; unknown actions and objects must fail cleanly.
+        objects = st.sampled_from(data.draw(st.lists(
+            st.sampled_from(sorted(scene.objects)), min_size=1, max_size=3)) + ["doorknob"])
+        arity = {name: bundle.catalog.get(name).arity for name in bundle.catalog.action_names}
+        arity["flomp"] = 1
+        command = st.builds(lambda action, args: Command(action, tuple(args[:arity[action]])),
+                            st.sampled_from(sorted(arity)), st.lists(objects, min_size=2,
+                                                                     max_size=2))
+        # find() comes first in most preconditions, so draw it more often.
+        find = st.builds(lambda obj: Command("find", (obj,)), objects)
+        commands = data.draw(st.lists(st.one_of(find, command), min_size=20, max_size=60))
+        state = scene.initial_state
+        for c in commands:
+            state = world.execute(state, c).state
+            assert state.invariant_violations() == []
 
 
 class TestStateDiff:
