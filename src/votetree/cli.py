@@ -16,16 +16,10 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import VoteTreeError
+from .diff import plan_diff_report
+from .errors import DatasetError, VoteTreeError
 from .executor import ExecutionMode, ExecutionTrace, StepRecord, execute_tree, serialize_trace
-from .harness import (
-    RunConfig,
-    load_dataset,
-    plan_diff_report,
-    recompute_metrics,
-    record_suite,
-    run_suite,
-)
+from .harness import RunConfig, load_dataset, recompute_metrics, record_suite, run_suite
 from .metrics import format_table
 from .plans import Command, parse_plan_text, split_corpus
 from .tree import SelectionStrategy, build_vote_tree, render_outline, tree_from_dict, tree_to_dict
@@ -64,8 +58,19 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trace(path: str) -> ExecutionTrace:
+def _read_document(path: str, read):
+    """``read`` applied to the JSON document at ``path``; a field it lacks or
+    a value it cannot take is a DatasetError naming the file."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return read(doc)
+    except KeyError as exc:
+        raise DatasetError(f"{path}: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+
+
+def _trace_from_dict(doc: dict) -> ExecutionTrace:
     steps = tuple(
         StepRecord(
             index=s["idx"],
@@ -80,7 +85,7 @@ def _load_trace(path: str) -> ExecutionTrace:
 
 
 def _cmd_execute(args: argparse.Namespace) -> int:
-    root = tree_from_dict(json.loads(Path(args.tree).read_text(encoding="utf-8")))
+    root = _read_document(args.tree, tree_from_dict)
     scene = load_scene(args.scene)
     catalog = ActionCatalog.from_file(args.actions) if args.actions else load_dataset().catalog
     world = World(catalog, scene.objects)
@@ -105,8 +110,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    trace_a = _load_trace(args.trace_a)
-    trace_b = _load_trace(args.trace_b)
+    trace_a = _read_document(args.trace_a, _trace_from_dict)
+    trace_b = _read_document(args.trace_b, _trace_from_dict)
     report = plan_diff_report(trace_a, trace_b, labels=(args.label_a, args.label_b))
     sys.stdout.write(report.render())
     return 0

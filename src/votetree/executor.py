@@ -74,9 +74,6 @@ class ExecutionTrace:
     def succeeded(self) -> int:
         return sum(1 for s in self.steps if s.ok)
 
-    def commands(self) -> list[str]:
-        return [s.command.canonical_form for s in self.steps]
-
 
 def execute_tree(
     root: VoteTreeNode,

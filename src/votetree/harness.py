@@ -9,10 +9,10 @@ so reruns of the same config over the same fixtures are byte-identical.
 from __future__ import annotations
 
 import json
+import shutil
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -32,6 +32,7 @@ from .executor import (
 )
 from .plans import Command, ParseDiagnostic, Plan, extract_unique_commands, parse_plan_text
 from .prompts import (
+    DATA_DIR,
     PROG,
     REORDER,
     PromptDocument,
@@ -163,37 +164,16 @@ class DatasetBundle:
     tasks: list[Task]
 
 
-def _bundled_path(name: str):
-    return resources.files("votetree.data").joinpath(name)
-
-
 def load_dataset(config: RunConfig | None = None) -> DatasetBundle:
-    """Resolve catalog, scenes and tasks from the config or bundled data."""
+    """Load the config's catalog, scenes and tasks; an unset path names the
+    bundled one under ``prompts.DATA_DIR``.  Scenes load in file name order."""
     config = config or RunConfig()
-    if config.actions:
-        catalog = ActionCatalog.from_file(config.actions)
-    else:
-        with _bundled_path("actions.json").open(encoding="utf-8") as fh:
-            catalog = ActionCatalog.from_documents(json.load(fh))
-
+    catalog = ActionCatalog.from_file(config.actions or DATA_DIR / "actions.json")
     scenes: dict[str, Scene] = {}
-    if config.scenes_dir:
-        for path in sorted(Path(config.scenes_dir).glob("*.json")):
-            scene = load_scene(path)
-            scenes[scene.scene_id] = scene
-    else:
-        scene_root = resources.files("votetree.data").joinpath("scenes")
-        for entry in sorted(scene_root.iterdir(), key=lambda e: e.name):
-            if entry.name.endswith(".json"):
-                scene = load_scene(json.loads(entry.read_text(encoding="utf-8")))
-                scenes[scene.scene_id] = scene
-
-    if config.dataset:
-        tasks = load_tasks(config.dataset)
-    else:
-        with resources.as_file(_bundled_path("tasks.json")) as path:
-            tasks = load_tasks(path)
-
+    for path in sorted(Path(config.scenes_dir or DATA_DIR / "scenes").glob("*.json")):
+        scene = load_scene(path)
+        scenes[scene.scene_id] = scene
+    tasks = load_tasks(config.dataset or DATA_DIR / "tasks.json")
     for task in tasks:
         if task.scene_id not in scenes:
             raise DatasetError(f"task {task.task_name!r} references unknown scene {task.scene_id!r}")
@@ -251,65 +231,51 @@ def make_provider(config: RunConfig, task: Task, scene: Scene) -> PlanGenerator:
 class RunMemo:
     """What the episodes of one run share, worked out once per run.
 
-    ``run_suite`` makes one per call over its bundle and drops it when it
-    returns, so nothing carries over from one run to the next.  It holds the
-    bundled prompt examples, each task's prog prompt and goal conditions, and
-    a parse memo keyed by raw plan line.  The parse memo is keyed by line, not
-    by whole text: the run's distinct lines are few, while holding the parsed
-    commands of every distinct text for a whole run raised peak memory by a
-    third.  A remote run's episode threads share one memo: ``run_suite``
-    fills the prog prompts and goals before any thread starts, and a parse
-    memo entry depends only on its line, so a racing write stores the same
-    value.
+    ``run_suite`` makes one per call over its bundle and tasks and drops it
+    when it returns, so nothing carries over from one run to the next.  It
+    holds the bundled prompt examples, each task's prog prompt and goal
+    conditions, and a parse memo keyed by raw plan line.  The parse memo is
+    keyed by line, not by whole text: the run's distinct lines are few, while
+    holding the parsed commands of every distinct text for a whole run raised
+    peak memory by a third.  A remote run's episode threads share one memo:
+    the prompts and goals are built here, before any thread starts, and a
+    parse memo entry depends only on its line, so a racing write stores the
+    same value.
     """
 
-    def __init__(self, bundle: DatasetBundle):
-        self.bundle = bundle
+    def __init__(self, bundle: DatasetBundle, tasks: list[Task]):
         self.known_actions = frozenset(bundle.catalog.action_names)
         self.prog_examples = default_prog_examples()
         self.reorder_examples = default_reorder_examples()
         self.lines: dict[str, tuple] = {}
-        self._prog_prompts: dict[Task, PromptDocument] = {}
-        self._goals: dict[Task, GoalSpec] = {}
+        self.prog_prompts: dict[Task, PromptDocument] = {}
+        self.goals: dict[Task, GoalSpec] = {}
+        for task in tasks:
+            scene = bundle.scenes[task.scene_id]
+            self.prog_prompts[task] = format_prog_prompt(
+                task.task_name, bundle.catalog.action_names, sorted(scene.objects),
+                self.prog_examples,
+            )
+            if task.goal_conditions is not None:
+                goal = GoalSpec(task.task_name, frozenset(task.goal_conditions), source="explicit")
+            else:
+                goal = derive_goal_conditions(World(bundle.catalog, scene.objects),
+                                              scene.initial_state, task.goal_plan, task.task_name)
+            self.goals[task] = goal
 
     def parse(self, text: str, provenance: str,
               sample_index: int) -> tuple[Plan, list[ParseDiagnostic]]:
         return parse_plan_text(text, self.known_actions, provenance, sample_index, self.lines)
 
-    def prog_prompt(self, task: Task) -> PromptDocument:
-        prompt = self._prog_prompts.get(task)
-        if prompt is None:
-            scene = self.bundle.scenes[task.scene_id]
-            prompt = self._prog_prompts[task] = format_prog_prompt(
-                task.task_name, self.bundle.catalog.action_names, sorted(scene.objects),
-                self.prog_examples,
-            )
-        return prompt
-
-    def goal(self, task: Task) -> GoalSpec:
-        goal = self._goals.get(task)
-        if goal is None:
-            if task.goal_conditions is not None:
-                goal = GoalSpec(task.task_name, frozenset(task.goal_conditions), source="explicit")
-            else:
-                scene = self.bundle.scenes[task.scene_id]
-                goal = derive_goal_conditions(World(self.bundle.catalog, scene.objects),
-                                              scene.initial_state, task.goal_plan, task.task_name)
-            self._goals[task] = goal
-        return goal
-
 
 @dataclass
 class PipelineArtifacts:
-    """Intermediate products of one task episode, kept for reports.
+    """What one task episode's pipeline produced besides its trace.
 
     ``error`` says why there is no plan to execute (an empty command pool, or
     no usable reorder sample); ``root`` is then an empty tree.
     """
 
-    prog_prompt: PromptDocument
-    reorder_prompt: PromptDocument | None
-    generated: list[Plan]
     reordered: list[Plan]
     pool_size: int
     root: VoteTreeNode
@@ -329,7 +295,7 @@ def run_task_pipeline(
     An empty command pool skips the reorder stage; it and a reorder stage
     whose samples all parse empty leave an empty tree and the error.
     """
-    prog_prompt = memo.prog_prompt(task)
+    prog_prompt = memo.prog_prompts[task]
     diagnostics: list[str] = []
     generated: list[Plan] = []
     for k, text in enumerate(provider.generate(prog_prompt, prog_config)):
@@ -338,7 +304,6 @@ def run_task_pipeline(
         diagnostics.extend(f"{PROG}[{k}]: {d.code}" for d in diags)
 
     pool: list[Command] = []
-    reorder_prompt = None
     reordered: list[Plan] = []
     error = None
     try:
@@ -355,23 +320,12 @@ def run_task_pipeline(
     except (EmptyCommandPoolError, NoPlansError) as exc:
         root, error = VoteTreeNode(), str(exc)
     return PipelineArtifacts(
-        prog_prompt=prog_prompt,
-        reorder_prompt=reorder_prompt,
-        generated=generated,
         reordered=reordered,
         pool_size=len(pool),
         root=root,
         diagnostics=diagnostics,
         error=error,
     )
-
-
-def _episode_mode(config: RunConfig, rep: int, task: Task) -> ExecutionMode:
-    selection = SelectionStrategy(
-        kind=config.selection,
-        rng_seed=derive_seed(config.master_seed, rep, task.task_name, "selection"),
-    )
-    return ExecutionMode(kind=config.mode, selection=selection, termination=config.termination)
 
 
 def run_one_episode(
@@ -388,10 +342,10 @@ def run_one_episode(
     nothing and ends with termination ``no_plan``.
     """
     if memo is None:
-        memo = RunMemo(bundle)
+        memo = RunMemo(bundle, [task])
     scene = bundle.scenes[task.scene_id]
     world = World(bundle.catalog, scene.objects)
-    goal = memo.goal(task)
+    goal = memo.goals[task]
 
     provider = make_provider(config, task, scene)
     prog_config = SamplingConfig(
@@ -410,7 +364,11 @@ def run_one_episode(
     if artifacts.error is not None:
         trace = ExecutionTrace((), scene.initial_state, NO_PLAN)
         return EpisodeResult(task.task_name, trace, goal, frozenset()), artifacts
-    mode = _episode_mode(config, rep, task)
+    selection = SelectionStrategy(
+        kind=config.selection,
+        rng_seed=derive_seed(config.master_seed, rep, task.task_name, "selection"),
+    )
+    mode = ExecutionMode(kind=config.mode, selection=selection, termination=config.termination)
     episode = run_episode(
         task.task_name, world, scene.initial_state, goal, artifacts.root, mode,
         config.step_limit,
@@ -466,9 +424,9 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
               write_outputs: bool = True) -> SuiteResult:
     """Run the full evaluation protocol for one configuration.
 
-    Per repetition: SR over tasks, mean GCR over tasks, mean Exec over tasks;
-    then mean +/- std across repetitions.  Episodes are scored in run order,
-    also when a remote run draws them concurrently.
+    Every task runs once per repetition, and ``metrics.score`` scores the
+    episode records.  Records are kept in run order, also when a remote run
+    draws the episodes concurrently.
     """
     if config.master_seed is None:
         raise ConfigError("run config needs a master_seed")
@@ -477,10 +435,7 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     if not tasks:
         raise ConfigError("no tasks to evaluate after applying the seen-task split")
 
-    memo = RunMemo(bundle)
-    for task in tasks:  # before any episode thread reads them
-        memo.prog_prompt(task)
-        memo.goal(task)
+    memo = RunMemo(bundle, tasks)
     jobs = [(rep, task_index, task) for rep in range(config.repetitions)
             for task_index, task in enumerate(tasks)]
     episode_records: list[dict] = []
@@ -519,26 +474,7 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
             episode_files.append((instruction_slug(task.task_name), rep, trace_doc,
                                   tree_to_dict(artifacts.root)))
 
-    per_rep: list[dict] = []
-    for rep in range(config.repetitions):
-        records = episode_records[rep * len(tasks):(rep + 1) * len(tasks)]
-        gcrs = [record["gcr"] for record in records]
-        execs = [record["exec"] for record in records]
-        per_rep.append(
-            {
-                "kind": "repetition",
-                "rep": rep,
-                "sr": metrics_mod.compute_sr(gcrs),
-                "gcr": sum(gcrs) / len(gcrs),
-                "exec": sum(execs) / len(execs),
-            }
-        )
-
-    per_task: dict[str, float] = {}
-    for record in episode_records:
-        per_task.setdefault(record["task"], 0.0)
-        per_task[record["task"]] += record["gcr"] / config.repetitions
-    row = metrics_mod.aggregate(config.label, per_rep, per_task)
+    row, per_rep = metrics_mod.score(config.label, episode_records)
 
     output_dir = None
     if write_outputs and config.output_dir:
@@ -556,6 +492,9 @@ def _write_outputs(
     episode_files: list[tuple[str, int, dict, dict]],
 ) -> None:
     output_dir.mkdir(parents=True, exist_ok=True)
+    episodes_dir = output_dir / "episodes"
+    if episodes_dir.exists():  # a rerun replaces the last run's episodes, nothing else
+        shutil.rmtree(episodes_dir)
     (output_dir / "summary.txt").write_text(metrics_mod.format_table([row]), encoding="utf-8")
     with open(output_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         header = {"kind": "run", "method": config.label, "repetitions": config.repetitions,
@@ -569,7 +508,7 @@ def _write_outputs(
         json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     for slug, rep, trace_doc, tree_doc in episode_files:
-        episode_dir = output_dir / "episodes" / slug / str(rep)
+        episode_dir = episodes_dir / slug / str(rep)
         episode_dir.mkdir(parents=True, exist_ok=True)
         (episode_dir / "trace.json").write_text(
             json.dumps(trace_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -585,31 +524,22 @@ def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:
     method = "unknown"
     episodes: list[dict] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise DatasetError(f"{path} line {number}: not a JSON object")
             if record.get("kind") == "run":
-                method = record["method"]
+                method = record.get("method", method)
             elif record.get("kind") == "episode":
                 episodes.append(record)
     if not episodes:
         raise DatasetError(f"no episode records in {path}")
-    by_rep: dict[int, list[dict]] = {}
-    for record in episodes:
-        by_rep.setdefault(record["rep"], []).append(record)
-    per_rep = []
-    for rep in sorted(by_rep):
-        records = sorted(by_rep[rep], key=lambda r: r["task_index"])
-        gcrs = [r["gcr"] for r in records]
-        execs = [r["exec"] for r in records]
-        per_rep.append(
-            {
-                "rep": rep,
-                "sr": metrics_mod.compute_sr(gcrs),
-                "gcr": sum(gcrs) / len(gcrs),
-                "exec": sum(execs) / len(execs),
-            }
-        )
-    return metrics_mod.aggregate(method, per_rep)
+    try:
+        return metrics_mod.score(method, episodes)[0]
+    except KeyError as exc:
+        raise DatasetError(f"{path}: an episode record has no {exc}") from exc
+    except TypeError as exc:
+        raise DatasetError(f"{path}: an episode record has a bad value: {exc}") from exc
 
 
 def record_suite(config: RunConfig, bundle: DatasetBundle | None = None) -> SuiteResult:
@@ -619,99 +549,3 @@ def record_suite(config: RunConfig, bundle: DatasetBundle | None = None) -> Suit
         raise ConfigError("record needs fixtures_dir")
     return run_suite(config, bundle, write_outputs=False)
 
-
-# -- qualitative plan comparison ----------------------------------------------
-
-SHARED = "shared-necessary"
-REDUNDANT = "redundant"
-ERRONEOUS = "erroneous"
-UNIQUE = "unique"
-
-
-@dataclass(frozen=True)
-class DiffEntry:
-    label: str
-    index: int
-    command: str
-    status: str
-
-
-@dataclass(frozen=True)
-class DiffReport:
-    labels: tuple[str, str]
-    entries: tuple[tuple[DiffEntry, ...], tuple[DiffEntry, ...]]
-    lengths: tuple[int, int]
-    duplicate_counts: tuple[int, int]
-
-    def flagged(self, side: int, status: str) -> list[DiffEntry]:
-        return [e for e in self.entries[side] if e.status == status]
-
-    @property
-    def shorter_side(self) -> int | None:
-        if self.lengths[0] == self.lengths[1]:
-            return None
-        return 0 if self.lengths[0] < self.lengths[1] else 1
-
-    def render(self) -> str:
-        lines = []
-        for side in (0, 1):
-            lines.append(f"{self.labels[side]} ({self.lengths[side]} commands, "
-                         f"{self.duplicate_counts[side]} duplicates)")
-            for e in self.entries[side]:
-                lines.append(f"  {e.index:2d}. {e.command:40s} [{e.status}]")
-            lines.append("")
-        if self.shorter_side is not None:
-            lines.append(
-                f"{self.labels[self.shorter_side]} is strictly shorter "
-                f"({min(self.lengths)} vs {max(self.lengths)} commands)."
-            )
-        else:
-            lines.append("both traces have the same length.")
-        return "\n".join(lines) + "\n"
-
-
-def _classify_side(trace: ExecutionTrace, other: ExecutionTrace, label: str) -> tuple[list[DiffEntry], int]:
-    other_commands = {s.command.canonical_form for s in other.steps}
-    seen: set[str] = set()
-    duplicates = 0
-    statuses: list[str] = []
-    commands = [s.command for s in trace.steps]
-    for i, step in enumerate(trace.steps):
-        key = step.command.canonical_form
-        if not step.ok:
-            status = ERRONEOUS
-        elif key in seen:
-            status = REDUNDANT
-            duplicates += 1
-        else:
-            status = SHARED if key in other_commands else UNIQUE
-        seen.add(key)
-        statuses.append(status)
-    # An open(x) immediately followed by close(x) is a no-op pair.
-    for i in range(len(commands) - 1):
-        a, b = commands[i], commands[i + 1]
-        if (a.action, b.action) == ("open", "close") and a.args == b.args:
-            for j in (i, i + 1):
-                if statuses[j] != ERRONEOUS:
-                    statuses[j] = REDUNDANT
-    entries = [
-        DiffEntry(label, i, c.canonical_form, s)
-        for i, (c, s) in enumerate(zip(commands, statuses))
-    ]
-    return entries, duplicates
-
-
-def plan_diff_report(
-    trace_a: ExecutionTrace,
-    trace_b: ExecutionTrace,
-    labels: tuple[str, str] = ("a", "b"),
-) -> DiffReport:
-    """Side-by-side classification of two traces over the same task."""
-    entries_a, dup_a = _classify_side(trace_a, trace_b, labels[0])
-    entries_b, dup_b = _classify_side(trace_b, trace_a, labels[1])
-    return DiffReport(
-        labels=labels,
-        entries=(tuple(entries_a), tuple(entries_b)),
-        lengths=(trace_a.attempted, trace_b.attempted),
-        duplicate_counts=(dup_a, dup_b),
-    )

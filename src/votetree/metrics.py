@@ -88,7 +88,6 @@ class MetricsRow:
     exec_mean: float
     exec_std: float
     runs: int
-    per_task: dict | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -103,7 +102,7 @@ class MetricsRow:
         }
 
 
-def aggregate(method_label: str, per_rep: Sequence[dict], per_task: dict | None = None) -> MetricsRow:
+def aggregate(method_label: str, per_rep: Sequence[dict]) -> MetricsRow:
     """Collapse per-repetition metrics into one mean +/- std row."""
     sr_m, sr_s = mean_std([r["sr"] for r in per_rep])
     gcr_m, gcr_s = mean_std([r["gcr"] for r in per_rep])
@@ -114,8 +113,31 @@ def aggregate(method_label: str, per_rep: Sequence[dict], per_task: dict | None 
         gcr_mean=gcr_m, gcr_std=gcr_s,
         exec_mean=ex_m, exec_std=ex_s,
         runs=len(per_rep),
-        per_task=per_task,
     )
+
+
+def score(method_label: str, episodes: Iterable[dict]) -> tuple[MetricsRow, list[dict]]:
+    """Per repetition, over tasks in ``task_index`` order: SR, mean GCR and mean
+    Exec; then the row of their mean +/- std.  ``run_suite`` and ``votetree
+    metrics`` both score here, so they agree to the bit."""
+    by_rep: dict[int, list[dict]] = {}
+    for record in episodes:
+        by_rep.setdefault(record["rep"], []).append(record)
+    per_rep = []
+    for rep in sorted(by_rep):
+        records = sorted(by_rep[rep], key=lambda r: r["task_index"])
+        gcrs = [r["gcr"] for r in records]
+        execs = [r["exec"] for r in records]
+        per_rep.append(
+            {
+                "kind": "repetition",
+                "rep": rep,
+                "sr": compute_sr(gcrs),
+                "gcr": sum(gcrs) / len(gcrs),
+                "exec": sum(execs) / len(execs),
+            }
+        )
+    return aggregate(method_label, per_rep), per_rep
 
 
 def format_table(rows: Sequence[MetricsRow]) -> str:

@@ -12,12 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, EmptyCommandPoolError
 from .plans import Command, UniqueCommandSet
+
+DATA_DIR = Path(__file__).with_name("data")  # prompt examples; what unset run config paths name
 
 PROG = "prog"
 REORDER = "reorder"
@@ -54,12 +56,11 @@ def default_sampling(stage: str, seed: int = 0) -> SamplingConfig:
 
 @dataclass(frozen=True)
 class PromptDocument:
-    """A fully rendered prompt plus the metadata used to build it."""
+    """A fully rendered prompt: its stage, text and instruction."""
 
     kind: str
     text: str
     instruction: str
-    context: dict = field(default_factory=dict)
 
     @property
     def content_hash(self) -> str:
@@ -122,16 +123,7 @@ def format_prog_prompt(
         lines.append("")
     lines.append(f"def {instruction_slug(instruction)}():")
     text = "\n".join(lines) + "\n"
-    return PromptDocument(
-        kind=PROG,
-        text=text,
-        instruction=instruction,
-        context={
-            "actions": action_list,
-            "objects": object_list,
-            "num_examples": len(examples),
-        },
-    )
+    return PromptDocument(kind=PROG, text=text, instruction=instruction)
 
 
 def _program_call(command_text: str) -> str:
@@ -172,18 +164,13 @@ def format_reorder_prompt(
     lines.extend(f"  {c}" for c in pool)
     lines.append("Plan:")
     text = "\n".join(lines) + "\n"
-    return PromptDocument(
-        kind=REORDER,
-        text=text,
-        instruction=instruction,
-        context={"pool": pool, "num_examples": len(examples)},
-    )
+    return PromptDocument(kind=REORDER, text=text, instruction=instruction)
 
 
 # -- bundled defaults ---------------------------------------------------------
 
 def _load_bundled(name: str) -> dict:
-    with resources.files("votetree.data").joinpath(name).open(encoding="utf-8") as fh:
+    with (DATA_DIR / name).open(encoding="utf-8") as fh:
         return json.load(fh)
 
 

@@ -204,7 +204,9 @@ class ActionCatalog:
         return sorted(self.schemas)
 
     @classmethod
-    def from_documents(cls, docs: Iterable[Mapping]) -> "ActionCatalog":
+    def from_file(cls, path: str | Path) -> "ActionCatalog":
+        with open(path, encoding="utf-8") as fh:
+            docs = json.load(fh)
         schemas = []
         for doc in docs:
             try:
@@ -240,11 +242,6 @@ class ActionCatalog:
                 )
             )
         return cls(schemas)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ActionCatalog":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_documents(json.load(fh))
 
 
 @dataclass(frozen=True)

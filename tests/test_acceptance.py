@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from votetree.diff import plan_diff_report
 from votetree.executor import ExecutionMode, execute_tree
 from votetree.harness import (
     RunConfig,
-    plan_diff_report,
     record_suite,
     run_suite,
 )

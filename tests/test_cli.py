@@ -216,13 +216,39 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     main(["build-tree", "--corpus", str(corpus_file), "--out", str(tree)])
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"scene_id": "cli", "objects": [], "init": []}), encoding="utf-8")
+    run_record = json.dumps({"kind": "run", "method": "m", "repetitions": 1, "master_seed": 1})
+    no_gcr = json.dumps({"kind": "episode", "rep": 0, "task_index": 0, "exec": 1.0})
+    text_gcr = json.dumps({"kind": "episode", "rep": 0, "task_index": 0, "gcr": "x", "exec": 1.0})
+    for name, lines in (("bad-line", [run_record, "3"]), ("no-gcr", [run_record, no_gcr]),
+                        ("text-gcr", [run_record, text_gcr])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "metrics.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    documents = {"no-vote": {"command": None, "children": []},
+                 "no-steps": {"termination": "completed"},
+                 "bad-command": {"steps": [{"idx": 0, "command": "find apple", "outcome": "success"}]},
+                 "empty-trace": {"steps": []}}
+    for name, doc in documents.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     for argv, named in ((["run", "--config", missing], "missing.json"),
                         (["run", "--config", str(not_json)], "line 1"),
                         *((["run", "--config", str(path)], "JSON object") for path in not_objects),
                         (["record", "--config", missing], "missing.json"),
                         (["execute", "--tree", missing, "--scene", str(scene)], "missing.json"),
-                        (["execute", "--tree", str(tree), "--scene", missing], "missing.json")):
+                        (["execute", "--tree", str(tree), "--scene", missing], "missing.json"),
+                        (["metrics", "--results", str(tmp_path / "bad-line")],
+                         "bad-line/metrics.jsonl line 2: not a JSON object"),
+                        (["metrics", "--results", str(tmp_path / "no-gcr")],
+                         "no-gcr/metrics.jsonl: an episode record has no 'gcr'"),
+                        (["metrics", "--results", str(tmp_path / "text-gcr")],
+                         "text-gcr/metrics.jsonl: an episode record has a bad value"),
+                        (["execute", "--tree", str(tmp_path / "no-vote.json"), "--scene", str(scene)],
+                         "no-vote.json: missing field 'vote'"),
+                        *((["diff", "--trace-a", str(tmp_path / f"{name}.json"),
+                            "--trace-b", str(tmp_path / "empty-trace.json")], problem)
+                          for name, problem in (("no-steps", "no-steps.json: missing field 'steps'"),
+                                                ("bad-command", "bad-command.json: cannot parse command "
+                                                                "string 'find apple'")))):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, (argv, err)

@@ -10,18 +10,19 @@ from collections import Counter
 import pytest
 
 from votetree import harness
+from votetree.diff import plan_diff_report
 from votetree.errors import ConfigError, ProviderError
 from votetree.executor import ExecutionMode, execute_tree
 from votetree.harness import (
     RunConfig,
     build_distractors,
     evaluated_tasks,
-    plan_diff_report,
     recompute_metrics,
     record_suite,
     run_one_episode,
     run_suite,
 )
+from votetree.metrics import format_table
 from votetree.plans import Command, render_plan
 from votetree.prompts import instruction_slug
 from votetree.providers import NoiseModel, RemoteProvider, synthesize_noisy_plans
@@ -98,11 +99,21 @@ class TestSuite:
         assert row.sr_std == result.row.sr_std
         assert row.gcr_mean == result.row.gcr_mean
         assert row.exec_mean == result.row.exec_mean
+        assert format_table([row]).encode("utf-8") == (out / "summary.txt").read_bytes()
         assert (out / "summary.txt").exists()
         episode_dirs = list((out / "episodes").glob("*/*"))
         assert len(episode_dirs) == 2 * 31
         assert all((d / "trace.json").exists() and (d / "tree.json").exists()
                    for d in episode_dirs)
+
+    def test_rerun_into_the_same_output_dir_replaces_its_episodes(self, bundle, tmp_path):
+        (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
+        run_suite(RunConfig(master_seed=5, repetitions=2, output_dir=str(tmp_path)), bundle)
+        run_suite(RunConfig(master_seed=5, repetitions=1, output_dir=str(tmp_path)), bundle)
+        episode_dirs = list((tmp_path / "episodes").glob("*/*"))
+        assert len(episode_dirs) == 31 and {d.name for d in episode_dirs} == {"0"}
+        assert recompute_metrics(tmp_path).runs == 1
+        assert (tmp_path / "notes.txt").read_text(encoding="utf-8") == "kept"
 
     def test_episode_seeds_stable_across_modes(self, bundle):
         """Seed derivation ignores the execution mode, so mode comparisons
