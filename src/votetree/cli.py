@@ -17,12 +17,29 @@ import sys
 from pathlib import Path
 
 from .diff import plan_diff_report
-from .errors import DatasetError, VoteTreeError
-from .executor import ExecutionMode, ExecutionTrace, StepRecord, execute_tree, serialize_trace
+from .errors import DatasetError, VoteTreeError, json_document, read_text, reading
+from .executor import (
+    DEFAULT_STEP_LIMIT,
+    NO_CORRECTION,
+    WITH_CORRECTION,
+    ExecutionMode,
+    ExecutionTrace,
+    StepRecord,
+    execute_tree,
+    serialize_trace,
+)
 from .harness import RunConfig, load_dataset, recompute_metrics, record_suite, run_suite
 from .metrics import format_table
 from .plans import Command, parse_plan_text, split_corpus
-from .tree import SelectionStrategy, build_vote_tree, render_outline, tree_from_dict, tree_to_dict
+from .tree import (
+    MAX_VOTE,
+    RANDOM,
+    SelectionStrategy,
+    build_vote_tree,
+    render_outline,
+    tree_from_dict,
+    tree_to_dict,
+)
 from .world import ActionCatalog, World, WorldState, load_scene
 
 
@@ -40,9 +57,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_tree(args: argparse.Namespace) -> int:
-    text = Path(args.corpus).read_text(encoding="utf-8")
     plans = []
-    for k, body in enumerate(split_corpus(text)):
+    for k, body in enumerate(split_corpus(read_text(args.corpus, DatasetError))):
         plan, _ = parse_plan_text(body, provenance="generated", sample_index=k)
         if plan.commands:
             plans.append(plan)
@@ -58,34 +74,25 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_document(path: str, read):
-    """``read`` applied to the JSON document at ``path``; a field it lacks or
-    a value it cannot take is a DatasetError naming the file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        return read(doc)
-    except KeyError as exc:
-        raise DatasetError(f"{path}: missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
-
-
-def _trace_from_dict(doc: dict) -> ExecutionTrace:
-    steps = tuple(
-        StepRecord(
-            index=s["idx"],
-            command=Command.parse(s["command"]),
-            ok=s["outcome"] == "success",
-            reason=s.get("reason"),
-            node_path=(),
+def _read_trace(path: str) -> ExecutionTrace:
+    with reading(path, DatasetError):
+        doc = json_document(path, DatasetError)
+        steps = tuple(
+            StepRecord(
+                index=s["idx"],
+                command=Command.parse(s["command"]),
+                ok=s["outcome"] == "success",
+                reason=s.get("reason"),
+                node_path=(),
+            )
+            for s in doc["steps"]
         )
-        for s in doc["steps"]
-    )
     return ExecutionTrace(steps=steps, final_state=WorldState(), termination=doc.get("termination", "completed"))
 
 
 def _cmd_execute(args: argparse.Namespace) -> int:
-    root = _read_document(args.tree, tree_from_dict)
+    with reading(args.tree, DatasetError):
+        root = tree_from_dict(json_document(args.tree, DatasetError))
     scene = load_scene(args.scene)
     catalog = ActionCatalog.from_file(args.actions) if args.actions else load_dataset().catalog
     world = World(catalog, scene.objects)
@@ -110,8 +117,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    trace_a = _read_document(args.trace_a, _trace_from_dict)
-    trace_b = _read_document(args.trace_b, _trace_from_dict)
+    trace_a, trace_b = _read_trace(args.trace_a), _read_trace(args.trace_b)
     report = plan_diff_report(trace_a, trace_b, labels=(args.label_a, args.label_b))
     sys.stdout.write(report.render())
     return 0
@@ -147,11 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--actions", default=None, help="action catalog (default: bundled)")
-    p.add_argument("--mode", default="with_correction",
-                   choices=["with_correction", "no_correction"])
-    p.add_argument("--selection", default="max_vote", choices=["max_vote", "random"])
+    p.add_argument("--mode", default=WITH_CORRECTION, choices=[WITH_CORRECTION, NO_CORRECTION])
+    p.add_argument("--selection", default=MAX_VOTE, choices=[MAX_VOTE, RANDOM])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-limit", type=int, default=50)
+    p.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_execute)
 
@@ -178,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VoteTreeError, OSError, json.JSONDecodeError) as exc:
+    except (VoteTreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

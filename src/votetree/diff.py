@@ -32,9 +32,6 @@ class DiffReport:
     lengths: tuple[int, int]
     duplicate_counts: tuple[int, int]
 
-    def flagged(self, side: int, status: str) -> list[DiffEntry]:
-        return [e for e in self.entries[side] if e.status == status]
-
     @property
     def shorter_side(self) -> int | None:
         if self.lengths[0] == self.lengths[1]:

@@ -91,59 +91,18 @@ def execute_tree(
     """
     if step_limit <= 0:
         raise ConfigError(f"step_limit must be positive, got {step_limit}")
-    if mode.kind == WITH_CORRECTION:
-        return _run_with_correction(root.clone(), run_command, initial_state, mode, step_limit)
-    return _run_greedy(root, run_command, initial_state, mode, step_limit)
-
-
-def _stop_here(node: VoteTreeNode, mode: ExecutionMode) -> bool:
-    if not node.children:
-        return True
-    return mode.termination == TERMINATE_END_MARKER and node.end_marker
-
-
-def _run_greedy(
-    root: VoteTreeNode,
-    run_command: CommandRunner,
-    state: WorldState,
-    mode: ExecutionMode,
-    step_limit: int,
-) -> ExecutionTrace:
+    correcting = mode.kind == WITH_CORRECTION
+    node = root.clone() if correcting else root
+    state = initial_state
     steps: list[StepRecord] = []
-    termination = COMPLETED
-    node = root
-    while node.children:
-        if len(steps) >= step_limit:
-            termination = STEP_LIMIT
-            break
-        child = select_child(node, mode.selection)
-        outcome = run_command(state, child.command)
-        steps.append(
-            StepRecord(len(steps), child.command, outcome.ok, outcome.reason, child.path())
-        )
-        state = outcome.state
-        node = child
-        if _stop_here(node, mode):
-            break
-    return ExecutionTrace(tuple(steps), state, termination)
-
-
-def _run_with_correction(
-    root: VoteTreeNode,
-    run_command: CommandRunner,
-    state: WorldState,
-    mode: ExecutionMode,
-    step_limit: int,
-) -> ExecutionTrace:
-    steps: list[StepRecord] = []
-    node = root
     while True:
         child = select_child(node, mode.selection)
         if child is None:
-            # Children exhausted here.  At the root the episode is over;
+            # Children exhausted here.  Without correction that is only an
+            # empty root.  With correction the episode is over at the root;
             # elsewhere drop this node and resume selection at its parent.
-            if node.is_root:
-                termination = EXHAUSTED
+            if not correcting or node.is_root:
+                termination = EXHAUSTED if correcting else COMPLETED
                 break
             parent = node.parent
             remove_child(parent, node)
@@ -156,10 +115,10 @@ def _run_with_correction(
         steps.append(
             StepRecord(len(steps), child.command, outcome.ok, outcome.reason, child.path())
         )
-        if outcome.ok:
+        if outcome.ok or not correcting:
             state = outcome.state
             node = child
-            if _stop_here(node, mode):
+            if not node.children or (mode.termination == TERMINATE_END_MARKER and node.end_marker):
                 termination = COMPLETED
                 break
         else:

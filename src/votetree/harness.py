@@ -16,7 +16,16 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .errors import ConfigError, DatasetError, EmptyCommandPoolError, NoPlansError, ProviderError
+from .errors import (
+    ConfigError,
+    DatasetError,
+    EmptyCommandPoolError,
+    NoPlansError,
+    ProviderError,
+    json_document,
+    read_text,
+    reading,
+)
 from .executor import (
     DEFAULT_STEP_LIMIT,
     NO_CORRECTION,
@@ -113,9 +122,9 @@ class RunConfig:
     drop_prob: float = 0.0
     swap_prob: float = 0.0
     insert_prob: float = 0.0
-    mode: str = "with_correction"
-    selection: str = "max_vote"
-    termination: str = "childless_success"
+    mode: str = WITH_CORRECTION
+    selection: str = MAX_VOTE
+    termination: str = TERMINATE_CHILDLESS
     repetitions: int = 10
     master_seed: int | None = None
     step_limit: int = DEFAULT_STEP_LIMIT
@@ -143,15 +152,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"run config {path} must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
-        return cls(**doc)
+        with reading(path, ConfigError):
+            doc = json_document(path, ConfigError)
+            unknown = set(doc) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
+            return cls(**doc)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -169,10 +175,13 @@ def load_dataset(config: RunConfig | None = None) -> DatasetBundle:
     bundled one under ``prompts.DATA_DIR``.  Scenes load in file name order."""
     config = config or RunConfig()
     catalog = ActionCatalog.from_file(config.actions or DATA_DIR / "actions.json")
+    scenes_dir = Path(config.scenes_dir or DATA_DIR / "scenes")
     scenes: dict[str, Scene] = {}
-    for path in sorted(Path(config.scenes_dir or DATA_DIR / "scenes").glob("*.json")):
+    for path in sorted(scenes_dir.glob("*.json")):
         scene = load_scene(path)
         scenes[scene.scene_id] = scene
+    if not scenes:
+        raise DatasetError(f"{scenes_dir}: no *.json scene files")
     tasks = load_tasks(config.dataset or DATA_DIR / "tasks.json")
     for task in tasks:
         if task.scene_id not in scenes:
@@ -523,15 +532,15 @@ def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:
     path = Path(results_dir) / "metrics.jsonl"
     method = "unknown"
     episodes: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
+    for number, line in enumerate(read_text(path, DatasetError).splitlines(), 1):
+        with reading(f"{path} line {number}", DatasetError):
             record = json.loads(line)
             if not isinstance(record, dict):
-                raise DatasetError(f"{path} line {number}: not a JSON object")
-            if record.get("kind") == "run":
-                method = record.get("method", method)
-            elif record.get("kind") == "episode":
-                episodes.append(record)
+                raise DatasetError("not a JSON object")
+        if record.get("kind") == "run":
+            method = record.get("method", method)
+        elif record.get("kind") == "episode":
+            episodes.append(record)
     if not episodes:
         raise DatasetError(f"no episode records in {path}")
     try:

@@ -216,9 +216,6 @@ class UniqueCommandSet:
     def __len__(self) -> int:
         return len(self.commands)
 
-    def __contains__(self, command: Command) -> bool:
-        return command.canonical_form in self.source_count
-
     @property
     def canonical_forms(self) -> list[str]:
         return [c.canonical_form for c in self.commands]

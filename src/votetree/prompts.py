@@ -10,13 +10,12 @@ the text's hash keys replay fixtures and response caches.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, EmptyCommandPoolError
+from .errors import ConfigError, DatasetError, EmptyCommandPoolError, json_document
 from .plans import Command, UniqueCommandSet
 
 DATA_DIR = Path(__file__).with_name("data")  # prompt examples; what unset run config paths name
@@ -169,18 +168,16 @@ def format_reorder_prompt(
 
 # -- bundled defaults ---------------------------------------------------------
 
-def _load_bundled(name: str) -> dict:
-    with (DATA_DIR / name).open(encoding="utf-8") as fh:
-        return json.load(fh)
+_EXAMPLES = DATA_DIR / "prompt_examples.json"
 
 
 def default_prog_examples() -> list[ExamplePlan]:
-    raw = _load_bundled("prompt_examples.json")["prog_examples"]
+    raw = json_document(_EXAMPLES, DatasetError)["prog_examples"]
     return [ExamplePlan(e["instruction"], tuple(e["plan"])) for e in raw]
 
 
 def default_reorder_examples() -> list[ReorderExample]:
-    raw = _load_bundled("prompt_examples.json")["reorder_examples"]
+    raw = json_document(_EXAMPLES, DatasetError)["reorder_examples"]
     return [
         ReorderExample(e["instruction"], tuple(e["commands"]), tuple(e["plan"]))
         for e in raw

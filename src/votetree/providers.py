@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .errors import ConfigError, ProviderError
+from .errors import ConfigError, ProviderError, json_document, reading
 from .plans import Command, Plan, render_plan
 from .prompts import PromptDocument, SamplingConfig
 
@@ -78,11 +78,10 @@ def read_through(
     header = {"instruction": prompt.instruction, "stage": prompt.kind,
               "prompt_hash": prompt.content_hash, "temperature": config.temperature,
               "seed": config.seed, "max_length": config.max_length}
-    try:
-        recorded = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        recorded = {"samples": []}
-    samples: list[str | None] = recorded.pop("samples")
+    recorded = json_document(path, ProviderError) if path.exists() else {"samples": []}
+    with reading(path, ProviderError):
+        samples: list[str | None] = recorded.pop("samples")
+        samples += [None] * (config.num_samples - len(samples))
     if recorded:
         requested = (config.temperature, config.seed, config.max_length)
         settings = tuple(recorded.get(key) for key in ("temperature", "seed", "max_length"))
@@ -99,7 +98,6 @@ def read_through(
                 f"{_describe(identity)}; clear it or use another fixtures_dir"
             )
 
-    samples += [None] * (config.num_samples - len(samples))
     missing = [k for k in range(config.num_samples) if samples[k] is None]
     if missing and sampler is None:
         raise ProviderError(

@@ -15,13 +15,12 @@ also satisfied whenever ``x`` is currently held.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import CatalogError, DatasetError, SceneError
+from .errors import CatalogError, DatasetError, SceneError, json_document, reading
 from .plans import Command, Plan
 
 AGENT = "agent"
@@ -190,9 +189,6 @@ class ActionCatalog:
                 raise CatalogError(f"duplicate action schema {s.name!r}")
             self.schemas[s.name] = s
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.schemas
-
     def __len__(self) -> int:
         return len(self.schemas)
 
@@ -205,43 +201,40 @@ class ActionCatalog:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ActionCatalog":
-        with open(path, encoding="utf-8") as fh:
-            docs = json.load(fh)
         schemas = []
-        for doc in docs:
-            try:
+        for number, doc in enumerate(json_document(path, CatalogError, list)):
+            with reading(f"{path} entry {number}", CatalogError):
                 name = doc["name"]
                 arity = int(doc["arity"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CatalogError(f"bad schema entry {doc!r}: {exc}") from exc
-            if arity not in (1, 2):
-                raise CatalogError(f"action {name!r}: arity must be 1 or 2, got {arity}")
-            req = doc.get("required_properties", [])
-            if len(req) > arity:
-                raise CatalogError(f"action {name!r}: more property lists than parameters")
-            req_padded = tuple(
-                frozenset(req[i]) if i < len(req) else frozenset() for i in range(arity)
-            )
-            schemas.append(
-                ActionSchema(
-                    name=name,
-                    arity=arity,
-                    required_properties=req_padded,
-                    preconditions=tuple(
-                        _parse_template(t, arity, allow_wildcard=False)
-                        for t in doc.get("preconditions", [])
-                    ),
-                    add_effects=tuple(
-                        _parse_template(t, arity, allow_wildcard=False)
-                        for t in doc.get("add", [])
-                    ),
-                    del_effects=tuple(
-                        _parse_template(t, arity, allow_wildcard=True)
-                        for t in doc.get("del", [])
-                    ),
+                if arity not in (1, 2):
+                    raise CatalogError(f"action {name!r}: arity must be 1 or 2, got {arity}")
+                req = doc.get("required_properties", [])
+                if len(req) > arity:
+                    raise CatalogError(f"action {name!r}: more property lists than parameters")
+                req_padded = tuple(
+                    frozenset(req[i]) if i < len(req) else frozenset() for i in range(arity)
                 )
-            )
-        return cls(schemas)
+                schemas.append(
+                    ActionSchema(
+                        name=name,
+                        arity=arity,
+                        required_properties=req_padded,
+                        preconditions=tuple(
+                            _parse_template(t, arity, allow_wildcard=False)
+                            for t in doc.get("preconditions", [])
+                        ),
+                        add_effects=tuple(
+                            _parse_template(t, arity, allow_wildcard=False)
+                            for t in doc.get("add", [])
+                        ),
+                        del_effects=tuple(
+                            _parse_template(t, arity, allow_wildcard=True)
+                            for t in doc.get("del", [])
+                        ),
+                    )
+                )
+        with reading(path, CatalogError):
+            return cls(schemas)
 
 
 @dataclass(frozen=True)
@@ -254,58 +247,44 @@ class Scene:
 
 
 def load_scene(document: Mapping | str | Path) -> Scene:
-    """Load and validate a scene document (a dict, JSON path or JSON text).
+    """Load and validate a scene document, given as a dict or a JSON file path.
 
-    Raises SceneError naming the offending entry on malformed input,
-    duplicate ids or predicate references to unknown objects.
+    Raises SceneError naming the file (for a dict, the scene) on malformed
+    input, duplicate ids or predicate references to unknown objects.
     """
-    if isinstance(document, str) and document.lstrip().startswith("{"):
-        document = json.loads(document)
-    elif isinstance(document, (str, Path)):
-        try:
-            document = json.loads(Path(document).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise SceneError(f"scene file not found: {document}") from exc
-    if not isinstance(document, Mapping):
-        raise SceneError(f"scene document must be a mapping, got {type(document).__name__}")
+    source = f"scene {document.get('scene_id')!r}" if isinstance(document, Mapping) else document
+    with reading(source, SceneError):
+        if not isinstance(document, Mapping):
+            document = json_document(document, SceneError)
+        scene_id = document.get("scene_id")
+        if not scene_id:
+            raise SceneError("missing 'scene_id'")
 
-    scene_id = document.get("scene_id")
-    if not scene_id:
-        raise SceneError("scene document is missing 'scene_id'")
-
-    objects: dict[str, ObjectInstance] = {}
-    for entry in document.get("objects", []):
-        try:
+        objects: dict[str, ObjectInstance] = {}
+        for entry in document.get("objects", []):
             obj = ObjectInstance(
                 id=entry["id"],
                 class_name=entry.get("class_name", entry["id"]),
                 properties=frozenset(entry.get("properties", [])),
             )
-        except (KeyError, TypeError) as exc:
-            raise SceneError(f"scene {scene_id}: malformed object entry {entry!r}: {exc}") from exc
-        if obj.id == AGENT:
-            raise SceneError(f"scene {scene_id}: object id {AGENT!r} is reserved")
-        if obj.id in objects:
-            raise SceneError(f"scene {scene_id}: duplicate object id {obj.id!r}")
-        objects[obj.id] = obj
+            if obj.id == AGENT:
+                raise SceneError(f"object id {AGENT!r} is reserved")
+            if obj.id in objects:
+                raise SceneError(f"duplicate object id {obj.id!r}")
+            objects[obj.id] = obj
 
-    predicates: set[StatePredicate] = set()
-    for text in document.get("init", []):
-        try:
+        predicates: set[StatePredicate] = set()
+        for text in document.get("init", []):
             pred = StatePredicate.parse(text)
-        except ValueError as exc:
-            raise SceneError(f"scene {scene_id}: bad init predicate {text!r}: {exc}") from exc
-        for ref in (pred.subject, pred.object):
-            if ref is not None and ref != AGENT and ref not in objects:
-                raise SceneError(
-                    f"scene {scene_id}: init predicate {text!r} references unknown object {ref!r}"
-                )
-        predicates.add(pred)
+            for ref in (pred.subject, pred.object):
+                if ref is not None and ref != AGENT and ref not in objects:
+                    raise SceneError(f"init predicate {text!r} references unknown object {ref!r}")
+            predicates.add(pred)
 
-    state = WorldState(frozenset(predicates))
-    violations = state.invariant_violations()
-    if violations:
-        raise SceneError(f"scene {scene_id}: invalid initial state: {'; '.join(violations)}")
+        state = WorldState(frozenset(predicates))
+        violations = state.invariant_violations()
+        if violations:
+            raise SceneError(f"invalid initial state: {'; '.join(violations)}")
     return Scene(scene_id=scene_id, objects=objects, initial_state=state)
 
 
@@ -468,11 +447,9 @@ class Task:
 
 def load_tasks(path: str | Path) -> list[Task]:
     """Load the task file: a JSON list of task entries."""
-    with open(path, encoding="utf-8") as fh:
-        docs = json.load(fh)
     tasks = []
-    for doc in docs:
-        try:
+    for number, doc in enumerate(json_document(path, DatasetError, list)):
+        with reading(f"{path} entry {number}", DatasetError):
             commands = tuple(Command.parse(c) for c in doc["goal_plan"])
             conditions = doc.get("goal_conditions")
             tasks.append(
@@ -486,6 +463,4 @@ def load_tasks(path: str | Path) -> list[Task]:
                     ),
                 )
             )
-        except (KeyError, ValueError) as exc:
-            raise DatasetError(f"bad task entry {doc!r}: {exc}") from exc
     return tasks

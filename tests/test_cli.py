@@ -229,6 +229,27 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                  "empty-trace": {"steps": []}}
     for name, doc in documents.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    files = {"latin1.json": b"\xff", "latin1-corpus.txt": b"\xff", "latin1-tasks.json": b"\xff",
+             "latin1-scenes/s.json": b"\xff", "latin1-results/metrics.jsonl": b"\xff",
+             "string-task.json": b'["put apple in fridge"]',
+             "int-init/s.json": b'{"scene_id": "kitchen", "objects": [], "init": [3]}',
+             "object-tasks.json": b"{}", "object-actions.json": b"{}", "not-json-tasks.json": b"[{"}
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "no-scenes").mkdir()
+    configs = {"latin1-tasks.json": {"dataset": "latin1-tasks.json"},
+               "latin1-scenes/s.json": {"scenes_dir": "latin1-scenes"},
+               "string-task.json": {"dataset": "string-task.json"},
+               "int-init/s.json": {"scenes_dir": "int-init"},
+               "object-tasks.json": {"dataset": "object-tasks.json"},
+               "object-actions.json": {"actions": "object-actions.json"},
+               "not-json-tasks.json": {"dataset": "not-json-tasks.json"},
+               "no-scenes": {"scenes_dir": "no-scenes"}}
+    for named, paths in configs.items():
+        doc = {"master_seed": 1, "repetitions": 1, "output_dir": str(tmp_path / "out"),
+               **{key: str(tmp_path / value) for key, value in paths.items()}}
+        (tmp_path / f"run-{named.replace('/', '-')}").write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     for argv, named in ((["run", "--config", missing], "missing.json"),
                         (["run", "--config", str(not_json)], "line 1"),
@@ -248,7 +269,19 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                             "--trace-b", str(tmp_path / "empty-trace.json")], problem)
                           for name, problem in (("no-steps", "no-steps.json: missing field 'steps'"),
                                                 ("bad-command", "bad-command.json: cannot parse command "
-                                                                "string 'find apple'")))):
+                                                                "string 'find apple'"))),
+                        (["run", "--config", str(tmp_path / "latin1.json")], "latin1.json"),
+                        (["metrics", "--results", str(tmp_path / "latin1-results")],
+                         "latin1-results/metrics.jsonl"),
+                        (["execute", "--tree", str(tree), "--scene", str(tmp_path / "latin1.json")],
+                         "latin1.json"),
+                        (["diff", "--trace-a", str(tmp_path / "latin1.json"),
+                          "--trace-b", str(tmp_path / "empty-trace.json")], "latin1.json"),
+                        (["build-tree", "--corpus", str(tmp_path / "latin1-corpus.txt")],
+                         "latin1-corpus.txt"),
+                        *((["run", "--config", str(tmp_path / f"run-{named.replace('/', '-')}")], named)
+                          for named in configs)):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, (argv, err)
+        assert "Traceback" not in err, (argv, err)

@@ -61,6 +61,15 @@ class TestReplayProvider:
             ReplayProvider(tmp_path).generate(prompt, SamplingConfig(num_samples=1))
         assert list(tmp_path.iterdir()) == []
 
+    def test_malformed_store_file_names_it(self, tmp_path, prompt):
+        for name, text in (("list", "[]"), ("no-samples", '{"seed": 0}'),
+                           ("int-samples", '{"samples": 3}'), ("not-json", "{")):
+            stage = tmp_path / name / prompt.content_hash / "prog"
+            stage.mkdir(parents=True)
+            (stage / "0.json").write_text(text, encoding="utf-8")
+            with pytest.raises(ProviderError, match=f"{name}/{prompt.content_hash}/prog/0.json: "):
+                ReplayProvider(tmp_path / name).generate(prompt, SamplingConfig(num_samples=1))
+
     def test_shortfall_is_an_error(self, tmp_path, prompt):
         self._write_seed_file(tmp_path, prompt, ["find('a')\n"])
         with pytest.raises(ProviderError, match="fixture missing: sample 1 of"):
