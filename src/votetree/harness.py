@@ -9,6 +9,7 @@ so reruns of the same config over the same fixtures are byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -60,6 +61,7 @@ from .providers import (
     ReplayProvider,
     StoredProvider,
     SyntheticProvider,
+    atomic_write,
     derive_seed,
 )
 from .tree import MAX_VOTE, RANDOM, SelectionStrategy, VoteTreeNode, build_vote_tree, tree_to_dict
@@ -429,13 +431,106 @@ def _episodes(config: RunConfig, bundle: DatasetBundle, memo: RunMemo,
                 future.cancel()
 
 
+def _write_episode_files(conn, parent_end, staging: str) -> None:
+    """The episode writer process: for each ``(slug, rep, trace, tree)`` read
+    from ``conn``, write ``<staging>/<slug>/<rep>/{trace,tree}.json``.  At the
+    ``None`` end marker, reply with the first error met as ``(errno,
+    message, path relative to staging)``, or ``None``.  After an error it
+    writes nothing more but keeps reading, so the parent never blocks on a
+    full pipe."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    parent_end.close()  # so that a parent that dies ends the reading with EOFError
+    error = None
+    try:
+        while (item := conn.recv()) is not None:
+            if error is not None:
+                continue
+            slug, rep, *docs = item
+            episode_dir = os.path.join(staging, slug, str(rep))
+            try:
+                os.makedirs(episode_dir, exist_ok=True)
+                for name, doc in zip(("trace.json", "tree.json"), docs):
+                    with open(os.path.join(episode_dir, name), "w", encoding="utf-8") as fh:
+                        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            except OSError as exc:
+                error = (exc.errno, exc.strerror or str(exc),
+                         os.path.relpath(exc.filename or episode_dir, staging))
+    except EOFError:  # the parent is gone
+        return
+    conn.send(error)
+
+
+class _EpisodeWriter:
+    """Writes a run's episode files in a forked child process while the
+    episodes run, into a staging directory ``<output_dir>/.episodes-XXXX``
+    that ``commit`` renames to ``<output_dir>/episodes``; ``abort`` kills the
+    child and removes the staging directory.
+
+    Making directories and files, not encoding JSON, is most of the cost of
+    the episode files.  Fork, not spawn: the child starts from the loaded
+    interpreter without importing anything.  A fork must come before any
+    thread starts, which ``run_suite`` ensures.
+    """
+
+    def __init__(self, output_dir: Path):
+        import multiprocessing  # here: a run that writes no files does not pay for the import
+
+        output_dir.mkdir(parents=True, exist_ok=True)
+        # Not tempfile.mkdtemp: its 0o700 would become the mode of episodes/.
+        self.staging = str(output_dir / f".episodes-{os.urandom(6).hex()}")
+        os.mkdir(self.staging)
+        try:
+            context = multiprocessing.get_context("fork")
+            self._conn, child_end = context.Pipe()
+            self._child = context.Process(target=_write_episode_files,
+                                          args=(child_end, self._conn, self.staging), daemon=True)
+            self._child.start()
+            child_end.close()
+        except BaseException:
+            shutil.rmtree(self.staging, ignore_errors=True)
+            raise
+
+    def send(self, slug: str, rep: int, trace_doc: dict, tree_doc: dict) -> None:
+        self._conn.send((slug, rep, trace_doc, tree_doc))
+
+    def commit(self, episodes_dir: Path) -> None:
+        """Wait for the child's reply, then rename the staging directory to
+        ``episodes_dir``, which replaces the last run's episodes."""
+        self._conn.send(None)
+        try:
+            error = self._conn.recv()
+        except EOFError:  # the child died
+            self._child.join()
+            raise OSError(f"{episodes_dir}: the episode writer died "
+                          f"(exit code {self._child.exitcode})") from None
+        self._child.join()
+        self._conn.close()
+        if error is not None:
+            number, message, path = error
+            raise OSError(number, message, str(episodes_dir / path))
+        if episodes_dir.exists():
+            shutil.rmtree(episodes_dir)
+        os.rename(self.staging, episodes_dir)
+
+    def abort(self) -> None:
+        self._child.kill()
+        self._child.join()
+        self._conn.close()
+        shutil.rmtree(self.staging, ignore_errors=True)
+
+
 def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
               write_outputs: bool = True) -> SuiteResult:
     """Run the full evaluation protocol for one configuration.
 
     Every task runs once per repetition, and ``metrics.score`` scores the
     episode records.  Records are kept in run order, also when a remote run
-    draws the episodes concurrently.
+    draws the episodes concurrently.  When the run writes outputs, an
+    ``_EpisodeWriter`` is started before the first episode, so an unusable
+    ``output_dir`` fails before any work; if the run fails or is
+    interrupted, the files of an earlier run there stay as they were.
     """
     if config.master_seed is None:
         raise ConfigError("run config needs a master_seed")
@@ -447,48 +542,52 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     memo = RunMemo(bundle, tasks)
     jobs = [(rep, task_index, task) for rep in range(config.repetitions)
             for task_index, task in enumerate(tasks)]
+    output_dir = Path(config.output_dir) if write_outputs and config.output_dir else None
+    writer = _EpisodeWriter(output_dir) if output_dir else None  # forks before any thread
     episode_records: list[dict] = []
-    episode_files: list[tuple[str, int, dict, dict]] = []
-    for (rep, task_index, task), (episode, artifacts) in _episodes(config, bundle, memo, jobs):
-        gcr = metrics_mod.compute_gcr(episode.achieved, episode.goal.goal_conditions)
-        # A no-plan episode scores Exec 0 without compute_exec's empty-trace warning.
-        exec_rate = 0.0 if artifacts.error is not None else metrics_mod.compute_exec(episode.trace)
-        episode_records.append(
-            {
-                "kind": "episode",
-                "rep": rep,
-                "task_index": task_index,
-                "task": task.task_name,
-                "scene": task.scene_id,
-                "gcr": gcr,
-                "exec": exec_rate,
-                "success": gcr == 1.0,
-                "steps": episode.trace.attempted,
-                "termination": episode.trace.termination,
-                "pool_size": artifacts.pool_size,
-            }
-        )
-        if write_outputs and config.output_dir:
-            trace_doc = {
-                "task": task.task_name,
-                "termination": episode.trace.termination,
-                "gcr": gcr,
-                "exec": exec_rate,
-                "goal_conditions": sorted(p.render() for p in episode.goal.goal_conditions),
-                "achieved": sorted(p.render() for p in episode.achieved),
-                "steps": serialize_trace(episode.trace),
-            }
-            if artifacts.error is not None:
-                trace_doc["error"] = artifacts.error
-            episode_files.append((instruction_slug(task.task_name), rep, trace_doc,
-                                  tree_to_dict(artifacts.root)))
+    try:
+        for (rep, task_index, task), (episode, artifacts) in _episodes(config, bundle, memo, jobs):
+            gcr = metrics_mod.compute_gcr(episode.achieved, episode.goal.goal_conditions)
+            # A no-plan episode scores Exec 0 without compute_exec's empty-trace warning.
+            exec_rate = (0.0 if artifacts.error is not None
+                         else metrics_mod.compute_exec(episode.trace))
+            episode_records.append(
+                {
+                    "kind": "episode",
+                    "rep": rep,
+                    "task_index": task_index,
+                    "task": task.task_name,
+                    "scene": task.scene_id,
+                    "gcr": gcr,
+                    "exec": exec_rate,
+                    "success": gcr == 1.0,
+                    "steps": episode.trace.attempted,
+                    "termination": episode.trace.termination,
+                    "pool_size": artifacts.pool_size,
+                }
+            )
+            if writer is not None:
+                trace_doc = {
+                    "task": task.task_name,
+                    "termination": episode.trace.termination,
+                    "gcr": gcr,
+                    "exec": exec_rate,
+                    "goal_conditions": sorted(p.render() for p in episode.goal.goal_conditions),
+                    "achieved": sorted(p.render() for p in episode.achieved),
+                    "steps": serialize_trace(episode.trace),
+                }
+                if artifacts.error is not None:
+                    trace_doc["error"] = artifacts.error
+                writer.send(instruction_slug(task.task_name), rep, trace_doc,
+                            tree_to_dict(artifacts.root))
 
-    row, per_rep = metrics_mod.score(config.label, episode_records)
-
-    output_dir = None
-    if write_outputs and config.output_dir:
-        output_dir = Path(config.output_dir)
-        _write_outputs(output_dir, config, row, per_rep, episode_records, episode_files)
+        row, per_rep = metrics_mod.score(config.label, episode_records)
+        if writer is not None:
+            _write_outputs(output_dir, config, row, per_rep, episode_records, writer)
+    except BaseException:
+        if writer is not None:
+            writer.abort()
+        raise
     return SuiteResult(row=row, per_rep=per_rep, episodes=episode_records, output_dir=output_dir)
 
 
@@ -498,33 +597,19 @@ def _write_outputs(
     row: metrics_mod.MetricsRow,
     per_rep: list[dict],
     episode_records: list[dict],
-    episode_files: list[tuple[str, int, dict, dict]],
+    writer: _EpisodeWriter,
 ) -> None:
-    output_dir.mkdir(parents=True, exist_ok=True)
-    episodes_dir = output_dir / "episodes"
-    if episodes_dir.exists():  # a rerun replaces the last run's episodes, nothing else
-        shutil.rmtree(episodes_dir)
-    (output_dir / "summary.txt").write_text(metrics_mod.format_table([row]), encoding="utf-8")
-    with open(output_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        header = {"kind": "run", "method": config.label, "repetitions": config.repetitions,
-                  "master_seed": config.master_seed}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for record in episode_records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-        for record in per_rep:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    (output_dir / "run_config.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    for slug, rep, trace_doc, tree_doc in episode_files:
-        episode_dir = episodes_dir / slug / str(rep)
-        episode_dir.mkdir(parents=True, exist_ok=True)
-        (episode_dir / "trace.json").write_text(
-            json.dumps(trace_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (episode_dir / "tree.json").write_text(
-            json.dumps(tree_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    """Swap in the episode files ``writer`` wrote, then replace the run's three
+    top-level files, each by rename.  Nothing else in ``output_dir`` is touched."""
+    writer.commit(output_dir / "episodes")
+    atomic_write(output_dir / "summary.txt", metrics_mod.format_table([row]))
+    header = {"kind": "run", "method": config.label, "repetitions": config.repetitions,
+              "master_seed": config.master_seed}
+    atomic_write(output_dir / "metrics.jsonl", "".join(
+        json.dumps(record, sort_keys=True) + "\n" for record in [header, *episode_records, *per_rep]
+    ))
+    atomic_write(output_dir / "run_config.json",
+                 json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:

@@ -21,10 +21,8 @@ import hashlib
 import json
 import os
 import random
-import tempfile
 import time
 import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -112,19 +110,24 @@ def read_through(
             samples[k] = draw(k)
     finally:
         document = {**header, **(identity or {}), "num_samples": len(samples), "samples": samples}
-        _atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+        atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
     return samples[: config.num_samples]
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` by rename, making its directory if needed."""
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` by rename, making its directory if needed.
+
+    A reader sees the old file or the new one, never a part; a failed write
+    leaves the old file and no ``*.tmp`` behind.  The file gets the mode a
+    plain write would give it (``0o666`` less the umask)."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fh = open(tmp, "x", encoding="utf-8")
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -253,6 +256,8 @@ class _BadResponse(ProviderError):
 
 
 def _http_transport(request: dict, endpoint: str, api_key: str, timeout: float) -> str:
+    import urllib.request  # here, so that a run that sends no request does not import it
+
     payload = json.dumps(request).encode("utf-8")
     req = urllib.request.Request(
         endpoint,

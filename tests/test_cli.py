@@ -238,6 +238,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(data)
     (tmp_path / "no-scenes").mkdir()
+    (tmp_path / "taken").write_text("a file, not a directory", encoding="utf-8")
+    (tmp_path / "run-ok.json").write_text('{"master_seed": 1, "repetitions": 1}', encoding="utf-8")
     configs = {"latin1-tasks.json": {"dataset": "latin1-tasks.json"},
                "latin1-scenes/s.json": {"scenes_dir": "latin1-scenes"},
                "string-task.json": {"dataset": "string-task.json"},
@@ -279,6 +281,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                           "--trace-b", str(tmp_path / "empty-trace.json")], "latin1.json"),
                         (["build-tree", "--corpus", str(tmp_path / "latin1-corpus.txt")],
                          "latin1-corpus.txt"),
+                        (["run", "--config", str(tmp_path / "run-ok.json"),
+                          "--output-dir", str(tmp_path / "taken")], "taken"),
                         *((["run", "--config", str(tmp_path / f"run-{named.replace('/', '-')}")], named)
                           for named in configs)):
         assert main(argv) == 1, argv

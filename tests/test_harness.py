@@ -1,5 +1,8 @@
+import errno
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 import statistics
 import sys
@@ -449,6 +452,130 @@ class TestRemoteRun:
         _remote_via(monkeypatch, transport)
         with pytest.raises(ProviderError, match=rf"task {tasks[1]!r}, repetition 0: .*401"):
             run_suite(_remote_config(tmp_path, "two-failures", output_dir=None), bundle)
+
+
+class TestEpisodeWriter:
+    """A run writes its episode files in a forked child process into a staging
+    directory, swaps it in as ``episodes/`` by rename, then replaces its three
+    top-level files by rename.  A run that fails leaves an earlier run's
+    files as they were, and no staging directory or temporary file."""
+
+    NOISY = TestRunMemo.NOISY
+
+    @staticmethod
+    def _contents(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    @staticmethod
+    def _leftovers(root):
+        return [p for p in root.rglob("*") if p.name.startswith(".episodes-") or p.suffix == ".tmp"]
+
+    def test_noisy_episode_files_are_pinned(self, bundle, tmp_path):
+        """SHA-256 of the ``sha256sum`` listing of every trace.json and tree.json
+        of the run whose top-level files ``test_noisy_outputs_are_pinned`` pins."""
+        run_suite(RunConfig(master_seed=7, repetitions=2, output_dir=str(tmp_path), **self.NOISY),
+                  bundle)
+        files = sorted(p.relative_to(tmp_path).as_posix()
+                       for p in (tmp_path / "episodes").rglob("*") if p.is_file())
+        assert len(files) == 2 * 2 * 31
+        listing = "".join(f"{hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}  {name}\n"
+                          for name in files)
+        assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == (
+            "98217b2ebb2cef4e40b0adb46d9bf2c22afe750eb3257cd47958ae8242e2291d")
+        assert not self._leftovers(tmp_path)
+
+    @pytest.fixture
+    def earlier(self, bundle, tmp_path):
+        """An output directory holding a finished run, and that run's files."""
+        out = tmp_path / "out"
+        run_suite(RunConfig(master_seed=7, repetitions=2, output_dir=str(out), **self.NOISY), bundle)
+        return out, self._contents(out)
+
+    @staticmethod
+    def _fail_writing(monkeypatch, episode_dir):
+        """Make the writer's ``os.makedirs`` fail for ``episode_dir``; the forked
+        child inherits the patch."""
+        makedirs = harness.os.makedirs
+
+        def failing(path, *args, **kwargs):
+            if path.endswith(episode_dir):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness.os, "makedirs", failing)
+
+    def test_the_writers_first_error_names_the_path(self, bundle, earlier, monkeypatch):
+        out, before = earlier
+        slug = instruction_slug(evaluated_tasks(bundle)[5].task_name)
+        self._fail_writing(monkeypatch, os.path.join(slug, "1"))
+        with pytest.raises(OSError) as raised:
+            run_suite(RunConfig(master_seed=8, repetitions=3, output_dir=str(out)), bundle)
+        assert raised.value.errno == errno.ENOSPC
+        assert raised.value.filename == str(out / "episodes" / slug / "1")
+        assert self._contents(out) == before
+        assert not self._leftovers(out)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("failure", ["episode", "interrupt", "writer"])
+    def test_a_failed_rerun_leaves_the_earlier_run_as_it_was(self, bundle, earlier, monkeypatch,
+                                                             failure):
+        out, before = earlier
+        if failure == "writer":
+            self._fail_writing(monkeypatch, os.path.join(instruction_slug(
+                evaluated_tasks(bundle)[0].task_name), "0"))
+        else:
+            run_episode = harness.run_episode
+            calls = []
+
+            def fails_at_the_40th(*args):
+                calls.append(args)
+                if len(calls) == 40:
+                    raise KeyboardInterrupt if failure == "interrupt" else RuntimeError("episode")
+                return run_episode(*args)
+
+            monkeypatch.setattr(harness, "run_episode", fails_at_the_40th)
+        with pytest.raises((OSError, RuntimeError, KeyboardInterrupt)):
+            run_suite(RunConfig(master_seed=8, repetitions=3, output_dir=str(out)), bundle)
+        assert self._contents(out) == before
+        assert not self._leftovers(out)
+        assert not multiprocessing.active_children()
+
+    def test_the_writer_starts_before_any_thread(self, bundle, tmp_path, monkeypatch):
+        """A remote run forks its writer before its episode threads start, and a
+        synthetic run starts no thread at all."""
+        threads_at_fork = []
+
+        class Writer(harness._EpisodeWriter):
+            def __init__(self, output_dir):
+                threads_at_fork.append(threading.active_count())
+                super().__init__(output_dir)
+
+        monkeypatch.setattr(harness, "_EpisodeWriter", Writer)
+        threads = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: pytest.fail(f"{thread} started"))
+        run_suite(RunConfig(master_seed=3, repetitions=1, output_dir=str(tmp_path / "plain")),
+                  bundle)
+        assert threads_at_fork == [threads]
+        monkeypatch.undo()
+        monkeypatch.setattr(harness, "_EpisodeWriter", Writer)
+        _remote_via(monkeypatch, FakeTransport(bundle))
+        run_suite(_remote_config(tmp_path, "remote"), bundle)
+        assert threads_at_fork == [threads, threads]
+        assert (tmp_path / "remote" / "out" / "episodes").is_dir()
+
+    def test_an_unusable_output_dir_fails_before_any_request(self, bundle, tmp_path, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("a file", encoding="utf-8")
+        sent = []
+        _remote_via(monkeypatch, sent.append)
+        with pytest.raises(OSError):
+            run_suite(_remote_config(tmp_path, "remote", output_dir=str(taken / "out")), bundle)
+        with pytest.raises(OSError):
+            run_suite(_remote_config(tmp_path, "remote", output_dir=str(taken)), bundle)
+        assert sent == [] and not (tmp_path / "remote").exists()
+        assert taken.read_text(encoding="utf-8") == "a file"
 
 
 class TestNoPlan:

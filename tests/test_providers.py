@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -18,6 +19,7 @@ from votetree.providers import (
     ReplayProvider,
     StoredProvider,
     SyntheticProvider,
+    atomic_write,
     derive_seed,
     synthesize_noisy_plans,
 )
@@ -532,6 +534,22 @@ class TestRemoteConcurrency:
         stored.generate(prompt, cfg)
         for root in (tmp_path / "remote", tmp_path / "synthetic"):
             assert list(self._files(root)) == [f"{prompt.content_hash}/prog/5.json"]
+
+
+class TestAtomicWrite:
+    def test_a_failed_write_keeps_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "new" / "summary.txt"
+        atomic_write(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(path, "a lone surrogate \ud800 cannot be encoded")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in path.parent.iterdir()] == ["summary.txt"]
+
+    def test_the_file_gets_the_mode_of_a_plain_write(self, tmp_path):
+        atomic_write(tmp_path / "atomic.txt", "x")
+        (tmp_path / "plain.txt").write_text("x", encoding="utf-8")
+        modes = {os.stat(tmp_path / name).st_mode for name in ("atomic.txt", "plain.txt")}
+        assert len(modes) == 1
 
 
 class TestSeedDerivation:
