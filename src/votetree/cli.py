@@ -20,7 +20,7 @@ from .diff import plan_diff_report
 from .errors import DatasetError, VoteTreeError, json_document, read_text, reading
 from .executor import (
     DEFAULT_STEP_LIMIT,
-    NO_CORRECTION,
+    MODES,
     WITH_CORRECTION,
     ExecutionMode,
     ExecutionTrace,
@@ -33,7 +33,7 @@ from .metrics import format_table
 from .plans import Command, parse_plan_text, split_corpus
 from .tree import (
     MAX_VOTE,
-    RANDOM,
+    SELECTIONS,
     SelectionStrategy,
     build_vote_tree,
     render_outline,
@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--actions", default=None, help="action catalog (default: bundled)")
-    p.add_argument("--mode", default=WITH_CORRECTION, choices=[WITH_CORRECTION, NO_CORRECTION])
-    p.add_argument("--selection", default=MAX_VOTE, choices=[MAX_VOTE, RANDOM])
+    p.add_argument("--mode", default=WITH_CORRECTION, choices=MODES)
+    p.add_argument("--selection", default=MAX_VOTE, choices=SELECTIONS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     p.add_argument("--out", default=None)

@@ -43,6 +43,12 @@ class TreeLogicError(VoteTreeError):
     """Internal misuse of the vote tree (indicates an executor bug)."""
 
 
+def check_choice(name: str, value: object, known: tuple[str, ...]) -> None:
+    """The one check of a config value that names one of ``known``."""
+    if value not in known:
+        raise ConfigError(f"unknown {name} {value!r}; expected one of {', '.join(known)}")
+
+
 @contextmanager
 def reading(source: object, error: type[VoteTreeError]):
     """Report any fault met while reading ``source`` as ``error("<source>: ...")``.

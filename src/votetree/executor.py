@@ -15,16 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ConfigError
+from .errors import ConfigError, check_choice
 from .plans import Command
 from .tree import SelectionStrategy, VoteTreeNode, remove_child, select_child
 from .world import ExecutionOutcome, GoalSpec, World, WorldState, state_diff
 
 NO_CORRECTION = "no_correction"
 WITH_CORRECTION = "with_correction"
+MODES = (WITH_CORRECTION, NO_CORRECTION)
 
 TERMINATE_CHILDLESS = "childless_success"
 TERMINATE_END_MARKER = "end_marker_or_childless"
+TERMINATIONS = (TERMINATE_CHILDLESS, TERMINATE_END_MARKER)
 
 COMPLETED = "completed"
 EXHAUSTED = "exhausted"
@@ -45,10 +47,8 @@ class ExecutionMode:
     termination: str = TERMINATE_CHILDLESS
 
     def __post_init__(self) -> None:
-        if self.kind not in (NO_CORRECTION, WITH_CORRECTION):
-            raise ValueError(f"unknown execution mode {self.kind!r}")
-        if self.termination not in (TERMINATE_CHILDLESS, TERMINATE_END_MARKER):
-            raise ValueError(f"unknown termination rule {self.termination!r}")
+        check_choice("mode", self.kind, MODES)
+        check_choice("termination", self.termination, TERMINATIONS)
 
 
 @dataclass(frozen=True)

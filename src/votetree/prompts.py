@@ -23,18 +23,11 @@ DATA_DIR = Path(__file__).with_name("data")  # prompt examples; what unset run c
 PROG = "prog"
 REORDER = "reorder"
 
-# Sampling defaults for the two stages: plan generation runs cool and wide,
-# reordering runs warmer with fewer samples.
-PROG_TEMPERATURE = 0.1
-PROG_NUM_SAMPLES = 30
-REORDER_TEMPERATURE = 0.65
-REORDER_NUM_SAMPLES = 20
-
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    temperature: float = PROG_TEMPERATURE
-    num_samples: int = PROG_NUM_SAMPLES
+    temperature: float = 0.1  # the plan generation stage's defaults: it runs cool and wide
+    num_samples: int = 30
     max_length: int = 80
     seed: int = 0
 
@@ -43,14 +36,6 @@ class SamplingConfig:
             raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be positive, got {self.num_samples}")
-
-
-def default_sampling(stage: str, seed: int = 0) -> SamplingConfig:
-    if stage == PROG:
-        return SamplingConfig(PROG_TEMPERATURE, PROG_NUM_SAMPLES, seed=seed)
-    if stage == REORDER:
-        return SamplingConfig(REORDER_TEMPERATURE, REORDER_NUM_SAMPLES, seed=seed)
-    raise ConfigError(f"unknown stage {stage!r}")
 
 
 @dataclass(frozen=True)

@@ -164,8 +164,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         for name in ("drop_prob", "swap_prob", "insert_prob"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
+            if type(p) not in (int, float) or not 0 <= p <= 1:
+                raise ConfigError(f"{name} must be a number in [0, 1], got {p!r}")
 
 
 def _perturb(commands: Sequence[Command], noise: NoiseModel, rng: random.Random) -> list[Command]:

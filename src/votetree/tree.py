@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import NoPlansError, TreeLogicError
+from .errors import NoPlansError, TreeLogicError, check_choice
 from .plans import Command, Plan
 
 MAX_VOTE = "max_vote"
 RANDOM = "random"
+SELECTIONS = (MAX_VOTE, RANDOM)
 
 
 class VoteTreeNode:
@@ -99,8 +100,7 @@ class SelectionStrategy:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in (MAX_VOTE, RANDOM):
-            raise ValueError(f"unknown selection strategy {self.kind!r}")
+        check_choice("selection", self.kind, SELECTIONS)
         self._rng = random.Random(self.rng_seed)
 
 

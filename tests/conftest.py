@@ -1,9 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from votetree.harness import RunConfig, load_dataset
 from votetree.plans import Command, Plan
 from votetree.tree import build_vote_tree
 from votetree.world import World
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run; local runs stay randomized.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

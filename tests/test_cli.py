@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import urllib.request
 
 import pytest
@@ -126,6 +127,24 @@ def test_run_with_an_empty_command_pool_scores_every_episode_no_plan(tmp_path, c
     episodes = [r for r in records if r["kind"] == "episode"]
     assert len(episodes) == 31
     assert {r["termination"] for r in episodes} == {"no_plan"}
+
+
+def test_run_without_fork_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    """Where the platform has no ``fork`` start method, a writing run fails
+    with a typed error before it touches its output directory."""
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    out = tmp_path / "results"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"master_seed": 1, "repetitions": 1, "output_dir": str(out)}),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "'fork'" in captured.err and "output_dir null" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_error_paths_return_nonzero(tmp_path, capsys):

@@ -137,9 +137,9 @@ class TestTermination:
             execute_tree(worked_tree, scripted_runner({}), WorldState(), ExecutionMode(), step_limit=0)
 
     def test_invalid_mode_values_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ExecutionMode(kind="sometimes_correct")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ExecutionMode(termination="whenever")
 
 

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import statistics
 import sys
 import threading
@@ -11,11 +12,13 @@ import urllib.error
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from votetree import harness
 from votetree.diff import plan_diff_report
 from votetree.errors import ConfigError, ProviderError
-from votetree.executor import ExecutionMode, execute_tree
+from votetree.executor import MODES, TERMINATIONS, ExecutionMode, execute_tree
 from votetree.harness import (
     RunConfig,
     build_distractors,
@@ -29,7 +32,7 @@ from votetree.metrics import format_table
 from votetree.plans import Command, render_plan
 from votetree.prompts import instruction_slug
 from votetree.providers import NoiseModel, RemoteProvider, synthesize_noisy_plans
-from votetree.tree import build_vote_tree
+from votetree.tree import SELECTIONS, SelectionStrategy, build_vote_tree
 from votetree.world import World, load_scene
 
 from conftest import plan_of
@@ -56,6 +59,33 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="fixtures_dir"):
             cfg = RunConfig(master_seed=1, provider="replay", repetitions=1, output_dir=None)
             run_suite(cfg, bundle, write_outputs=False)
+
+    @staticmethod
+    def _error(build, value):
+        try:
+            build(value)
+        except ConfigError as exc:
+            return str(exc)
+        return None
+
+    OWNERS = {
+        "drop_prob": lambda v: NoiseModel(drop_prob=v),
+        "swap_prob": lambda v: NoiseModel(swap_prob=v),
+        "insert_prob": lambda v: NoiseModel(insert_prob=v),
+        "mode": lambda v: ExecutionMode(kind=v),
+        "termination": lambda v: ExecutionMode(termination=v),
+        "selection": lambda v: SelectionStrategy(kind=v),
+    }
+
+    @pytest.mark.parametrize("name", OWNERS)
+    @given(value=st.one_of(st.integers(), st.floats(), st.floats(0, 1), st.booleans(), st.text(),
+                           st.sampled_from(MODES + TERMINATIONS + SELECTIONS), st.none()))
+    def test_the_type_that_uses_a_field_checks_it(self, name, value):
+        """A RunConfig field is rejected exactly when the library type that uses
+        it rejects it, with the same ConfigError naming the field."""
+        error = self._error(self.OWNERS[name], value)
+        assert self._error(lambda v: RunConfig(**{name: v}), value) == error
+        assert error is None or name in error
 
 
 class TestSplit:
@@ -537,6 +567,36 @@ class TestEpisodeWriter:
             monkeypatch.setattr(harness, "run_episode", fails_at_the_40th)
         with pytest.raises((OSError, RuntimeError, KeyboardInterrupt)):
             run_suite(RunConfig(master_seed=8, repetitions=3, output_dir=str(out)), bundle)
+        assert self._contents(out) == before
+        assert not self._leftovers(out)
+        assert not multiprocessing.active_children()
+
+    def test_a_dead_writer_names_itself(self, bundle, earlier, monkeypatch):
+        out, before = earlier
+        writers = []
+
+        class Writer(harness._EpisodeWriter):
+            def __init__(self, output_dir):
+                super().__init__(output_dir)
+                writers.append(self)
+
+        run_episode = harness.run_episode
+        calls = []
+
+        def kills_the_writer_at_the_40th(*args):
+            calls.append(args)
+            if len(calls) == 40:
+                writers[0]._child.kill()
+                writers[0]._child.join()
+            return run_episode(*args)
+
+        monkeypatch.setattr(harness, "_EpisodeWriter", Writer)
+        monkeypatch.setattr(harness, "run_episode", kills_the_writer_at_the_40th)
+        with pytest.raises(OSError) as raised:
+            run_suite(RunConfig(master_seed=8, repetitions=2, output_dir=str(out)), bundle)
+        assert str(raised.value) == (f"{out / 'episodes'}: the episode writer died "
+                                     f"(exit code {-signal.SIGKILL})")
+        assert len(calls) == 40
         assert self._contents(out) == before
         assert not self._leftovers(out)
         assert not multiprocessing.active_children()

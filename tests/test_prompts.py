@@ -4,12 +4,12 @@ from pathlib import Path
 import pytest
 
 from votetree.errors import ConfigError, EmptyCommandPoolError
+from votetree.harness import RunConfig
 from votetree.plans import extract_unique_commands
 from votetree.prompts import (
     SamplingConfig,
     default_prog_examples,
     default_reorder_examples,
-    default_sampling,
     format_prog_prompt,
     format_reorder_prompt,
     instruction_slug,
@@ -110,12 +110,12 @@ class TestReorderPrompt:
 
 class TestSamplingDefaults:
     def test_prog_stage_defaults(self):
-        cfg = default_sampling("prog")
-        assert (cfg.temperature, cfg.num_samples) == (0.1, 30)
+        cfg = RunConfig()
+        assert (cfg.prog_temperature, cfg.prog_num_samples) == (0.1, 30)
 
     def test_reorder_stage_defaults(self):
-        cfg = default_sampling("reorder")
-        assert (cfg.temperature, cfg.num_samples) == (0.65, 20)
+        cfg = RunConfig()
+        assert (cfg.reorder_temperature, cfg.reorder_num_samples) == (0.65, 20)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from votetree.errors import NoPlansError, TreeLogicError
+from votetree.errors import ConfigError, NoPlansError, TreeLogicError
 from votetree.plans import Command, Plan
 from votetree.tree import (
     SelectionStrategy,
@@ -139,7 +139,7 @@ class TestSelectChild:
         assert set(picks_one) == {"b(x)", "c(x)"}
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SelectionStrategy("coin_flip")
 
 
