@@ -57,5 +57,5 @@ show("with correction (fallback + backtracking)",
      execute_tree(root, world.execute, scene.initial_state, correcting))
 
 # The blind walk follows the 3-vote branch into the closed microwave and
-# never recovers; the correcting walk removes the failing putin node,
+# never recovers; the correcting walk skips the failing putin node,
 # eventually backtracks, and completes the 2-vote branch.

@@ -39,14 +39,21 @@ class NoPlansError(VoteTreeError):
     """A vote tree was requested for an empty plan collection."""
 
 
-class TreeLogicError(VoteTreeError):
-    """Internal misuse of the vote tree (indicates an executor bug)."""
-
-
 def check_choice(name: str, value: object, known: tuple[str, ...]) -> None:
     """The one check of a config value that names one of ``known``."""
     if value not in known:
         raise ConfigError(f"unknown {name} {value!r}; expected one of {', '.join(known)}")
+
+
+# (check, what the check expects) for the numeric config values of several types.
+INTEGER_AT_LEAST_1 = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+NUMBER_AT_LEAST_0 = (lambda v: type(v) in (int, float) and v >= 0, "a number >= 0")
+
+
+def check_value(name: str, value: object, rule: tuple) -> None:
+    """The one check of a numeric config value against a (check, expected) rule."""
+    if not rule[0](value):
+        raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
 
 
 @contextmanager

@@ -1,13 +1,13 @@
 """Closed-loop execution of a vote tree against the environment.
 
-With correction enabled, execution walks the tree greedily by vote: a failed
-command removes its node and selection falls back to the remaining siblings;
-when a node runs out of children it is removed from its parent and selection
-resumes there (repeated single-level unwinding, which composes into
-multi-level backtracking).  World effects of executed commands are never
-undone by backtracking.  Without correction the walk follows the selection
-policy from root to a terminal node, executing every command regardless of
-outcome.
+The tree is only read.  With correction enabled, execution walks it greedily
+by vote and never tries a node twice: after a failed command selection falls
+back to the untried siblings; when a node has no untried children left the
+walk returns to its parent and selects there (repeated single-level
+unwinding, which composes into multi-level backtracking).  World effects of
+executed commands are never undone by backtracking.  Without correction the
+walk follows the selection policy from root to a terminal node, executing
+every command regardless of outcome.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ConfigError, check_choice
+from .errors import INTEGER_AT_LEAST_1, check_choice, check_value
 from .plans import Command
-from .tree import SelectionStrategy, VoteTreeNode, remove_child, select_child
+from .tree import SelectionStrategy, VoteTreeNode, select_child
 from .world import ExecutionOutcome, GoalSpec, World, WorldState, state_diff
 
 NO_CORRECTION = "no_correction"
@@ -85,44 +85,40 @@ def execute_tree(
     """Run one episode over the tree and return the full trace.
 
     ``run_command`` is the environment hook: it maps (state, command) to an
-    ExecutionOutcome and must leave the state unchanged on failure.
-    Correction mutates an episode-local clone; the input tree is never
-    touched.
+    ExecutionOutcome and must leave the state unchanged on failure.  The tree
+    is never touched: the walk keeps, per level from the root down, the
+    command path there and a shallow copy of the children not yet tried.
     """
-    if step_limit <= 0:
-        raise ConfigError(f"step_limit must be positive, got {step_limit}")
+    check_value("step_limit", step_limit, INTEGER_AT_LEAST_1)
     correcting = mode.kind == WITH_CORRECTION
-    node = root.clone() if correcting else root
+    levels: list[tuple[tuple[str, ...], dict[str, VoteTreeNode]]] = [((), dict(root.children))]
     state = initial_state
     steps: list[StepRecord] = []
     while True:
-        child = select_child(node, mode.selection)
+        path, untried = levels[-1]
+        child = select_child(untried, mode.selection)
         if child is None:
-            # Children exhausted here.  Without correction that is only an
+            # Every child here was tried.  Without correction that is only an
             # empty root.  With correction the episode is over at the root;
-            # elsewhere drop this node and resume selection at its parent.
-            if not correcting or node.is_root:
+            # elsewhere resume selection one level up.
+            if not correcting or len(levels) == 1:
                 termination = EXHAUSTED if correcting else COMPLETED
                 break
-            parent = node.parent
-            remove_child(parent, node)
-            node = parent
+            levels.pop()
             continue
         if len(steps) >= step_limit:
             termination = STEP_LIMIT
             break
+        del untried[child.key]
         outcome = run_command(state, child.command)
-        steps.append(
-            StepRecord(len(steps), child.command, outcome.ok, outcome.reason, child.path())
-        )
+        child_path = (*path, child.key)
+        steps.append(StepRecord(len(steps), child.command, outcome.ok, outcome.reason, child_path))
         if outcome.ok or not correcting:
             state = outcome.state
-            node = child
-            if not node.children or (mode.termination == TERMINATE_END_MARKER and node.end_marker):
+            if not child.children or (mode.termination == TERMINATE_END_MARKER and child.end_marker):
                 termination = COMPLETED
                 break
-        else:
-            remove_child(node, child)
+            levels.append((child_path, dict(child.children)))
     return ExecutionTrace(tuple(steps), state, termination)
 
 

@@ -18,12 +18,15 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .errors import (
+    INTEGER_AT_LEAST_1,
+    NUMBER_AT_LEAST_0,
     ConfigError,
     DatasetError,
     EmptyCommandPoolError,
     NoPlansError,
     ProviderError,
     check_choice,
+    check_value,
     json_document,
     read_text,
     reading,
@@ -84,15 +87,14 @@ MAX_INFLIGHT = 16
 time, so this also bounds the run's requests in flight."""
 
 
-# (fields, check, what the check expects) for the RunConfig fields no library type
-# checks under the same name; NoiseModel and ExecutionMode check noise and policies.
+# (fields, rule) for the RunConfig fields no library type checks under the same
+# name; NoiseModel and ExecutionMode check noise and policies.
 _FIELD_CHECKS = (
     (("repetitions", "prog_num_samples", "reorder_num_samples", "max_length", "step_limit",
-      "remote_retries"), lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    (("master_seed",), lambda v: v is None or type(v) is int, "an integer or null"),
-    (("prog_temperature", "reorder_temperature"), lambda v: type(v) in (int, float) and v >= 0,
-     "a number >= 0"),
-    (("remote_timeout",), lambda v: type(v) in (int, float) and v > 0, "a number > 0"),
+      "remote_retries"), INTEGER_AT_LEAST_1),
+    (("master_seed",), (lambda v: v is None or type(v) is int, "an integer or null")),
+    (("prog_temperature", "reorder_temperature"), NUMBER_AT_LEAST_0),
+    (("remote_timeout",), (lambda v: type(v) in (int, float) and v > 0, "a number > 0")),
 )
 
 
@@ -129,10 +131,9 @@ class RunConfig:
     method_label: str | None = None
 
     def __post_init__(self) -> None:
-        for names, valid, expected in _FIELD_CHECKS:
+        for names, rule in _FIELD_CHECKS:
             for name in names:
-                if not valid(value := getattr(self, name)):
-                    raise ConfigError(f"{name} must be {expected}, got {value!r}")
+                check_value(name, getattr(self, name), rule)
         check_choice("provider", self.provider, (SYNTHETIC, REPLAY, REMOTE))
         NoiseModel(self.drop_prob, self.swap_prob, self.insert_prob)
         ExecutionMode(self.mode, SelectionStrategy(self.selection), self.termination)

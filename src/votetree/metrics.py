@@ -37,6 +37,14 @@ def compute_exec(trace: ExecutionTrace) -> float:
     return trace.succeeded / trace.attempted
 
 
+def _running_sum(values: Sequence[float]) -> float:
+    """Float sum left to right, the same on every Python (3.12's ``sum`` compensates)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _pairwise_sum(values: Sequence[float]) -> float:
     """Float sum in numpy's pairwise order, so results match numpy to the last bit.
 
@@ -46,10 +54,7 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     """
     n = len(values)
     if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
+        return _running_sum(values)
     if n <= 128:
         r = list(values[:8])
         tail = n - n % 8
@@ -133,8 +138,8 @@ def score(method_label: str, episodes: Iterable[dict]) -> tuple[MetricsRow, list
                 "kind": "repetition",
                 "rep": rep,
                 "sr": compute_sr(gcrs),
-                "gcr": sum(gcrs) / len(gcrs),
-                "exec": sum(execs) / len(execs),
+                "gcr": _running_sum(gcrs) / len(gcrs),
+                "exec": _running_sum(execs) / len(execs),
             }
         )
     return aggregate(method_label, per_rep), per_rep

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigError, DatasetError, EmptyCommandPoolError, json_document
+from .errors import (
+    INTEGER_AT_LEAST_1,
+    NUMBER_AT_LEAST_0,
+    ConfigError,
+    DatasetError,
+    EmptyCommandPoolError,
+    check_value,
+    json_document,
+)
 from .plans import Command, UniqueCommandSet
 
 DATA_DIR = Path(__file__).with_name("data")  # prompt examples; what unset run config paths name
@@ -32,10 +40,8 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
-        if self.num_samples < 1:
-            raise ConfigError(f"num_samples must be positive, got {self.num_samples}")
+        check_value("temperature", self.temperature, NUMBER_AT_LEAST_0)
+        check_value("num_samples", self.num_samples, INTEGER_AT_LEAST_1)
 
 
 @dataclass(frozen=True)

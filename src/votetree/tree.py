@@ -2,17 +2,18 @@
 
 Plans sharing a command prefix share a branch; each node counts how many
 aggregated plans pass through it (its vote).  The root carries no command and
-its vote equals the number of aggregated plans.  Votes are fixed at
-construction time: execution-time failure handling removes children, it never
-re-weights.
+its vote equals the number of aggregated plans.  A tree is a value: built once
+by ``build_vote_tree`` or ``tree_from_dict``, then only read.  Execution never
+edits or re-weights it; backtracking only decides where the walk goes next.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Mapping
 
-from .errors import NoPlansError, TreeLogicError, check_choice
+from .errors import NoPlansError, check_choice
 from .plans import Command, Plan
 
 MAX_VOTE = "max_vote"
@@ -21,14 +22,13 @@ SELECTIONS = (MAX_VOTE, RANDOM)
 
 
 class VoteTreeNode:
-    """One trie node: a command, its vote, and children keyed by canonical form."""
+    """One trie node: a command, its vote, its end marker and children keyed by canonical form."""
 
-    def __init__(self, command: Command | None = None, parent: "VoteTreeNode | None" = None):
+    def __init__(self, command: Command | None = None):
         self.command = command
-        self.parent = parent
         self.vote = 0
+        self.end_marker = False  # some aggregated plan terminates here
         self.children: dict[str, VoteTreeNode] = {}
-        self.end_count = 0  # number of aggregated plans that terminate here
 
     @property
     def key(self) -> str:
@@ -37,35 +37,6 @@ class VoteTreeNode:
     @property
     def is_root(self) -> bool:
         return self.command is None
-
-    @property
-    def end_marker(self) -> bool:
-        return self.end_count > 0
-
-    def path(self) -> tuple[str, ...]:
-        """Canonical command prefix from the root down to this node."""
-        parts: list[str] = []
-        node: VoteTreeNode | None = self
-        while node is not None and not node.is_root:
-            parts.append(node.key)
-            node = node.parent
-        return tuple(reversed(parts))
-
-    def child(self, command: Command) -> "VoteTreeNode":
-        key = command.canonical_form
-        node = self.children.get(key)
-        if node is None:
-            node = VoteTreeNode(command, parent=self)
-            self.children[key] = node
-        return node
-
-    def clone(self, parent: "VoteTreeNode | None" = None) -> "VoteTreeNode":
-        """Deep copy for episode-local mutation."""
-        node = VoteTreeNode(self.command, parent=parent)
-        node.vote = self.vote
-        node.end_count = self.end_count
-        node.children = {k: c.clone(parent=node) for k, c in self.children.items()}
-        return node
 
     def __repr__(self) -> str:
         label = self.key or "<root>"
@@ -86,9 +57,12 @@ def build_vote_tree(plans: list[Plan]) -> VoteTreeNode:
     for plan in plans:
         node = root
         for command in plan.commands:
-            node = node.child(command)
+            key = command.canonical_form
+            if key not in node.children:
+                node.children[key] = VoteTreeNode(command)
+            node = node.children[key]
             node.vote += 1
-        node.end_count += 1
+        node.end_marker = True
     return root
 
 
@@ -104,30 +78,22 @@ class SelectionStrategy:
         self._rng = random.Random(self.rng_seed)
 
 
-def select_child(node: VoteTreeNode, strategy: SelectionStrategy) -> VoteTreeNode | None:
-    """Pick one child, or None when the node has none.
+def select_child(
+    children: Mapping[str, VoteTreeNode], strategy: SelectionStrategy
+) -> VoteTreeNode | None:
+    """Pick one of ``children`` (keyed by canonical form), or None when there are none.
 
     max_vote takes the highest vote, breaking ties toward the
     lexicographically smallest canonical form; random draws uniformly from
     the strategy's seeded stream.  Both are independent of dict insertion
     order.
     """
-    if not node.children:
+    if not children:
         return None
-    ordered_keys = sorted(node.children)
+    ordered_keys = sorted(children)
     if strategy.kind == RANDOM:
-        return node.children[strategy._rng.choice(ordered_keys)]
-    return max((node.children[k] for k in ordered_keys), key=lambda ch: ch.vote)
-
-
-def remove_child(node: VoteTreeNode, child: VoteTreeNode) -> VoteTreeNode:
-    """Detach ``child`` (and its subtree) from ``node``; votes are untouched."""
-    existing = node.children.get(child.key)
-    if existing is not child:
-        raise TreeLogicError(f"{child!r} is not a child of {node!r}")
-    del node.children[child.key]
-    child.parent = None
-    return node
+        return children[strategy._rng.choice(ordered_keys)]
+    return max((children[k] for k in ordered_keys), key=lambda ch: ch.vote)
 
 
 @dataclass(frozen=True)
@@ -169,13 +135,13 @@ def tree_to_dict(node: VoteTreeNode) -> dict:
     }
 
 
-def tree_from_dict(doc: dict, parent: VoteTreeNode | None = None) -> VoteTreeNode:
+def tree_from_dict(doc: dict) -> VoteTreeNode:
     command = Command.parse(doc["command"]) if doc.get("command") else None
-    node = VoteTreeNode(command, parent=parent)
+    node = VoteTreeNode(command)
     node.vote = int(doc["vote"])
-    node.end_count = 1 if doc.get("end_marker") else 0
+    node.end_marker = bool(doc.get("end_marker"))
     for child_doc in doc.get("children", []):
-        child = tree_from_dict(child_doc, parent=node)
+        child = tree_from_dict(child_doc)
         node.children[child.key] = child
     return node
 

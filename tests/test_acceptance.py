@@ -50,11 +50,12 @@ def random_plan_set(rng, max_plans=50, max_len=10, alphabet=12):
 
 
 def walk_nodes(root):
-    stack = [root]
+    """Every (canonical prefix, node) pair of the tree, the root's prefix empty."""
+    stack = [((), root)]
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children.values())
+        prefix, node = stack.pop()
+        yield prefix, node
+        stack.extend(((*prefix, key), child) for key, child in node.children.items())
 
 
 def test_c01_vote_tree_oracle_equivalence():
@@ -65,11 +66,10 @@ def test_c01_vote_tree_oracle_equivalence():
     for _ in range(200):
         plans = random_plan_set(rng)
         root = build_vote_tree(plans)
-        for node in walk_nodes(root):
+        for prefix, node in walk_nodes(root):
             if node.is_root:
                 assert node.vote == len(plans)
                 continue
-            prefix = node.path()
             expected = sum(
                 1
                 for p in plans

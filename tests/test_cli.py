@@ -6,6 +6,7 @@ import pytest
 
 from votetree.cli import main
 from votetree.harness import RunConfig, record_suite
+from votetree.prompts import DATA_DIR, instruction_slug
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,32 @@ def test_execute_runs_tree_against_scene(tmp_path, corpus_file, capsys):
     doc = json.loads(trace_path.read_text(encoding="utf-8"))
     assert doc["termination"] == "completed"
     assert [s["command"] for s in doc["steps"]] == ["find(a)", "grab(a)"]
+
+
+def test_execute_reproduces_every_episode_of_a_run(tmp_path, capsys):
+    """``votetree execute`` on an episode's tree.json gives that episode's
+    trace.json steps and termination: executing an episode reads nothing but
+    its tree and its scene."""
+    out = tmp_path / "results"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "master_seed": 1, "repetitions": 1, "drop_prob": 0.2, "swap_prob": 0.1,
+        "insert_prob": 0.1, "mode": "with_correction", "selection": "max_vote",
+        "output_dir": str(out),
+    }), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+    episodes = [r for r in map(json.loads, lines) if r["kind"] == "episode"]
+    assert len(episodes) == 31
+    for record in episodes:
+        episode_dir = out / "episodes" / instruction_slug(record["task"]) / "0"
+        replayed = tmp_path / "replayed.json"
+        assert main(["execute", "--tree", str(episode_dir / "tree.json"),
+                     "--scene", str(DATA_DIR / "scenes" / f"{record['scene']}.json"),
+                     "--actions", str(DATA_DIR / "actions.json"), "--out", str(replayed)]) == 0
+        expected = json.loads((episode_dir / "trace.json").read_text(encoding="utf-8"))
+        got = json.loads(replayed.read_text(encoding="utf-8"))
+        assert (got["termination"], got["steps"]) == (expected["termination"], expected["steps"])
 
 
 def test_run_metrics_and_determinism(tmp_path, capsys):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from votetree.errors import ConfigError
 from votetree.executor import (
+    MODES,
+    TERMINATIONS,
     ExecutionMode,
     execute_tree,
     run_episode,
@@ -13,7 +15,14 @@ from votetree.executor import (
 from votetree.metrics import compute_exec, compute_gcr
 from votetree.plans import Command, Plan
 from votetree.providers import NoiseModel, derive_seed, synthesize_noisy_plans
-from votetree.tree import SelectionStrategy, build_vote_tree, select_child, tree_stats
+from votetree.tree import (
+    SELECTIONS,
+    SelectionStrategy,
+    build_vote_tree,
+    select_child,
+    tree_stats,
+    tree_to_dict,
+)
 from votetree.world import ExecutionOutcome, WorldState, derive_goal_conditions
 
 from conftest import plan_of
@@ -105,7 +114,7 @@ class TestNoCorrection:
             static_path = []
             node = tree
             while node.children:
-                node = select_child(node, SelectionStrategy("max_vote"))
+                node = select_child(node.children, SelectionStrategy("max_vote"))
                 static_path.append(node.key)
             outcomes = {c.canonical_form: rng.random() < 0.5 for c in commands}
             mode = ExecutionMode(kind="no_correction")
@@ -135,6 +144,12 @@ class TestTermination:
     def test_nonpositive_step_limit_rejected(self, worked_tree):
         with pytest.raises(ConfigError):
             execute_tree(worked_tree, scripted_runner({}), WorldState(), ExecutionMode(), step_limit=0)
+
+    @pytest.mark.parametrize("step_limit", ["3", 2.5, True, None])
+    def test_step_limit_of_a_wrong_type_rejected(self, worked_tree, step_limit):
+        with pytest.raises(ConfigError) as raised:
+            execute_tree(worked_tree, scripted_runner({}), WorldState(), ExecutionMode(), step_limit)
+        assert str(raised.value) == f"step_limit must be an integer >= 1, got {step_limit!r}"
 
     def test_invalid_mode_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -209,6 +224,87 @@ class TestStructuralProperties:
         assert trace.termination in ("completed", "exhausted", "step_limit")
         if trace.termination == "step_limit":
             assert trace.attempted == step_limit
+
+
+class EditableNode:
+    """The reference walk's episode-local copy of a tree node, with the
+    parent link and child removal that the clone-and-remove executor used."""
+
+    def __init__(self, node, parent=None):
+        self.command, self.key, self.vote = node.command, node.key, node.vote
+        self.end_marker, self.parent = node.end_marker, parent
+        self.children = {key: EditableNode(child, self) for key, child in node.children.items()}
+
+    def path(self):
+        return (*self.parent.path(), self.key) if self.parent else ()
+
+
+def reference_walk(root, run_command, state, mode, step_limit):
+    """Oracle: the clone-and-remove executor.  It copies the tree, deletes a
+    failed child from the copy, deletes a node with no children left from its
+    parent and climbs parent links to backtrack."""
+    correcting = mode.kind == "with_correction"
+    node, steps = EditableNode(root), []
+    while True:
+        child = select_child(node.children, mode.selection)
+        if child is None:
+            if not correcting or node.parent is None:
+                return steps, state, "exhausted" if correcting else "completed"
+            del node.parent.children[node.key]
+            node = node.parent
+            continue
+        if len(steps) >= step_limit:
+            return steps, state, "step_limit"
+        outcome = run_command(state, child.command)
+        steps.append((child.command, outcome.ok, outcome.reason, child.path()))
+        if outcome.ok or not correcting:
+            state, node = outcome.state, child
+            if not node.children or (mode.termination == "end_marker_or_childless"
+                                     and node.end_marker):
+                return steps, state, "completed"
+        else:
+            del node.children[child.key]
+
+
+class TestMatchesReferenceWalk:
+    COMMANDS = [f"c{i}(x)" for i in range(5)]
+
+    @staticmethod
+    def logging_runner(failing):
+        """The state is the tuple of commands that succeeded so far."""
+
+        def run(state, command):
+            if command.canonical_form in failing:
+                return ExecutionOutcome(False, state, "scripted_failure")
+            return ExecutionOutcome(True, (*state, command.canonical_form), None)
+
+        return run
+
+    @given(
+        plans=st.lists(st.lists(st.sampled_from(COMMANDS), max_size=6), min_size=1, max_size=12),
+        failing=st.sets(st.sampled_from(COMMANDS)),
+        kind=st.sampled_from(MODES),
+        selection=st.sampled_from(SELECTIONS),
+        termination=st.sampled_from(TERMINATIONS),
+        rng_seed=st.integers(0, 2**16),
+        step_limit=st.integers(1, 60),
+    )
+    def test_execute_tree_equals_the_clone_and_remove_walk(
+        self, plans, failing, kind, selection, termination, rng_seed, step_limit
+    ):
+        tree = build_vote_tree([plan_of(*p, sample_index=i) for i, p in enumerate(plans)])
+        before = tree_to_dict(tree)
+
+        def mode():
+            return ExecutionMode(kind, SelectionStrategy(selection, rng_seed), termination)
+
+        runner = self.logging_runner(failing)
+        trace = execute_tree(tree, runner, (), mode(), step_limit)
+        steps, state, end = reference_walk(tree, runner, (), mode(), step_limit)
+        assert [(s.command, s.ok, s.reason, s.node_path) for s in trace.steps] == steps
+        assert [s.index for s in trace.steps] == list(range(len(steps)))
+        assert (trace.final_state, trace.termination) == (state, end)
+        assert tree_to_dict(tree) == before
 
 
 class TestRunEpisode:

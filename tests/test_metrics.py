@@ -11,6 +11,7 @@ from votetree.metrics import (
     compute_sr,
     format_table,
     mean_std,
+    score,
 )
 from votetree.plans import Command
 from votetree.world import StatePredicate, WorldState
@@ -110,6 +111,12 @@ class TestAggregation:
         row = MetricsRow("method", 0.43, 0.04, 0.70, 0.04, 0.89, 0.02, 10)
         assert format_table([row]) == format_table([row])
         assert "0.430" in format_table([row])
+
+    def test_score_sums_left_to_right_on_every_python(self):
+        """Python 3.12's ``sum`` compensates, and would give 1.0 / 10 here."""
+        episodes = [{"rep": 0, "task_index": i, "gcr": 0.1, "exec": 0.1} for i in range(10)]
+        _, (rep,) = score("m", episodes)
+        assert rep["gcr"] == rep["exec"] == 0.9999999999999999 / 10
 
 
 @pytest.fixture(scope="module")

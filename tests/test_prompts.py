@@ -123,6 +123,18 @@ class TestSamplingDefaults:
         with pytest.raises(ConfigError):
             SamplingConfig(num_samples=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("temperature", "0.1", "temperature must be a number >= 0, got '0.1'"),
+        ("temperature", True, "temperature must be a number >= 0, got True"),
+        ("num_samples", 2.5, "num_samples must be an integer >= 1, got 2.5"),
+        ("num_samples", True, "num_samples must be an integer >= 1, got True"),
+        ("num_samples", "3", "num_samples must be an integer >= 1, got '3'"),
+    ])
+    def test_wrong_types_are_config_errors(self, field, value, message):
+        with pytest.raises(ConfigError) as raised:
+            SamplingConfig(**{field: value})
+        assert str(raised.value) == message
+
 
 class TestSeenSplit:
     def test_seen_tasks_are_the_four_examples(self):

@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from votetree.errors import ConfigError, NoPlansError, TreeLogicError
+from votetree.errors import ConfigError, NoPlansError
 from votetree.plans import Command, Plan
 from votetree.tree import (
     SelectionStrategy,
     build_vote_tree,
-    remove_child,
     render_outline,
     select_child,
     tree_from_dict,
@@ -39,11 +38,12 @@ def brute_force_vote(plans, prefix):
 
 
 def walk(root):
-    stack = [root]
+    """Every (canonical prefix, node) pair of the tree, the root's prefix empty."""
+    stack = [((), root)]
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children.values())
+        prefix, node = stack.pop()
+        yield prefix, node
+        stack.extend(((*prefix, key), child) for key, child in node.children.items())
 
 
 class TestBuildVoteTree:
@@ -79,11 +79,11 @@ class TestBuildVoteTree:
         for _ in range(30):
             plans = random_plans(rng)
             root = build_vote_tree(plans)
-            for node in walk(root):
+            for prefix, node in walk(root):
                 if node.is_root:
                     assert node.vote == len(plans)
                 else:
-                    assert node.vote == brute_force_vote(plans, node.path())
+                    assert node.vote == brute_force_vote(plans, prefix)
 
     def test_permutation_invariance(self):
         rng = random.Random(55)
@@ -119,22 +119,24 @@ class TestBuildVoteTree:
 class TestSelectChild:
     def test_max_vote_picks_highest(self, worked_tree):
         a = worked_tree.children["a(x)"]
-        chosen = select_child(a, SelectionStrategy("max_vote"))
+        chosen = select_child(a.children, SelectionStrategy("max_vote"))
         assert chosen.key == "b(x)"
 
     def test_lexicographic_tie_break(self):
         plans = [plan_of("a(x)", "c(x)"), plan_of("a(x)", "b(x)", sample_index=1)]
         a = build_vote_tree(plans).children["a(x)"]
-        assert select_child(a, SelectionStrategy("max_vote")).key == "b(x)"
+        assert select_child(a.children, SelectionStrategy("max_vote")).key == "b(x)"
 
     def test_childless_returns_none(self, worked_tree):
         leaf = worked_tree.children["a(x)"].children["b(x)"]
-        assert select_child(leaf, SelectionStrategy("max_vote")) is None
+        assert select_child(leaf.children, SelectionStrategy("max_vote")) is None
 
     def test_random_is_seeded_and_uniformish(self, worked_tree):
         a = worked_tree.children["a(x)"]
-        picks_one = [select_child(a, SelectionStrategy("random", rng_seed=s)).key for s in range(40)]
-        picks_two = [select_child(a, SelectionStrategy("random", rng_seed=s)).key for s in range(40)]
+        picks_one = [select_child(a.children, SelectionStrategy("random", rng_seed=s)).key
+                     for s in range(40)]
+        picks_two = [select_child(a.children, SelectionStrategy("random", rng_seed=s)).key
+                     for s in range(40)]
         assert picks_one == picks_two
         assert set(picks_one) == {"b(x)", "c(x)"}
 
@@ -144,30 +146,15 @@ class TestSelectChild:
 
 
 class TestRemoveChild:
-    def test_removal_keeps_votes(self, worked_tree):
-        a = worked_tree.children["a(x)"]
-        b = a.children["b(x)"]
-        remove_child(a, b)
-        assert set(a.children) == {"c(x)"}
-        assert a.vote == 3
-
-    def test_remove_only_child(self):
-        root = build_vote_tree([plan_of("a(x)")])
-        a = root.children["a(x)"]
-        remove_child(root, a)
-        assert root.children == {}
+    """The executor removes a tried child from its copy of the untried children."""
 
     def test_runner_up_selected_after_removal(self, worked_tree):
         a = worked_tree.children["a(x)"]
         strategy = SelectionStrategy("max_vote")
-        remove_child(a, select_child(a, strategy))
-        assert select_child(a, strategy).key == "c(x)"
-
-    def test_absent_child_is_logic_error(self, worked_tree):
-        a = worked_tree.children["a(x)"]
-        stranger = build_vote_tree([plan_of("z(x)")]).children["z(x)"]
-        with pytest.raises(TreeLogicError):
-            remove_child(a, stranger)
+        untried = dict(a.children)
+        del untried[select_child(untried, strategy).key]
+        assert select_child(untried, strategy).key == "c(x)"
+        assert set(a.children) == {"b(x)", "c(x)"}
 
 
 class TestTreeStats:
@@ -206,10 +193,3 @@ class TestSerialization:
         assert "<root> vote=3" in outline
         assert "a(x) vote=3" in outline
         assert "b(x) vote=2 *" in outline
-
-    def test_clone_is_independent(self, worked_tree):
-        clone = worked_tree.clone()
-        a = clone.children["a(x)"]
-        remove_child(a, a.children["b(x)"])
-        assert "b(x)" in worked_tree.children["a(x)"].children
-        assert "b(x)" not in clone.children["a(x)"].children
