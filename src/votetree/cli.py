@@ -21,6 +21,8 @@ from .errors import DatasetError, VoteTreeError, json_document, read_text, readi
 from .executor import (
     DEFAULT_STEP_LIMIT,
     MODES,
+    TERMINATE_CHILDLESS,
+    TERMINATIONS,
     WITH_CORRECTION,
     ExecutionMode,
     ExecutionTrace,
@@ -99,6 +101,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
     mode = ExecutionMode(
         kind=args.mode,
         selection=SelectionStrategy(kind=args.selection, rng_seed=args.seed),
+        termination=args.termination,
     )
     trace = execute_tree(root, world.execute, scene.initial_state, mode, args.step_limit)
     doc = {"termination": trace.termination, "steps": serialize_trace(trace)}
@@ -155,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--actions", default=None, help="action catalog (default: bundled)")
     p.add_argument("--mode", default=WITH_CORRECTION, choices=MODES)
     p.add_argument("--selection", default=MAX_VOTE, choices=SELECTIONS)
+    p.add_argument("--termination", default=TERMINATE_CHILDLESS, choices=TERMINATIONS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     p.add_argument("--out", default=None)

@@ -8,9 +8,11 @@ so reruns of the same config over the same fixtures are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -240,10 +242,11 @@ class RunMemo:
     conditions, and a parse memo keyed by raw plan line.  The parse memo is
     keyed by line, not by whole text: the run's distinct lines are few, while
     holding the parsed commands of every distinct text for a whole run raised
-    peak memory by a third.  A remote run's episode threads share one memo:
-    the prompts and goals are built here, before any thread starts, and a
-    parse memo entry depends only on its line, so a racing write stores the
-    same value.
+    peak memory by a third.  The memo is parallel-safe.  Forked episode
+    workers each fill their own copy of the parse memo.  A remote run's
+    episode threads share one memo: the prompts and goals are built here,
+    before any thread starts, and a parse memo entry depends only on its
+    line, so a racing write stores the same value.
     """
 
     def __init__(self, bundle: DatasetBundle, tasks: list[Task]):
@@ -387,143 +390,179 @@ class SuiteResult:
     output_dir: Path | None = None
 
 
-def _episodes(config: RunConfig, bundle: DatasetBundle, memo: RunMemo,
-              jobs: list[tuple[int, int, Task]]):
-    """Yield each (rep, task index, task) job of ``jobs`` with its
-    ``run_one_episode`` result, in order.
+def _run_job(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: str | None,
+             job: tuple[int, int, Task]) -> dict:
+    """Run one (rep, task index, task) job of a run and return its episode
+    record.  With a ``staging`` directory, also write the episode's files
+    ``<staging>/<slug>/<rep>/{trace,tree}.json``; an error writing them is an
+    ``OSError`` naming the file as it would be under ``episodes/``.
 
-    A remote run keeps up to ``MAX_INFLIGHT`` episodes in flight in worker
-    threads, starting the next one as the oldest result is taken.  Once an
-    episode has failed no further episode starts; those running finish and
-    keep their samples in the store, and the error of the earliest failing
-    episode in run order is raised.  Every other provider is CPU-bound, so its
-    episodes run inline: threads would only contend for the interpreter lock.
+    Every episode of a run goes through here: in a forked worker, inline, or
+    in a remote run's thread.
     """
-    if config.provider != REMOTE:
-        for job in jobs:
-            rep, _, task = job
-            yield job, run_one_episode(task, bundle, config, rep, memo)
-        return
-    window: deque[tuple[tuple[int, int, Task], Future]] = deque()
-    with ThreadPoolExecutor(max_workers=MAX_INFLIGHT) as pool:
-        try:
-            for job in jobs:
-                if any(future.done() and future.exception() is not None for _, future in window):
-                    break
-                rep, _, task = job
-                window.append((job, pool.submit(run_one_episode, task, bundle, config, rep, memo)))
-                if len(window) == MAX_INFLIGHT:
-                    oldest, future = window.popleft()
-                    yield oldest, future.result()
-            while window:
-                oldest, future = window.popleft()
-                yield oldest, future.result()
-        finally:
-            for _, future in window:
-                future.cancel()
-
-
-def _write_episode_files(conn, parent_end, staging: str) -> None:
-    """The episode writer process: for each ``(slug, rep, trace, tree)`` read
-    from ``conn``, write ``<staging>/<slug>/<rep>/{trace,tree}.json``.  At the
-    ``None`` end marker, reply with the first error met as ``(errno,
-    message, path relative to staging)``, or ``None``.  After an error it
-    writes nothing more but keeps reading, so the parent never blocks on a
-    full pipe."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
-    parent_end.close()  # so that a parent that dies ends the reading with EOFError
-    error = None
+    rep, task_index, task = job
+    episode, artifacts = run_one_episode(task, bundle, config, rep, memo)
+    gcr = metrics_mod.compute_gcr(episode.achieved, episode.goal.goal_conditions)
+    # A no-plan episode scores Exec 0 without compute_exec's empty-trace warning.
+    exec_rate = 0.0 if artifacts.error is not None else metrics_mod.compute_exec(episode.trace)
+    record = {
+        "kind": "episode",
+        "rep": rep,
+        "task_index": task_index,
+        "task": task.task_name,
+        "scene": task.scene_id,
+        "gcr": gcr,
+        "exec": exec_rate,
+        "success": gcr == 1.0,
+        "steps": episode.trace.attempted,
+        "termination": episode.trace.termination,
+        "pool_size": artifacts.pool_size,
+    }
+    if staging is None:
+        return record
+    trace_doc = {
+        "task": task.task_name,
+        "termination": episode.trace.termination,
+        "gcr": gcr,
+        "exec": exec_rate,
+        "goal_conditions": sorted(p.render() for p in episode.goal.goal_conditions),
+        "achieved": sorted(p.render() for p in episode.achieved),
+        "steps": serialize_trace(episode.trace),
+    }
+    if artifacts.error is not None:
+        trace_doc["error"] = artifacts.error
+    episode_dir = os.path.join(staging, instruction_slug(task.task_name), str(rep))
     try:
-        while (item := conn.recv()) is not None:
-            if error is not None:
-                continue
-            slug, rep, *docs = item
-            episode_dir = os.path.join(staging, slug, str(rep))
-            try:
-                os.makedirs(episode_dir, exist_ok=True)
-                for name, doc in zip(("trace.json", "tree.json"), docs):
-                    with open(os.path.join(episode_dir, name), "w", encoding="utf-8") as fh:
-                        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            except OSError as exc:
-                error = (exc.errno, exc.strerror or str(exc),
-                         os.path.relpath(exc.filename or episode_dir, staging))
-    except EOFError:  # the parent is gone
-        return
-    conn.send(error)
+        os.makedirs(episode_dir, exist_ok=True)
+        for name, doc in (("trace.json", trace_doc), ("tree.json", tree_to_dict(artifacts.root))):
+            with open(os.path.join(episode_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        path = os.path.relpath(exc.filename or episode_dir, staging)
+        raise OSError(exc.errno, exc.strerror or str(exc),
+                      os.path.join(os.path.dirname(staging), "episodes", path)) from None
+    return record
 
 
-class _EpisodeWriter:
-    """Writes a run's episode files in a forked child process while the
-    episodes run, into a staging directory ``<output_dir>/.episodes-XXXX``
-    that ``commit`` renames to ``<output_dir>/episodes``; ``abort`` kills the
-    child and removes the staging directory.
+def _worker_count(jobs: int) -> int:
+    """Worker processes for a CPU-bound run of ``jobs`` episodes: one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs)
 
-    Making directories and files, not encoding JSON, is most of the cost of
-    the episode files.  A process, not a thread: a writer thread contends with the
-    episodes for the interpreter lock, and one measured on suite-clean-artifacts
-    ran about 36% fewer episodes/s (2 cores).  Fork, not spawn: the child starts
-    from the loaded interpreter without importing anything.  A fork must come
-    before any thread starts, which ``run_suite`` ensures.
+
+def _records(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: str | None,
+             jobs: list[tuple[int, int, Task]]):
+    """Yield the ``_run_job`` record of each job of ``jobs``, in order.
+
+    A remote run keeps up to ``MAX_INFLIGHT`` episodes in flight in threads:
+    it waits on requests, not on the interpreter.  Every other provider is
+    CPU-bound, and its episodes run in ``_worker_count`` forked worker
+    processes, or inline where that is one, where the platform has no
+    ``fork``, or where the caller already runs threads: a lock one of them
+    holds at the fork would stay locked in the worker.  Either way no episode starts once one has failed, those running finish,
+    and the error of the earliest failing episode in run order is raised.
     """
-
-    def __init__(self, output_dir: Path):
-        import multiprocessing  # here: a run that writes no files does not pay for the import
+    run_job = functools.partial(_run_job, config, bundle, memo, staging)
+    if config.provider == REMOTE:
+        return _threaded(run_job, jobs)
+    workers = _worker_count(len(jobs))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing  # here: a remote or one-worker run does not pay for the import
 
         try:
             context = multiprocessing.get_context("fork")
-        except ValueError:
-            raise ConfigError("writing outputs needs the 'fork' start method, which this "
-                              "platform lacks; a run with output_dir null writes no files") from None
-        output_dir.mkdir(parents=True, exist_ok=True)
-        self.episodes_dir = output_dir / "episodes"
-        # Not tempfile.mkdtemp: its 0o700 would become the mode of episodes/.
-        self.staging = str(output_dir / f".episodes-{os.urandom(6).hex()}")
-        os.mkdir(self.staging)
+        except ValueError:  # no fork on this platform
+            pass
+        else:
+            where = f"{os.path.join(os.path.dirname(staging), 'episodes')}: " if staging else ""
+            return _forked(context, run_job, jobs, workers, where)
+    return (run_job(job) for job in jobs)
+
+
+def _threaded(run_job, jobs: list):
+    """``run_job`` over ``jobs`` in a sliding window of ``MAX_INFLIGHT``
+    threads, starting the next job as the oldest result is taken."""
+    window: deque[Future] = deque()
+    with ThreadPoolExecutor(max_workers=MAX_INFLIGHT) as pool:
         try:
-            self._conn, child_end = context.Pipe()
-            self._child = context.Process(target=_write_episode_files,
-                                          args=(child_end, self._conn, self.staging), daemon=True)
-            self._child.start()
-            child_end.close()
-        except BaseException:
-            shutil.rmtree(self.staging, ignore_errors=True)
-            raise
+            for job in jobs:
+                if any(future.done() and future.exception() is not None for future in window):
+                    break
+                window.append(pool.submit(run_job, job))
+                if len(window) == MAX_INFLIGHT:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            for future in window:
+                future.cancel()
 
-    def _died(self) -> OSError:
-        self._child.join()
-        return OSError(f"{self.episodes_dir}: the episode writer died "
-                       f"(exit code {self._child.exitcode})")
 
-    def send(self, slug: str, rep: int, trace_doc: dict, tree_doc: dict) -> None:
-        try:
-            self._conn.send((slug, rep, trace_doc, tree_doc))
-        except OSError:  # a broken pipe: the child died
-            raise self._died() from None
+def _forked(context, run_job, jobs: list, workers: int, where: str):
+    """``run_job`` over ``jobs`` in ``workers`` forked processes; worker w
+    runs jobs ``w::workers`` and sends back each record over its own pipe,
+    so job i is worker (i mod workers)'s next message.  ``where`` begins the
+    error raised when a worker dies.
 
-    def commit(self) -> None:
-        """Wait for the child's reply, then rename the staging directory to
-        ``episodes/``, which replaces the last run's episodes."""
-        try:
-            self._conn.send(None)
-            error = self._conn.recv()
-        except (OSError, EOFError):  # the child died
-            raise self._died() from None
-        self._child.join()
-        self._conn.close()
-        if error is not None:
-            number, message, path = error
-            raise OSError(number, message, str(self.episodes_dir / path))
-        if self.episodes_dir.exists():
-            shutil.rmtree(self.episodes_dir)
-        os.rename(self.staging, self.episodes_dir)
+    Fork, not spawn: a worker starts from the loaded interpreter and the
+    run's memo without importing or pickling anything, which needs the fork
+    to come before any thread starts.  On leaving, early or not, the parent
+    closes its pipe ends, which stops each worker at its next episode
+    boundary, and joins them all; a worker is never killed in the middle of
+    a file write.
+    """
+    readers, procs = [], []
+    try:
+        for w in range(workers):
+            reader, writer = context.Pipe(duplex=False)
+            readers.append(reader)
+            proc = context.Process(target=_work, args=(writer, list(readers), run_job,
+                                                       jobs[w::workers]), daemon=True)
+            try:
+                proc.start()
+            finally:
+                writer.close()
+            procs.append(proc)
+        for i in range(len(jobs)):
+            try:
+                message = readers[i % workers].recv()
+            except EOFError:  # the worker exited without sending: it died
+                procs[i % workers].join()
+                raise OSError(f"{where}an episode worker died "
+                              f"(exit code {procs[i % workers].exitcode})") from None
+            if isinstance(message, BaseException):
+                raise message
+            yield message
+    finally:
+        for reader in readers:
+            reader.close()
+        for proc in procs:
+            proc.join()
 
-    def abort(self) -> None:
-        self._child.kill()
-        self._child.join()
-        self._conn.close()
-        shutil.rmtree(self.staging, ignore_errors=True)
+
+def _work(conn, readers: list, run_job, jobs: list) -> None:
+    """An episode worker: send ``conn`` the record of each job, in order, or
+    the exception of the first job that fails and stop.  It stops too when
+    the parent closes its end: the next send fails."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    for reader in readers:  # the parent's ends, so that only the parent holds them open
+        reader.close()
+    try:
+        for job in jobs:
+            try:
+                message = run_job(job)
+            except BaseException as exc:
+                message = exc
+            conn.send(message)
+            if isinstance(message, BaseException):
+                return
+    except BrokenPipeError:  # the parent stopped reading
+        return
 
 
 def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
@@ -531,11 +570,14 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     """Run the full evaluation protocol for one configuration.
 
     Every task runs once per repetition, and ``metrics.score`` scores the
-    episode records.  Records are kept in run order, also when a remote run
-    draws the episodes concurrently.  When the run writes outputs, an
-    ``_EpisodeWriter`` is started before the first episode, so an unusable
-    ``output_dir`` fails before any work; if the run fails or is
-    interrupted, the files of an earlier run there stay as they were.
+    episode records.  The run's memo is built first; then ``_records`` runs
+    the episodes, in forked workers when the provider is CPU-bound, and
+    yields their records in run order.  When the run writes outputs, each
+    episode writes its own files into a staging directory
+    ``<output_dir>/.episodes-XXXX``, made before the first episode so that
+    an unusable ``output_dir`` fails before any work; ``_write_outputs``
+    swaps it in.  If the run fails or is interrupted, the staging directory
+    is removed and the files of an earlier run there stay as they were.
     """
     if config.master_seed is None:
         raise ConfigError("run config needs a master_seed")
@@ -548,50 +590,22 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     jobs = [(rep, task_index, task) for rep in range(config.repetitions)
             for task_index, task in enumerate(tasks)]
     output_dir = Path(config.output_dir) if write_outputs and config.output_dir else None
-    writer = _EpisodeWriter(output_dir) if output_dir else None  # forks before any thread
-    episode_records: list[dict] = []
+    staging = None
+    if output_dir is not None:
+        output_dir.mkdir(parents=True, exist_ok=True)
+        # Not tempfile.mkdtemp: its 0o700 would become the mode of episodes/.
+        staging = str(output_dir / f".episodes-{os.urandom(6).hex()}")
+        os.mkdir(staging)
+    records = _records(config, bundle, memo, staging, jobs)
     try:
-        for (rep, task_index, task), (episode, artifacts) in _episodes(config, bundle, memo, jobs):
-            gcr = metrics_mod.compute_gcr(episode.achieved, episode.goal.goal_conditions)
-            # A no-plan episode scores Exec 0 without compute_exec's empty-trace warning.
-            exec_rate = (0.0 if artifacts.error is not None
-                         else metrics_mod.compute_exec(episode.trace))
-            episode_records.append(
-                {
-                    "kind": "episode",
-                    "rep": rep,
-                    "task_index": task_index,
-                    "task": task.task_name,
-                    "scene": task.scene_id,
-                    "gcr": gcr,
-                    "exec": exec_rate,
-                    "success": gcr == 1.0,
-                    "steps": episode.trace.attempted,
-                    "termination": episode.trace.termination,
-                    "pool_size": artifacts.pool_size,
-                }
-            )
-            if writer is not None:
-                trace_doc = {
-                    "task": task.task_name,
-                    "termination": episode.trace.termination,
-                    "gcr": gcr,
-                    "exec": exec_rate,
-                    "goal_conditions": sorted(p.render() for p in episode.goal.goal_conditions),
-                    "achieved": sorted(p.render() for p in episode.achieved),
-                    "steps": serialize_trace(episode.trace),
-                }
-                if artifacts.error is not None:
-                    trace_doc["error"] = artifacts.error
-                writer.send(instruction_slug(task.task_name), rep, trace_doc,
-                            tree_to_dict(artifacts.root))
-
+        episode_records = list(records)
         row, per_rep = metrics_mod.score(config.label, episode_records)
-        if writer is not None:
-            _write_outputs(output_dir, config, row, per_rep, episode_records, writer)
+        if output_dir is not None:
+            _write_outputs(output_dir, config, row, per_rep, episode_records, staging)
     except BaseException:
-        if writer is not None:
-            writer.abort()
+        records.close()  # stops and joins the episodes still running
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
         raise
     return SuiteResult(row=row, per_rep=per_rep, episodes=episode_records, output_dir=output_dir)
 
@@ -602,11 +616,15 @@ def _write_outputs(
     row: metrics_mod.MetricsRow,
     per_rep: list[dict],
     episode_records: list[dict],
-    writer: _EpisodeWriter,
+    staging: str,
 ) -> None:
-    """Swap in the episode files ``writer`` wrote, then replace the run's three
-    top-level files, each by rename.  Nothing else in ``output_dir`` is touched."""
-    writer.commit()
+    """Rename the ``staging`` directory the episodes wrote to ``episodes/``,
+    replacing the last run's, then replace the run's three top-level files,
+    each by rename.  Nothing else in ``output_dir`` is touched."""
+    episodes_dir = output_dir / "episodes"
+    if episodes_dir.exists():
+        shutil.rmtree(episodes_dir)
+    os.rename(staging, episodes_dir)
     atomic_write(output_dir / "summary.txt", metrics_mod.format_table([row]))
     header = {"kind": "run", "method": config.label, "repetitions": config.repetitions,
               "master_seed": config.master_seed}

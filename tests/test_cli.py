@@ -1,10 +1,13 @@
 import json
 import multiprocessing
+import os
 import urllib.request
 
 import pytest
 
+from votetree import harness
 from votetree.cli import main
+from votetree.executor import TERMINATIONS
 from votetree.harness import RunConfig, record_suite
 from votetree.prompts import DATA_DIR, instruction_slug
 
@@ -58,28 +61,31 @@ def test_execute_runs_tree_against_scene(tmp_path, corpus_file, capsys):
 
 def test_execute_reproduces_every_episode_of_a_run(tmp_path, capsys):
     """``votetree execute`` on an episode's tree.json gives that episode's
-    trace.json steps and termination: executing an episode reads nothing but
-    its tree and its scene."""
-    out = tmp_path / "results"
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({
-        "master_seed": 1, "repetitions": 1, "drop_prob": 0.2, "swap_prob": 0.1,
-        "insert_prob": 0.1, "mode": "with_correction", "selection": "max_vote",
-        "output_dir": str(out),
-    }), encoding="utf-8")
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
-    episodes = [r for r in map(json.loads, lines) if r["kind"] == "episode"]
-    assert len(episodes) == 31
-    for record in episodes:
-        episode_dir = out / "episodes" / instruction_slug(record["task"]) / "0"
-        replayed = tmp_path / "replayed.json"
-        assert main(["execute", "--tree", str(episode_dir / "tree.json"),
-                     "--scene", str(DATA_DIR / "scenes" / f"{record['scene']}.json"),
-                     "--actions", str(DATA_DIR / "actions.json"), "--out", str(replayed)]) == 0
-        expected = json.loads((episode_dir / "trace.json").read_text(encoding="utf-8"))
-        got = json.loads(replayed.read_text(encoding="utf-8"))
-        assert (got["termination"], got["steps"]) == (expected["termination"], expected["steps"])
+    trace.json steps and termination, under either termination rule:
+    executing an episode reads nothing but its tree and its scene."""
+    for termination in TERMINATIONS:
+        out = tmp_path / termination
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "master_seed": 1, "repetitions": 1, "drop_prob": 0.2, "swap_prob": 0.1,
+            "insert_prob": 0.1, "mode": "with_correction", "selection": "max_vote",
+            "termination": termination, "output_dir": str(out),
+        }), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+        episodes = [r for r in map(json.loads, lines) if r["kind"] == "episode"]
+        assert len(episodes) == 31
+        for record in episodes:
+            episode_dir = out / "episodes" / instruction_slug(record["task"]) / "0"
+            replayed = tmp_path / "replayed.json"
+            assert main(["execute", "--tree", str(episode_dir / "tree.json"),
+                         "--scene", str(DATA_DIR / "scenes" / f"{record['scene']}.json"),
+                         "--actions", str(DATA_DIR / "actions.json"),
+                         "--termination", termination, "--out", str(replayed)]) == 0
+            expected = json.loads((episode_dir / "trace.json").read_text(encoding="utf-8"))
+            got = json.loads(replayed.read_text(encoding="utf-8"))
+            assert (got["termination"], got["steps"]) == (expected["termination"],
+                                                          expected["steps"])
 
 
 def test_run_metrics_and_determinism(tmp_path, capsys):
@@ -156,22 +162,33 @@ def test_run_with_an_empty_command_pool_scores_every_episode_no_plan(tmp_path, c
     assert {r["termination"] for r in episodes} == {"no_plan"}
 
 
-def test_run_without_fork_is_a_typed_error(tmp_path, capsys, monkeypatch):
-    """Where the platform has no ``fork`` start method, a writing run fails
-    with a typed error before it touches its output directory."""
+def test_run_without_fork_runs_inline(tmp_path, capsys, monkeypatch):
+    """Where the platform has no ``fork`` start method, a run's episodes run
+    inline and write the bytes a run in forked workers writes."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"master_seed": 1, "repetitions": 2, "drop_prob": 0.2,
+                                    "swap_prob": 0.1, "insert_prob": 0.1}), encoding="utf-8")
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(harness, "_worker_count", lambda jobs: min(2, jobs))
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "forked")]) == 0
+    assert len(forks) == 2
+
     def no_fork(method=None):
         raise ValueError(f"cannot find context for {method!r}")
 
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    out = tmp_path / "results"
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"master_seed": 1, "repetitions": 1, "output_dir": str(out)}),
-                        encoding="utf-8")
-    assert main(["run", "--config", str(cfg_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-    assert "'fork'" in captured.err and "output_dir null" in captured.err
-    assert captured.out == "" and not out.exists()
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "inline")]) == 0
+    assert len(forks) == 2
+    assert "error" not in capsys.readouterr().err
+
+    def files(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file() and p.name != "run_config.json"}
+
+    forked, inline = files(tmp_path / "forked"), files(tmp_path / "inline")
+    assert len(forked) == 2 * 2 * 31 + 2 and forked == inline
 
 
 def test_error_paths_return_nonzero(tmp_path, capsys):

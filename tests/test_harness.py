@@ -8,6 +8,7 @@ import signal
 import statistics
 import sys
 import threading
+import time
 import urllib.error
 from collections import Counter
 
@@ -185,46 +186,57 @@ class TestRunMemo:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The arguments of every call to the per-run work, made through the
-        ``votetree.harness`` namespace."""
-        seen: dict[str, list[tuple]] = {
-            name: [] for name in ("default_prog_examples", "default_reorder_examples",
-                                  "format_prog_prompt", "derive_goal_conditions",
-                                  "parse_plan_text")
-        }
+        """Every call to the per-run work, made through the ``votetree.harness``
+        namespace: the arguments of the calls made in this process, and the
+        number of calls made here and in the run's forked episode workers
+        together, in shared memory made before they fork.  The run's episodes
+        run in two workers."""
+        names = ("default_prog_examples", "default_reorder_examples", "format_prog_prompt",
+                 "derive_goal_conditions", "parse_plan_text")
+        seen: dict[str, list[tuple]] = {name: [] for name in names}
+        counts = {name: multiprocessing.get_context("fork").Value("i", 0) for name in names}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
                 seen[name].append(args)
+                with counts[name].get_lock():
+                    counts[name].value += 1
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in seen:
+        for name in names:
             monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
-        return seen
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: min(2, jobs))
+        return seen, counts
 
     def test_per_run_work_done_once_per_run(self, bundle, calls, tmp_path):
+        seen, counts = calls
         names = sorted(t.task_name for t in evaluated_tasks(bundle))
+
+        def clear():
+            for name in seen:
+                seen[name].clear()
+                counts[name].value = 0
+
+        def assert_done_once():
+            assert counts["default_prog_examples"].value == 1
+            assert counts["default_reorder_examples"].value == 1
+            assert sorted(args[0] for args in seen["format_prog_prompt"]) == names
+            assert counts["format_prog_prompt"].value == len(names)
+            assert sorted(args[3] for args in seen["derive_goal_conditions"]) == names
+            assert counts["derive_goal_conditions"].value == len(names)
+            assert counts["parse_plan_text"].value == 2 * len(names) * (30 + 20)
+
         cfg = RunConfig(master_seed=3, repetitions=2, output_dir=None, **self.NOISY)
         for _ in range(2):  # a second run repeats the counts: no state carries over
-            for args in calls.values():
-                args.clear()
+            clear()
             run_suite(cfg, bundle, write_outputs=False)
-            assert len(calls["default_prog_examples"]) == 1
-            assert len(calls["default_reorder_examples"]) == 1
-            assert sorted(args[0] for args in calls["format_prog_prompt"]) == names
-            assert sorted(args[3] for args in calls["derive_goal_conditions"]) == names
-            assert len(calls["parse_plan_text"]) == 2 * len(names) * (30 + 20)
+            assert_done_once()
 
-        for args in calls.values():
-            args.clear()
+        clear()
         record_suite(RunConfig(master_seed=3, repetitions=2, fixtures_dir=str(tmp_path),
                                **self.NOISY), bundle)
-        assert len(calls["default_prog_examples"]) == 1
-        assert len(calls["default_reorder_examples"]) == 1
-        assert sorted(args[0] for args in calls["format_prog_prompt"]) == names
-        assert sorted(args[3] for args in calls["derive_goal_conditions"]) == names
-        assert len(calls["parse_plan_text"]) == 2 * len(names) * (30 + 20)
+        assert_done_once()
 
 
 class FakeTransport:
@@ -485,12 +497,17 @@ class TestRemoteRun:
 
 
 class TestEpisodeWriter:
-    """A run writes its episode files in a forked child process into a staging
-    directory, swaps it in as ``episodes/`` by rename, then replaces its three
+    """Each episode writes its own files into a staging directory, which the
+    run swaps in as ``episodes/`` by rename before it replaces its three
     top-level files by rename.  A run that fails leaves an earlier run's
-    files as they were, and no staging directory or temporary file."""
+    files as they were, and no staging directory, temporary file or live
+    episode worker.  These runs use two forked workers on any machine."""
 
     NOISY = TestRunMemo.NOISY
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: min(2, jobs))
 
     @staticmethod
     def _contents(root):
@@ -524,8 +541,8 @@ class TestEpisodeWriter:
 
     @staticmethod
     def _fail_writing(monkeypatch, episode_dir):
-        """Make the writer's ``os.makedirs`` fail for ``episode_dir``; the forked
-        child inherits the patch."""
+        """Make ``os.makedirs`` fail for ``episode_dir``; the forked workers
+        inherit the patch."""
         makedirs = harness.os.makedirs
 
         def failing(path, *args, **kwargs):
@@ -534,6 +551,36 @@ class TestEpisodeWriter:
             return makedirs(path, *args, **kwargs)
 
         monkeypatch.setattr(harness.os, "makedirs", failing)
+
+    @staticmethod
+    def _fail_at_the_40th(monkeypatch, failure):
+        """Make the run's 40th ``run_episode`` call, counted across its
+        workers, raise, or be a Ctrl-C: SIGINT to the worker, which ignores
+        it and finishes the episode, and to the parent.  Returns the call
+        count and how many interrupted episodes finished."""
+        run_episode = harness.run_episode
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        finished = multiprocessing.get_context("fork").Value("i", 0)
+        parent = os.getpid()
+
+        def fails_at_the_40th(*args):
+            with calls.get_lock():
+                calls.value += 1
+                count = calls.value
+            if count != 40:
+                return run_episode(*args)
+            if failure == "episode":
+                raise RuntimeError("episode")
+            assert os.getpid() != parent, "the episode ran in the parent"
+            os.kill(os.getpid(), signal.SIGINT)
+            os.kill(parent, signal.SIGINT)
+            time.sleep(0.2)  # the parent is stopping the workers meanwhile
+            result = run_episode(*args)
+            finished.value += 1
+            return result
+
+        monkeypatch.setattr(harness, "run_episode", fails_at_the_40th)
+        return calls, finished
 
     def test_the_writers_first_error_names_the_path(self, bundle, earlier, monkeypatch):
         out, before = earlier
@@ -555,75 +602,143 @@ class TestEpisodeWriter:
             self._fail_writing(monkeypatch, os.path.join(instruction_slug(
                 evaluated_tasks(bundle)[0].task_name), "0"))
         else:
-            run_episode = harness.run_episode
-            calls = []
-
-            def fails_at_the_40th(*args):
-                calls.append(args)
-                if len(calls) == 40:
-                    raise KeyboardInterrupt if failure == "interrupt" else RuntimeError("episode")
-                return run_episode(*args)
-
-            monkeypatch.setattr(harness, "run_episode", fails_at_the_40th)
+            _, finished = self._fail_at_the_40th(monkeypatch, failure)
         with pytest.raises((OSError, RuntimeError, KeyboardInterrupt)):
             run_suite(RunConfig(master_seed=8, repetitions=3, output_dir=str(out)), bundle)
+        if failure == "interrupt":
+            assert finished.value == 1
         assert self._contents(out) == before
         assert not self._leftovers(out)
         assert not multiprocessing.active_children()
 
-    def test_a_dead_writer_names_itself(self, bundle, earlier, monkeypatch):
+    @pytest.mark.parametrize("failure", ["episode", "interrupt"])
+    def test_a_failed_recording_leaves_no_temporary_file(self, bundle, tmp_path, monkeypatch,
+                                                          failure):
+        """The workers finish the episodes they are in, so the fixture store
+        they fill holds no ``*.tmp`` of a write cut short."""
+        calls, finished = self._fail_at_the_40th(monkeypatch, failure)
+        store = tmp_path / "fixtures"
+        with pytest.raises(KeyboardInterrupt if failure == "interrupt" else RuntimeError):
+            record_suite(RunConfig(master_seed=8, repetitions=3, fixtures_dir=str(store),
+                                   **self.NOISY), bundle)
+        assert 40 <= calls.value < 3 * 31
+        assert finished.value == (failure == "interrupt")
+        assert len(list(store.rglob("*.json"))) >= 2 * 39
+        assert not self._leftovers(store)
+        assert not multiprocessing.active_children()
+
+    def test_a_dead_worker_names_itself(self, bundle, earlier, monkeypatch):
+        """Worker 1 dies in its 9th episode, once worker 0 has run all 31 of
+        its own, so the run's 40th episode is its last."""
         out, before = earlier
-        writers = []
+        tasks = evaluated_tasks(bundle)
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        run_one_episode = harness.run_one_episode
 
-        class Writer(harness._EpisodeWriter):
-            def __init__(self, output_dir):
-                super().__init__(output_dir)
-                writers.append(self)
+        def kills_its_worker_at_the_40th(task, bundle, config, rep, memo):
+            if rep * len(tasks) + tasks.index(task) == 17:  # job 17: worker 1's 9th
+                deadline = time.monotonic() + 30
+                while calls.value < 39 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            with calls.get_lock():
+                calls.value += 1
+                count = calls.value
+            if count == 40:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_one_episode(task, bundle, config, rep, memo)
 
-        run_episode = harness.run_episode
-        calls = []
-
-        def kills_the_writer_at_the_40th(*args):
-            calls.append(args)
-            if len(calls) == 40:
-                writers[0]._child.kill()
-                writers[0]._child.join()
-            return run_episode(*args)
-
-        monkeypatch.setattr(harness, "_EpisodeWriter", Writer)
-        monkeypatch.setattr(harness, "run_episode", kills_the_writer_at_the_40th)
+        monkeypatch.setattr(harness, "run_one_episode", kills_its_worker_at_the_40th)
         with pytest.raises(OSError) as raised:
             run_suite(RunConfig(master_seed=8, repetitions=2, output_dir=str(out)), bundle)
-        assert str(raised.value) == (f"{out / 'episodes'}: the episode writer died "
+        assert str(raised.value) == (f"{out / 'episodes'}: an episode worker died "
                                      f"(exit code {-signal.SIGKILL})")
-        assert len(calls) == 40
+        assert calls.value == 40
         assert self._contents(out) == before
         assert not self._leftovers(out)
         assert not multiprocessing.active_children()
 
-    def test_the_writer_starts_before_any_thread(self, bundle, tmp_path, monkeypatch):
-        """A remote run forks its writer before its episode threads start, and a
-        synthetic run starts no thread at all."""
+    def test_the_workers_start_before_any_thread(self, bundle, tmp_path, monkeypatch):
+        """A synthetic run forks its workers before any thread starts and
+        starts no thread at all; a remote run runs its episodes in threads
+        and forks nothing."""
         threads_at_fork = []
+        fork = os.fork
 
-        class Writer(harness._EpisodeWriter):
-            def __init__(self, output_dir):
-                threads_at_fork.append(threading.active_count())
-                super().__init__(output_dir)
+        def counted_fork():
+            threads_at_fork.append(threading.active_count())
+            return fork()
 
-        monkeypatch.setattr(harness, "_EpisodeWriter", Writer)
+        monkeypatch.setattr(os, "fork", counted_fork)
         threads = threading.active_count()
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: pytest.fail(f"{thread} started"))
         run_suite(RunConfig(master_seed=3, repetitions=1, output_dir=str(tmp_path / "plain")),
                   bundle)
-        assert threads_at_fork == [threads]
+        assert threads_at_fork == [threads, threads]
         monkeypatch.undo()
-        monkeypatch.setattr(harness, "_EpisodeWriter", Writer)
+        monkeypatch.setattr(os, "fork", counted_fork)
         _remote_via(monkeypatch, FakeTransport(bundle))
         run_suite(_remote_config(tmp_path, "remote"), bundle)
         assert threads_at_fork == [threads, threads]
         assert (tmp_path / "remote" / "out" / "episodes").is_dir()
+
+    def test_a_caller_with_threads_runs_its_episodes_inline(self, bundle, tmp_path,
+                                                            monkeypatch):
+        config = RunConfig(master_seed=3, repetitions=1, output_dir=None, **self.NOISY)
+        forked = run_suite(config, bundle)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait, args=(30,))
+        waiting.start()
+        try:
+            inline = run_suite(config, bundle)
+        finally:
+            release.set()
+            waiting.join(30)
+        assert not waiting.is_alive()
+        assert inline.episodes == forked.episodes
+
+    def test_the_earliest_failing_episode_in_run_order_is_raised(self, bundle, monkeypatch):
+        """Task 1 (worker 1) fails after task 2 (worker 0) has; the run raises
+        task 1's error, the one the inline run raises."""
+        tasks = [task.task_name for task in evaluated_tasks(bundle)]
+        make_provider = harness.make_provider
+
+        class FailsForTwoTasks:
+            def __init__(self, config, task, scene):
+                self.task = task.task_name
+                self.provider = make_provider(config, task, scene)
+
+            def generate(self, prompt, config):
+                if self.task == tasks[1]:
+                    time.sleep(0.05)
+                    raise ProviderError("one")
+                if self.task == tasks[2]:
+                    raise ProviderError("two")
+                return self.provider.generate(prompt, config)
+
+        monkeypatch.setattr(harness, "make_provider", FailsForTwoTasks)
+        config = RunConfig(master_seed=3, repetitions=1, output_dir=None)
+        with pytest.raises(ProviderError) as forked:
+            run_suite(config, bundle)
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: 1)
+        with pytest.raises(ProviderError) as inline:
+            run_suite(config, bundle)
+        assert str(forked.value) == str(inline.value) == f"task {tasks[1]!r}, repetition 0: one"
+        assert not multiprocessing.active_children()
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, bundle, tmp_path, monkeypatch):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(harness, "_worker_count", lambda jobs, w=workers: min(w, jobs))
+            run_suite(RunConfig(master_seed=7, repetitions=2, output_dir=str(tmp_path / f"out-{workers}"),
+                                **self.NOISY), bundle)
+            record_suite(RunConfig(master_seed=7, repetitions=2,
+                                   fixtures_dir=str(tmp_path / f"store-{workers}"), **self.NOISY),
+                         bundle)
+        for part in ("out", "store"):
+            one, two, three = (_files(tmp_path / f"{part}-{w}") for w in (1, 2, 3))
+            assert one == two == three
+            assert len(one) == {"out": 2 * 2 * 31 + 2, "store": 2 * 2 * 31}[part]
 
     def test_an_unusable_output_dir_fails_before_any_request(self, bundle, tmp_path, monkeypatch):
         taken = tmp_path / "taken"
