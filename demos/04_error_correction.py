@@ -19,7 +19,7 @@ from votetree.plans import Command
 
 
 def plan_of(*texts, sample_index=0):
-    return Plan(tuple(Command.parse(t) for t in texts), "reordered", sample_index)
+    return Plan(tuple(Command.parse(t) for t in texts), sample_index)
 
 
 bundle = load_dataset()

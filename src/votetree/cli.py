@@ -61,7 +61,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_build_tree(args: argparse.Namespace) -> int:
     plans = []
     for k, body in enumerate(split_corpus(read_text(args.corpus, DatasetError))):
-        plan, _ = parse_plan_text(body, provenance="generated", sample_index=k)
+        plan, _ = parse_plan_text(body, sample_index=k)
         if plan.commands:
             plans.append(plan)
     root = build_vote_tree(plans)
@@ -190,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     except (VoteTreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

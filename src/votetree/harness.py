@@ -173,15 +173,25 @@ def load_dataset(config: RunConfig | None = None) -> DatasetBundle:
     catalog = ActionCatalog.from_file(config.actions or DATA_DIR / "actions.json")
     scenes_dir = Path(config.scenes_dir or DATA_DIR / "scenes")
     scenes: dict[str, Scene] = {}
+    files: dict[str, Path] = {}
     for path in sorted(scenes_dir.glob("*.json")):
         scene = load_scene(path)
+        first = files.setdefault(scene.scene_id, path)
+        if first != path:
+            raise DatasetError(f"{first}, {path}: both define scene {scene.scene_id!r}")
         scenes[scene.scene_id] = scene
     if not scenes:
         raise DatasetError(f"{scenes_dir}: no *.json scene files")
-    tasks = load_tasks(config.dataset or DATA_DIR / "tasks.json")
+    tasks_path = config.dataset or DATA_DIR / "tasks.json"
+    tasks = load_tasks(tasks_path)
+    slugs: dict[str, Task] = {}  # a task's slug names its episode directory
     for task in tasks:
         if task.scene_id not in scenes:
             raise DatasetError(f"task {task.task_name!r} references unknown scene {task.scene_id!r}")
+        taken = slugs.setdefault(slug := instruction_slug(task.task_name), task)
+        if taken is not task:
+            raise DatasetError(f"{tasks_path}: tasks {taken.task_name!r} and {task.task_name!r} "
+                               f"share the slug {slug!r}")
     return DatasetBundle(catalog=catalog, scenes=scenes, tasks=tasks)
 
 
@@ -263,15 +273,14 @@ class RunMemo:
                 self.prog_examples,
             )
             if task.goal_conditions is not None:
-                goal = GoalSpec(task.task_name, frozenset(task.goal_conditions), source="explicit")
+                goal = GoalSpec(task.task_name, frozenset(task.goal_conditions))
             else:
                 goal = derive_goal_conditions(World(bundle.catalog, scene.objects),
                                               scene.initial_state, task.goal_plan, task.task_name)
             self.goals[task] = goal
 
-    def parse(self, text: str, provenance: str,
-              sample_index: int) -> tuple[Plan, list[ParseDiagnostic]]:
-        return parse_plan_text(text, self.known_actions, provenance, sample_index, self.lines)
+    def parse(self, text: str, sample_index: int) -> tuple[Plan, list[ParseDiagnostic]]:
+        return parse_plan_text(text, self.known_actions, sample_index, self.lines)
 
 
 @dataclass
@@ -282,103 +291,63 @@ class PipelineArtifacts:
     no usable reorder sample); ``root`` is then an empty tree.
     """
 
-    reordered: list[Plan]
     pool_size: int
     root: VoteTreeNode
     diagnostics: list[str] = field(default_factory=list)
     error: str | None = None
 
 
-def run_task_pipeline(
-    task: Task,
-    memo: RunMemo,
-    provider: PlanGenerator,
-    prog_config: SamplingConfig,
-    reorder_config: SamplingConfig,
-) -> PipelineArtifacts:
-    """Sample, pool, reorder and aggregate one task into its vote tree.
+def run_one_episode(task: Task, bundle: DatasetBundle, config: RunConfig, rep: int,
+                    memo: RunMemo) -> tuple[EpisodeResult, PipelineArtifacts]:
+    """Run one (repetition, task) episode: sample plans, pool their commands,
+    reorder them, vote them into a tree and execute it.
 
-    An empty command pool skips the reorder stage; it and a reorder stage
-    whose samples all parse empty leave an empty tree and the error.
+    ``memo`` is the run's shared memo over ``bundle``.  An empty command pool
+    skips the reorder stage; it and a reorder stage whose samples all parse
+    empty leave an empty tree and the error, and the episode then attempts
+    nothing and ends with termination ``no_plan``.
     """
-    prog_prompt = memo.prog_prompts[task]
+    scene = bundle.scenes[task.scene_id]
+    provider = make_provider(config, task, scene)
     diagnostics: list[str] = []
-    generated: list[Plan] = []
-    for k, text in enumerate(provider.generate(prog_prompt, prog_config)):
-        plan, diags = memo.parse(text, "generated", k)
-        generated.append(plan)
-        diagnostics.extend(f"{PROG}[{k}]: {d.code}" for d in diags)
 
-    pool: list[Command] = []
-    reordered: list[Plan] = []
-    error = None
+    def sample(prompt: PromptDocument, temperature: float, num_samples: int) -> list[Plan]:
+        """The stage's parsed samples; an empty reorder sample is dropped."""
+        seed = derive_seed(config.master_seed, rep, task.task_name, prompt.kind)
+        try:
+            texts = provider.generate(
+                prompt, SamplingConfig(temperature, num_samples, config.max_length, seed=seed))
+        except ProviderError as exc:
+            raise ProviderError(f"task {task.task_name!r}, repetition {rep}: {exc}") from exc
+        plans = []
+        for k, text in enumerate(texts):
+            plan, diags = memo.parse(text, k)
+            diagnostics.extend(f"{prompt.kind}[{k}]: {d.code}" for d in diags)
+            if plan.commands or prompt.kind == PROG:
+                plans.append(plan)
+            else:
+                diagnostics.append(f"{REORDER}[{k}]: degenerate_sample_dropped")
+        return plans
+
+    generated = sample(memo.prog_prompts[task], config.prog_temperature, config.prog_num_samples)
+    pool, error = (), None
     try:
         pool = extract_unique_commands(generated)
         reorder_prompt = format_reorder_prompt(pool, task.task_name, memo.reorder_examples)
-        for k, text in enumerate(provider.generate(reorder_prompt, reorder_config)):
-            plan, diags = memo.parse(text, "reordered", k)
-            diagnostics.extend(f"{REORDER}[{k}]: {d.code}" for d in diags)
-            if plan.commands:
-                reordered.append(plan)
-            else:
-                diagnostics.append(f"{REORDER}[{k}]: degenerate_sample_dropped")
-        root = build_vote_tree(reordered)
+        root = build_vote_tree(
+            sample(reorder_prompt, config.reorder_temperature, config.reorder_num_samples))
     except (EmptyCommandPoolError, NoPlansError) as exc:
         root, error = VoteTreeNode(), str(exc)
-    return PipelineArtifacts(
-        reordered=reordered,
-        pool_size=len(pool),
-        root=root,
-        diagnostics=diagnostics,
-        error=error,
-    )
+    artifacts = PipelineArtifacts(len(pool), root, diagnostics, error)
 
-
-def run_one_episode(
-    task: Task,
-    bundle: DatasetBundle,
-    config: RunConfig,
-    rep: int,
-    memo: RunMemo | None = None,
-) -> tuple[EpisodeResult, PipelineArtifacts]:
-    """Run and execute one (repetition, task) episode.
-
-    ``memo`` is the run's shared memo over ``bundle``; without one, the
-    episode gets its own.  An episode with no plan to execute attempts
-    nothing and ends with termination ``no_plan``.
-    """
-    if memo is None:
-        memo = RunMemo(bundle, [task])
-    scene = bundle.scenes[task.scene_id]
-    world = World(bundle.catalog, scene.objects)
     goal = memo.goals[task]
-
-    provider = make_provider(config, task, scene)
-    prog_config = SamplingConfig(
-        config.prog_temperature, config.prog_num_samples, config.max_length,
-        seed=derive_seed(config.master_seed, rep, task.task_name, PROG),
-    )
-    reorder_config = SamplingConfig(
-        config.reorder_temperature, config.reorder_num_samples, config.max_length,
-        seed=derive_seed(config.master_seed, rep, task.task_name, REORDER),
-    )
-    try:
-        artifacts = run_task_pipeline(task, memo, provider, prog_config, reorder_config)
-    except ProviderError as exc:
-        raise ProviderError(f"task {task.task_name!r}, repetition {rep}: {exc}") from exc
-
-    if artifacts.error is not None:
+    if error is not None:
         trace = ExecutionTrace((), scene.initial_state, NO_PLAN)
         return EpisodeResult(task.task_name, trace, goal, frozenset()), artifacts
-    selection = SelectionStrategy(
-        kind=config.selection,
-        rng_seed=derive_seed(config.master_seed, rep, task.task_name, "selection"),
-    )
-    mode = ExecutionMode(kind=config.mode, selection=selection, termination=config.termination)
-    episode = run_episode(
-        task.task_name, world, scene.initial_state, goal, artifacts.root, mode,
-        config.step_limit,
-    )
+    seed = derive_seed(config.master_seed, rep, task.task_name, "selection")
+    mode = ExecutionMode(config.mode, SelectionStrategy(config.selection, seed), config.termination)
+    episode = run_episode(task.task_name, World(bundle.catalog, scene.objects),
+                          scene.initial_state, goal, root, mode, config.step_limit)
     return episode, artifacts
 
 
@@ -462,8 +431,9 @@ def _records(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: s
     CPU-bound, and its episodes run in ``_worker_count`` forked worker
     processes, or inline where that is one, where the platform has no
     ``fork``, or where the caller already runs threads: a lock one of them
-    holds at the fork would stay locked in the worker.  Either way no episode starts once one has failed, those running finish,
-    and the error of the earliest failing episode in run order is raised.
+    holds at the fork would stay locked in the worker.  Either way no episode
+    starts once one has failed, those running finish, and the error of the
+    earliest failing episode in run order is raised.
     """
     run_job = functools.partial(_run_job, config, bundle, memo, staging)
     if config.provider == REMOTE:

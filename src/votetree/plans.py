@@ -22,8 +22,6 @@ _DEF_RE = re.compile(r"^\s*def\s+\w+\s*\(")
 _SAMPLE_SEP_RE = re.compile(r"^---\s*sample\s+(\d+)\s*---\s*$", re.MULTILINE)
 _SPACE_RE = re.compile(r"\s+")
 
-PROVENANCES = ("generated", "reordered", "goal")
-
 
 def _clean_token(raw: str) -> str:
     """Trim quotes and whitespace from both ends (however nested), lowercase,
@@ -64,25 +62,14 @@ class Command:
         return self.canonical_form
 
 
-def normalize_command(action: str, args: list[str] | tuple[str, ...]) -> Command:
-    """Lowercase, trim and de-quote tokens; map aliases to canonical actions.
-
-    Unknown actions pass through unchanged; whether they execute is decided
-    by the environment, not the parser.
-    """
-    return _command(action, tuple(_clean_token(a) for a in args))
-
-
-def _command(action: str, clean_args: tuple[str, ...]) -> Command:
-    token = _clean_token(action)
-    if not token:
-        raise ValueError("empty action token")
-    return Command(action=ACTION_ALIASES.get(token, token), args=clean_args)
-
-
 def _call_command(action: str, argtext: str) -> Command:
-    """The command of one ``action(argtext)`` call; empty arguments are skipped."""
-    return _command(action, tuple(a for a in map(_clean_token, argtext.split(",")) if a))
+    """The command of one ``action(argtext)`` call: tokens lowercased, trimmed
+    and de-quoted, empty arguments skipped, aliases mapped to canonical
+    actions.  Unknown actions pass through unchanged; whether they execute is
+    decided by the environment, not the parser."""
+    token = _clean_token(action)
+    args = tuple(a for a in map(_clean_token, argtext.split(",")) if a)
+    return Command(action=ACTION_ALIASES.get(token, token), args=args)
 
 
 @dataclass(frozen=True)
@@ -90,14 +77,7 @@ class Plan:
     """An ordered command sequence attributed to one generator sample."""
 
     commands: tuple[Command, ...]
-    provenance: str = "generated"
     sample_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"bad plan provenance {self.provenance!r}")
-        if not self.commands and self.provenance != "generated":
-            raise ValueError(f"{self.provenance} plans must be non-empty")
 
     def __len__(self) -> int:
         return len(self.commands)
@@ -152,7 +132,6 @@ def _parse_line(raw_line: str) -> _LineEntries:
 def parse_plan_text(
     text: str,
     known_actions: set[str] | frozenset[str] | None = None,
-    provenance: str = "generated",
     sample_index: int = 0,
     line_memo: dict[str, _LineEntries] | None = None,
 ) -> tuple[Plan, list[ParseDiagnostic]]:
@@ -161,9 +140,7 @@ def parse_plan_text(
     Comment lines, function headers and assertion conditions are recognized
     scaffolding; action calls inside ``else:`` recovery branches are kept, in
     order.  Unparseable lines become diagnostics, never errors.  A degenerate
-    sample parses to an empty Plan plus a ``no_commands_found`` diagnostic
-    (the Plan is built with provenance "generated" in that case, since only
-    generated plans may be empty).
+    sample parses to an empty Plan plus a ``no_commands_found`` diagnostic.
 
     ``line_memo`` maps raw lines to what they parse to.  Passing one dict to
     many calls parses each distinct line once; the result is the same as
@@ -189,8 +166,7 @@ def parse_plan_text(
 
     if not commands:
         diagnostics.append(ParseDiagnostic("no_commands_found"))
-        return Plan((), provenance="generated", sample_index=sample_index), diagnostics
-    return Plan(tuple(commands), provenance=provenance, sample_index=sample_index), diagnostics
+    return Plan(tuple(commands), sample_index=sample_index), diagnostics
 
 
 def split_corpus(text: str) -> list[str]:

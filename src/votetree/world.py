@@ -399,13 +399,10 @@ class GoalSpec:
 
     task_name: str
     goal_conditions: frozenset[StatePredicate]
-    source: str = "explicit"
 
     def __post_init__(self) -> None:
         if not self.goal_conditions:
             raise DatasetError(f"task {self.task_name!r}: goal_conditions must be non-empty")
-        if self.source not in ("explicit", "derived_from_goal_plan"):
-            raise ValueError(f"bad GoalSpec source {self.source!r}")
 
 
 def simulate_plan(world: World, initial: WorldState, plan: Plan) -> WorldState:
@@ -432,7 +429,7 @@ def derive_goal_conditions(world: World, initial: WorldState, goal_plan: Plan,
     diff = state_diff(initial, final)
     if not diff:
         raise DatasetError(f"task {task_name!r}: goal plan produces an empty state diff")
-    return GoalSpec(task_name=task_name, goal_conditions=diff, source="derived_from_goal_plan")
+    return GoalSpec(task_name=task_name, goal_conditions=diff)
 
 
 @dataclass(frozen=True)
@@ -451,12 +448,14 @@ def load_tasks(path: str | Path) -> list[Task]:
     for number, doc in enumerate(json_document(path, DatasetError, list)):
         with reading(f"{path} entry {number}", DatasetError):
             commands = tuple(Command.parse(c) for c in doc["goal_plan"])
+            if not commands:
+                raise DatasetError("goal_plan must be non-empty")
             conditions = doc.get("goal_conditions")
             tasks.append(
                 Task(
                     task_name=doc["task_name"],
                     scene_id=doc["scene_id"],
-                    goal_plan=Plan(commands=commands, provenance="goal", sample_index=0),
+                    goal_plan=Plan(commands),
                     goal_conditions=(
                         frozenset(StatePredicate.parse(p) for p in conditions)
                         if conditions else None

@@ -32,8 +32,8 @@ def cmd(text: str) -> Command:
     return Command.parse(text)
 
 
-def plan_of(*texts: str, provenance: str = "generated", sample_index: int = 0) -> Plan:
-    return Plan(tuple(Command.parse(t) for t in texts), provenance, sample_index)
+def plan_of(*texts: str, sample_index: int = 0) -> Plan:
+    return Plan(tuple(Command.parse(t) for t in texts), sample_index)
 
 
 @pytest.fixture

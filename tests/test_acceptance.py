@@ -143,10 +143,11 @@ def test_c04_metric_formulas_and_fixture_oracle(bundle):
     assert compute_sr([1.0, 1.0]) == 1.0
     assert compute_sr([0.5, 0.99]) == 0.0
 
-    from votetree.harness import run_one_episode
+    from votetree.harness import RunMemo, run_one_episode
 
     task = next(t for t in bundle.tasks if t.task_name == "put apple in fridge")
-    episode, _ = run_one_episode(task, bundle, RunConfig(master_seed=SEED, output_dir=None), rep=0)
+    episode, _ = run_one_episode(task, bundle, RunConfig(master_seed=SEED, output_dir=None), 0,
+                                 RunMemo(bundle, [task]))
     assert compute_exec(episode.trace) == 1.0
 
     # Independent oracle: simulate the goal plan step by step and diff sets.

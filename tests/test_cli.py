@@ -5,7 +5,7 @@ import urllib.request
 
 import pytest
 
-from votetree import harness
+from votetree import cli, harness
 from votetree.cli import main
 from votetree.executor import TERMINATIONS
 from votetree.harness import RunConfig, record_suite
@@ -189,6 +189,18 @@ def test_run_without_fork_runs_inline(tmp_path, capsys, monkeypatch):
 
     forked, inline = files(tmp_path / "forked"), files(tmp_path / "inline")
     assert len(forked) == 2 * 2 * 31 + 2 and forked == inline
+
+
+def test_an_interrupted_run_prints_one_line(tmp_path, capsys, monkeypatch):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_suite", interrupted)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"master_seed": 1, "repetitions": 1}), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n" and "Traceback" not in captured.out
 
 
 def test_error_paths_return_nonzero(tmp_path, capsys):

@@ -311,7 +311,7 @@ class TestRunEpisode:
     def test_perfect_plan_scores_full(self, bundle, world1, scene1):
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
         goal = derive_goal_conditions(world1, scene1.initial_state, task.goal_plan, task.task_name)
-        tree = build_vote_tree([Plan(task.goal_plan.commands, "reordered", i) for i in range(5)])
+        tree = build_vote_tree([Plan(task.goal_plan.commands, i) for i in range(5)])
         episode = run_episode(task.task_name, world1, scene1.initial_state, goal, tree, ExecutionMode())
         assert compute_gcr(episode.achieved, episode.goal.goal_conditions) == 1.0
         assert compute_exec(episode.trace) == 1.0
@@ -325,7 +325,6 @@ class TestRunEpisode:
             "find(salmon)", "grab(salmon)", "find(microwave)", "open(microwave)",
             "putin(salmon,microwave)", "close(microwave)", "switchon(microwave)",
             "find(kitchentable)",
-            provenance="goal",
         )
         assert len(seed_plan) == 8
         goal = derive_goal_conditions(world1, scene1.initial_state, seed_plan, "microwave salmon v8")

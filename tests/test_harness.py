@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 
 from votetree import harness
 from votetree.diff import plan_diff_report
-from votetree.errors import ConfigError, ProviderError
+from votetree.errors import ConfigError, DatasetError, ProviderError
 from votetree.executor import MODES, TERMINATIONS, ExecutionMode, execute_tree
 from votetree.harness import (
     RunConfig,
+    RunMemo,
     build_distractors,
     evaluated_tasks,
+    load_dataset,
     recompute_metrics,
     record_suite,
     run_one_episode,
@@ -31,9 +33,9 @@ from votetree.harness import (
 )
 from votetree.metrics import format_table
 from votetree.plans import Command, render_plan
-from votetree.prompts import instruction_slug
+from votetree.prompts import DATA_DIR, instruction_slug
 from votetree.providers import NoiseModel, RemoteProvider, synthesize_noisy_plans
-from votetree.tree import SELECTIONS, SelectionStrategy, build_vote_tree
+from votetree.tree import SELECTIONS, SelectionStrategy, build_vote_tree, tree_to_dict
 from votetree.world import World, load_scene
 
 from conftest import plan_of
@@ -100,6 +102,29 @@ class TestSplit:
         assert len(evaluated_tasks(bundle, include_seen=True)) == 35
 
 
+class TestLoadDataset:
+    def test_two_tasks_with_one_slug_are_refused(self, tmp_path):
+        """Both would write episodes/<slug>/<rep>/, so one's files would replace the other's."""
+        tasks = [{"task_name": name, "scene_id": "scene1", "goal_plan": ["find(folder)"]}
+                 for name in ("put the folder on the desk", "PUT THE FOLDER ON THE DESK!")]
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps(tasks), encoding="utf-8")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(RunConfig(dataset=str(path)))
+        assert str(info.value) == (
+            f"{path}: tasks 'put the folder on the desk' and 'PUT THE FOLDER ON THE DESK!' "
+            "share the slug 'put_the_folder_on_the_desk'")
+
+    def test_two_scene_files_with_one_scene_id_are_refused(self, tmp_path):
+        for scene in (DATA_DIR / "scenes").glob("*.json"):
+            (tmp_path / scene.name).write_bytes(scene.read_bytes())
+        (tmp_path / "zz_copy.json").write_bytes((DATA_DIR / "scenes" / "scene1.json").read_bytes())
+        with pytest.raises(DatasetError) as info:
+            load_dataset(RunConfig(scenes_dir=str(tmp_path)))
+        assert str(info.value) == (
+            f"{tmp_path / 'scene1.json'}, {tmp_path / 'zz_copy.json'}: both define scene 'scene1'")
+
+
 class TestDistractors:
     def test_deterministic_and_plausible(self, bundle):
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
@@ -154,11 +179,13 @@ class TestSuite:
         are seed-matched by construction."""
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
         base = dict(master_seed=3, drop_prob=0.3, output_dir=None)
-        ep_with, art_with = run_one_episode(task, bundle, RunConfig(**base), rep=0)
+        memo = RunMemo(bundle, [task])
+        ep_with, art_with = run_one_episode(task, bundle, RunConfig(**base), 0, memo)
         ep_without, art_without = run_one_episode(
-            task, bundle, RunConfig(**base, mode="no_correction"), rep=0
+            task, bundle, RunConfig(**base, mode="no_correction"), 0, memo
         )
-        assert [p.commands for p in art_with.reordered] == [p.commands for p in art_without.reordered]
+        assert art_with.diagnostics == art_without.diagnostics
+        assert tree_to_dict(art_with.root) == tree_to_dict(art_without.root)
 
     def test_noise_sweep_sr_trend_non_increasing(self, bundle):
         drops = [0.0, 0.1, 0.2, 0.3]
@@ -777,9 +804,11 @@ class TestNoPlan:
 
         monkeypatch.setattr(harness, "make_provider", lambda config, task, scene: GarbageReorder())
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
-        episode, artifacts = run_one_episode(task, bundle, RunConfig(master_seed=1), rep=0)
+        episode, artifacts = run_one_episode(task, bundle, RunConfig(master_seed=1), 0,
+                                             RunMemo(bundle, [task]))
         assert episode.trace.termination == "no_plan" and episode.trace.steps == ()
-        assert artifacts.pool_size == 1 and artifacts.reordered == []
+        assert artifacts.pool_size == 1 and artifacts.root.children == {}
+        assert sum(d.endswith(": degenerate_sample_dropped") for d in artifacts.diagnostics) == 20
         assert "no_plans" in artifacts.error
 
 

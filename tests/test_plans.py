@@ -11,7 +11,6 @@ from votetree.plans import (
     Command,
     Plan,
     extract_unique_commands,
-    normalize_command,
     parse_plan_text,
     render_plan,
     split_corpus,
@@ -24,27 +23,23 @@ DATA = Path(__file__).parent / "data"
 
 class TestNormalize:
     def test_case_whitespace_quotes(self):
-        c = normalize_command("Grab", [" 'Salmon' "])
+        c = Command.parse("Grab( ' Salmon ' )")
         assert c == Command("grab", ("salmon",))
 
     def test_walk_alias(self):
-        assert normalize_command("walk", ["kitchen"]) == Command("find", ("kitchen",))
+        assert Command.parse("walk(kitchen)") == Command("find", ("kitchen",))
 
     def test_put_alias(self):
-        c = normalize_command("put", ["plate", "table"])
+        c = Command.parse("put(plate, table)")
         assert c == Command("putback", ("plate", "table"))
 
     def test_unknown_action_passes_through(self):
-        assert normalize_command("flomp", ["cup"]) == Command("flomp", ("cup",))
-
-    def test_empty_action_rejected(self):
-        with pytest.raises(ValueError, match="empty action"):
-            normalize_command("  ", ["cup"])
+        assert Command.parse("flomp(cup)") == Command("flomp", ("cup",))
 
     def test_idempotence(self):
-        first = normalize_command("Walk", ["'Wine Glass'"])
-        second = normalize_command(first.action, list(first.args))
-        assert first == second
+        first = Command.parse("Walk('Wine Glass')")
+        assert first == Command("find", ("wine_glass",))
+        assert Command.parse(first.canonical_form) == first
 
     def test_canonical_form(self):
         assert Command("putin", ("salmon", "microwave")).canonical_form == "putin(salmon,microwave)"
@@ -128,19 +123,18 @@ KNOWN_ACTIONS = st.sampled_from([None, frozenset({"find", "grab", "open", "close
 
 
 class TestLineMemo:
-    @given(samples=st.lists(st.tuples(PLAN_TEXTS, KNOWN_ACTIONS), max_size=8),
-           provenance=st.sampled_from(["generated", "reordered"]))
-    def test_shared_memo_matches_fresh_parse(self, samples, provenance):
+    @given(samples=st.lists(st.tuples(PLAN_TEXTS, KNOWN_ACTIONS), max_size=8))
+    def test_shared_memo_matches_fresh_parse(self, samples):
         memo: dict = {}
         for k, (text, known) in enumerate(samples):
-            shared = parse_plan_text(text, known, provenance, k, line_memo=memo)
-            assert shared == parse_plan_text(text, known, provenance, k)
+            shared = parse_plan_text(text, known, k, line_memo=memo)
+            assert shared == parse_plan_text(text, known, k)
 
 
 class TestParserProperties:
     @given(text=st.one_of(st.text(), PLAN_TEXTS), known=KNOWN_ACTIONS)
     def test_never_raises_on_arbitrary_text(self, text, known):
-        plan, diagnostics = parse_plan_text(text, known, "reordered", 3)
+        plan, diagnostics = parse_plan_text(text, known, 3)
         assert plan.sample_index == 3
         if not plan.commands:
             assert diagnostics[-1].code == "no_commands_found"
@@ -222,16 +216,12 @@ class TestExtractUniqueCommands:
 
         plans = []
         for k, body in enumerate(bodies):
-            plan, _ = parse_plan_text(body, provenance="generated", sample_index=k)
+            plan, _ = parse_plan_text(body, sample_index=k)
             plans.append(plan)
         pool = extract_unique_commands(plans)
         assert set(pool.canonical_forms) == oracle
 
 
 class TestPlanInvariants:
-    def test_reordered_plans_must_be_nonempty(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            Plan((), provenance="reordered")
-
     def test_generated_may_be_empty(self):
-        assert Plan((), provenance="generated").commands == ()
+        assert Plan(()).commands == ()

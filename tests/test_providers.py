@@ -39,7 +39,6 @@ def seed_plan():
         "find(salmon)", "grab(salmon)", "find(microwave)", "open(microwave)",
         "putin(salmon,microwave)", "close(microwave)", "switchon(microwave)",
         "find(kitchentable)",
-        provenance="goal",
     )
 
 
@@ -202,7 +201,7 @@ class TestRecordFixtures:
         cfg = SamplingConfig(num_samples=3, seed=4)
         noise = NoiseModel(drop_prob=0.2)
         StoredProvider(SyntheticProvider(seed_plan, noise), tmp_path).generate(prompt, cfg)
-        shorter = plan_of(*(c.canonical_form for c in seed_plan.commands[:-1]), provenance="goal")
+        shorter = plan_of(*(c.canonical_form for c in seed_plan.commands[:-1]))
         with pytest.raises(ProviderError, match="recorded by"):
             StoredProvider(SyntheticProvider(shorter, noise), tmp_path).generate(prompt, cfg)
         other_pool = NoiseModel(drop_prob=0.2, distractor_pool=(Command("find", ("sofa",)),))
@@ -264,7 +263,7 @@ class TestRemoteProvider:
         def to_tree(texts):
             plans = []
             for k, t in enumerate(texts):
-                plan, _ = parse_plan_text(t, provenance="generated", sample_index=k)
+                plan, _ = parse_plan_text(t, sample_index=k)
                 plans.append(plan)
             return tree_to_dict(build_vote_tree(plans))
 

@@ -5,13 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from votetree.errors import DatasetError, SceneError
-from votetree.plans import Command, Plan
+from votetree.plans import Command
 from votetree.world import (
     StatePredicate,
     World,
     WorldState,
     derive_goal_conditions,
     load_scene,
+    load_tasks,
     simulate_plan,
     state_diff,
 )
@@ -205,18 +206,21 @@ class TestStateDiff:
 
 
 class TestDeriveGoalConditions:
-    def test_empty_goal_plan_is_invalid(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            Plan((), provenance="goal")
+    def test_empty_goal_plan_is_invalid(self, tmp_path):
+        path = tmp_path / "tasks.json"
+        path.write_text('[{"task_name": "t", "scene_id": "scene1", "goal_plan": ["find(x)"]},'
+                        ' {"task_name": "u", "scene_id": "scene1", "goal_plan": []}]')
+        with pytest.raises(DatasetError, match=r"tasks\.json entry 1: goal_plan must be non-empty"):
+            load_tasks(path)
 
     def test_net_zero_plan_is_a_dataset_error(self, world1, scene1):
         state = world1.execute(scene1.initial_state, cmd("find(stove)")).state
-        noop = plan_of("find(stove)", provenance="goal")
+        noop = plan_of("find(stove)")
         with pytest.raises(DatasetError, match="empty state diff"):
             derive_goal_conditions(world1, state, noop, "noop task")
 
     def test_failing_goal_plan_names_the_command(self, world1, scene1):
-        broken = plan_of("grab(apple)", provenance="goal")
+        broken = plan_of("grab(apple)")
         with pytest.raises(DatasetError, match=r"grab\(apple\)"):
             derive_goal_conditions(world1, scene1.initial_state, broken, "broken")
 
@@ -227,7 +231,6 @@ class TestDeriveGoalConditions:
             world = World(bundle.catalog, scene.objects)
             spec = derive_goal_conditions(world, scene.initial_state, task.goal_plan, task.task_name)
             assert spec.goal_conditions
-            assert spec.source == "derived_from_goal_plan"
             specs.append(spec)
         assert len(specs) == 35
 
