@@ -59,6 +59,7 @@ from .prompts import (
     seen_task_names,
 )
 from .providers import (
+    REQUESTS,
     NoiseModel,
     PlanGenerator,
     RemoteProvider,
@@ -85,8 +86,8 @@ REPLAY = "replay"
 REMOTE = "remote"
 
 MAX_INFLIGHT = 16
-"""Most episodes a remote run keeps in flight.  Each sends one request at a
-time, so this also bounds the run's requests in flight."""
+"""Most requests a remote run keeps in flight, and most episodes: the run's
+request pool has this many threads, and so has its episode pool."""
 
 
 # (fields, rule) for the RunConfig fields no library type checks under the same
@@ -426,8 +427,8 @@ def _records(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: s
              jobs: list[tuple[int, int, Task]]):
     """Yield the ``_run_job`` record of each job of ``jobs``, in order.
 
-    A remote run keeps up to ``MAX_INFLIGHT`` episodes in flight in threads:
-    it waits on requests, not on the interpreter.  Every other provider is
+    A remote run runs its episodes in threads, as it waits on requests, not
+    on the interpreter (see ``_threaded``).  Every other provider is
     CPU-bound, and its episodes run in ``_worker_count`` forked worker
     processes, or inline where that is one, where the platform has no
     ``fork``, or where the caller already runs threads: a lock one of them
@@ -454,9 +455,18 @@ def _records(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: s
 
 def _threaded(run_job, jobs: list):
     """``run_job`` over ``jobs`` in a sliding window of ``MAX_INFLIGHT``
-    threads, starting the next job as the oldest result is taken."""
+    episode threads, starting the next job as the oldest result is taken.
+
+    Each episode thread finds the run's request pool of ``MAX_INFLIGHT``
+    threads in ``providers.REQUESTS``, and a stage sends all its missing
+    samples to it at once.  The request pool is opened first and closed
+    last, and both pools are joined before this returns, so no thread of the
+    run outlives it.
+    """
     window: deque[Future] = deque()
-    with ThreadPoolExecutor(max_workers=MAX_INFLIGHT) as pool:
+    with ThreadPoolExecutor(max_workers=MAX_INFLIGHT) as requests, \
+            ThreadPoolExecutor(max_workers=MAX_INFLIGHT, initializer=REQUESTS.set,
+                               initargs=(requests,)) as pool:
         try:
             for job in jobs:
                 if any(future.done() and future.exception() is not None for future in window):
@@ -573,11 +583,28 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
         if output_dir is not None:
             _write_outputs(output_dir, config, row, per_rep, episode_records, staging)
     except BaseException:
-        records.close()  # stops and joins the episodes still running
-        if staging is not None:
-            shutil.rmtree(staging, ignore_errors=True)
+        try:
+            records.close()  # stops and joins the episodes still running
+        finally:
+            if staging is not None:
+                _remove(staging)
         raise
     return SuiteResult(row=row, per_rep=per_rep, episodes=episode_records, output_dir=output_dir)
+
+
+def _remove(staging: str) -> None:
+    """Remove the ``staging`` directory of a failed run with SIGINT blocked in
+    this thread, so that a second Ctrl-C cannot stop the removal half done;
+    it is delivered once the directory is gone."""
+    import signal  # here: only a failed run pays for the import
+
+    block = getattr(signal, "pthread_sigmask", None)  # None on Windows
+    mask = block(signal.SIG_BLOCK, {signal.SIGINT}) if block else None
+    try:
+        shutil.rmtree(staging, ignore_errors=True)
+    finally:
+        if block:
+            block(signal.SIG_SETMASK, mask)
 
 
 def _write_outputs(

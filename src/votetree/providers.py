@@ -23,6 +23,8 @@ import os
 import random
 import time
 import urllib.error
+from concurrent.futures import Executor
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -45,6 +47,12 @@ class PlanGenerator(Protocol):
         ...
 
 
+REQUESTS: ContextVar[Executor | None] = ContextVar("REQUESTS", default=None)
+"""The request pool of the run the current thread works for, or ``None``
+outside a run.  A remote run sets it in each of its episode threads (see
+``harness._threaded``); ``RemoteProvider.generate`` sends through it."""
+
+
 # -- fixture store --------------------------------------------------------------
 
 def _describe(identity: dict) -> str:
@@ -57,6 +65,7 @@ def read_through(
     config: SamplingConfig,
     identity: dict | None = None,
     sampler: Callable[[PromptDocument, SamplingConfig], Callable[[int], str]] | None = None,
+    requests: Executor | None = None,
 ) -> list[str]:
     """The ``config.num_samples`` samples of ``prompt`` in the fixture store at ``root``.
 
@@ -67,10 +76,14 @@ def read_through(
     ``identity`` is given) by another generator, is refused.  Without a
     ``sampler`` a missing sample is an error and nothing is written.
     Otherwise ``sampler(prompt, config)``, called only when samples are
-    missing and before any write, draws them one at a time in k order, in the
-    calling thread, until one fails.  Then the file is written once,
-    atomically, keeping every sample drawn, and that failure, if any, is
-    raised.
+    missing and before any write, gives the function that draws sample k.
+    Without ``requests`` the missing samples are drawn one at a time in k
+    order, in the calling thread, until one fails.  With a ``requests`` pool
+    they are all submitted to it at once, in k order, and collected in k
+    order; at the first failure the draws not yet started are cancelled and
+    those running are waited for.  Either way the file is then written once,
+    atomically, keeping every sample drawn, and the failure of the lowest
+    failing k, if any, is raised.
     """
     path = Path(root) / prompt.content_hash / prompt.kind / f"{config.seed}.json"
     header = {"instruction": prompt.instruction, "stage": prompt.kind,
@@ -106,12 +119,32 @@ def read_through(
         return samples[: config.num_samples]
     draw = sampler(prompt, config)
     try:
-        for k in missing:
-            samples[k] = draw(k)
+        if requests is None:
+            for k in missing:
+                samples[k] = draw(k)
+        else:
+            _draw_all(requests, draw, missing, samples)
     finally:
         document = {**header, **(identity or {}), "num_samples": len(samples), "samples": samples}
         atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
     return samples[: config.num_samples]
+
+
+def _draw_all(requests: Executor, draw: Callable[[int], str], missing: list[int],
+              samples: list[str | None]) -> None:
+    """Fill ``samples[k]`` for each k of ``missing`` through ``requests``."""
+    futures = [(k, requests.submit(draw, k)) for k in missing]
+    failure: BaseException | None = None
+    for k, future in futures:
+        if failure is not None and future.cancel():
+            continue
+        try:
+            samples[k] = future.result()
+        except BaseException as exc:
+            if failure is None:
+                failure = exc
+    if failure is not None:
+        raise failure
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -256,7 +289,8 @@ class _BadResponse(ProviderError):
 
 
 def _http_transport(request: dict, endpoint: str, api_key: str, timeout: float) -> str:
-    import urllib.request  # here, so that a run that sends no request does not import it
+    import http.client  # both here, so that a run that sends no request does not import them
+    import urllib.request
 
     payload = json.dumps(request).encode("utf-8")
     req = urllib.request.Request(
@@ -267,8 +301,11 @@ def _http_transport(request: dict, endpoint: str, api_key: str, timeout: float) 
             "Authorization": f"Bearer {api_key}",
         },
     )
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        raw = resp.read()
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            raw = resp.read()
+    except http.client.HTTPException as exc:  # a dropped connection or a truncated body
+        raise ProviderError(f"broken HTTP response: {exc!r}") from exc
     try:
         content = json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -293,14 +330,17 @@ class RemoteProvider:
     Every response is kept in the fixture store at ``cache_dir`` (see
     ``read_through``), so a finished remote run can be replayed offline by
     pointing a ReplayProvider at it, and a store recorded by another model is
-    refused.  Missing samples are requested one at a time, in k order, and
-    sample k's request depends on k and the sampling config only.  A remote
-    ``run_suite`` calls ``generate`` from several episode threads at once, so
-    an injected ``transport`` must be thread-safe.
+    refused.  Sample k's request depends on k and the sampling config only,
+    and its answer lands at index k.  Inside a remote ``run_suite`` a stage
+    sends all its missing samples at once through the run's request pool
+    (``REQUESTS``), so an injected ``transport`` must be thread-safe; a
+    ``generate`` call outside a run sends them one at a time, in k order.
 
-    Timeouts, connection errors, HTTP 5xx, 408 and 429 are retried with
-    backoff; missing credentials, other HTTP 4xx and malformed responses fail
-    at once.  Credentials are checked before anything is written.
+    Timeouts, connection errors (refused, reset or dropped before the
+    response), broken HTTP responses (a truncated body), HTTP 5xx, 408 and
+    429 are retried with backoff; missing credentials, other HTTP 4xx and
+    malformed response bodies fail at once.  Credentials are checked before
+    anything is written.
     """
 
     def __init__(
@@ -323,7 +363,7 @@ class RemoteProvider:
 
     def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
         return read_through(self.cache_dir, prompt, config, {"model": self.model},
-                            self._sampler)
+                            self._sampler, REQUESTS.get())
 
     def _sampler(self, prompt: PromptDocument, config: SamplingConfig) -> Callable[[int], str]:
         """Sample k's request through the injected transport, or HTTP with the
@@ -353,7 +393,7 @@ class RemoteProvider:
         for attempt in range(self.retries):
             try:
                 return send(request)
-            except (urllib.error.URLError, TimeoutError, ProviderError) as exc:
+            except (urllib.error.URLError, TimeoutError, ConnectionError, ProviderError) as exc:
                 if _is_fatal(exc):
                     raise ProviderError(f"remote call failed, not retried: {exc}") from exc
                 last = exc

@@ -33,8 +33,8 @@ from votetree.harness import (
 )
 from votetree.metrics import format_table
 from votetree.plans import Command, render_plan
-from votetree.prompts import DATA_DIR, instruction_slug
-from votetree.providers import NoiseModel, RemoteProvider, synthesize_noisy_plans
+from votetree.prompts import DATA_DIR, PROG, instruction_slug
+from votetree.providers import NoiseModel, RemoteProvider, derive_seed, synthesize_noisy_plans
 from votetree.tree import SELECTIONS, SelectionStrategy, build_vote_tree, tree_to_dict
 from votetree.world import World, load_scene
 
@@ -382,8 +382,10 @@ def _request_key(request):
 
 
 class TestRemoteRun:
-    """A remote run keeps up to MAX_INFLIGHT episodes, each with one request, in
-    flight, and scores them in run order."""
+    """A remote run keeps up to MAX_INFLIGHT requests in flight: up to
+    MAX_INFLIGHT episode threads, each stage of which sends its missing samples
+    together through the run's request pool of MAX_INFLIGHT threads.  It
+    scores the episodes in run order."""
 
     def test_in_flight_requests_are_bounded(self, bundle, tmp_path, monkeypatch):
         fake = FakeTransport(bundle)
@@ -406,6 +408,87 @@ class TestRemoteRun:
         assert len(result.episodes) == 31
         assert fake.calls == 31 * (30 + 20)
         assert 1 < peak[0] <= harness.MAX_INFLIGHT
+
+    def test_a_stage_sends_its_requests_together(self, bundle, tmp_path, monkeypatch):
+        """With one repetition a prompt's text names one (prompt, seed) store file."""
+        fake = FakeTransport(bundle)
+        lock = threading.Lock()
+        active: Counter = Counter()
+        peak: Counter = Counter()
+        pause = threading.Event()
+
+        def transport(request):
+            prompt = request["messages"][0]["content"]
+            with lock:
+                active[prompt] += 1
+                peak[prompt] = max(peak[prompt], active[prompt])
+            pause.wait(0.002)
+            with lock:
+                active[prompt] -= 1
+            return fake(request)
+
+        _remote_via(monkeypatch, transport)
+        run_suite(_remote_config(tmp_path, "together", output_dir=None), bundle)
+        assert len(peak) == 31 * 2
+        assert 1 < max(peak.values()) <= harness.MAX_INFLIGHT
+
+    def test_a_failure_in_the_middle_of_a_stage(self, bundle, tmp_path, monkeypatch):
+        """In one task's prog stage sample 9 fails at once, and sample 5 once
+        the last sample, 29, is answered.  The run raises sample 5's error, the
+        stage's store file keeps every sample answered, 29 too, and a rerun
+        sends only the requests that were not answered."""
+        fake = FakeTransport(bundle)
+        task = evaluated_tasks(bundle)[2].task_name
+        stage_seed = derive_seed(6, 0, task, PROG)
+        k_of = {derive_seed(stage_seed, k) % 2**31: k for k in range(30)}
+        lock = threading.Lock()
+        last_answered = threading.Event()
+        answered: list[tuple] = []
+        stage: dict[int, str] = {}  # the failing stage's answers by k
+
+        def transport(request):
+            k = k_of.get(request["seed"])
+            if k == 9:
+                raise urllib.error.HTTPError("https://example.invalid", 403, "nine", {}, None)
+            if k == 5:
+                last_answered.wait(10)
+                raise urllib.error.HTTPError("https://example.invalid", 400, "five", {}, None)
+            text = fake(request)
+            with lock:
+                answered.append(_request_key(request))
+                if k is not None:
+                    stage[k] = text
+            if k == 29:
+                last_answered.set()
+            return text
+
+        _remote_via(monkeypatch, transport)
+        config = _remote_config(tmp_path, "resumed")
+        threads = threading.active_count()
+        with pytest.raises(ProviderError, match=rf"task {task!r}, repetition 0: .*five"):
+            run_suite(config, bundle)
+        assert threading.active_count() == threads
+        [path] = (tmp_path / "resumed" / "cache").glob(f"*/{PROG}/{stage_seed}.json")
+        stored = json.loads(path.read_text(encoding="utf-8"))["samples"]
+        assert {k: text for k, text in enumerate(stored) if text is not None} == stage
+        assert 29 in stage and 5 not in stage and 9 not in stage
+
+        resent: list[tuple] = []
+
+        def working(request):
+            with lock:
+                resent.append(_request_key(request))
+            return fake(request)
+
+        _remote_via(monkeypatch, working)
+        run_suite(config, bundle)
+        resumed = list(resent)
+        resent.clear()
+        run_suite(_remote_config(tmp_path, "clean"), bundle)
+        assert not set(resumed) & set(answered)
+        assert Counter(resumed) + Counter(answered) == Counter(resent)
+        for part in ("out", "cache"):
+            assert _files(tmp_path / "resumed" / part) == _files(tmp_path / "clean" / part)
 
     def test_out_of_order_responses_land_in_k_order(self, bundle, tmp_path, monkeypatch):
         fake = FakeTransport(bundle)
@@ -708,6 +791,53 @@ class TestEpisodeWriter:
         run_suite(_remote_config(tmp_path, "remote"), bundle)
         assert threads_at_fork == [threads, threads]
         assert (tmp_path / "remote" / "out" / "episodes").is_dir()
+
+    def test_a_remote_run_leaves_no_thread_behind(self, bundle, tmp_path, monkeypatch):
+        """A remote run joins its episode and request pools before it returns,
+        so a synthetic run right after it still forks its workers."""
+        threads = threading.active_count()
+        with monkeypatch.context() as remote:
+            _remote_via(remote, FakeTransport(bundle))
+            run_suite(_remote_config(tmp_path, "remote", output_dir=None), bundle)
+        assert threading.active_count() == threads
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        run_suite(RunConfig(master_seed=3, repetitions=1, output_dir=None), bundle)
+        assert forks == [threads, threads]
+
+    def test_a_second_interrupt_while_cleaning_up_leaves_no_staging(self, bundle, earlier,
+                                                                    monkeypatch):
+        """Repetition 1 of an inline run fails, and a Ctrl-C arrives as the
+        run starts removing its staging directory: the removal finishes, and
+        the interrupt is raised after it."""
+        out, before = earlier
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: 1)
+        run_one_episode = harness.run_one_episode
+
+        def fails_in_repetition_1(task, bundle, config, rep, memo):
+            if rep == 1:
+                raise RuntimeError("episode")
+            return run_one_episode(task, bundle, config, rep, memo)
+
+        rmtree = harness.shutil.rmtree
+
+        def interrupted_rmtree(path, *args, **kwargs):
+            os.kill(os.getpid(), signal.SIGINT)
+            return rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_one_episode", fails_in_repetition_1)
+        monkeypatch.setattr(harness.shutil, "rmtree", interrupted_rmtree)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(RunConfig(master_seed=8, repetitions=2, output_dir=str(out)), bundle)
+        monkeypatch.undo()
+        assert self._contents(out) == before
+        assert not self._leftovers(out)
 
     def test_a_caller_with_threads_runs_its_episodes_inline(self, bundle, tmp_path,
                                                             monkeypatch):

@@ -6,6 +6,7 @@ import time
 import urllib.error
 import urllib.request
 from collections import Counter
+from http.client import IncompleteRead, RemoteDisconnected
 
 import pytest
 
@@ -358,6 +359,9 @@ class TestRemoteRetries:
         500, 503, 408, 429,
         urllib.error.URLError("connection refused"),
         TimeoutError("timed out"),
+        ConnectionResetError("connection reset by peer"),
+        RemoteDisconnected("Remote end closed connection without response"),
+        IncompleteRead(b"{\"choi", 40),
     ])
     def test_transient_failures_are_retried(self, tmp_path, prompt, sleeps, http, failure):
         script, calls = http
@@ -376,10 +380,22 @@ class TestRemoteRetries:
         assert texts == ["find('a')\n"]
         assert sleeps == [1.0]
 
+    def test_a_dropped_connection_is_retried(self, tmp_path, prompt, sleeps, http):
+        """``urlopen`` passes on the error ``getresponse`` raises when the
+        server closes the connection before answering."""
+        script, calls = http
+        script.extend([RemoteDisconnected("Remote end closed connection without response"),
+                       json.dumps({"choices": [{"message": {"content": "find('a')\n"}}]})])
+        texts = self._provider(tmp_path).generate(prompt, SamplingConfig(num_samples=1))
+        assert texts == ["find('a')\n"]
+        assert len(calls) == 2
+        assert sleeps == [1.0]
+
 
 class TestRemoteConcurrency:
-    """Missing samples are requested one at a time, in k order; a remote run
-    draws several prompts' samples at once (see test_harness.TestRemoteRun)."""
+    """Outside a run, missing samples are requested one at a time, in k order;
+    inside a remote run a stage sends them together through the run's request
+    pool (see test_harness.TestRemoteRun)."""
 
     @staticmethod
     def _k_of(cfg):
