@@ -27,12 +27,13 @@ from .executor import (
     ExecutionMode,
     ExecutionTrace,
     StepRecord,
-    execute_tree,
+    run_episode,
     serialize_trace,
 )
-from .harness import RunConfig, load_dataset, recompute_metrics, record_suite, run_suite
+from .harness import RunConfig, recompute_metrics, record_suite, run_suite
 from .metrics import format_table
 from .plans import Command, parse_plan_text, split_corpus
+from .prompts import DATA_DIR
 from .tree import (
     MAX_VOTE,
     SELECTIONS,
@@ -96,14 +97,13 @@ def _cmd_execute(args: argparse.Namespace) -> int:
     with reading(args.tree, DatasetError):
         root = tree_from_dict(json_document(args.tree, DatasetError))
     scene = load_scene(args.scene)
-    catalog = ActionCatalog.from_file(args.actions) if args.actions else load_dataset().catalog
-    world = World(catalog, scene.objects)
+    world = World(ActionCatalog.from_file(args.actions or DATA_DIR / "actions.json"), scene.objects)
     mode = ExecutionMode(
         kind=args.mode,
         selection=SelectionStrategy(kind=args.selection, rng_seed=args.seed),
         termination=args.termination,
     )
-    trace = execute_tree(root, world.execute, scene.initial_state, mode, args.step_limit)
+    trace = run_episode(world, scene.initial_state, root, mode, args.step_limit).trace
     doc = {"termination": trace.termination, "steps": serialize_trace(trace)}
     out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:

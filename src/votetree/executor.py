@@ -18,7 +18,7 @@ from typing import Callable
 from .errors import INTEGER_AT_LEAST_1, check_choice, check_value
 from .plans import Command
 from .tree import SelectionStrategy, VoteTreeNode, select_child
-from .world import ExecutionOutcome, GoalSpec, World, WorldState, state_diff
+from .world import ExecutionOutcome, World, WorldState, state_diff
 
 NO_CORRECTION = "no_correction"
 WITH_CORRECTION = "with_correction"
@@ -31,7 +31,7 @@ TERMINATIONS = (TERMINATE_CHILDLESS, TERMINATE_END_MARKER)
 COMPLETED = "completed"
 EXHAUSTED = "exhausted"
 STEP_LIMIT = "step_limit"
-NO_PLAN = "no_plan"  # nothing to execute: set by the harness, never by execute_tree
+NO_PLAN = "no_plan"  # nothing to execute: an empty tree in run_episode, never execute_tree
 
 DEFAULT_STEP_LIMIT = 50
 
@@ -124,27 +124,27 @@ def execute_tree(
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    """Everything the metrics need from one executed episode."""
+    """Everything the metrics need from one executed episode besides its goal."""
 
-    task_name: str
     trace: ExecutionTrace
-    goal: GoalSpec
     achieved: frozenset
 
 
 def run_episode(
-    task_name: str,
     world: World,
     initial_state: WorldState,
-    goal: GoalSpec,
     root: VoteTreeNode,
     mode: ExecutionMode,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> EpisodeResult:
-    """Execute the tree in the world and bundle the metric inputs."""
-    trace = execute_tree(root, world.execute, initial_state, mode, step_limit)
-    achieved = state_diff(initial_state, trace.final_state)
-    return EpisodeResult(task_name=task_name, trace=trace, goal=goal, achieved=achieved)
+    """Execute the tree in the world and bundle the metric inputs.  An empty
+    tree is an episode with no plan: it attempts nothing and ends ``no_plan``."""
+    check_value("step_limit", step_limit, INTEGER_AT_LEAST_1)
+    if root.children:
+        trace = execute_tree(root, world.execute, initial_state, mode, step_limit)
+    else:
+        trace = ExecutionTrace((), initial_state, NO_PLAN)
+    return EpisodeResult(trace, state_diff(initial_state, trace.final_state))
 
 
 def serialize_trace(trace: ExecutionTrace) -> list[dict]:

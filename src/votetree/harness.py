@@ -35,12 +35,10 @@ from .errors import (
 )
 from .executor import (
     DEFAULT_STEP_LIMIT,
-    NO_PLAN,
     TERMINATE_CHILDLESS,
     WITH_CORRECTION,
     EpisodeResult,
     ExecutionMode,
-    ExecutionTrace,
     run_episode,
     serialize_trace,
 )
@@ -72,8 +70,8 @@ from .providers import (
 from .tree import MAX_VOTE, SelectionStrategy, VoteTreeNode, build_vote_tree, tree_to_dict
 from .world import (
     ActionCatalog,
-    GoalSpec,
     Scene,
+    StatePredicate,
     Task,
     World,
     derive_goal_conditions,
@@ -266,19 +264,16 @@ class RunMemo:
         self.reorder_examples = default_reorder_examples()
         self.lines: dict[str, tuple] = {}
         self.prog_prompts: dict[Task, PromptDocument] = {}
-        self.goals: dict[Task, GoalSpec] = {}
+        self.goals: dict[Task, frozenset[StatePredicate]] = {}
         for task in tasks:
             scene = bundle.scenes[task.scene_id]
             self.prog_prompts[task] = format_prog_prompt(
                 task.task_name, bundle.catalog.action_names, sorted(scene.objects),
                 self.prog_examples,
             )
-            if task.goal_conditions is not None:
-                goal = GoalSpec(task.task_name, frozenset(task.goal_conditions))
-            else:
-                goal = derive_goal_conditions(World(bundle.catalog, scene.objects),
-                                              scene.initial_state, task.goal_plan, task.task_name)
-            self.goals[task] = goal
+            self.goals[task] = task.goal_conditions or derive_goal_conditions(
+                World(bundle.catalog, scene.objects), scene.initial_state, task.goal_plan,
+                task.task_name)
 
     def parse(self, text: str, sample_index: int) -> tuple[Plan, list[ParseDiagnostic]]:
         return parse_plan_text(text, self.known_actions, sample_index, self.lines)
@@ -305,8 +300,8 @@ def run_one_episode(task: Task, bundle: DatasetBundle, config: RunConfig, rep: i
 
     ``memo`` is the run's shared memo over ``bundle``.  An empty command pool
     skips the reorder stage; it and a reorder stage whose samples all parse
-    empty leave an empty tree and the error, and the episode then attempts
-    nothing and ends with termination ``no_plan``.
+    empty leave an empty tree and the error, and ``run_episode`` then
+    attempts nothing and ends the episode with termination ``no_plan``.
     """
     scene = bundle.scenes[task.scene_id]
     provider = make_provider(config, task, scene)
@@ -339,17 +334,11 @@ def run_one_episode(task: Task, bundle: DatasetBundle, config: RunConfig, rep: i
             sample(reorder_prompt, config.reorder_temperature, config.reorder_num_samples))
     except (EmptyCommandPoolError, NoPlansError) as exc:
         root, error = VoteTreeNode(), str(exc)
-    artifacts = PipelineArtifacts(len(pool), root, diagnostics, error)
-
-    goal = memo.goals[task]
-    if error is not None:
-        trace = ExecutionTrace((), scene.initial_state, NO_PLAN)
-        return EpisodeResult(task.task_name, trace, goal, frozenset()), artifacts
     seed = derive_seed(config.master_seed, rep, task.task_name, "selection")
     mode = ExecutionMode(config.mode, SelectionStrategy(config.selection, seed), config.termination)
-    episode = run_episode(task.task_name, World(bundle.catalog, scene.objects),
-                          scene.initial_state, goal, root, mode, config.step_limit)
-    return episode, artifacts
+    episode = run_episode(World(bundle.catalog, scene.objects), scene.initial_state, root, mode,
+                          config.step_limit)
+    return episode, PipelineArtifacts(len(pool), root, diagnostics, error)
 
 
 @dataclass
@@ -372,9 +361,9 @@ def _run_job(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: s
     """
     rep, task_index, task = job
     episode, artifacts = run_one_episode(task, bundle, config, rep, memo)
-    gcr = metrics_mod.compute_gcr(episode.achieved, episode.goal.goal_conditions)
-    # A no-plan episode scores Exec 0 without compute_exec's empty-trace warning.
-    exec_rate = 0.0 if artifacts.error is not None else metrics_mod.compute_exec(episode.trace)
+    goal = memo.goals[task]
+    gcr = metrics_mod.compute_gcr(episode.achieved, goal)
+    exec_rate = metrics_mod.compute_exec(episode.trace)
     record = {
         "kind": "episode",
         "rep": rep,
@@ -395,7 +384,7 @@ def _run_job(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: s
         "termination": episode.trace.termination,
         "gcr": gcr,
         "exec": exec_rate,
-        "goal_conditions": sorted(p.render() for p in episode.goal.goal_conditions),
+        "goal_conditions": sorted(p.render() for p in goal),
         "achieved": sorted(p.render() for p in episode.achieved),
         "steps": serialize_trace(episode.trace),
     }

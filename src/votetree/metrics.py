@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .executor import ExecutionTrace
+from .executor import NO_PLAN, ExecutionTrace
 from .world import StatePredicate
 
 logger = logging.getLogger(__name__)
@@ -30,9 +30,11 @@ def compute_sr(gcrs: Sequence[float]) -> float:
 
 
 def compute_exec(trace: ExecutionTrace) -> float:
-    """Fraction of attempted commands that executed successfully."""
+    """Fraction of attempted commands that executed successfully; 0 for an
+    empty trace, with a warning unless the episode had no plan to execute."""
     if trace.attempted == 0:
-        logger.warning("empty trace: no commands were attempted, Exec defined as 0")
+        if trace.termination != NO_PLAN:
+            logger.warning("empty trace: no commands were attempted, Exec defined as 0")
         return 0.0
     return trace.succeeded / trace.attempted
 

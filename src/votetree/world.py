@@ -393,18 +393,6 @@ def state_diff(initial: WorldState, final: WorldState) -> frozenset[StatePredica
     return final.predicates - initial.predicates
 
 
-@dataclass(frozen=True)
-class GoalSpec:
-    """Target conditions for one task, explicit or derived from a goal plan."""
-
-    task_name: str
-    goal_conditions: frozenset[StatePredicate]
-
-    def __post_init__(self) -> None:
-        if not self.goal_conditions:
-            raise DatasetError(f"task {self.task_name!r}: goal_conditions must be non-empty")
-
-
 def simulate_plan(world: World, initial: WorldState, plan: Plan) -> WorldState:
     """Run every command of ``plan``; raise DatasetError on the first failure."""
     state = initial
@@ -420,8 +408,8 @@ def simulate_plan(world: World, initial: WorldState, plan: Plan) -> WorldState:
 
 
 def derive_goal_conditions(world: World, initial: WorldState, goal_plan: Plan,
-                           task_name: str) -> GoalSpec:
-    """Simulate the ground-truth plan and take the state diff as the goal."""
+                           task_name: str) -> frozenset[StatePredicate]:
+    """Simulate the ground-truth plan and take the state diff as the goal conditions."""
     try:
         final = simulate_plan(world, initial, goal_plan)
     except DatasetError as exc:
@@ -429,7 +417,7 @@ def derive_goal_conditions(world: World, initial: WorldState, goal_plan: Plan,
     diff = state_diff(initial, final)
     if not diff:
         raise DatasetError(f"task {task_name!r}: goal plan produces an empty state diff")
-    return GoalSpec(task_name=task_name, goal_conditions=diff)
+    return diff
 
 
 @dataclass(frozen=True)
@@ -439,7 +427,11 @@ class Task:
     task_name: str
     scene_id: str
     goal_plan: Plan
-    goal_conditions: frozenset[StatePredicate] | None = None
+    goal_conditions: frozenset[StatePredicate] | None = None  # None: derived from goal_plan
+
+    def __post_init__(self) -> None:
+        if self.goal_conditions is not None and not self.goal_conditions:
+            raise DatasetError(f"task {self.task_name!r}: goal_conditions must be non-empty")
 
 
 def load_tasks(path: str | Path) -> list[Task]:

@@ -146,8 +146,9 @@ def test_c04_metric_formulas_and_fixture_oracle(bundle):
     from votetree.harness import RunMemo, run_one_episode
 
     task = next(t for t in bundle.tasks if t.task_name == "put apple in fridge")
+    memo = RunMemo(bundle, [task])
     episode, _ = run_one_episode(task, bundle, RunConfig(master_seed=SEED, output_dir=None), 0,
-                                 RunMemo(bundle, [task]))
+                                 memo)
     assert compute_exec(episode.trace) == 1.0
 
     # Independent oracle: simulate the goal plan step by step and diff sets.
@@ -160,7 +161,7 @@ def test_c04_metric_formulas_and_fixture_oracle(bundle):
         state = outcome.state
     oracle_goal = state.predicates - scene.initial_state.predicates
     oracle_gcr = 1.0 - len(oracle_goal - episode.achieved) / len(oracle_goal)
-    assert compute_gcr(episode.achieved, episode.goal.goal_conditions) == oracle_gcr == 1.0
+    assert compute_gcr(episode.achieved, memo.goals[task]) == oracle_gcr == 1.0
     _pass(4, "metric formulas exact; fixture GCR equals the state-diff oracle")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from votetree import cli, harness
 from votetree.cli import main
-from votetree.executor import TERMINATIONS
+from votetree.executor import TERMINATE_CHILDLESS, TERMINATIONS
 from votetree.harness import RunConfig, record_suite
 from votetree.prompts import DATA_DIR, instruction_slug
 
@@ -59,17 +59,37 @@ def test_execute_runs_tree_against_scene(tmp_path, corpus_file, capsys):
     assert [s["command"] for s in doc["steps"]] == ["find(a)", "grab(a)"]
 
 
+def test_execute_reads_only_the_action_catalog(tmp_path, corpus_file, capsys, monkeypatch):
+    """Without ``--actions`` execute reads the bundled action catalog, as a run
+    does, and no scene or task file but its own ``--scene``."""
+    tree_path = tmp_path / "tree.json"
+    main(["build-tree", "--corpus", str(corpus_file), "--out", str(tree_path)])
+    monkeypatch.setattr(harness, "load_scene", None)  # what load_dataset calls
+    monkeypatch.setattr(harness, "load_tasks", None)
+    scene = str(DATA_DIR / "scenes" / "scene1.json")
+    traces = []
+    for actions in ([], ["--actions", str(DATA_DIR / "actions.json")]):
+        out = tmp_path / f"trace{len(traces)}.json"
+        assert main(["execute", "--tree", str(tree_path), "--scene", scene, "--out", str(out),
+                     *actions]) == 0
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1] and json.loads(traces[0])["steps"]
+
+
 def test_execute_reproduces_every_episode_of_a_run(tmp_path, capsys):
     """``votetree execute`` on an episode's tree.json gives that episode's
-    trace.json steps and termination, under either termination rule:
-    executing an episode reads nothing but its tree and its scene."""
-    for termination in TERMINATIONS:
-        out = tmp_path / termination
+    trace.json steps and termination, under either termination rule and for
+    the empty tree of an episode with no plan (``no_plan``): executing an
+    episode reads nothing but its tree and its scene."""
+    noisy = {"drop_prob": 0.2, "swap_prob": 0.1, "insert_prob": 0.1}
+    runs = [(termination, noisy) for termination in TERMINATIONS]
+    runs.append((TERMINATE_CHILDLESS, {"drop_prob": 1.0}))
+    for number, (termination, noise) in enumerate(runs):
+        out = tmp_path / str(number)
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({
-            "master_seed": 1, "repetitions": 1, "drop_prob": 0.2, "swap_prob": 0.1,
-            "insert_prob": 0.1, "mode": "with_correction", "selection": "max_vote",
-            "termination": termination, "output_dir": str(out),
+            "master_seed": 1, "repetitions": 1, **noise, "mode": "with_correction",
+            "selection": "max_vote", "termination": termination, "output_dir": str(out),
         }), encoding="utf-8")
         assert main(["run", "--config", str(cfg_path)]) == 0
         lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
@@ -134,6 +154,23 @@ def test_diff_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[redundant]" in out
     assert "votetree is strictly shorter" in out
+
+
+@pytest.mark.parametrize("command, target", [("run", "output_dir"), ("record", "fixtures_dir")])
+def test_master_seed_option_overrides_the_config(tmp_path, capsys, command, target):
+    """``--master-seed`` replaces the config's seed: the run's files, or the
+    store a recording fills, are those of a config with that seed."""
+    written = {}
+    for name, seed, option in (("option", 1, ["--master-seed", "5"]), ("config", 5, [])):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"master_seed": seed, "repetitions": 1, "drop_prob": 0.2,
+                                        "output_dir": None, target: str(tmp_path / name)}),
+                            encoding="utf-8")
+        assert main([command, "--config", str(cfg_path), *option]) == 0
+        root = tmp_path / name
+        written[name] = {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*")
+                         if p.is_file() and p.name != "run_config.json"}
+    assert written["option"] and written["option"] == written["config"]
 
 
 def test_record_command(tmp_path, capsys):

@@ -18,6 +18,7 @@ from votetree.providers import NoiseModel, derive_seed, synthesize_noisy_plans
 from votetree.tree import (
     SELECTIONS,
     SelectionStrategy,
+    VoteTreeNode,
     build_vote_tree,
     select_child,
     tree_stats,
@@ -312,10 +313,20 @@ class TestRunEpisode:
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
         goal = derive_goal_conditions(world1, scene1.initial_state, task.goal_plan, task.task_name)
         tree = build_vote_tree([Plan(task.goal_plan.commands, i) for i in range(5)])
-        episode = run_episode(task.task_name, world1, scene1.initial_state, goal, tree, ExecutionMode())
-        assert compute_gcr(episode.achieved, episode.goal.goal_conditions) == 1.0
+        episode = run_episode(world1, scene1.initial_state, tree, ExecutionMode())
+        assert compute_gcr(episode.achieved, goal) == 1.0
         assert compute_exec(episode.trace) == 1.0
         assert episode.trace.termination == "completed"
+
+    @pytest.mark.parametrize("kind", MODES)
+    def test_an_empty_tree_is_no_plan(self, world1, scene1, kind):
+        """An empty tree attempts nothing and ends ``no_plan`` in either mode,
+        where ``execute_tree`` ends it ``exhausted`` or ``completed``."""
+        episode = run_episode(world1, scene1.initial_state, VoteTreeNode(), ExecutionMode(kind))
+        assert (episode.trace.steps, episode.trace.termination) == ((), "no_plan")
+        assert (episode.trace.final_state, episode.achieved) == (scene1.initial_state, frozenset())
+        with pytest.raises(ConfigError, match="step_limit"):
+            run_episode(world1, scene1.initial_state, VoteTreeNode(), ExecutionMode(kind), 0)
 
     def test_noisy_recovery_rate_regression(self, bundle, world1, scene1):
         """100 seeded trials; drop-noise samples must recover the goal on a
@@ -334,10 +345,8 @@ class TestRunEpisode:
             samples = synthesize_noisy_plans(seed_plan, noise, 20, seed=derive_seed(777, trial))
             plans = [p for p in samples if p.commands]
             tree = build_vote_tree(plans)
-            episode = run_episode(
-                "microwave salmon v8", world1, scene1.initial_state, goal, tree, ExecutionMode()
-            )
-            if compute_gcr(episode.achieved, episode.goal.goal_conditions) == 1.0:
+            episode = run_episode(world1, scene1.initial_state, tree, ExecutionMode())
+            if compute_gcr(episode.achieved, goal) == 1.0:
                 recovered += 1
         assert recovered > 50
         assert recovered == 90  # frozen regression baseline for this seed set

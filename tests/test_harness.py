@@ -3,7 +3,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import re
 import signal
 import statistics
 import sys
@@ -32,13 +31,13 @@ from votetree.harness import (
     run_suite,
 )
 from votetree.metrics import format_table
-from votetree.plans import Command, render_plan
+from votetree.plans import Command
 from votetree.prompts import DATA_DIR, PROG, instruction_slug
-from votetree.providers import NoiseModel, RemoteProvider, derive_seed, synthesize_noisy_plans
+from votetree.providers import NoiseModel, RemoteProvider, derive_seed
 from votetree.tree import SELECTIONS, SelectionStrategy, build_vote_tree, tree_to_dict
-from votetree.world import World, load_scene
+from votetree.world import World, derive_goal_conditions, load_scene
 
-from conftest import plan_of
+from conftest import FakeTransport, plan_of
 
 
 class TestRunConfig:
@@ -147,6 +146,30 @@ class TestSuite:
         assert result.row.sr_std == 0.0
         assert result.row.exec_mean == 1.0
         assert len(result.episodes) == 2 * 31
+
+    def test_explicit_goal_conditions_are_the_episode_goals(self, bundle, tmp_path):
+        """A task's explicit ``goal_conditions``, not its goal plan's state
+        diff, are what GCR scores and what trace.json lists."""
+        task = bundle.tasks[0]
+        scene = bundle.scenes[task.scene_id]
+        derived = derive_goal_conditions(World(bundle.catalog, scene.objects),
+                                         scene.initial_state, task.goal_plan, task.task_name)
+        goals = sorted([*(p.render() for p in derived), "ON(kitchencabinet)"])  # never achieved
+        tasks_file = tmp_path / "tasks.json"
+        tasks_file.write_text(json.dumps([{
+            "task_name": task.task_name, "scene_id": task.scene_id, "goal_conditions": goals,
+            "goal_plan": [c.canonical_form for c in task.goal_plan.commands],
+        }]), encoding="utf-8")
+        out = tmp_path / "out"
+        run_suite(RunConfig(master_seed=5, repetitions=1, dataset=str(tasks_file),
+                            include_seen=True, output_dir=str(out)))
+        records = [json.loads(line) for line in
+                   (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()]
+        episode = next(r for r in records if r["kind"] == "episode")
+        assert (episode["gcr"], episode["success"]) == (1 - 1 / len(goals), False)
+        trace = json.loads((out / "episodes" / instruction_slug(task.task_name) / "0" /
+                            "trace.json").read_text(encoding="utf-8"))
+        assert trace["goal_conditions"] == goals and "ON(kitchencabinet)" not in trace["achieved"]
 
     def test_artifacts_allow_exact_recomputation(self, bundle, tmp_path):
         out = tmp_path / "results"
@@ -266,32 +289,6 @@ class TestRunMemo:
         assert_done_once()
 
 
-class FakeTransport:
-    """A remote endpoint: a noisy rendering of the prompted task's goal plan,
-    chosen by the request's prompt text and seed alone."""
-
-    def __init__(self, bundle):
-        self.calls = 0
-        self.lock = threading.Lock()
-        self.by_slug = {instruction_slug(t.task_name): t.task_name for t in bundle.tasks}
-        self.by_name = {t.task_name: t.goal_plan for t in bundle.tasks}
-
-    def task_of(self, request: dict) -> str:
-        """The name of the task a request prompts for."""
-        text = request["messages"][0]["content"]
-        prog = re.search(r"^def (\w+)\(\):\s*\Z", text, re.MULTILINE)
-        if prog:
-            return self.by_slug[prog.group(1)]
-        return re.findall(r"^Task: (.+)$", text, re.MULTILINE)[-1]
-
-    def __call__(self, request: dict) -> str:
-        with self.lock:
-            self.calls += 1
-        goal_plan = self.by_name[self.task_of(request)]
-        noise = NoiseModel(drop_prob=0.2, swap_prob=0.1)
-        return render_plan(synthesize_noisy_plans(goal_plan, noise, 1, request["seed"])[0]) + "\n"
-
-
 class TestFixtureStore:
     NOISY = TestRunMemo.NOISY
 
@@ -386,6 +383,19 @@ class TestRemoteRun:
     MAX_INFLIGHT episode threads, each stage of which sends its missing samples
     together through the run's request pool of MAX_INFLIGHT threads.  It
     scores the episodes in run order."""
+
+    def test_make_provider_builds_the_configured_remote_provider(self, bundle, tmp_path):
+        config = RunConfig(master_seed=1, provider="remote", fixtures_dir=str(tmp_path / "cache"),
+                           remote_endpoint="http://localhost:9/v1/chat/completions",
+                           remote_model="model-1", remote_api_key_env="MY_KEY",
+                           remote_timeout=2.5, remote_retries=7)
+        task = bundle.tasks[0]
+        provider = harness.make_provider(config, task, bundle.scenes[task.scene_id])
+        assert isinstance(provider, RemoteProvider)
+        assert (provider.endpoint, provider.model, provider.cache_dir, provider.api_key_env,
+                provider.timeout, provider.retries) == (
+            "http://localhost:9/v1/chat/completions", "model-1", tmp_path / "cache", "MY_KEY",
+            2.5, 7)
 
     def test_in_flight_requests_are_bounded(self, bundle, tmp_path, monkeypatch):
         fake = FakeTransport(bundle)

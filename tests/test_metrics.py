@@ -82,6 +82,14 @@ class TestExec:
         assert value == 0.0
         assert any("no commands were attempted" in r.message for r in caplog.records)
 
+    def test_no_plan_trace_is_zero_without_diagnostic(self, caplog):
+        """An episode with no plan is a failed episode, not an anomaly to warn about."""
+        import logging
+
+        with caplog.at_level(logging.WARNING, logger="votetree.metrics"):
+            value = compute_exec(ExecutionTrace((), WorldState(), "no_plan"))
+        assert value == 0.0 and not caplog.records
+
     def test_one_hallucination_in_five(self):
         assert compute_exec(trace_with([True, True, False, True, True])) == 0.8
 

@@ -8,6 +8,7 @@ from votetree.errors import DatasetError, SceneError
 from votetree.plans import Command
 from votetree.world import (
     StatePredicate,
+    Task,
     World,
     WorldState,
     derive_goal_conditions,
@@ -213,6 +214,10 @@ class TestDeriveGoalConditions:
         with pytest.raises(DatasetError, match=r"tasks\.json entry 1: goal_plan must be non-empty"):
             load_tasks(path)
 
+    def test_empty_explicit_goal_conditions_are_invalid(self):
+        with pytest.raises(DatasetError, match="task 't': goal_conditions must be non-empty"):
+            Task("t", "scene1", plan_of("find(x)"), frozenset())
+
     def test_net_zero_plan_is_a_dataset_error(self, world1, scene1):
         state = world1.execute(scene1.initial_state, cmd("find(stove)")).state
         noop = plan_of("find(stove)")
@@ -230,7 +235,7 @@ class TestDeriveGoalConditions:
             scene = bundle.scenes[task.scene_id]
             world = World(bundle.catalog, scene.objects)
             spec = derive_goal_conditions(world, scene.initial_state, task.goal_plan, task.task_name)
-            assert spec.goal_conditions
+            assert spec
             specs.append(spec)
         assert len(specs) == 35
 
