@@ -318,7 +318,8 @@ def run_one_episode(task: Task, bundle: DatasetBundle, config: RunConfig, rep: i
         plans = []
         for k, text in enumerate(texts):
             plan, diags = memo.parse(text, k)
-            diagnostics.extend(f"{prompt.kind}[{k}]: {d.code}" for d in diags)
+            if diags:
+                diagnostics.extend(f"{prompt.kind}[{k}]: {d.code}" for d in diags)
             if plan.commands or prompt.kind == PROG:
                 plans.append(plan)
             else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -71,6 +72,12 @@ class ExamplePlan:
     instruction: str
     plan: tuple[str, ...]
 
+    @cached_property
+    def program(self) -> str:
+        """The example's block of a prog prompt: its ``def`` header, one call per plan line."""
+        calls = (f"    {_program_call(cmd)}\n" for cmd in self.plan)
+        return f"def {instruction_slug(self.instruction)}():\n" + "".join(calls)
+
 
 @dataclass(frozen=True)
 class ReorderExample:
@@ -106,11 +113,7 @@ def format_prog_prompt(
         "objects = [" + ", ".join(f"'{o}'" for o in object_list) + "]",
         "",
     ]
-    for ex in examples:
-        lines.append(f"def {instruction_slug(ex.instruction)}():")
-        for cmd in ex.plan:
-            lines.append(f"    {_program_call(cmd)}")
-        lines.append("")
+    lines += [ex.program for ex in examples]
     lines.append(f"def {instruction_slug(instruction)}():")
     text = "\n".join(lines) + "\n"
     return PromptDocument(kind=PROG, text=text, instruction=instruction)

@@ -35,10 +35,21 @@ from .prompts import PromptDocument, SamplingConfig
 
 
 def derive_seed(*parts: object) -> int:
-    """Stable 63-bit seed from arbitrary parts (platform independent)."""
-    text = ":".join(str(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") >> 1
+    """Stable 63-bit seed from arbitrary parts (platform independent): the
+    8-byte blake2b of ``"<part>:<part>:...:<part>"``, big-endian, shifted right by one."""
+    return seeds_after(*parts[:-1])(parts[-1])
+
+
+def seeds_after(*prefix: object) -> Callable[[object], int]:
+    """``derive_seed(*prefix, last)`` as a function of ``last``; ``prefix`` is hashed once."""
+    head = hashlib.blake2b("".join(f"{p!s}:" for p in prefix).encode("utf-8"), digest_size=8)
+
+    def seed(last: object) -> int:
+        digest = head.copy()
+        digest.update(str(last).encode("utf-8"))
+        return int.from_bytes(digest.digest(), "big") >> 1
+
+    return seed
 
 
 class PlanGenerator(Protocol):
@@ -202,17 +213,18 @@ class NoiseModel:
 
 
 def _perturb(commands: Sequence[Command], noise: NoiseModel, rng: random.Random) -> list[Command]:
-    kept = [c for c in commands if rng.random() >= noise.drop_prob]
+    draw, drop, swap, insert = rng.random, noise.drop_prob, noise.swap_prob, noise.insert_prob
+    kept = [c for c in commands if draw() >= drop]
     for i in range(len(kept) - 1):
-        if rng.random() < noise.swap_prob:
+        if draw() < swap:
             kept[i], kept[i + 1] = kept[i + 1], kept[i]
-    if noise.insert_prob > 0.0 and noise.distractor_pool:
+    if insert > 0.0 and noise.distractor_pool:
         out: list[Command] = []
         for c in kept:
-            if rng.random() < noise.insert_prob:
+            if draw() < insert:
                 out.append(rng.choice(noise.distractor_pool))
             out.append(c)
-        if rng.random() < noise.insert_prob:
+        if draw() < insert:
             out.append(rng.choice(noise.distractor_pool))
         kept = out
     return kept
@@ -250,16 +262,14 @@ class SyntheticProvider:
         return [draw(k) for k in range(config.num_samples)]
 
     def sampler(self, prompt: PromptDocument, config: SamplingConfig) -> Callable[[int], str]:
-        prompt_hash = prompt.content_hash
+        # Sample k depends on (seed, prompt hash, k) only, so the samples a
+        # store lacks can be drawn in any run, in any order.
+        seed_of = seeds_after(config.seed, prompt.content_hash)
+        commands, noise, limit = self.seed_plan.commands, self.noise, config.max_length or None
 
         def draw(k: int) -> str:
-            # Sample k depends on (seed, prompt hash, k) only, so the samples
-            # a store lacks can be drawn in any run, in any order.
-            rng = random.Random(derive_seed(config.seed, prompt_hash, k))
-            commands = _perturb(self.seed_plan.commands, self.noise, rng)
-            if config.max_length:
-                commands = commands[: config.max_length]
-            return render_plan(Plan(tuple(commands), sample_index=k)) + "\n"
+            kept = _perturb(commands, noise, random.Random(seed_of(k)))
+            return "\n".join([c.canonical_form for c in kept[:limit]]) + "\n"  # render_plan's text
 
         return draw
 

@@ -75,7 +75,8 @@ class SelectionStrategy:
 
     def __post_init__(self) -> None:
         check_choice("selection", self.kind, SELECTIONS)
-        self._rng = random.Random(self.rng_seed)
+        # max_vote never draws, so only random selection seeds a stream.
+        self._rng = random.Random(self.rng_seed) if self.kind == RANDOM else None
 
 
 def select_child(

@@ -365,13 +365,12 @@ class World:
         for tpl in schema.del_effects:
             args = tpl.substitute(binding)
             if "*" in args:
-                predicates = {
+                # Removed in place: rebuilding the set would re-hash every predicate kept.
+                predicates.difference_update([
                     p for p in predicates
-                    if not (
-                        p.predicate == tpl.predicate
-                        and all(a == "*" or a == b for a, b in zip(args, _pred_args(p)))
-                    )
-                }
+                    if p.predicate == tpl.predicate
+                    and all(a == "*" or a == b for a, b in zip(args, _pred_args(p)))
+                ])
             else:
                 predicates.discard(
                     StatePredicate(tpl.predicate, args[0], args[1] if len(args) > 1 else None)
@@ -450,7 +449,7 @@ def load_tasks(path: str | Path) -> list[Task]:
                     goal_plan=Plan(commands),
                     goal_conditions=(
                         frozenset(StatePredicate.parse(p) for p in conditions)
-                        if conditions else None
+                        if conditions is not None else None
                     ),
                 )
             )

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import threading
 import time
 import urllib.error
@@ -9,10 +10,12 @@ from collections import Counter
 from http.client import IncompleteRead, RemoteDisconnected
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from votetree.errors import ConfigError, ProviderError
 from votetree.harness import MAX_INFLIGHT
-from votetree.plans import Command, parse_plan_text
+from votetree.plans import Command, Plan, parse_plan_text, render_plan
 from votetree.prompts import PromptDocument, SamplingConfig
 from votetree.providers import (
     NoiseModel,
@@ -111,6 +114,58 @@ class TestSyntheticProvider:
     def test_sample_count_contract(self, prompt, seed_plan):
         provider = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.9))
         assert len(provider.generate(prompt, SamplingConfig(num_samples=7, seed=1))) == 7
+
+
+def _reference_perturb(commands, noise, rng):
+    """The perturbation as first written: every draw in the generator's order."""
+    kept = [c for c in commands if rng.random() >= noise.drop_prob]
+    for i in range(len(kept) - 1):
+        if rng.random() < noise.swap_prob:
+            kept[i], kept[i + 1] = kept[i + 1], kept[i]
+    if noise.insert_prob > 0.0 and noise.distractor_pool:
+        out = []
+        for c in kept:
+            if rng.random() < noise.insert_prob:
+                out.append(rng.choice(noise.distractor_pool))
+            out.append(c)
+        if rng.random() < noise.insert_prob:
+            out.append(rng.choice(noise.distractor_pool))
+        kept = out
+    return kept
+
+
+COMMANDS = st.builds(Command, st.sampled_from(["find", "grab", "open", "flomp"]),
+                     st.lists(st.sampled_from(["apple", "fridge", "sofa"]), min_size=1,
+                              max_size=2).map(tuple))
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+class TestSamplerMatchesReference:
+    """Sample k is ``random.Random(derive_seed(seed, prompt hash, k))`` perturbing
+    the seed plan, cut to ``max_length`` (0: no cut) and rendered one command a
+    line with a final newline; fixture stores hold these texts, so they are a
+    contract."""
+
+    @given(seed=st.integers(-2**64, 2**64), k=st.integers(0, 200), text=st.text(max_size=20),
+           commands=st.lists(COMMANDS, min_size=1, max_size=10),
+           drop=PROBABILITIES, swap=PROBABILITIES, insert=PROBABILITIES,
+           pool=st.lists(COMMANDS, max_size=4), max_length=st.integers(0, 12))
+    @example(seed=3, k=0, text="", commands=[Command("find", ("apple",))], drop=1.0, swap=0.0,
+             insert=0.0, pool=[], max_length=80)
+    def test_sample_k_equals_the_reference(self, seed, k, text, commands, drop, swap, insert,
+                                           pool, max_length):
+        prompt = PromptDocument(kind="prog", text=text, instruction="t")
+        config = SamplingConfig(num_samples=1, max_length=max_length, seed=seed)
+        noise = NoiseModel(drop, swap, insert, tuple(pool))
+        rng = random.Random(derive_seed(seed, prompt.content_hash, k))
+        kept = _reference_perturb(commands, noise, rng)
+        if max_length:
+            kept = kept[:max_length]
+        expected = render_plan(Plan(tuple(kept), sample_index=k)) + "\n"
+        sample = SyntheticProvider(Plan(tuple(commands)), noise).sampler(prompt, config)(k)
+        assert sample == expected
+        if drop == 1.0 and not (insert and pool):
+            assert sample == "\n"
 
 
 class TestNoiseModel:

@@ -177,6 +177,59 @@ class TestInvariantProperty:
             assert state.invariant_violations() == []
 
 
+def _reference_effects(schema, state, command):
+    """The state after ``command``'s effects, each wildcard delete rebuilding
+    the predicate set as the simulator first did."""
+    binding = {f"?{i + 1}": arg for i, arg in enumerate(command.args)}
+    predicates = set(state.predicates)
+    for tpl in schema.del_effects:
+        args = tpl.substitute(binding)
+        if "*" in args:
+            predicates = {
+                p for p in predicates
+                if not (p.predicate == tpl.predicate
+                        and all(a == "*" or a == b for a, b in zip(
+                            args, (p.subject,) if p.object is None else (p.subject, p.object))))
+            }
+        else:
+            predicates.discard(StatePredicate(tpl.predicate, *args))
+    for tpl in schema.add_effects:
+        predicates.add(StatePredicate(tpl.predicate, *tpl.substitute(binding)))
+    return frozenset(predicates)
+
+
+class TestWildcardDeleteProperty:
+    @given(data=st.data())
+    def test_a_wildcard_delete_removes_exactly_its_matches(self, bundle, data):
+        """Drawn like TestInvariantProperty: every successful command leaves
+        the state its effects give by the reference, so a wildcard delete
+        (``CLOSE_TO(agent, *)``, ``INSIDE(?1, *)``, ...) removes exactly the
+        predicates that match it."""
+        scene = bundle.scenes[data.draw(st.sampled_from(sorted(bundle.scenes)))]
+        world = World(bundle.catalog, scene.objects)
+        objects = st.sampled_from(data.draw(st.lists(
+            st.sampled_from(sorted(scene.objects)), min_size=1, max_size=3)))
+        wildcard = [name for name in bundle.catalog.action_names
+                    if any("*" in tpl.args for tpl in bundle.catalog.get(name).del_effects)]
+
+        def command(actions):
+            return st.builds(
+                lambda action, args: Command(action, tuple(args[:bundle.catalog.get(action).arity])),
+                st.sampled_from(actions), st.lists(objects, min_size=2, max_size=2))
+
+        # Half the draws are actions with a wildcard delete.
+        commands = data.draw(st.lists(st.one_of(command(wildcard),
+                                                command(bundle.catalog.action_names)),
+                                      min_size=20, max_size=60))
+        state = scene.initial_state
+        for c in commands:
+            outcome = world.execute(state, c)
+            if outcome.ok:
+                assert outcome.state.predicates == _reference_effects(
+                    bundle.catalog.get(c.action), state, c)
+            state = outcome.state
+
+
 class TestStateDiff:
     def test_identity(self, scene1):
         assert state_diff(scene1.initial_state, scene1.initial_state) == frozenset()
@@ -217,6 +270,15 @@ class TestDeriveGoalConditions:
     def test_empty_explicit_goal_conditions_are_invalid(self):
         with pytest.raises(DatasetError, match="task 't': goal_conditions must be non-empty"):
             Task("t", "scene1", plan_of("find(x)"), frozenset())
+
+    def test_empty_goal_conditions_in_a_tasks_file_are_invalid(self, tmp_path):
+        """An explicit empty list is an error, not a request to derive the goals."""
+        path = tmp_path / "tasks.json"
+        path.write_text('[{"task_name": "t", "scene_id": "scene1", "goal_plan": ["find(x)"],'
+                        ' "goal_conditions": []}]')
+        with pytest.raises(DatasetError, match=r"tasks\.json entry 0: task 't': goal_conditions "
+                                               r"must be non-empty"):
+            load_tasks(path)
 
     def test_net_zero_plan_is_a_dataset_error(self, world1, scene1):
         state = world1.execute(scene1.initial_state, cmd("find(stove)")).state
