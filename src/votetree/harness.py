@@ -248,7 +248,8 @@ class RunMemo:
     ``run_suite`` makes one per call over its bundle and tasks and drops it
     when it returns, so nothing carries over from one run to the next.  It
     holds the bundled prompt examples, each task's prog prompt and goal
-    conditions, and a parse memo keyed by raw plan line.  The parse memo is
+    conditions, and a parse memo keyed by raw plan line (within a stage,
+    ``run_one_episode`` parses each distinct text once).  The parse memo is
     keyed by line, not by whole text: the run's distinct lines are few, while
     holding the parsed commands of every distinct text for a whole run raised
     peak memory by a third.  The memo is parallel-safe.  Forked episode
@@ -298,10 +299,13 @@ def run_one_episode(task: Task, bundle: DatasetBundle, config: RunConfig, rep: i
     """Run one (repetition, task) episode: sample plans, pool their commands,
     reorder them, vote them into a tree and execute it.
 
-    ``memo`` is the run's shared memo over ``bundle``.  An empty command pool
-    skips the reorder stage; it and a reorder stage whose samples all parse
-    empty leave an empty tree and the error, and ``run_episode`` then
-    attempts nothing and ends the episode with termination ``no_plan``.
+    ``memo`` is the run's shared memo over ``bundle``.  A stage parses each
+    distinct sample text once; every sample k still gets its own plan, with
+    ``sample_index`` k, and its own diagnostics, in k order.  An empty
+    command pool skips the reorder stage; it and a reorder stage whose
+    samples all parse empty leave an empty tree and the error, and
+    ``run_episode`` then attempts nothing and ends the episode with
+    termination ``no_plan``.
     """
     scene = bundle.scenes[task.scene_id]
     provider = make_provider(config, task, scene)
@@ -315,9 +319,12 @@ def run_one_episode(task: Task, bundle: DatasetBundle, config: RunConfig, rep: i
                 prompt, SamplingConfig(temperature, num_samples, config.max_length, seed=seed))
         except ProviderError as exc:
             raise ProviderError(f"task {task.task_name!r}, repetition {rep}: {exc}") from exc
-        plans = []
+        plans, parsed = [], {}
         for k, text in enumerate(texts):
-            plan, diags = memo.parse(text, k)
+            if text not in parsed:
+                parsed[text] = memo.parse(text, k)
+            plan, diags = parsed[text]
+            plan = plan if plan.sample_index == k else Plan(plan.commands, sample_index=k)
             if diags:
                 diagnostics.extend(f"{prompt.kind}[{k}]: {d.code}" for d in diags)
             if plan.commands or prompt.kind == PROG:

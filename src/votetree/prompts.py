@@ -53,9 +53,9 @@ class PromptDocument:
     text: str
     instruction: str
 
-    @property
+    @cached_property
     def content_hash(self) -> str:
-        """Stable identity for fixtures and caches (kind + text)."""
+        """Stable identity for fixtures and caches (kind + text), hashed on first read."""
         digest = hashlib.sha256(f"{self.kind}\n{self.text}".encode("utf-8"))
         return digest.hexdigest()[:16]
 

@@ -264,8 +264,13 @@ class SyntheticProvider:
     def sampler(self, prompt: PromptDocument, config: SamplingConfig) -> Callable[[int], str]:
         # Sample k depends on (seed, prompt hash, k) only, so the samples a
         # store lacks can be drawn in any run, in any order.
-        seed_of = seeds_after(config.seed, prompt.content_hash)
         commands, noise, limit = self.seed_plan.commands, self.noise, config.max_length or None
+        if not (noise.drop_prob or noise.swap_prob or noise.insert_prob and noise.distractor_pool):
+            # random() >= 0 keeps every command and random() < 0 swaps none, so
+            # no stream can change the plan: each k draws the seed plan's text.
+            text = "\n".join([c.canonical_form for c in commands[:limit]]) + "\n"
+            return lambda k: text
+        seed_of = seeds_after(config.seed, prompt.content_hash)
 
         def draw(k: int) -> str:
             kept = _perturb(commands, noise, random.Random(seed_of(k)))

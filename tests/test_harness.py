@@ -239,23 +239,45 @@ class TestRunMemo:
         """Every call to the per-run work, made through the ``votetree.harness``
         namespace: the arguments of the calls made in this process, and the
         number of calls made here and in the run's forked episode workers
-        together, in shared memory made before they fork.  The run's episodes
+        together, in shared memory made before they fork.  Beside them, what
+        each provider's ``generate`` returned: its samples, and its distinct
+        texts, which is one (episode, stage) pair's count.  The run's episodes
         run in two workers."""
         names = ("default_prog_examples", "default_reorder_examples", "format_prog_prompt",
                  "derive_goal_conditions", "parse_plan_text")
         seen: dict[str, list[tuple]] = {name: [] for name in names}
-        counts = {name: multiprocessing.get_context("fork").Value("i", 0) for name in names}
+        counts = {name: multiprocessing.get_context("fork").Value("i", 0)
+                  for name in (*names, "samples", "distinct_texts")}
+
+        def add(name, n):
+            with counts[name].get_lock():
+                counts[name].value += n
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
                 seen[name].append(args)
-                with counts[name].get_lock():
-                    counts[name].value += 1
+                add(name, 1)
                 return real(*args, **kwargs)
+            return wrapper
+
+        def counting_texts(make_provider):
+            def wrapper(*args):
+                provider = make_provider(*args)
+                generate = provider.generate
+
+                def counted(prompt, config):
+                    texts = generate(prompt, config)
+                    add("samples", len(texts))
+                    add("distinct_texts", len(set(texts)))
+                    return texts
+
+                provider.generate = counted
+                return provider
             return wrapper
 
         for name in names:
             monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        monkeypatch.setattr(harness, "make_provider", counting_texts(harness.make_provider))
         monkeypatch.setattr(harness, "_worker_count", lambda jobs: min(2, jobs))
         return seen, counts
 
@@ -266,7 +288,8 @@ class TestRunMemo:
         def clear():
             for name in seen:
                 seen[name].clear()
-                counts[name].value = 0
+            for count in counts.values():
+                count.value = 0
 
         def assert_done_once():
             assert counts["default_prog_examples"].value == 1
@@ -275,7 +298,8 @@ class TestRunMemo:
             assert counts["format_prog_prompt"].value == len(names)
             assert sorted(args[3] for args in seen["derive_goal_conditions"]) == names
             assert counts["derive_goal_conditions"].value == len(names)
-            assert counts["parse_plan_text"].value == 2 * len(names) * (30 + 20)
+            assert counts["samples"].value == 2 * len(names) * (30 + 20)
+            assert counts["parse_plan_text"].value == counts["distinct_texts"].value
 
         cfg = RunConfig(master_seed=3, repetitions=2, output_dir=None, **self.NOISY)
         for _ in range(2):  # a second run repeats the counts: no state carries over
@@ -950,6 +974,38 @@ class TestNoPlan:
         assert artifacts.pool_size == 1 and artifacts.root.children == {}
         assert sum(d.endswith(": degenerate_sample_dropped") for d in artifacts.diagnostics) == 20
         assert "no_plans" in artifacts.error
+
+    def test_one_empty_reorder_text_is_parsed_once_and_reported_per_sample(self, bundle,
+                                                                           monkeypatch):
+        class EmptyReorder:
+            def generate(self, prompt, config):
+                return ["find('salmon')\n" if prompt.kind == "prog" else ""] * config.num_samples
+
+        parsed, pooled = [], []
+        parse_plan_text = harness.parse_plan_text
+        extract_unique_commands = harness.extract_unique_commands
+
+        def counted(text, *args):
+            parsed.append(text)
+            return parse_plan_text(text, *args)
+
+        def pooling(plans):
+            pooled.extend(plans)
+            return extract_unique_commands(plans)
+
+        monkeypatch.setattr(harness, "make_provider", lambda config, task, scene: EmptyReorder())
+        monkeypatch.setattr(harness, "parse_plan_text", counted)
+        monkeypatch.setattr(harness, "extract_unique_commands", pooling)
+        task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
+        episode, artifacts = run_one_episode(task, bundle, RunConfig(master_seed=1), 0,
+                                             RunMemo(bundle, [task]))
+        assert parsed == ["find('salmon')\n", ""]
+        assert [plan.sample_index for plan in pooled] == list(range(30))
+        assert len({plan.commands for plan in pooled}) == 1
+        assert artifacts.diagnostics == [
+            f"reorder[{k}]: {code}" for k in range(20)
+            for code in ("no_commands_found", "degenerate_sample_dropped")]
+        assert episode.trace.termination == "no_plan" and "no_plans" in artifacts.error
 
 
 class TestPlanDiff:

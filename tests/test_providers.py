@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from votetree.errors import ConfigError, ProviderError
+from votetree import providers
 from votetree.harness import MAX_INFLIGHT
 from votetree.plans import Command, Plan, parse_plan_text, render_plan
 from votetree.prompts import PromptDocument, SamplingConfig
@@ -111,6 +112,18 @@ class TestSyntheticProvider:
         other = provider.generate(prompt, SamplingConfig(num_samples=10, seed=100))
         assert other != provider.generate(prompt, cfg)
 
+    @pytest.mark.parametrize("noise", [NoiseModel(distractor_pool=(Command("find", ("sofa",)),)),
+                                       NoiseModel(insert_prob=0.5)])
+    def test_noise_free_samples_draw_no_stream(self, prompt, seed_plan, noise, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a noise-free sample drew a random stream")
+
+        monkeypatch.setattr(providers.random, "Random", no_stream)
+        monkeypatch.setattr(providers, "seeds_after", no_stream)
+        texts = SyntheticProvider(seed_plan, noise).generate(
+            prompt, SamplingConfig(num_samples=12, seed=5))
+        assert texts == [render_plan(seed_plan) + "\n"] * 12
+
     def test_sample_count_contract(self, prompt, seed_plan):
         provider = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.9))
         assert len(provider.generate(prompt, SamplingConfig(num_samples=7, seed=1))) == 7
@@ -152,6 +165,18 @@ class TestSamplerMatchesReference:
            pool=st.lists(COMMANDS, max_size=4), max_length=st.integers(0, 12))
     @example(seed=3, k=0, text="", commands=[Command("find", ("apple",))], drop=1.0, swap=0.0,
              insert=0.0, pool=[], max_length=80)
+    # Noise-free models, whose samples draw no stream: no noise beside a pool,
+    # insertions with no pool, and a cut shorter than the plan.
+    @example(seed=5, k=7, text="x", commands=[Command("find", ("apple",)),
+                                              Command("grab", ("apple",))],
+             drop=0.0, swap=0.0, insert=0.0, pool=[Command("open", ("fridge",))], max_length=80)
+    @example(seed=-2, k=3, text="", commands=[Command("find", ("sofa",)),
+                                              Command("open", ("fridge",))],
+             drop=0.0, swap=0.0, insert=0.5, pool=[], max_length=0)
+    @example(seed=11, k=1, text="y", commands=[Command("find", ("apple",)),
+                                               Command("grab", ("apple",)),
+                                               Command("open", ("fridge",))],
+             drop=0.0, swap=0.0, insert=0.0, pool=[], max_length=2)
     def test_sample_k_equals_the_reference(self, seed, k, text, commands, drop, swap, insert,
                                            pool, max_length):
         prompt = PromptDocument(kind="prog", text=text, instruction="t")
