@@ -62,6 +62,7 @@ from .providers import (
     PlanGenerator,
     RemoteProvider,
     ReplayProvider,
+    RequestPool,
     StoredProvider,
     SyntheticProvider,
     atomic_write,
@@ -85,7 +86,8 @@ REMOTE = "remote"
 
 MAX_INFLIGHT = 16
 """Most requests a remote run keeps in flight, and most episodes: the run's
-request pool has this many threads, and so has its episode pool."""
+request pool has this many threads reading one queue of stage batches, and
+its episode pool has this many threads."""
 
 
 # (fields, rule) for the RunConfig fields no library type checks under the same
@@ -454,14 +456,14 @@ def _threaded(run_job, jobs: list):
     """``run_job`` over ``jobs`` in a sliding window of ``MAX_INFLIGHT``
     episode threads, starting the next job as the oldest result is taken.
 
-    Each episode thread finds the run's request pool of ``MAX_INFLIGHT``
-    threads in ``providers.REQUESTS``, and a stage sends all its missing
-    samples to it at once.  The request pool is opened first and closed
-    last, and both pools are joined before this returns, so no thread of the
-    run outlives it.
+    Each episode thread finds the run's ``RequestPool`` of ``MAX_INFLIGHT``
+    threads in ``providers.REQUESTS``; a stage puts all its missing samples
+    on the pool's queue as one batch and waits once, for the batch.  The
+    request pool is opened first and closed last, and both pools are joined
+    before this returns, so no thread of the run outlives it.
     """
     window: deque[Future] = deque()
-    with ThreadPoolExecutor(max_workers=MAX_INFLIGHT) as requests, \
+    with RequestPool(MAX_INFLIGHT) as requests, \
             ThreadPoolExecutor(max_workers=MAX_INFLIGHT, initializer=REQUESTS.set,
                                initargs=(requests,)) as pool:
         try:

@@ -20,10 +20,11 @@ import functools
 import hashlib
 import json
 import os
+import queue
 import random
+import threading
 import time
 import urllib.error
-from concurrent.futures import Executor
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,10 +59,116 @@ class PlanGenerator(Protocol):
         ...
 
 
-REQUESTS: ContextVar[Executor | None] = ContextVar("REQUESTS", default=None)
+# -- request pool ---------------------------------------------------------------
+
+class _Batch:
+    """The missing samples of one stage in a request pool's queue: item i
+    draws sample ``missing[i]`` into ``samples``.
+
+    A pool thread settles each item under the batch's lock with its sample
+    or its exception, whatever that is.  Once every item before the lowest
+    failing one is settled, the items not yet started are skipped.  ``done``
+    is set by the thread that settles the last item still to run, and
+    ``failure`` is then the lowest failing item's exception, or ``None``.
+    """
+
+    def __init__(self, draw: Callable[[int], str], missing: list[int],
+                 samples: list[str | None]):
+        self.draw, self.missing, self.samples = draw, missing, samples
+        self.lock = threading.Lock()
+        self.done = threading.Event()
+        self.waiting = set(range(len(missing)))  # the items not started
+        self.settled: dict[int, BaseException | None] = {}
+        self.left = len(missing)  # the items neither settled nor skipped
+        self.first = 0  # the items before this one are settled
+        self.failure: BaseException | None = None
+
+    def run(self, i: int) -> None:
+        with self.lock:
+            if i not in self.waiting:  # skipped
+                return
+            self.waiting.remove(i)
+        try:
+            text, error = self.draw(self.missing[i]), None
+        except BaseException as exc:  # the waiter's to raise: a pool thread never dies
+            text, error = None, exc
+        with self.lock:
+            if error is None:
+                self.samples[self.missing[i]] = text
+            self.settled[i] = error
+            self.left -= 1
+            while self.failure is None and self.first in self.settled:
+                self.failure = self.settled[self.first]
+                self.first += 1
+            if self.failure is not None:
+                self.left -= len(self.waiting)
+                self.waiting.clear()
+            if not self.left:
+                self.done.set()
+
+
+class RequestPool:
+    """A remote run's ``size`` request threads and the one queue they read.
+
+    ``draw_all`` puts a stage's missing samples on the queue as one batch,
+    an item per sample in k order, and waits once, until the batch is
+    settled (see ``_Batch``).  ``close``, which leaving a ``with`` block
+    calls, takes no further batch, lets the threads finish the queue and
+    joins them.
+    """
+
+    def __init__(self, size: int):
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()  # puts a batch's items before close()'s stops
+        self._closed = False
+        self._threads: list[threading.Thread] = []
+        try:
+            for _ in range(size):
+                thread = threading.Thread(target=self._serve)
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> RequestPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _serve(self) -> None:
+        for batch, i in iter(self._queue.get, None):
+            batch.run(i)
+
+    def draw_all(self, draw: Callable[[int], str], missing: list[int],
+                 samples: list[str | None]) -> None:
+        """Fill ``samples[k]`` for each k of ``missing``, or raise the
+        exception of the lowest failing k once the batch is settled."""
+        batch = _Batch(draw, missing, samples)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the run's request pool is closed")
+            for i in range(len(missing)):
+                self._queue.put((batch, i))
+        batch.done.wait()
+        if batch.failure is not None:
+            raise batch.failure
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            for _ in self._threads:
+                self._queue.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
+REQUESTS: ContextVar[RequestPool | None] = ContextVar("REQUESTS", default=None)
 """The request pool of the run the current thread works for, or ``None``
 outside a run.  A remote run sets it in each of its episode threads (see
-``harness._threaded``); ``RemoteProvider.generate`` sends through it."""
+``harness._threaded``); ``RemoteProvider.generate`` sends each stage's
+missing samples through it as one batch."""
 
 
 # -- fixture store --------------------------------------------------------------
@@ -76,7 +183,7 @@ def read_through(
     config: SamplingConfig,
     identity: dict | None = None,
     sampler: Callable[[PromptDocument, SamplingConfig], Callable[[int], str]] | None = None,
-    requests: Executor | None = None,
+    requests: RequestPool | None = None,
 ) -> list[str]:
     """The ``config.num_samples`` samples of ``prompt`` in the fixture store at ``root``.
 
@@ -90,9 +197,10 @@ def read_through(
     missing and before any write, gives the function that draws sample k.
     Without ``requests`` the missing samples are drawn one at a time in k
     order, in the calling thread, until one fails.  With a ``requests`` pool
-    they are all submitted to it at once, in k order, and collected in k
-    order; at the first failure the draws not yet started are cancelled and
-    those running are waited for.  Either way the file is then written once,
+    they go to it as one batch, in k order, and the calling thread waits
+    once, until the batch is settled: once every draw before the lowest
+    failing k has ended, the draws not yet started are skipped and those
+    running are waited for.  Either way the file is then written once,
     atomically, keeping every sample drawn, and the failure of the lowest
     failing k, if any, is raised.
     """
@@ -134,28 +242,11 @@ def read_through(
             for k in missing:
                 samples[k] = draw(k)
         else:
-            _draw_all(requests, draw, missing, samples)
+            requests.draw_all(draw, missing, samples)
     finally:
         document = {**header, **(identity or {}), "num_samples": len(samples), "samples": samples}
         atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
     return samples[: config.num_samples]
-
-
-def _draw_all(requests: Executor, draw: Callable[[int], str], missing: list[int],
-              samples: list[str | None]) -> None:
-    """Fill ``samples[k]`` for each k of ``missing`` through ``requests``."""
-    futures = [(k, requests.submit(draw, k)) for k in missing]
-    failure: BaseException | None = None
-    for k, future in futures:
-        if failure is not None and future.cancel():
-            continue
-        try:
-            samples[k] = future.result()
-        except BaseException as exc:
-            if failure is None:
-                failure = exc
-    if failure is not None:
-        raise failure
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -347,9 +438,10 @@ class RemoteProvider:
     pointing a ReplayProvider at it, and a store recorded by another model is
     refused.  Sample k's request depends on k and the sampling config only,
     and its answer lands at index k.  Inside a remote ``run_suite`` a stage
-    sends all its missing samples at once through the run's request pool
-    (``REQUESTS``), so an injected ``transport`` must be thread-safe; a
-    ``generate`` call outside a run sends them one at a time, in k order.
+    sends all its missing samples as one batch through the run's request
+    pool (``REQUESTS``) and waits once for the batch, so an injected
+    ``transport`` must be thread-safe; a ``generate`` call outside a run
+    sends them one at a time, in k order.
 
     Timeouts, connection errors (refused, reset or dropped before the
     response), broken HTTP responses (a truncated body), HTTP 5xx, 408 and
@@ -391,13 +483,17 @@ class RemoteProvider:
             send = functools.partial(_http_transport, endpoint=self.endpoint, api_key=api_key,
                                      timeout=self.timeout)
 
+        # Built once per stage: every request of the stage shares these bytes.
+        seed_of = seeds_after(config.seed)
+        messages = [{"role": "user", "content": prompt.text}]
+
         def draw(k: int) -> str:
             return self._call_with_retries(send, {
                 "model": self.model,
-                "messages": [{"role": "user", "content": prompt.text}],
+                "messages": messages,
                 "temperature": config.temperature,
                 "max_tokens": 16 * config.max_length,
-                "seed": derive_seed(config.seed, k) % (2**31),
+                "seed": seed_of(k) % (2**31),
                 "n": 1,
             })
 

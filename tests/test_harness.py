@@ -404,8 +404,10 @@ def _request_key(request):
 
 class TestRemoteRun:
     """A remote run keeps up to MAX_INFLIGHT requests in flight: up to
-    MAX_INFLIGHT episode threads, each stage of which sends its missing samples
-    together through the run's request pool of MAX_INFLIGHT threads.  It
+    MAX_INFLIGHT episode threads, each stage of which puts its missing samples
+    on the run's request queue as one batch and waits once for it, while the
+    run's MAX_INFLIGHT request threads draw them.  A batch skips what has not
+    started once every sample before its lowest failure has ended.  The run
     scores the episodes in run order."""
 
     def test_make_provider_builds_the_configured_remote_provider(self, bundle, tmp_path):
@@ -465,6 +467,69 @@ class TestRemoteRun:
         run_suite(_remote_config(tmp_path, "together", output_dir=None), bundle)
         assert len(peak) == 31 * 2
         assert 1 < max(peak.values()) <= harness.MAX_INFLIGHT
+
+    def test_the_run_fills_its_request_pool(self, bundle, tmp_path, monkeypatch):
+        """The first MAX_INFLIGHT requests wait until all of them are in
+        flight; a pool with fewer threads breaks the barrier."""
+        fake = FakeTransport(bundle)
+        barrier = threading.Barrier(harness.MAX_INFLIGHT, timeout=10)
+        lock = threading.Lock()
+        calls = [0]
+        active = [0]
+        peak = [0]
+
+        def transport(request):
+            with lock:
+                calls[0] += 1
+                first = calls[0] <= harness.MAX_INFLIGHT
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                if first:
+                    barrier.wait()
+                return fake(request)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        _remote_via(monkeypatch, transport)
+        run_suite(_remote_config(tmp_path, "full", output_dir=None), bundle)
+        assert calls[0] == 31 * (30 + 20)
+        assert peak[0] == harness.MAX_INFLIGHT
+
+    def test_a_base_exception_in_a_request_stops_the_run(self, bundle, tmp_path, monkeypatch):
+        """An exception that is not an ``Exception`` still settles its
+        request: the run raises it within seconds and leaves no thread."""
+
+        class Stop(BaseException):
+            pass
+
+        fake = FakeTransport(bundle)
+        task = evaluated_tasks(bundle)[2].task_name
+        stage_seed = derive_seed(6, 0, task, PROG)
+        stop_seed = derive_seed(stage_seed, 7) % 2**31
+
+        def transport(request):
+            if request["seed"] == stop_seed and fake.task_of(request) == task:
+                raise Stop
+            return fake(request)
+
+        _remote_via(monkeypatch, transport)
+        threads = threading.active_count()
+        raised: list[BaseException] = []
+
+        def run():
+            try:
+                run_suite(_remote_config(tmp_path, "stopped", output_dir=None), bundle)
+            except BaseException as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)  # a hung run fails, not hangs, the test
+        runner.start()
+        runner.join(30)
+        assert not runner.is_alive(), "the run did not end"
+        assert [type(exc) for exc in raised] == [Stop]
+        assert threading.active_count() == threads
 
     def test_a_failure_in_the_middle_of_a_stage(self, bundle, tmp_path, monkeypatch):
         """In one task's prog stage sample 9 fails at once, and sample 5 once

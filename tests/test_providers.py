@@ -474,8 +474,8 @@ class TestRemoteRetries:
 
 class TestRemoteConcurrency:
     """Outside a run, missing samples are requested one at a time, in k order;
-    inside a remote run a stage sends them together through the run's request
-    pool (see test_harness.TestRemoteRun)."""
+    inside a remote run a stage sends them together, as one batch, through the
+    run's request pool (see test_harness.TestRemoteRun)."""
 
     @staticmethod
     def _k_of(cfg):
@@ -546,6 +546,72 @@ class TestRemoteConcurrency:
 
         with pytest.raises(ProviderError, match="401"):
             self._provider(tmp_path, transport).generate(prompt, cfg)
+
+    @staticmethod
+    def _through(pool, provider, prompt, cfg):
+        """``provider.generate`` as a remote run's episode thread calls it."""
+        token = providers.REQUESTS.set(pool)
+        try:
+            return provider.generate(prompt, cfg)
+        finally:
+            providers.REQUESTS.reset(token)
+
+    def test_a_batch_skips_what_has_not_started_once_its_lowest_failure_ends(self, tmp_path,
+                                                                             prompt):
+        """One request thread takes a batch's items in k order: sample 1
+        fails, so samples 2-5 are never sent, and sample 0 is kept."""
+        cfg = SamplingConfig(num_samples=6, seed=2)
+        k_of = self._k_of(cfg)
+        sent: list[int] = []
+
+        def transport(request):
+            sent.append(k_of(request))
+            if k_of(request) == 1:
+                raise urllib.error.HTTPError("https://example.invalid", 400, "bad", {}, None)
+            return f"find('obj{k_of(request)}')\n"
+
+        with providers.RequestPool(1) as pool, pytest.raises(ProviderError, match="not retried"):
+            self._through(pool, self._provider(tmp_path, transport), prompt, cfg)
+        assert sent == [0, 1]
+        stored = json.loads((tmp_path / prompt.content_hash / "prog" / "2.json")
+                            .read_text(encoding="utf-8"))["samples"]
+        assert stored == ["find('obj0')\n", None, None, None, None, None]
+
+    def test_a_batch_raises_its_lowest_failure(self, tmp_path, prompt):
+        """Two request threads: sample 1 fails, the other thread's sample 2 is
+        answered, and only then does sample 0 fail.  Sample 0's error is
+        raised, and sample 2, which was running when it failed, is kept."""
+        cfg = SamplingConfig(num_samples=4, seed=2)
+        k_of = self._k_of(cfg)
+        two_answered = threading.Event()
+
+        def transport(request):
+            k = k_of(request)
+            if k == 0:
+                two_answered.wait(10)
+                raise urllib.error.HTTPError("https://example.invalid", 401, "zero", {}, None)
+            if k == 1:
+                raise urllib.error.HTTPError("https://example.invalid", 403, "one", {}, None)
+            if k == 2:
+                two_answered.set()
+            return f"find('obj{k}')\n"
+
+        with providers.RequestPool(2) as pool, pytest.raises(ProviderError, match="401"):
+            self._through(pool, self._provider(tmp_path, transport), prompt, cfg)
+        stored = json.loads((tmp_path / prompt.content_hash / "prog" / "2.json")
+                            .read_text(encoding="utf-8"))["samples"]
+        assert stored[:3] == [None, None, "find('obj2')\n"]
+
+    def test_a_closed_pool_takes_no_batch(self, tmp_path, prompt):
+        """An episode still running when its run closes the pool (say, after a
+        second Ctrl-C) fails at its next stage instead of waiting forever."""
+        sent: list[dict] = []
+        with providers.RequestPool(2) as pool:
+            pass
+        with pytest.raises(RuntimeError, match="closed"):
+            self._through(pool, self._provider(tmp_path, sent.append), prompt,
+                          SamplingConfig(num_samples=3))
+        assert sent == []
 
     def test_missing_credentials_send_and_write_nothing(self, tmp_path, prompt, monkeypatch):
         monkeypatch.delenv("VOTETREE_API_KEY", raising=False)
