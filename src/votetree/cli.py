@@ -34,6 +34,7 @@ from .harness import RunConfig, recompute_metrics, record_suite, run_suite
 from .metrics import format_table
 from .plans import Command, parse_plan_text, split_corpus
 from .prompts import DATA_DIR
+from .providers import atomic_write
 from .tree import (
     MAX_VOTE,
     SELECTIONS,
@@ -68,7 +69,7 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
     root = build_vote_tree(plans)
     doc = json.dumps(tree_to_dict(root), indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(doc, encoding="utf-8")
+        atomic_write(Path(args.out), doc)
         print(f"tree with {len(plans)} plans written to {args.out}")
     else:
         sys.stdout.write(doc)
@@ -107,7 +108,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
     doc = {"termination": trace.termination, "steps": serialize_trace(trace)}
     out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
+        atomic_write(Path(args.out), out)
     else:
         sys.stdout.write(out)
     return 0

@@ -57,7 +57,6 @@ from .prompts import (
     seen_task_names,
 )
 from .providers import (
-    REQUESTS,
     NoiseModel,
     PlanGenerator,
     RemoteProvider,
@@ -245,31 +244,35 @@ def make_provider(config: RunConfig, task: Task, scene: Scene) -> PlanGenerator:
 
 
 class RunMemo:
-    """What the episodes of one run share, worked out once per run.
+    """A run's state: its config and bundle, and what its episodes share.
 
-    ``run_suite`` makes one per call over its bundle and tasks and drops it
-    when it returns, so nothing carries over from one run to the next.  It
-    holds the bundled prompt examples, each task's prog prompt and goal
-    conditions, and a parse memo keyed by raw plan line (within a stage,
-    ``run_one_episode`` parses each distinct text once).  The parse memo is
-    keyed by line, not by whole text: the run's distinct lines are few, while
-    holding the parsed commands of every distinct text for a whole run raised
-    peak memory by a third.  The memo is parallel-safe.  Forked episode
-    workers each fill their own copy of the parse memo.  A remote run's
-    episode threads share one memo: the prompts and goals are built here,
-    before any thread starts, and a parse memo entry depends only on its
-    line, so a racing write stores the same value.
+    ``run_suite`` makes one per call and drops it when it returns, so
+    nothing carries over from one run to the next.  It holds each task's
+    provider, from ``make_provider``, the bundled prompt examples, each
+    task's prog prompt and goal conditions, and a parse memo keyed by raw
+    plan line (within a stage, ``run_one_episode`` parses each distinct
+    text once).  The parse memo is keyed by line, not by whole text: the
+    run's distinct lines are few, while holding the parsed commands of
+    every distinct text for a whole run raised peak memory by a third.  All
+    but the parse memo is built here, before any worker forks or episode
+    thread starts: forked workers inherit the providers and each fill their
+    own parse memo.  A remote run's episode threads share one, and a parse
+    memo entry depends only on its line, so a racing write stores the same
+    value.
     """
 
-    def __init__(self, bundle: DatasetBundle, tasks: list[Task]):
+    def __init__(self, config: RunConfig, bundle: DatasetBundle, tasks: list[Task]):
+        self.config, self.bundle = config, bundle
         self.known_actions = frozenset(bundle.catalog.action_names)
         self.prog_examples = default_prog_examples()
         self.reorder_examples = default_reorder_examples()
         self.lines: dict[str, tuple] = {}
+        self.providers: dict[Task, PlanGenerator] = {}
         self.prog_prompts: dict[Task, PromptDocument] = {}
         self.goals: dict[Task, frozenset[StatePredicate]] = {}
         for task in tasks:
             scene = bundle.scenes[task.scene_id]
+            self.providers[task] = make_provider(config, task, scene)
             self.prog_prompts[task] = format_prog_prompt(
                 task.task_name, bundle.catalog.action_names, sorted(scene.objects),
                 self.prog_examples,
@@ -296,21 +299,19 @@ class PipelineArtifacts:
     error: str | None = None
 
 
-def run_one_episode(task: Task, bundle: DatasetBundle, config: RunConfig, rep: int,
-                    memo: RunMemo) -> tuple[EpisodeResult, PipelineArtifacts]:
-    """Run one (repetition, task) episode: sample plans, pool their commands,
-    reorder them, vote them into a tree and execute it.
+def run_one_episode(task: Task, rep: int, memo: RunMemo) -> tuple[EpisodeResult, PipelineArtifacts]:
+    """Run one (repetition, task) episode of ``memo``'s run: sample plans,
+    pool their commands, reorder them, vote them into a tree and execute it.
 
-    ``memo`` is the run's shared memo over ``bundle``.  A stage parses each
-    distinct sample text once; every sample k still gets its own plan, with
-    ``sample_index`` k, and its own diagnostics, in k order.  An empty
-    command pool skips the reorder stage; it and a reorder stage whose
-    samples all parse empty leave an empty tree and the error, and
-    ``run_episode`` then attempts nothing and ends the episode with
+    A stage parses each distinct sample text once; every sample k still gets
+    its own plan, with ``sample_index`` k, and its own diagnostics, in k
+    order.  An empty command pool skips the reorder stage; it and a reorder
+    stage whose samples all parse empty leave an empty tree and the error,
+    and ``run_episode`` then attempts nothing and ends the episode with
     termination ``no_plan``.
     """
+    config, bundle, provider = memo.config, memo.bundle, memo.providers[task]
     scene = bundle.scenes[task.scene_id]
-    provider = make_provider(config, task, scene)
     diagnostics: list[str] = []
 
     def sample(prompt: PromptDocument, temperature: float, num_samples: int) -> list[Plan]:
@@ -359,8 +360,7 @@ class SuiteResult:
     output_dir: Path | None = None
 
 
-def _run_job(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: str | None,
-             job: tuple[int, int, Task]) -> dict:
+def _run_job(memo: RunMemo, staging: str | None, job: tuple[int, int, Task]) -> dict:
     """Run one (rep, task index, task) job of a run and return its episode
     record.  With a ``staging`` directory, also write the episode's files
     ``<staging>/<slug>/<rep>/{trace,tree}.json``; an error writing them is an
@@ -370,7 +370,7 @@ def _run_job(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: s
     in a remote run's thread.
     """
     rep, task_index, task = job
-    episode, artifacts = run_one_episode(task, bundle, config, rep, memo)
+    episode, artifacts = run_one_episode(task, rep, memo)
     goal = memo.goals[task]
     gcr = metrics_mod.compute_gcr(episode.achieved, goal)
     exec_rate = metrics_mod.compute_exec(episode.trace)
@@ -422,8 +422,7 @@ def _worker_count(jobs: int) -> int:
     return min(cpus, jobs)
 
 
-def _records(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: str | None,
-             jobs: list[tuple[int, int, Task]]):
+def _records(memo: RunMemo, staging: str | None, jobs: list[tuple[int, int, Task]]):
     """Yield the ``_run_job`` record of each job of ``jobs``, in order.
 
     A remote run runs its episodes in threads, as it waits on requests, not
@@ -435,9 +434,9 @@ def _records(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: s
     starts once one has failed, those running finish, and the error of the
     earliest failing episode in run order is raised.
     """
-    run_job = functools.partial(_run_job, config, bundle, memo, staging)
-    if config.provider == REMOTE:
-        return _threaded(run_job, jobs)
+    run_job = functools.partial(_run_job, memo, staging)
+    if memo.config.provider == REMOTE:
+        return _threaded(run_job, jobs, memo.providers.values())
     workers = _worker_count(len(jobs))
     if workers > 1 and threading.active_count() == 1:
         import multiprocessing  # here: a remote or one-worker run does not pay for the import
@@ -452,20 +451,22 @@ def _records(config: RunConfig, bundle: DatasetBundle, memo: RunMemo, staging: s
     return (run_job(job) for job in jobs)
 
 
-def _threaded(run_job, jobs: list):
+def _threaded(run_job, jobs: list, providers):
     """``run_job`` over ``jobs`` in a sliding window of ``MAX_INFLIGHT``
     episode threads, starting the next job as the oldest result is taken.
 
-    Each episode thread finds the run's ``RequestPool`` of ``MAX_INFLIGHT``
-    threads in ``providers.REQUESTS``; a stage puts all its missing samples
-    on the pool's queue as one batch and waits once, for the batch.  The
-    request pool is opened first and closed last, and both pools are joined
-    before this returns, so no thread of the run outlives it.
+    Each of the run's ``providers`` gets the run's ``RequestPool`` of
+    ``MAX_INFLIGHT`` threads as its ``requests``; a stage puts all its
+    missing samples on the pool's queue as one batch and waits once, for
+    the batch.  The request pool is opened first and closed last, and both
+    pools are joined before this returns, so no thread of the run outlives
+    it.
     """
     window: deque[Future] = deque()
     with RequestPool(MAX_INFLIGHT) as requests, \
-            ThreadPoolExecutor(max_workers=MAX_INFLIGHT, initializer=REQUESTS.set,
-                               initargs=(requests,)) as pool:
+            ThreadPoolExecutor(max_workers=MAX_INFLIGHT) as pool:
+        for provider in providers:
+            provider.requests = requests
         try:
             for job in jobs:
                 if any(future.done() and future.exception() is not None for future in window):
@@ -565,7 +566,7 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     if not tasks:
         raise ConfigError("no tasks to evaluate after applying the seen-task split")
 
-    memo = RunMemo(bundle, tasks)
+    memo = RunMemo(config, bundle, tasks)
     jobs = [(rep, task_index, task) for rep in range(config.repetitions)
             for task_index, task in enumerate(tasks)]
     output_dir = Path(config.output_dir) if write_outputs and config.output_dir else None
@@ -575,7 +576,7 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
         # Not tempfile.mkdtemp: its 0o700 would become the mode of episodes/.
         staging = str(output_dir / f".episodes-{os.urandom(6).hex()}")
         os.mkdir(staging)
-    records = _records(config, bundle, memo, staging, jobs)
+    records = _records(memo, staging, jobs)
     try:
         episode_records = list(records)
         row, per_rep = metrics_mod.score(config.label, episode_records)

@@ -25,7 +25,6 @@ import random
 import threading
 import time
 import urllib.error
-from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -162,13 +161,6 @@ class RequestPool:
                 self._queue.put(None)
         for thread in self._threads:
             thread.join()
-
-
-REQUESTS: ContextVar[RequestPool | None] = ContextVar("REQUESTS", default=None)
-"""The request pool of the run the current thread works for, or ``None``
-outside a run.  A remote run sets it in each of its episode threads (see
-``harness._threaded``); ``RemoteProvider.generate`` sends each stage's
-missing samples through it as one batch."""
 
 
 # -- fixture store --------------------------------------------------------------
@@ -437,11 +429,11 @@ class RemoteProvider:
     ``read_through``), so a finished remote run can be replayed offline by
     pointing a ReplayProvider at it, and a store recorded by another model is
     refused.  Sample k's request depends on k and the sampling config only,
-    and its answer lands at index k.  Inside a remote ``run_suite`` a stage
-    sends all its missing samples as one batch through the run's request
-    pool (``REQUESTS``) and waits once for the batch, so an injected
-    ``transport`` must be thread-safe; a ``generate`` call outside a run
-    sends them one at a time, in k order.
+    and its answer lands at index k.  In a remote ``run_suite``,
+    ``requests`` is the run's request pool: a stage sends all its missing
+    samples through it as one batch and waits once, so an injected
+    ``transport`` must be thread-safe.  With ``requests`` ``None``, as on
+    a provider made outside a run, they are sent one at a time, in k order.
 
     Timeouts, connection errors (refused, reset or dropped before the
     response), broken HTTP responses (a truncated body), HTTP 5xx, 408 and
@@ -467,10 +459,11 @@ class RemoteProvider:
         self.timeout = timeout
         self.retries = retries
         self._transport = transport
+        self.requests: RequestPool | None = None
 
     def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
         return read_through(self.cache_dir, prompt, config, {"model": self.model},
-                            self._sampler, REQUESTS.get())
+                            self._sampler, self.requests)
 
     def _sampler(self, prompt: PromptDocument, config: SamplingConfig) -> Callable[[int], str]:
         """Sample k's request through the injected transport, or HTTP with the

@@ -146,9 +146,8 @@ def test_c04_metric_formulas_and_fixture_oracle(bundle):
     from votetree.harness import RunMemo, run_one_episode
 
     task = next(t for t in bundle.tasks if t.task_name == "put apple in fridge")
-    memo = RunMemo(bundle, [task])
-    episode, _ = run_one_episode(task, bundle, RunConfig(master_seed=SEED, output_dir=None), 0,
-                                 memo)
+    memo = RunMemo(RunConfig(master_seed=SEED, output_dir=None), bundle, [task])
+    episode, _ = run_one_episode(task, 0, memo)
     assert compute_exec(episode.trace) == 1.0
 
     # Independent oracle: simulate the goal plan step by step and diff sets.

@@ -59,6 +59,30 @@ def test_execute_runs_tree_against_scene(tmp_path, corpus_file, capsys):
     assert [s["command"] for s in doc["steps"]] == ["find(a)", "grab(a)"]
 
 
+def test_out_files_are_replaced_atomically(tmp_path, corpus_file, capsys, monkeypatch):
+    """``--out`` of build-tree and execute writes by rename: a write that
+    fails leaves the old file and no ``*.tmp``, and a missing parent
+    directory is made."""
+    tree_path = tmp_path / "new" / "tree.json"
+    assert main(["build-tree", "--corpus", str(corpus_file), "--out", str(tree_path)]) == 0
+    execute = ["execute", "--tree", str(tree_path),
+               "--scene", str(DATA_DIR / "scenes" / "scene1.json")]
+    assert main([*execute, "--out", str(tmp_path / "new" / "trace.json")]) == 0
+
+    def fails(src, dst):
+        raise OSError(28, "No space left on device", str(dst))
+
+    monkeypatch.setattr(os, "replace", fails)
+    old = tmp_path / "old.json"
+    old.write_text("old\n", encoding="utf-8")
+    for argv in (["build-tree", "--corpus", str(corpus_file)], execute):
+        assert main([*argv, "--out", str(old)]) == 1
+        assert old.read_text(encoding="utf-8") == "old\n"
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
+        "old.json", "trace.json", "tree.json"]
+
+
 def test_execute_reads_only_the_action_catalog(tmp_path, corpus_file, capsys, monkeypatch):
     """Without ``--actions`` execute reads the bundled action catalog, as a run
     does, and no scene or task file but its own ``--scene``."""

@@ -202,10 +202,9 @@ class TestSuite:
         are seed-matched by construction."""
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
         base = dict(master_seed=3, drop_prob=0.3, output_dir=None)
-        memo = RunMemo(bundle, [task])
-        ep_with, art_with = run_one_episode(task, bundle, RunConfig(**base), 0, memo)
+        ep_with, art_with = run_one_episode(task, 0, RunMemo(RunConfig(**base), bundle, [task]))
         ep_without, art_without = run_one_episode(
-            task, bundle, RunConfig(**base, mode="no_correction"), 0, memo
+            task, 0, RunMemo(RunConfig(**base, mode="no_correction"), bundle, [task])
         )
         assert art_with.diagnostics == art_without.diagnostics
         assert tree_to_dict(art_with.root) == tree_to_dict(art_without.root)
@@ -311,6 +310,40 @@ class TestRunMemo:
         record_suite(RunConfig(master_seed=3, repetitions=2, fixtures_dir=str(tmp_path),
                                **self.NOISY), bundle)
         assert_done_once()
+
+    def test_one_provider_per_task_per_run(self, bundle, tmp_path, monkeypatch):
+        """A 2-repetition run calls ``harness.make_provider`` once per task,
+        31 times, not once per episode, whether its episodes run in two
+        forked workers (counted in shared memory made before they fork),
+        inline, or in a remote run's threads."""
+        names = sorted(t.task_name for t in evaluated_tasks(bundle))
+        count = multiprocessing.get_context("fork").Value("i", 0)
+        made: list[str] = []
+
+        def counting(make_provider):
+            def wrapper(config, task, scene):
+                with count.get_lock():
+                    count.value += 1
+                made.append(task.task_name)
+                return make_provider(config, task, scene)
+            return wrapper
+
+        def assert_made_once(config):
+            count.value = 0
+            made.clear()
+            run_suite(config, bundle, write_outputs=False)
+            assert count.value == len(names)
+            assert sorted(made) == names
+
+        noisy = RunConfig(master_seed=3, repetitions=2, **self.NOISY)
+        monkeypatch.setattr(harness, "make_provider", counting(harness.make_provider))
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: min(2, jobs))
+        assert_made_once(noisy)
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: 1)
+        assert_made_once(noisy)
+        _remote_via(monkeypatch, FakeTransport(bundle))
+        monkeypatch.setattr(harness, "make_provider", counting(harness.make_provider))
+        assert_made_once(_remote_config(tmp_path, "remote", repetitions=2))
 
 
 class TestFixtureStore:
@@ -844,7 +877,7 @@ class TestEpisodeWriter:
         calls = multiprocessing.get_context("fork").Value("i", 0)
         run_one_episode = harness.run_one_episode
 
-        def kills_its_worker_at_the_40th(task, bundle, config, rep, memo):
+        def kills_its_worker_at_the_40th(task, rep, memo):
             if rep * len(tasks) + tasks.index(task) == 17:  # job 17: worker 1's 9th
                 deadline = time.monotonic() + 30
                 while calls.value < 39 and time.monotonic() < deadline:
@@ -854,7 +887,7 @@ class TestEpisodeWriter:
                 count = calls.value
             if count == 40:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return run_one_episode(task, bundle, config, rep, memo)
+            return run_one_episode(task, rep, memo)
 
         monkeypatch.setattr(harness, "run_one_episode", kills_its_worker_at_the_40th)
         with pytest.raises(OSError) as raised:
@@ -919,10 +952,10 @@ class TestEpisodeWriter:
         monkeypatch.setattr(harness, "_worker_count", lambda jobs: 1)
         run_one_episode = harness.run_one_episode
 
-        def fails_in_repetition_1(task, bundle, config, rep, memo):
+        def fails_in_repetition_1(task, rep, memo):
             if rep == 1:
                 raise RuntimeError("episode")
-            return run_one_episode(task, bundle, config, rep, memo)
+            return run_one_episode(task, rep, memo)
 
         rmtree = harness.shutil.rmtree
 
@@ -1033,8 +1066,8 @@ class TestNoPlan:
 
         monkeypatch.setattr(harness, "make_provider", lambda config, task, scene: GarbageReorder())
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
-        episode, artifacts = run_one_episode(task, bundle, RunConfig(master_seed=1), 0,
-                                             RunMemo(bundle, [task]))
+        memo = RunMemo(RunConfig(master_seed=1), bundle, [task])
+        episode, artifacts = run_one_episode(task, 0, memo)
         assert episode.trace.termination == "no_plan" and episode.trace.steps == ()
         assert artifacts.pool_size == 1 and artifacts.root.children == {}
         assert sum(d.endswith(": degenerate_sample_dropped") for d in artifacts.diagnostics) == 20
@@ -1062,8 +1095,8 @@ class TestNoPlan:
         monkeypatch.setattr(harness, "parse_plan_text", counted)
         monkeypatch.setattr(harness, "extract_unique_commands", pooling)
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
-        episode, artifacts = run_one_episode(task, bundle, RunConfig(master_seed=1), 0,
-                                             RunMemo(bundle, [task]))
+        memo = RunMemo(RunConfig(master_seed=1), bundle, [task])
+        episode, artifacts = run_one_episode(task, 0, memo)
         assert parsed == ["find('salmon')\n", ""]
         assert [plan.sample_index for plan in pooled] == list(range(30))
         assert len({plan.commands for plan in pooled}) == 1

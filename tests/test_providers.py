@@ -550,11 +550,8 @@ class TestRemoteConcurrency:
     @staticmethod
     def _through(pool, provider, prompt, cfg):
         """``provider.generate`` as a remote run's episode thread calls it."""
-        token = providers.REQUESTS.set(pool)
-        try:
-            return provider.generate(prompt, cfg)
-        finally:
-            providers.REQUESTS.reset(token)
+        provider.requests = pool
+        return provider.generate(prompt, cfg)
 
     def test_a_batch_skips_what_has_not_started_once_its_lowest_failure_ends(self, tmp_path,
                                                                              prompt):
