@@ -51,7 +51,7 @@ NUMBER_AT_LEAST_0 = (lambda v: type(v) in (int, float) and v >= 0, "a number >= 
 
 
 def check_value(name: str, value: object, rule: tuple) -> None:
-    """The one check of a numeric config value against a (check, expected) rule."""
+    """The one check of a config value against a (check, expected) rule."""
     if not rule[0](value):
         raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
 

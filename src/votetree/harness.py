@@ -85,7 +85,7 @@ REMOTE = "remote"
 
 MAX_INFLIGHT = 16
 """Most requests a remote run keeps in flight, and most episodes: the run's
-request pool has this many threads reading one queue of stage batches, and
+request pool has this many threads reading one queue of sample draws, and
 its episode pool has this many threads."""
 
 
@@ -97,6 +97,11 @@ _FIELD_CHECKS = (
     (("master_seed",), (lambda v: v is None or type(v) is int, "an integer or null")),
     (("prog_temperature", "reorder_temperature"), NUMBER_AT_LEAST_0),
     (("remote_timeout",), (lambda v: type(v) in (int, float) and v > 0, "a number > 0")),
+    (("dataset", "scenes_dir", "actions", "fixtures_dir", "output_dir", "method_label"),
+     (lambda v: v is None or type(v) is str, "a string or null")),
+    (("remote_endpoint", "remote_model", "remote_api_key_env"),
+     (lambda v: type(v) is str, "a string")),
+    (("include_seen",), (lambda v: type(v) is bool, "true or false")),
 )
 
 
@@ -456,11 +461,11 @@ def _threaded(run_job, jobs: list, providers):
     episode threads, starting the next job as the oldest result is taken.
 
     Each of the run's ``providers`` gets the run's ``RequestPool`` of
-    ``MAX_INFLIGHT`` threads as its ``requests``; a stage puts all its
-    missing samples on the pool's queue as one batch and waits once, for
-    the batch.  The request pool is opened first and closed last, and both
-    pools are joined before this returns, so no thread of the run outlives
-    it.
+    ``MAX_INFLIGHT`` threads as its ``requests``; a stage puts the draws of
+    all its missing samples on the pool's queue and waits once (see
+    ``providers._fill``).  The request pool is opened first and closed
+    last, and both pools are joined before this returns, so no thread of
+    the run outlives it.
     """
     window: deque[Future] = deque()
     with RequestPool(MAX_INFLIGHT) as requests, \

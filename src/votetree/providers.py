@@ -60,65 +60,65 @@ class PlanGenerator(Protocol):
 
 # -- request pool ---------------------------------------------------------------
 
-class _Batch:
-    """The missing samples of one stage in a request pool's queue: item i
-    draws sample ``missing[i]`` into ``samples``.
+def _fill(draw: Callable[[int], str], missing: list[int], samples: list[str | None],
+          requests: RequestPool | None) -> None:
+    """Fill ``samples[k]`` with ``draw(k)`` for each k of ``missing``, or raise
+    the exception of the lowest failing k once the draws still running end.
 
-    A pool thread settles each item under the batch's lock with its sample
-    or its exception, whatever that is.  Once every item before the lowest
-    failing one is settled, the items not yet started are skipped.  ``done``
-    is set by the thread that settles the last item still to run, and
-    ``failure`` is then the lowest failing item's exception, or ``None``.
+    Draw i (of sample ``missing[i]``) returns at once if every draw before
+    the lowest failing one has settled; otherwise it settles under one lock
+    with its sample or its exception, whatever that is, and advances the
+    settled prefix.  Without ``requests`` the draws run in the calling
+    thread in k order, so they stop at the first failure; with a pool they
+    go on its queue together and the calling thread waits once.
     """
+    lock, done = threading.Lock(), threading.Event()
+    settled: dict[int, BaseException | None] = {}
+    started = first = 0  # the draws begun; the draws before ``first`` are settled
+    failure: BaseException | None = None
 
-    def __init__(self, draw: Callable[[int], str], missing: list[int],
-                 samples: list[str | None]):
-        self.draw, self.missing, self.samples = draw, missing, samples
-        self.lock = threading.Lock()
-        self.done = threading.Event()
-        self.waiting = set(range(len(missing)))  # the items not started
-        self.settled: dict[int, BaseException | None] = {}
-        self.left = len(missing)  # the items neither settled nor skipped
-        self.first = 0  # the items before this one are settled
-        self.failure: BaseException | None = None
-
-    def run(self, i: int) -> None:
-        with self.lock:
-            if i not in self.waiting:  # skipped
+    def run(i: int) -> None:
+        nonlocal started, first, failure
+        with lock:
+            if failure is not None:
                 return
-            self.waiting.remove(i)
+            started += 1
         try:
-            text, error = self.draw(self.missing[i]), None
+            text, error = draw(missing[i]), None
         except BaseException as exc:  # the waiter's to raise: a pool thread never dies
             text, error = None, exc
-        with self.lock:
+        with lock:
             if error is None:
-                self.samples[self.missing[i]] = text
-            self.settled[i] = error
-            self.left -= 1
-            while self.failure is None and self.first in self.settled:
-                self.failure = self.settled[self.first]
-                self.first += 1
-            if self.failure is not None:
-                self.left -= len(self.waiting)
-                self.waiting.clear()
-            if not self.left:
-                self.done.set()
+                samples[missing[i]] = text
+            settled[i] = error
+            while failure is None and first in settled:
+                failure = settled[first]
+                first += 1
+            if len(settled) == (started if failure is not None else len(missing)):
+                done.set()
+
+    if requests is None:
+        for i in range(len(missing)):
+            run(i)
+    else:
+        requests.put_all(run, len(missing))
+        done.wait()
+    if failure is not None:
+        raise failure
 
 
 class RequestPool:
     """A remote run's ``size`` request threads and the one queue they read.
 
-    ``draw_all`` puts a stage's missing samples on the queue as one batch,
-    an item per sample in k order, and waits once, until the batch is
-    settled (see ``_Batch``).  ``close``, which leaving a ``with`` block
-    calls, takes no further batch, lets the threads finish the queue and
-    joins them.
+    Each thread calls ``run(i)`` for the ``(run, i)`` items it takes, which
+    ``put_all`` puts on the queue together; ``run`` must not raise (see
+    ``_fill``).  ``close``, which leaving a ``with`` block calls, takes no
+    further items, lets the threads finish the queue and joins them.
     """
 
     def __init__(self, size: int):
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._lock = threading.Lock()  # puts a batch's items before close()'s stops
+        self._lock = threading.Lock()  # puts a stage's items before close()'s stops
         self._closed = False
         self._threads: list[threading.Thread] = []
         try:
@@ -137,22 +137,16 @@ class RequestPool:
         self.close()
 
     def _serve(self) -> None:
-        for batch, i in iter(self._queue.get, None):
-            batch.run(i)
+        for run, i in iter(self._queue.get, None):
+            run(i)
 
-    def draw_all(self, draw: Callable[[int], str], missing: list[int],
-                 samples: list[str | None]) -> None:
-        """Fill ``samples[k]`` for each k of ``missing``, or raise the
-        exception of the lowest failing k once the batch is settled."""
-        batch = _Batch(draw, missing, samples)
+    def put_all(self, run: Callable[[int], None], count: int) -> None:
+        """Queue ``run(i)`` for i in ``range(count)``, or refuse a closed pool."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("the run's request pool is closed")
-            for i in range(len(missing)):
-                self._queue.put((batch, i))
-        batch.done.wait()
-        if batch.failure is not None:
-            raise batch.failure
+            for i in range(count):
+                self._queue.put((run, i))
 
     def close(self) -> None:
         with self._lock:
@@ -187,12 +181,8 @@ def read_through(
     ``sampler`` a missing sample is an error and nothing is written.
     Otherwise ``sampler(prompt, config)``, called only when samples are
     missing and before any write, gives the function that draws sample k.
-    Without ``requests`` the missing samples are drawn one at a time in k
-    order, in the calling thread, until one fails.  With a ``requests`` pool
-    they go to it as one batch, in k order, and the calling thread waits
-    once, until the batch is settled: once every draw before the lowest
-    failing k has ended, the draws not yet started are skipped and those
-    running are waited for.  Either way the file is then written once,
+    The missing samples are drawn by ``_fill``, in the calling thread or
+    through the ``requests`` pool; the file is then written once,
     atomically, keeping every sample drawn, and the failure of the lowest
     failing k, if any, is raised.
     """
@@ -230,11 +220,7 @@ def read_through(
         return samples[: config.num_samples]
     draw = sampler(prompt, config)
     try:
-        if requests is None:
-            for k in missing:
-                samples[k] = draw(k)
-        else:
-            requests.draw_all(draw, missing, samples)
+        _fill(draw, missing, samples, requests)
     finally:
         document = {**header, **(identity or {}), "num_samples": len(samples), "samples": samples}
         atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
@@ -430,10 +416,10 @@ class RemoteProvider:
     pointing a ReplayProvider at it, and a store recorded by another model is
     refused.  Sample k's request depends on k and the sampling config only,
     and its answer lands at index k.  In a remote ``run_suite``,
-    ``requests`` is the run's request pool: a stage sends all its missing
-    samples through it as one batch and waits once, so an injected
-    ``transport`` must be thread-safe.  With ``requests`` ``None``, as on
-    a provider made outside a run, they are sent one at a time, in k order.
+    ``requests`` is the run's request pool: a stage's missing samples are
+    drawn by its threads (see ``_fill``), so an injected ``transport`` must
+    be thread-safe.  With ``requests`` ``None``, as on a provider made
+    outside a run, they are sent one at a time, in k order.
 
     Timeouts, connection errors (refused, reset or dropped before the
     response), broken HTTP responses (a truncated body), HTTP 5xx, 408 and

@@ -282,6 +282,17 @@ def test_error_paths_return_nonzero(tmp_path, capsys):
     ({"termination": "bogus"}, "termination"),
     ({"provider": "replay"}, "fixtures_dir"),
     ({"provider": "remote"}, "fixtures_dir"),
+    ({"method_label": 5}, "method_label"),
+    ({"include_seen": "no"}, "include_seen"),
+    ({"include_seen": 1}, "include_seen"),
+    ({"dataset": 5}, "dataset"),
+    ({"scenes_dir": 5}, "scenes_dir"),
+    ({"actions": ["actions.json"]}, "actions"),
+    ({"fixtures_dir": 5}, "fixtures_dir"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"remote_endpoint": None}, "remote_endpoint"),
+    ({"remote_model": 5}, "remote_model"),
+    ({"remote_api_key_env": None}, "remote_api_key_env"),
 ])
 def test_bad_run_config_fails_before_any_episode(tmp_path, capsys, overrides, named):
     out = tmp_path / "results"

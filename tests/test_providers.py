@@ -10,7 +10,7 @@ from collections import Counter
 from http.client import IncompleteRead, RemoteDisconnected
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votetree.errors import ConfigError, ProviderError
@@ -692,6 +692,73 @@ class TestRemoteConcurrency:
         stored.generate(prompt, cfg)
         for root in (tmp_path / "remote", tmp_path / "synthetic"):
             assert list(self._files(root)) == [f"{prompt.content_hash}/prog/5.json"]
+
+
+class _Stop(BaseException):
+    """A failure that is not an ``Exception``."""
+
+
+class TestFillRule:
+    """The one rule by which a stage draws its missing samples, in the calling
+    thread or through a request pool."""
+
+    @settings(deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), threads=st.sampled_from([None, 1, 2, 4]),
+           error=st.sampled_from([ValueError, _Stop]))
+    def test_the_lowest_failure_is_raised_and_every_sample_below_it_kept(self, data, n,
+                                                                         threads, error):
+        failing = data.draw(st.sets(st.integers(0, n - 1)), label="failing")
+        slow = data.draw(st.sets(st.integers(0, n - 1)), label="slow")  # end after the others
+        lock = threading.Lock()
+        drawn: list[int] = []
+
+        def draw(k):
+            with lock:
+                drawn.append(k)
+            if k in slow:
+                time.sleep(0.001)
+            if k in failing:
+                raise error(k)
+            return f"sample {k}"
+
+        samples: list[str | None] = [None] * n
+        raised = None
+        pool = providers.RequestPool(threads) if threads else None
+        try:
+            providers._fill(draw, list(range(n)), samples, pool)
+        except BaseException as exc:
+            raised = exc
+        finally:
+            if pool is not None:
+                pool.close()
+        lowest = min(failing, default=n)
+        if failing:
+            assert type(raised) is error and raised.args == (lowest,)
+        else:
+            assert raised is None
+        assert samples[:lowest] == [f"sample {k}" for k in range(lowest)]
+        assert all(samples[k] is None for k in failing)
+        if threads in (None, 1):
+            assert drawn == list(range(min(lowest + 1, n)))
+        assert len(drawn) == len(set(drawn))
+
+    def test_a_pool_whose_thread_fails_to_start_joins_the_others(self, monkeypatch):
+        start = threading.Thread.start
+        calls = [0]
+
+        def third_fails(thread):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        threads = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", third_fails)
+        with pytest.raises(RuntimeError, match="can't start"):
+            providers.RequestPool(4)
+        monkeypatch.undo()
+        assert calls[0] == 3
+        assert threading.active_count() == threads
 
 
 class TestAtomicWrite:
