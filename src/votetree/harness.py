@@ -253,17 +253,18 @@ class RunMemo:
 
     ``run_suite`` makes one per call and drops it when it returns, so
     nothing carries over from one run to the next.  It holds each task's
-    provider, from ``make_provider``, the bundled prompt examples, each
-    task's prog prompt and goal conditions, and a parse memo keyed by raw
-    plan line (within a stage, ``run_one_episode`` parses each distinct
-    text once).  The parse memo is keyed by line, not by whole text: the
-    run's distinct lines are few, while holding the parsed commands of
-    every distinct text for a whole run raised peak memory by a third.  All
-    but the parse memo is built here, before any worker forks or episode
-    thread starts: forked workers inherit the providers and each fill their
-    own parse memo.  A remote run's episode threads share one, and a parse
-    memo entry depends only on its line, so a racing write stores the same
-    value.
+    provider, from ``make_provider``, one ``World`` per scene its tasks use
+    (the goal derivation and every episode share them), the bundled prompt
+    examples, each task's prog prompt and goal conditions, and a parse memo
+    keyed by raw plan line (within a stage, ``run_one_episode`` parses each
+    distinct text once).  The parse memo is keyed by line, not by whole
+    text: the run's distinct lines are few, while holding the parsed
+    commands of every distinct text for a whole run raised peak memory by a
+    third.  All but the parse memo and the worlds' command caches are built
+    here, before any worker forks or episode thread starts; forked workers
+    each fill their own.  A remote run's episode threads share them, and an
+    entry of either depends only on its key, so a racing write stores an
+    equal value.
     """
 
     def __init__(self, config: RunConfig, bundle: DatasetBundle, tasks: list[Task]):
@@ -275,6 +276,8 @@ class RunMemo:
         self.providers: dict[Task, PlanGenerator] = {}
         self.prog_prompts: dict[Task, PromptDocument] = {}
         self.goals: dict[Task, frozenset[StatePredicate]] = {}
+        self.worlds = {scene_id: World(bundle.catalog, bundle.scenes[scene_id].objects)
+                       for scene_id in dict.fromkeys(task.scene_id for task in tasks)}
         for task in tasks:
             scene = bundle.scenes[task.scene_id]
             self.providers[task] = make_provider(config, task, scene)
@@ -283,8 +286,7 @@ class RunMemo:
                 self.prog_examples,
             )
             self.goals[task] = task.goal_conditions or derive_goal_conditions(
-                World(bundle.catalog, scene.objects), scene.initial_state, task.goal_plan,
-                task.task_name)
+                self.worlds[task.scene_id], scene.initial_state, task.goal_plan, task.task_name)
 
     def parse(self, text: str, sample_index: int) -> tuple[Plan, list[ParseDiagnostic]]:
         return parse_plan_text(text, self.known_actions, sample_index, self.lines)
@@ -352,7 +354,7 @@ def run_one_episode(task: Task, rep: int, memo: RunMemo) -> tuple[EpisodeResult,
         root, error = VoteTreeNode(), str(exc)
     seed = derive_seed(config.master_seed, rep, task.task_name, "selection")
     mode = ExecutionMode(config.mode, SelectionStrategy(config.selection, seed), config.termination)
-    episode = run_episode(World(bundle.catalog, scene.objects), scene.initial_state, root, mode,
+    episode = run_episode(memo.worlds[task.scene_id], scene.initial_state, root, mode,
                           config.step_limit)
     return episode, PipelineArtifacts(len(pool), root, diagnostics, error)
 

@@ -25,6 +25,7 @@ import random
 import threading
 import time
 import urllib.error
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -193,6 +194,9 @@ def read_through(
     recorded = json_document(path, ProviderError) if path.exists() else {"samples": []}
     with reading(path, ProviderError):
         samples: list[str | None] = recorded.pop("samples")
+        for k, sample in enumerate(samples):  # a cold store's list is empty here
+            if sample is not None and type(sample) is not str:
+                raise ProviderError(f"sample {k} is {sample!r}, not a string or null")
         samples += [None] * (config.num_samples - len(samples))
     if recorded:
         requested = (config.temperature, config.seed, config.max_length)
@@ -331,8 +335,10 @@ class SyntheticProvider:
         return [draw(k) for k in range(config.num_samples)]
 
     def sampler(self, prompt: PromptDocument, config: SamplingConfig) -> Callable[[int], str]:
-        # Sample k depends on (seed, prompt hash, k) only, so the samples a
-        # store lacks can be drawn in any run, in any order.
+        """The draw of sample k, which depends on (seed, prompt hash, k) only, so
+        the samples a store lacks can be drawn in any run, in any order.  The
+        draws share one generator, so they are called from one thread at a
+        time: no synthetic store draw goes through a request pool."""
         commands, noise, limit = self.seed_plan.commands, self.noise, config.max_length or None
         if not (noise.drop_prob or noise.swap_prob or noise.insert_prob and noise.distractor_pool):
             # random() >= 0 keeps every command and random() < 0 swaps none, so
@@ -340,9 +346,14 @@ class SyntheticProvider:
             text = "\n".join([c.canonical_form for c in commands[:limit]]) + "\n"
             return lambda k: text
         seed_of = seeds_after(config.seed, prompt.content_hash)
+        # Reseeded through the C base seed, rng has the state random.Random(seed_of(k))
+        # would have: random.Random.seed only adds clearing a gauss cache _perturb never reads.
+        rng = random.Random(0)
+        reseed = super(random.Random, rng).seed
 
         def draw(k: int) -> str:
-            kept = _perturb(commands, noise, random.Random(seed_of(k)))
+            reseed(seed_of(k))
+            kept = _perturb(commands, noise, rng)
             return "\n".join([c.canonical_form for c in kept[:limit]]) + "\n"  # render_plan's text
 
         return draw
@@ -424,8 +435,9 @@ class RemoteProvider:
     Timeouts, connection errors (refused, reset or dropped before the
     response), broken HTTP responses (a truncated body), HTTP 5xx, 408 and
     429 are retried with backoff; missing credentials, other HTTP 4xx and
-    malformed response bodies fail at once.  Credentials are checked before
-    anything is written.
+    malformed response bodies fail at once.  Credentials, and an endpoint
+    that is not an http(s) URL, are checked before anything is sent or
+    written.
     """
 
     def __init__(
@@ -459,6 +471,8 @@ class RemoteProvider:
             api_key = os.environ.get(self.api_key_env)
             if not api_key:
                 raise ProviderError(f"remote provider needs credentials in ${self.api_key_env}")
+            if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
+                raise ProviderError(f"remote endpoint {self.endpoint!r} is not an http(s) URL")
             send = functools.partial(_http_transport, endpoint=self.endpoint, api_key=api_key,
                                      timeout=self.timeout)
 

@@ -308,23 +308,47 @@ class ExecutionOutcome:
 
 
 class World:
-    """Static execution context: an action catalog bound to a scene's objects."""
+    """Static execution context: an action catalog bound to a scene's objects.
+    ``execute`` resolves each command once, the first time it sees it, into
+    ``_resolved``; a later call only checks the state and applies effects."""
 
     def __init__(self, catalog: ActionCatalog, objects: Mapping[str, ObjectInstance]):
         self.catalog = catalog
         self.objects = dict(objects)
+        self._resolved: dict[Command, tuple] = {}
 
-    def _precondition_met(self, state: WorldState, tpl: _Template, binding: Mapping[str, str]) -> bool:
-        args = tpl.substitute(binding)
-        if tpl.predicate == HANDS_FREE:
-            result = len(state.held) < HAND_CAPACITY
-        else:
-            pred = StatePredicate(tpl.predicate, args[0], args[1] if len(args) > 1 else None)
-            result = state.holds(pred)
-            # Held objects travel with the agent.
-            if not result and tpl.predicate == "CLOSE_TO" and args[0] == AGENT:
-                result = args[1] in state.held
-        return not result if tpl.negated else result
+    def _resolve(self, command: Command) -> tuple:
+        """``command``'s static failure as ``(reason, detail)``, or its ground
+        ``(preconditions, deletes, adds)``, each in catalog order."""
+        schema = self.catalog.get(command.action)
+        if schema is None:
+            return FAIL_UNKNOWN_ACTION, command.action
+        if len(command.args) != schema.arity:
+            return (FAIL_ARITY_MISMATCH,
+                    f"{command.action} expects {schema.arity} argument(s), got {len(command.args)}")
+        for arg in command.args:
+            if arg not in self.objects:
+                return FAIL_UNKNOWN_OBJECT, arg
+        for i, required in enumerate(schema.required_properties):
+            missing = required - self.objects[command.args[i]].properties
+            if missing:
+                return FAIL_MISSING_PROPERTY, f"{command.args[i]} lacks {sorted(missing)}"
+
+        binding = {f"?{i + 1}": arg for i, arg in enumerate(command.args)}
+        preconditions = []
+        for tpl in schema.preconditions:
+            args = tpl.substitute(binding)
+            # (predicate, an object the agent holding it also satisfies, negated, detail);
+            # predicate None is HANDS_FREE.  Held objects travel with the agent.
+            preconditions.append((
+                None if tpl.predicate == HANDS_FREE else StatePredicate(tpl.predicate, *args),
+                args[1] if tpl.predicate == "CLOSE_TO" and args[0] == AGENT else None,
+                tpl.negated, f"requires {'not ' if tpl.negated else ''}{tpl.predicate}{args}"))
+        deletes = [(tpl.predicate, args) if "*" in args else StatePredicate(tpl.predicate, *args)
+                   for tpl in schema.del_effects for args in [tpl.substitute(binding)]]
+        adds = [StatePredicate(tpl.predicate, *tpl.substitute(binding))
+                for tpl in schema.add_effects]
+        return tuple(preconditions), tuple(deletes), tuple(adds)
 
     def execute(self, state: WorldState, command: Command) -> ExecutionOutcome:
         """Apply ``command`` to ``state``.
@@ -333,53 +357,33 @@ class World:
         property mismatches and unsatisfied preconditions come back as
         failures with the input state unchanged.
         """
-        schema = self.catalog.get(command.action)
-        if schema is None:
-            return ExecutionOutcome(False, state, FAIL_UNKNOWN_ACTION, command.action)
-        if len(command.args) != schema.arity:
-            return ExecutionOutcome(
-                False, state, FAIL_ARITY_MISMATCH,
-                f"{command.action} expects {schema.arity} argument(s), got {len(command.args)}",
-            )
-        for arg in command.args:
-            if arg not in self.objects:
-                return ExecutionOutcome(False, state, FAIL_UNKNOWN_OBJECT, arg)
-        for i, required in enumerate(schema.required_properties):
-            missing = required - self.objects[command.args[i]].properties
-            if missing:
-                return ExecutionOutcome(
-                    False, state, FAIL_MISSING_PROPERTY,
-                    f"{command.args[i]} lacks {sorted(missing)}",
-                )
-
-        binding = {f"?{i + 1}": arg for i, arg in enumerate(command.args)}
-        for tpl in schema.preconditions:
-            if not self._precondition_met(state, tpl, binding):
-                polarity = "not " if tpl.negated else ""
-                return ExecutionOutcome(
-                    False, state, FAIL_PRECONDITION,
-                    f"requires {polarity}{tpl.predicate}{tpl.substitute(binding)}",
-                )
+        resolved = self._resolved.get(command)
+        if resolved is None:
+            resolved = self._resolved[command] = self._resolve(command)
+        if len(resolved) == 2:  # a static failure
+            return ExecutionOutcome(False, state, *resolved)
+        preconditions, deletes, adds = resolved
+        for pred, carried, negated, detail in preconditions:
+            if pred is None:
+                met = len(state.held) < HAND_CAPACITY
+            else:
+                met = pred in state.predicates or (carried is not None and carried in state.held)
+            if met == negated:
+                return ExecutionOutcome(False, state, FAIL_PRECONDITION, detail)
 
         predicates = set(state.predicates)
-        for tpl in schema.del_effects:
-            args = tpl.substitute(binding)
-            if "*" in args:
+        for delete in deletes:
+            if type(delete) is tuple:
+                name, args = delete
                 # Removed in place: rebuilding the set would re-hash every predicate kept.
                 predicates.difference_update([
                     p for p in predicates
-                    if p.predicate == tpl.predicate
+                    if p.predicate == name
                     and all(a == "*" or a == b for a, b in zip(args, _pred_args(p)))
                 ])
             else:
-                predicates.discard(
-                    StatePredicate(tpl.predicate, args[0], args[1] if len(args) > 1 else None)
-                )
-        for tpl in schema.add_effects:
-            args = tpl.substitute(binding)
-            predicates.add(
-                StatePredicate(tpl.predicate, args[0], args[1] if len(args) > 1 else None)
-            )
+                predicates.discard(delete)
+        predicates.update(adds)
         return ExecutionOutcome(True, WorldState(frozenset(predicates)))
 
 

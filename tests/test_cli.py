@@ -208,6 +208,24 @@ def test_record_command(tmp_path, capsys):
     assert any(fixtures.iterdir())
 
 
+def test_replaying_a_sample_that_is_not_a_string_is_a_typed_error(tmp_path, capsys):
+    fixtures = tmp_path / "fx"
+    record_suite(RunConfig(master_seed=4, repetitions=1, fixtures_dir=str(fixtures),
+                           drop_prob=0.2, swap_prob=0.1, insert_prob=0.1))
+    path = sorted(fixtures.glob("*/prog/*.json"))[0]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["samples"][3] = 3
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg_path = tmp_path / "replay.json"
+    cfg_path.write_text(json.dumps({"master_seed": 4, "repetitions": 1, "provider": "replay",
+                                    "fixtures_dir": str(fixtures), "output_dir": None}),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert f"{path}: sample 3 is 3, not a string or null" in captured.err
+
+
 def test_run_with_an_empty_command_pool_scores_every_episode_no_plan(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"master_seed": 5, "repetitions": 1, "drop_prob": 1.0}),

@@ -345,6 +345,34 @@ class TestRunMemo:
         monkeypatch.setattr(harness, "make_provider", counting(harness.make_provider))
         assert_made_once(_remote_config(tmp_path, "remote", repetitions=2))
 
+    def test_one_world_per_scene_per_run(self, bundle, tmp_path, monkeypatch):
+        """A 2-repetition run makes one ``harness.World`` per scene of its
+        tasks, which the goal derivation and every episode share, whether its
+        episodes run in two forked workers (counted in shared memory made
+        before they fork), inline, or in a remote run's threads."""
+        scenes = {t.scene_id for t in evaluated_tasks(bundle)}
+        count = multiprocessing.get_context("fork").Value("i", 0)
+
+        class CountingWorld(World):
+            def __init__(self, *args):
+                with count.get_lock():
+                    count.value += 1
+                super().__init__(*args)
+
+        def assert_one_per_scene(config):
+            count.value = 0
+            run_suite(config, bundle, write_outputs=False)
+            assert count.value == len(scenes)
+
+        monkeypatch.setattr(harness, "World", CountingWorld)
+        noisy = RunConfig(master_seed=3, repetitions=2, **self.NOISY)
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: min(2, jobs))
+        assert_one_per_scene(noisy)
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: 1)
+        assert_one_per_scene(noisy)
+        _remote_via(monkeypatch, FakeTransport(bundle))
+        assert_one_per_scene(_remote_config(tmp_path, "remote", repetitions=2))
+
 
 class TestFixtureStore:
     NOISY = TestRunMemo.NOISY

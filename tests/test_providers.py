@@ -76,6 +76,23 @@ class TestReplayProvider:
             with pytest.raises(ProviderError, match=f"{name}/{prompt.content_hash}/prog/0.json: "):
                 ReplayProvider(tmp_path / name).generate(prompt, SamplingConfig(num_samples=1))
 
+    def test_a_stored_sample_that_is_not_a_string_is_refused(self, tmp_path, prompt, seed_plan):
+        """Replay and a recording synthetic store refuse a file whose sample 3
+        is a number, naming the file, before drawing or writing anything."""
+        cfg = SamplingConfig(num_samples=6, seed=2)
+        synthetic = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.5))
+        StoredProvider(synthetic, tmp_path).generate(prompt, cfg)
+        path = tmp_path / prompt.content_hash / "prog" / "2.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["samples"][3] = 3
+        doc["samples"][5] = None
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for provider in (ReplayProvider(tmp_path), StoredProvider(synthetic, tmp_path)):
+            with pytest.raises(ProviderError) as raised:
+                provider.generate(prompt, cfg)
+            assert str(raised.value) == f"{path}: sample 3 is 3, not a string or null"
+            assert json.loads(path.read_text(encoding="utf-8")) == doc
+
     def test_shortfall_is_an_error(self, tmp_path, prompt):
         self._write_seed_file(tmp_path, prompt, ["find('a')\n"])
         with pytest.raises(ProviderError, match="fixture missing: sample 1 of"):
@@ -419,6 +436,18 @@ class TestRemoteRetries:
         monkeypatch.delenv("VOTETREE_API_KEY", raising=False)
         with pytest.raises(ProviderError, match="VOTETREE_API_KEY"):
             self._provider(tmp_path).generate(prompt, SamplingConfig(num_samples=2))
+        assert sleeps == []
+
+    @pytest.mark.parametrize("endpoint", ["", "localhost:9/v1"])
+    def test_an_endpoint_that_is_not_http_fails_before_any_attempt(self, tmp_path, prompt, sleeps,
+                                                                   http, endpoint):
+        script, calls = http
+        provider = RemoteProvider(endpoint=endpoint, model="test-model",
+                                  cache_dir=tmp_path / "cache")
+        with pytest.raises(ProviderError, match="not an http"):
+            provider.generate(prompt, SamplingConfig(num_samples=2))
+        assert calls == []
+        assert not (tmp_path / "cache").exists()
         assert sleeps == []
 
     @pytest.mark.parametrize("response", [

@@ -7,6 +7,15 @@ from hypothesis import strategies as st
 from votetree.errors import DatasetError, SceneError
 from votetree.plans import Command
 from votetree.world import (
+    AGENT,
+    FAIL_ARITY_MISMATCH,
+    FAIL_MISSING_PROPERTY,
+    FAIL_PRECONDITION,
+    FAIL_UNKNOWN_ACTION,
+    FAIL_UNKNOWN_OBJECT,
+    HAND_CAPACITY,
+    HANDS_FREE,
+    ExecutionOutcome,
     StatePredicate,
     Task,
     World,
@@ -228,6 +237,91 @@ class TestWildcardDeleteProperty:
                 assert outcome.state.predicates == _reference_effects(
                     bundle.catalog.get(c.action), state, c)
             state = outcome.state
+
+
+def _reference_precondition_met(state, tpl, binding):
+    args = tpl.substitute(binding)
+    if tpl.predicate == HANDS_FREE:
+        result = len(state.held) < HAND_CAPACITY
+    else:
+        pred = StatePredicate(tpl.predicate, args[0], args[1] if len(args) > 1 else None)
+        result = state.holds(pred)
+        # Held objects travel with the agent.
+        if not result and tpl.predicate == "CLOSE_TO" and args[0] == AGENT:
+            result = args[1] in state.held
+    return not result if tpl.negated else result
+
+
+def _reference_execute(world, state, command):
+    """``World.execute`` without its command cache: every call looks up the
+    schema, checks arity, objects and properties, and grounds every
+    template again."""
+    schema = world.catalog.get(command.action)
+    if schema is None:
+        return ExecutionOutcome(False, state, FAIL_UNKNOWN_ACTION, command.action)
+    if len(command.args) != schema.arity:
+        return ExecutionOutcome(
+            False, state, FAIL_ARITY_MISMATCH,
+            f"{command.action} expects {schema.arity} argument(s), got {len(command.args)}",
+        )
+    for arg in command.args:
+        if arg not in world.objects:
+            return ExecutionOutcome(False, state, FAIL_UNKNOWN_OBJECT, arg)
+    for i, required in enumerate(schema.required_properties):
+        missing = required - world.objects[command.args[i]].properties
+        if missing:
+            return ExecutionOutcome(
+                False, state, FAIL_MISSING_PROPERTY,
+                f"{command.args[i]} lacks {sorted(missing)}",
+            )
+
+    binding = {f"?{i + 1}": arg for i, arg in enumerate(command.args)}
+    for tpl in schema.preconditions:
+        if not _reference_precondition_met(state, tpl, binding):
+            polarity = "not " if tpl.negated else ""
+            return ExecutionOutcome(
+                False, state, FAIL_PRECONDITION,
+                f"requires {polarity}{tpl.predicate}{tpl.substitute(binding)}",
+            )
+    return ExecutionOutcome(True, WorldState(_reference_effects(schema, state, command)))
+
+
+class TestExecuteMatchesReference:
+    @given(data=st.data())
+    def test_every_step_equals_the_reference_before_and_after_caching(self, bundle, data):
+        """Drawn over a bundled scene: catalog actions and an unknown one, a
+        few scene objects and an unknown one, with 1 or 2 args, so arity,
+        object and property failures come up beside preconditions.  The
+        sequence runs twice on one ``World``, the second pass from the state
+        the first ends in, so that it reads every command from the cache in
+        other states, and each step's outcome equals the reference's."""
+        scene = bundle.scenes[data.draw(st.sampled_from(sorted(bundle.scenes)))]
+        world = World(bundle.catalog, scene.objects)
+        objects = st.sampled_from(data.draw(st.lists(
+            st.sampled_from(sorted(scene.objects)), min_size=2, max_size=4)) + ["doorknob"])
+        arity = {name: bundle.catalog.get(name).arity for name in bundle.catalog.action_names}
+        # Hand actions are drawn more often, so that held objects and full
+        # hands come up; one step in four takes the other arity.
+        actions = st.one_of(st.sampled_from(sorted(arity) + ["flomp"]),
+                            st.sampled_from(["grab", "putin", "release"]))
+
+        def step(action, args, other_arity, lead):
+            n = arity.get(action, 1)
+            command = Command(action, tuple(args[:3 - n if other_arity else n]))
+            # Most steps first find their last object, so that preconditions hold.
+            return [Command("find", command.args[-1:]), command] if lead else [command]
+
+        steps = st.builds(step, actions, st.lists(objects, min_size=2, max_size=2),
+                          st.sampled_from([False, False, False, True]),
+                          st.sampled_from([False, True, True]))
+        commands = [c for pair in data.draw(st.lists(steps, min_size=3, max_size=15)) for c in pair]
+        state = scene.initial_state
+        for _ in range(2):
+            for c in commands:
+                got, want = world.execute(state, c), _reference_execute(world, state, c)
+                assert (got.ok, got.reason, got.detail, got.state) == \
+                    (want.ok, want.reason, want.detail, want.state)
+                state = want.state
 
 
 class TestStateDiff:
