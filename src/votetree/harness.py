@@ -62,7 +62,6 @@ from .providers import (
     RemoteProvider,
     ReplayProvider,
     RequestPool,
-    StoredProvider,
     SyntheticProvider,
     atomic_write,
     derive_seed,
@@ -234,8 +233,7 @@ def make_provider(config: RunConfig, task: Task, scene: Scene) -> PlanGenerator:
             insert_prob=config.insert_prob,
             distractor_pool=build_distractors(task, scene),
         )
-        synthetic = SyntheticProvider(task.goal_plan, noise)
-        return StoredProvider(synthetic, config.fixtures_dir) if config.fixtures_dir else synthetic
+        return SyntheticProvider(task.goal_plan, noise, config.fixtures_dir)
     if config.provider == REPLAY:
         return ReplayProvider(config.fixtures_dir)
     return RemoteProvider(

@@ -6,8 +6,8 @@ exactly ``num_samples`` raw plan texts out):
 * ``ReplayProvider`` serves samples recorded in a fixture store, for offline
   reproducible runs.
 * ``SyntheticProvider`` perturbs a known-good seed plan with seeded
-  drop/swap/insert noise, emulating generator sample diversity;
-  ``StoredProvider`` reads it through a fixture store, recording as it goes.
+  drop/swap/insert noise, emulating generator sample diversity; given a
+  fixture store, it reads through it, recording as it goes.
 * ``RemoteProvider`` calls an HTTP chat-completions style endpoint and keeps
   every response in a fixture store.
 
@@ -324,13 +324,24 @@ def synthesize_noisy_plans(
 
 
 class SyntheticProvider:
-    """Emits noisy renderings of a known-good seed plan as raw plan texts."""
+    """Emits noisy renderings of a known-good seed plan as raw plan texts.  With
+    a ``root`` (empty is none), they are read through the fixture store there:
+    stored samples are served, missing ones are drawn and stored."""
 
-    def __init__(self, seed_plan: Plan, noise: NoiseModel = NoiseModel()):
-        self.seed_plan = seed_plan
-        self.noise = noise
+    def __init__(self, seed_plan: Plan, noise: NoiseModel = NoiseModel(),
+                 root: str | Path | None = None):
+        self.seed_plan, self.noise = seed_plan, noise
+        self.root = Path(root) if root else None
+        if self.root is not None:  # hashed only for a store: a run without one skips the cost
+            # The seed plan and distractors come from the dataset, not the prompt.
+            plans = json.dumps([render_plan(seed_plan), render_plan(Plan(noise.distractor_pool))])
+            self.identity = {"noise": {"drop_prob": noise.drop_prob, "swap_prob": noise.swap_prob,
+                                       "insert_prob": noise.insert_prob},
+                             "plans": hashlib.blake2b(plans.encode("utf-8"), digest_size=8).hexdigest()}
 
     def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
+        if self.root is not None:
+            return read_through(self.root, prompt, config, self.identity, self.sampler)
         draw = self.sampler(prompt, config)
         return [draw(k) for k in range(config.num_samples)]
 
@@ -357,24 +368,6 @@ class SyntheticProvider:
             return "\n".join([c.canonical_form for c in kept[:limit]]) + "\n"  # render_plan's text
 
         return draw
-
-
-class StoredProvider:
-    """A synthetic generator read through the fixture store at ``root``:
-    stored samples are served, missing ones are drawn and stored."""
-
-    def __init__(self, synthetic: SyntheticProvider, root: str | Path):
-        self.synthetic = synthetic
-        self.root = Path(root)
-        noise = synthetic.noise
-        # The seed plan and distractors come from the dataset, not the prompt.
-        plans = json.dumps([render_plan(synthetic.seed_plan), render_plan(Plan(noise.distractor_pool))])
-        self.identity = {"noise": {"drop_prob": noise.drop_prob, "swap_prob": noise.swap_prob,
-                                   "insert_prob": noise.insert_prob},
-                         "plans": hashlib.blake2b(plans.encode("utf-8"), digest_size=8).hexdigest()}
-
-    def generate(self, prompt: PromptDocument, config: SamplingConfig) -> list[str]:
-        return read_through(self.root, prompt, config, self.identity, self.synthetic.sampler)
 
 
 # -- remote -------------------------------------------------------------------

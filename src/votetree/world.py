@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import CatalogError, DatasetError, SceneError, json_document, reading
+from .errors import CatalogError, DatasetError, SceneError, VoteTreeError, json_document, reading
 from .plans import Command, Plan
 
 AGENT = "agent"
@@ -34,8 +34,8 @@ BINARY_PREDICATES = frozenset({"INSIDE", "ON_TOP", "CLOSE_TO", "FACING"})
 # Mutually exclusive unary state pairs; no object may hold both at once.
 EXCLUSIVE_PAIRS = (("OPEN", "CLOSED"), ("ON", "OFF"), ("CLEAN", "DIRTY"))
 
-# Pseudo-predicate allowed only in precondition templates: true while the
-# agent has a free hand.  It never appears in a WorldState.
+# Pseudo-predicate allowed only in precondition templates, as HANDS_FREE(agent):
+# true while the agent has a free hand.  It never appears in a WorldState.
 HANDS_FREE = "HANDS_FREE"
 
 _PRED_RE = re.compile(r"^\s*([A-Z_]+)\s*\(\s*([^(),\s]+)\s*(?:,\s*([^(),\s]+)\s*)?\)\s*$")
@@ -144,27 +144,45 @@ class _Template:
         return tuple(binding.get(a, a) for a in self.args)
 
 
-def _parse_template(text: str, arity: int, allow_wildcard: bool) -> _Template:
+def _parse_template(text: str, arity: int, section: str) -> _Template:
+    """One template of an action's ``section`` (preconditions, add or del),
+    checked so that ``World.execute`` can ground it for any command of
+    ``arity``: each predicate gets its own number of arguments, ``!`` and
+    ``HANDS_FREE(agent)`` appear only in preconditions, ``*`` only in del."""
     negated = text.lstrip().startswith("!")
-    body = text.lstrip().lstrip("!")
-    m = _PRED_RE.match(body)
+    m = _PRED_RE.match(text.lstrip().removeprefix("!"))
     if not m:
         raise CatalogError(f"cannot parse template {text!r}")
     pred, a1, a2 = m.groups()
     args = (a1,) if a2 is None else (a1, a2)
-    known = UNARY_PREDICATES | BINARY_PREDICATES | {HANDS_FREE}
-    if pred not in known:
+    if pred == HANDS_FREE:
+        if section != "preconditions" or args != (AGENT,):
+            raise CatalogError(f"template {text!r}: {HANDS_FREE} is allowed only in "
+                               f"preconditions, as {HANDS_FREE}({AGENT})")
+    elif pred not in UNARY_PREDICATES | BINARY_PREDICATES:
         raise CatalogError(f"template {text!r}: unknown predicate {pred!r}")
+    elif (len(args) == 2) != (pred in BINARY_PREDICATES):
+        kind = "binary" if pred in BINARY_PREDICATES else "unary"
+        raise CatalogError(f"template {text!r}: {pred} is {kind}, got {len(args)} argument(s)")
+    if negated and section != "preconditions":
+        raise CatalogError(f"template {text!r}: '!' is allowed only in preconditions")
     for a in args:
         if a.startswith("?"):
             if a not in ("?1", "?2") or int(a[1]) > arity:
                 raise CatalogError(f"template {text!r}: parameter {a!r} not declared (arity {arity})")
         elif a == "*":
-            if not allow_wildcard:
+            if section != "del":
                 raise CatalogError(f"template {text!r}: wildcard only allowed in delete effects")
         elif a != AGENT:
             raise CatalogError(f"template {text!r}: literal {a!r} (only ?1, ?2, agent, * allowed)")
     return _Template(pred, args, negated)
+
+
+def _strings(value: object, what: str, error: type[VoteTreeError]) -> list[str]:
+    """``value``, refused unless it is a list of strings (a string is not one)."""
+    if type(value) is not list or any(type(v) is not str for v in value):
+        raise error(f"{what} must be a list of strings, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -205,34 +223,27 @@ class ActionCatalog:
         for number, doc in enumerate(json_document(path, CatalogError, list)):
             with reading(f"{path} entry {number}", CatalogError):
                 name = doc["name"]
+                if type(name) is not str:
+                    raise CatalogError(f"name must be a string, got {name!r}")
                 arity = int(doc["arity"])
                 if arity not in (1, 2):
                     raise CatalogError(f"action {name!r}: arity must be 1 or 2, got {arity}")
                 req = doc.get("required_properties", [])
+                if type(req) is not list:
+                    raise CatalogError(f"action {name!r}: required_properties must be a list")
                 if len(req) > arity:
                     raise CatalogError(f"action {name!r}: more property lists than parameters")
                 req_padded = tuple(
-                    frozenset(req[i]) if i < len(req) else frozenset() for i in range(arity)
+                    frozenset(_strings(req[i], f"action {name!r}: required_properties[{i}]",
+                                       CatalogError)) if i < len(req) else frozenset()
+                    for i in range(arity)
                 )
-                schemas.append(
-                    ActionSchema(
-                        name=name,
-                        arity=arity,
-                        required_properties=req_padded,
-                        preconditions=tuple(
-                            _parse_template(t, arity, allow_wildcard=False)
-                            for t in doc.get("preconditions", [])
-                        ),
-                        add_effects=tuple(
-                            _parse_template(t, arity, allow_wildcard=False)
-                            for t in doc.get("add", [])
-                        ),
-                        del_effects=tuple(
-                            _parse_template(t, arity, allow_wildcard=True)
-                            for t in doc.get("del", [])
-                        ),
-                    )
-                )
+                preconditions, adds, dels = (
+                    tuple(_parse_template(t, arity, section)
+                          for t in _strings(doc.get(section, []), f"action {name!r}: {section}",
+                                            CatalogError))
+                    for section in ("preconditions", "add", "del"))
+                schemas.append(ActionSchema(name, arity, req_padded, preconditions, adds, dels))
         with reading(path, CatalogError):
             return cls(schemas)
 
@@ -265,7 +276,8 @@ def load_scene(document: Mapping | str | Path) -> Scene:
             obj = ObjectInstance(
                 id=entry["id"],
                 class_name=entry.get("class_name", entry["id"]),
-                properties=frozenset(entry.get("properties", [])),
+                properties=frozenset(_strings(entry.get("properties", []),
+                                              f"object {entry['id']!r}: properties", SceneError)),
             )
             if obj.id == AGENT:
                 raise SceneError(f"object id {AGENT!r} is reserved")
@@ -433,6 +445,9 @@ class Task:
     goal_conditions: frozenset[StatePredicate] | None = None  # None: derived from goal_plan
 
     def __post_init__(self) -> None:
+        for name in ("task_name", "scene_id"):
+            if type(getattr(self, name)) is not str:
+                raise DatasetError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.goal_conditions is not None and not self.goal_conditions:
             raise DatasetError(f"task {self.task_name!r}: goal_conditions must be non-empty")
 

@@ -394,11 +394,31 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                  "empty-trace": {"steps": []}}
     for name, doc in documents.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    catalog = json.loads((DATA_DIR / "actions.json").read_text(encoding="utf-8"))
+    action = {entry["name"]: entry for entry in catalog}
+
+    def edited(name, key, value):
+        """The bundled catalog with action ``name``'s ``key`` set to ``value``."""
+        return json.dumps([{**e, key: value} if e["name"] == name else e for e in catalog]).encode()
+
     files = {"latin1.json": b"\xff", "latin1-corpus.txt": b"\xff", "latin1-tasks.json": b"\xff",
              "latin1-scenes/s.json": b"\xff", "latin1-results/metrics.jsonl": b"\xff",
              "string-task.json": b'["put apple in fridge"]',
              "int-init/s.json": b'{"scene_id": "kitchen", "objects": [], "init": [3]}',
-             "object-tasks.json": b"{}", "object-actions.json": b"{}", "not-json-tasks.json": b"[{"}
+             "object-tasks.json": b"{}", "object-actions.json": b"{}", "not-json-tasks.json": b"[{",
+             "binary-open-actions.json": edited("find", "add",
+                                                action["find"]["add"] + ["OPEN(?1, agent)"]),
+             "unary-inside-actions.json": edited("open", "preconditions",
+                                                 action["open"]["preconditions"] + ["INSIDE(?1)"]),
+             "hands-free-add-actions.json": edited("find", "add",
+                                                   action["find"]["add"] + ["HANDS_FREE(agent)"]),
+             "negated-add-actions.json": edited("open", "add", action["open"]["add"] + ["!OPEN(?1)"]),
+             "string-required-actions.json": edited("grab", "required_properties", ["GRABBABLE"]),
+             "int-name-actions.json": edited("open", "name", 5),
+             "string-properties/s.json": b'{"scene_id": "kitchen", "objects": '
+                                         b'[{"id": "apple", "properties": "GRABBABLE"}], "init": []}',
+             "int-name-tasks.json": b'[{"task_name": 5, "scene_id": "scene1", '
+                                    b'"goal_plan": ["find(\'salmon\')"]}]'}
     for name, data in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(data)
@@ -412,6 +432,14 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                "object-tasks.json": {"dataset": "object-tasks.json"},
                "object-actions.json": {"actions": "object-actions.json"},
                "not-json-tasks.json": {"dataset": "not-json-tasks.json"},
+               "binary-open-actions.json": {"actions": "binary-open-actions.json"},
+               "unary-inside-actions.json": {"actions": "unary-inside-actions.json"},
+               "hands-free-add-actions.json": {"actions": "hands-free-add-actions.json"},
+               "negated-add-actions.json": {"actions": "negated-add-actions.json"},
+               "string-required-actions.json": {"actions": "string-required-actions.json"},
+               "int-name-actions.json": {"actions": "int-name-actions.json"},
+               "string-properties/s.json": {"scenes_dir": "string-properties"},
+               "int-name-tasks.json": {"dataset": "int-name-tasks.json"},
                "no-scenes": {"scenes_dir": "no-scenes"}}
     for named, paths in configs.items():
         doc = {"master_seed": 1, "repetitions": 1, "output_dir": str(tmp_path / "out"),

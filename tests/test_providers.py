@@ -22,7 +22,6 @@ from votetree.providers import (
     NoiseModel,
     RemoteProvider,
     ReplayProvider,
-    StoredProvider,
     SyntheticProvider,
     atomic_write,
     derive_seed,
@@ -80,14 +79,14 @@ class TestReplayProvider:
         """Replay and a recording synthetic store refuse a file whose sample 3
         is a number, naming the file, before drawing or writing anything."""
         cfg = SamplingConfig(num_samples=6, seed=2)
-        synthetic = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.5))
-        StoredProvider(synthetic, tmp_path).generate(prompt, cfg)
+        synthetic = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.5), tmp_path)
+        synthetic.generate(prompt, cfg)
         path = tmp_path / prompt.content_hash / "prog" / "2.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["samples"][3] = 3
         doc["samples"][5] = None
         path.write_text(json.dumps(doc), encoding="utf-8")
-        for provider in (ReplayProvider(tmp_path), StoredProvider(synthetic, tmp_path)):
+        for provider in (ReplayProvider(tmp_path), synthetic):
             with pytest.raises(ProviderError) as raised:
                 provider.generate(prompt, cfg)
             assert str(raised.value) == f"{path}: sample 3 is 3, not a string or null"
@@ -102,8 +101,8 @@ class TestReplayProvider:
         """Replay accepts every generator's store, and refuses another
         temperature; another seed is another directory."""
         cfg = SamplingConfig(num_samples=4, temperature=0.1, seed=3)
-        recorded = StoredProvider(SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.5)),
-                                  tmp_path).generate(prompt, cfg)
+        recorded = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.5),
+                                     tmp_path).generate(prompt, cfg)
         assert ReplayProvider(tmp_path).generate(prompt, cfg) == recorded
         with pytest.raises(ProviderError, match="recorded with"):
             ReplayProvider(tmp_path).generate(
@@ -258,7 +257,7 @@ class TestRecordFixtures:
     def test_record_then_replay_round_trip(self, tmp_path, prompt, seed_plan):
         provider = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.2))
         cfg = SamplingConfig(num_samples=12, seed=4)
-        StoredProvider(provider, tmp_path).generate(prompt, cfg)
+        SyntheticProvider(seed_plan, provider.noise, tmp_path).generate(prompt, cfg)
         seed_file = tmp_path / prompt.content_hash / "prog" / "4.json"
         assert seed_file.exists()
         stored = json.loads(seed_file.read_text(encoding="utf-8"))
@@ -268,10 +267,10 @@ class TestRecordFixtures:
 
     def test_store_filled_under_other_noise_is_refused(self, tmp_path, prompt, seed_plan):
         cfg = SamplingConfig(num_samples=5, seed=4)
-        drop_2 = StoredProvider(SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.2)), tmp_path)
+        drop_2 = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.2), tmp_path)
         texts = drop_2.generate(prompt, cfg)
         assert drop_2.generate(prompt, cfg) == texts
-        drop_5 = StoredProvider(SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.5)), tmp_path)
+        drop_5 = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.5), tmp_path)
         with pytest.raises(ProviderError, match="recorded by noise .*'drop_prob': 0.2"):
             drop_5.generate(prompt, cfg)
         remote = RemoteProvider(endpoint="", model="m1", cache_dir=tmp_path,
@@ -280,7 +279,7 @@ class TestRecordFixtures:
             remote.generate(prompt, cfg)
 
     def test_store_filled_at_another_max_length_is_refused(self, tmp_path, prompt, seed_plan):
-        provider = StoredProvider(SyntheticProvider(seed_plan), tmp_path)
+        provider = SyntheticProvider(seed_plan, root=tmp_path)
         provider.generate(prompt, SamplingConfig(num_samples=3, seed=4, max_length=80))
         short = SamplingConfig(num_samples=3, seed=4, max_length=2)
         with pytest.raises(ProviderError, match="recorded with"):
@@ -298,13 +297,13 @@ class TestRecordFixtures:
         so the store names them too."""
         cfg = SamplingConfig(num_samples=3, seed=4)
         noise = NoiseModel(drop_prob=0.2)
-        StoredProvider(SyntheticProvider(seed_plan, noise), tmp_path).generate(prompt, cfg)
+        SyntheticProvider(seed_plan, noise, tmp_path).generate(prompt, cfg)
         shorter = plan_of(*(c.canonical_form for c in seed_plan.commands[:-1]))
         with pytest.raises(ProviderError, match="recorded by"):
-            StoredProvider(SyntheticProvider(shorter, noise), tmp_path).generate(prompt, cfg)
+            SyntheticProvider(shorter, noise, tmp_path).generate(prompt, cfg)
         other_pool = NoiseModel(drop_prob=0.2, distractor_pool=(Command("find", ("sofa",)),))
         with pytest.raises(ProviderError, match="recorded by"):
-            StoredProvider(SyntheticProvider(seed_plan, other_pool), tmp_path).generate(prompt, cfg)
+            SyntheticProvider(seed_plan, other_pool, tmp_path).generate(prompt, cfg)
 
     def test_recording_keeps_the_remote_model(self, tmp_path, prompt):
         """Recording into a remote cache must not erase the model it was drawn by."""
@@ -716,8 +715,7 @@ class TestRemoteConcurrency:
     def test_one_generate_call_writes_one_file(self, tmp_path, prompt, seed_plan):
         cfg = SamplingConfig(num_samples=30, seed=5)
         self._provider(tmp_path / "remote", lambda request: "find('a')\n").generate(prompt, cfg)
-        stored = StoredProvider(SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.2)),
-                                tmp_path / "synthetic")
+        stored = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.2), tmp_path / "synthetic")
         stored.generate(prompt, cfg)
         for root in (tmp_path / "remote", tmp_path / "synthetic"):
             assert list(self._files(root)) == [f"{prompt.content_hash}/prog/5.json"]

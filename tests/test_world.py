@@ -1,13 +1,15 @@
+import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votetree.errors import DatasetError, SceneError
+from votetree.errors import CatalogError, DatasetError, SceneError
 from votetree.plans import Command
 from votetree.world import (
     AGENT,
+    BINARY_PREDICATES,
     FAIL_ARITY_MISMATCH,
     FAIL_MISSING_PROPERTY,
     FAIL_PRECONDITION,
@@ -15,7 +17,10 @@ from votetree.world import (
     FAIL_UNKNOWN_OBJECT,
     HAND_CAPACITY,
     HANDS_FREE,
+    UNARY_PREDICATES,
+    ActionCatalog,
     ExecutionOutcome,
+    ObjectInstance,
     StatePredicate,
     Task,
     World,
@@ -322,6 +327,57 @@ class TestExecuteMatchesReference:
                 assert (got.ok, got.reason, got.detail, got.state) == \
                     (want.ok, want.reason, want.detail, want.state)
                 state = want.state
+
+
+def _template(negated, predicate, args, fits):
+    """``predicate`` over as many of ``args`` as it takes if ``fits``, else the other count."""
+    count = 2 if predicate in BINARY_PREDICATES else 1
+    return f"{'!' if negated else ''}{predicate}({', '.join(args[:count if fits else 3 - count])})"
+
+
+# Any predicate or HANDS_FREE over one or two template arguments, negated or
+# not: a template valid in some section of some action, or in none.  Each
+# fault is drawn about one time in eight, so that a quarter of the drawn
+# catalogs load.
+TEMPLATES = st.builds(
+    _template, st.sampled_from([True] + [False] * 7),
+    st.sampled_from(sorted(UNARY_PREDICATES | BINARY_PREDICATES) + [HANDS_FREE]),
+    st.lists(st.sampled_from(["?1"] * 4 + [AGENT] * 2 + ["?2", "*"]), min_size=2, max_size=2),
+    st.sampled_from([False] + [True] * 7))
+
+
+@pytest.fixture(scope="module")
+def catalog_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("catalog") / "actions.json"
+
+
+class TestAcceptedCatalogProperty:
+    @settings(max_examples=200)  # about a quarter of the drawn catalogs load
+    @given(data=st.data())
+    def test_an_accepted_catalog_executes_any_command_of_its_arity(self, catalog_path, data):
+        """Catalogs of one or two actions, each with 0-2 drawn templates in
+        preconditions, add and del: if ``ActionCatalog.from_file`` accepts
+        one, ``World.execute`` returns an outcome, never raises, for every
+        command of an action's declared arity, the same object twice included."""
+        actions = data.draw(st.lists(st.fixed_dictionaries({
+            "arity": st.sampled_from([1, 2]),
+            **{section: st.lists(TEMPLATES, max_size=2) for section in ("preconditions", "add", "del")},
+        }), min_size=1, max_size=2))
+        for number, action in enumerate(actions):
+            action["name"] = f"act{number}"
+        catalog_path.write_text(json.dumps(actions), encoding="utf-8")
+        try:
+            catalog = ActionCatalog.from_file(catalog_path)
+        except CatalogError:
+            return
+        world = World(catalog, {name: ObjectInstance(name, name) for name in ("a", "b")})
+        commands = data.draw(st.lists(st.builds(
+            lambda action, args: Command(action["name"], tuple(args[:action["arity"]])),
+            st.sampled_from(actions), st.lists(st.sampled_from(["a", "b"]), min_size=2, max_size=2)),
+            min_size=1, max_size=8))
+        state = WorldState(frozenset({StatePredicate("CLOSE_TO", AGENT, "a")}))
+        for command in commands:
+            state = world.execute(state, command).state
 
 
 class TestStateDiff:
