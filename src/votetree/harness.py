@@ -486,66 +486,100 @@ def _threaded(run_job, jobs: list, providers):
                 future.cancel()
 
 
+# A forked run's shared mmap holds the next unclaimed job's index in bytes
+# 0-7 and the stop flag in byte _STOP.
+_STOP = 8
+
+
 def _forked(context, run_job, jobs: list, workers: int, where: str):
-    """``run_job`` over ``jobs`` in ``workers`` forked processes; worker w
-    runs jobs ``w::workers`` and sends back each record over its own pipe,
-    so job i is worker (i mod workers)'s next message.  ``where`` begins the
-    error raised when a worker dies.
+    """``run_job`` over ``jobs`` in ``workers`` forked processes, which
+    claim jobs in run order from a shared counter and each send all their
+    records in one message (see ``_work``).  The parent sets the shared stop
+    flag as soon as a worker dies; once each has sent or died, it yields the
+    records in run order and raises the first exception it meets or, at a
+    job with no record, a dead worker's error, which ``where`` begins.  A
+    claimed job always runs, so that is the error the inline run raises.
 
     Fork, not spawn: a worker starts from the loaded interpreter and the
     run's memo without importing or pickling anything, which needs the fork
-    to come before any thread starts.  On leaving, early or not, the parent
-    closes its pipe ends, which stops each worker at its next episode
-    boundary, and joins them all; a worker is never killed in the middle of
-    a file write.
+    to come before any thread starts; the shared ``mmap`` and the claim lock
+    start none.  On leaving, early or not, the parent sets stop, closes its
+    pipe ends and joins the workers, each of which finishes the episode it
+    is in; a worker is never killed in the middle of a file write.
     """
+    import mmap  # here: a remote or one-worker run does not pay for the import
+    from multiprocessing.connection import wait
+
+    shared = mmap.mmap(-1, _STOP + 1)
+    claim = context.Lock()
     readers, procs = [], []
     try:
-        for w in range(workers):
+        for _ in range(workers):
             reader, writer = context.Pipe(duplex=False)
             readers.append(reader)
-            proc = context.Process(target=_work, args=(writer, list(readers), run_job,
-                                                       jobs[w::workers]), daemon=True)
+            proc = context.Process(target=_work, args=(writer, list(readers), shared, claim,
+                                                       run_job, jobs), daemon=True)
             try:
                 proc.start()
             finally:
                 writer.close()
             procs.append(proc)
+        outcomes, dead = {}, []
+        live = dict(zip(readers, procs))
+        while live:
+            for reader in wait(list(live)):
+                proc = live.pop(reader)
+                try:
+                    outcomes.update(reader.recv())
+                except EOFError:  # the worker exited without sending: it died
+                    shared[_STOP] = 1
+                    proc.join()
+                    dead.append(proc.exitcode)
         for i in range(len(jobs)):
-            try:
-                message = readers[i % workers].recv()
-            except EOFError:  # the worker exited without sending: it died
-                procs[i % workers].join()
-                raise OSError(f"{where}an episode worker died "
-                              f"(exit code {procs[i % workers].exitcode})") from None
-            if isinstance(message, BaseException):
-                raise message
-            yield message
+            if i not in outcomes:
+                raise OSError(f"{where}an episode worker died (exit code {dead[0]})")
+            if isinstance(outcomes[i], BaseException):
+                raise outcomes[i]
+            yield outcomes[i]
     finally:
+        shared[_STOP] = 1
         for reader in readers:
             reader.close()
         for proc in procs:
             proc.join()
+        shared.close()
 
 
-def _work(conn, readers: list, run_job, jobs: list) -> None:
-    """An episode worker: send ``conn`` the record of each job, in order, or
-    the exception of the first job that fails and stop.  It stops too when
-    the parent closes its end: the next send fails."""
+def _work(conn, readers: list, shared, claim, run_job, jobs: list) -> None:
+    """An episode worker: claim the next job of ``jobs`` in run order and run
+    it until no job is left, stop is set or the parent is gone, then send
+    ``conn`` each ``(job index, record)`` pair.  A job that fails sets stop
+    and gives the last pair, with its exception.  Only workers take
+    ``claim``, each with a timeout after which it checks stop again, so a
+    worker that dies holding it cannot hang the run."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     for reader in readers:  # the parent's ends, so that only the parent holds them open
         reader.close()
+    parent, done = os.getppid(), []
+    while not shared[_STOP] and os.getppid() == parent:
+        if not claim.acquire(timeout=0.1):
+            continue
+        try:
+            i = int.from_bytes(shared[:_STOP], "little")
+            if shared[_STOP] or i == len(jobs):
+                break
+            shared[:_STOP] = (i + 1).to_bytes(_STOP, "little")
+        finally:
+            claim.release()
+        try:
+            done.append((i, run_job(jobs[i])))
+        except BaseException as exc:
+            done.append((i, exc))
+            shared[_STOP] = 1
     try:
-        for job in jobs:
-            try:
-                message = run_job(job)
-            except BaseException as exc:
-                message = exc
-            conn.send(message)
-            if isinstance(message, BaseException):
-                return
+        conn.send(done)
     except BrokenPipeError:  # the parent stopped reading
         return
 
@@ -647,9 +681,11 @@ def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise DatasetError("not a JSON object")
-        if record.get("kind") == "run":
-            method = record.get("method", method)
-        elif record.get("kind") == "episode":
+            if record.get("kind") == "run":
+                method = record.get("method", method)
+                if type(method) is not str:
+                    raise DatasetError(f"method must be a string, got {method!r}")
+        if record.get("kind") == "episode":
             episodes.append(record)
     if not episodes:
         raise DatasetError(f"no episode records in {path}")

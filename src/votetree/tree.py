@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import NoPlansError, check_choice
+from .errors import DatasetError, NoPlansError, check_choice
 from .plans import Command, Plan
 
 MAX_VOTE = "max_vote"
@@ -137,12 +137,16 @@ def tree_to_dict(node: VoteTreeNode) -> dict:
 
 
 def tree_from_dict(doc: dict) -> VoteTreeNode:
+    """The tree of a ``tree_to_dict`` document; a node below the root
+    without a command is a ``DatasetError``."""
     command = Command.parse(doc["command"]) if doc.get("command") else None
     node = VoteTreeNode(command)
     node.vote = int(doc["vote"])
     node.end_marker = bool(doc.get("end_marker"))
     for child_doc in doc.get("children", []):
         child = tree_from_dict(child_doc)
+        if child.is_root:
+            raise DatasetError("a node below the root has no command")
         node.children[child.key] = child
     return node
 

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import shutil
 import urllib.request
 
 import pytest
@@ -384,14 +385,17 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     run_record = json.dumps({"kind": "run", "method": "m", "repetitions": 1, "master_seed": 1})
     no_gcr = json.dumps({"kind": "episode", "rep": 0, "task_index": 0, "exec": 1.0})
     text_gcr = json.dumps({"kind": "episode", "rep": 0, "task_index": 0, "gcr": "x", "exec": 1.0})
+    int_method = json.dumps({"kind": "run", "method": 5, "repetitions": 1, "master_seed": 1})
     for name, lines in (("bad-line", [run_record, "3"]), ("no-gcr", [run_record, no_gcr]),
-                        ("text-gcr", [run_record, text_gcr])):
+                        ("text-gcr", [run_record, text_gcr]), ("int-method", [int_method, no_gcr.replace('"exec"', '"gcr": 1.0, "exec"')])):
         (tmp_path / name).mkdir()
         (tmp_path / name / "metrics.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     documents = {"no-vote": {"command": None, "children": []},
                  "no-steps": {"termination": "completed"},
                  "bad-command": {"steps": [{"idx": 0, "command": "find apple", "outcome": "success"}]},
-                 "empty-trace": {"steps": []}}
+                 "empty-trace": {"steps": []},
+                 "no-command": {"command": None, "vote": 2,
+                                "children": [{"vote": 2, "end_marker": True, "children": []}]}}
     for name, doc in documents.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     catalog = json.loads((DATA_DIR / "actions.json").read_text(encoding="utf-8"))
@@ -422,6 +426,12 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     for name, data in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(data)
+    for name, edit in (("int-id", lambda d: d["objects"].append({"id": 7, "class_name": "seven"})),
+                       ("list-scene-id", lambda d: d.update(scene_id=[d["scene_id"]]))):
+        shutil.copytree(DATA_DIR / "scenes", tmp_path / name)
+        doc = json.loads((tmp_path / name / "scene1.json").read_text(encoding="utf-8"))
+        edit(doc)
+        (tmp_path / name / "scene1.json").write_text(json.dumps(doc), encoding="utf-8")
     (tmp_path / "no-scenes").mkdir()
     (tmp_path / "taken").write_text("a file, not a directory", encoding="utf-8")
     (tmp_path / "run-ok.json").write_text('{"master_seed": 1, "repetitions": 1}', encoding="utf-8")
@@ -439,6 +449,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                "string-required-actions.json": {"actions": "string-required-actions.json"},
                "int-name-actions.json": {"actions": "int-name-actions.json"},
                "string-properties/s.json": {"scenes_dir": "string-properties"},
+               "int-id/scene1.json": {"scenes_dir": "int-id"},
+               "list-scene-id/scene1.json": {"scenes_dir": "list-scene-id"},
                "int-name-tasks.json": {"dataset": "int-name-tasks.json"},
                "no-scenes": {"scenes_dir": "no-scenes"}}
     for named, paths in configs.items():
@@ -458,8 +470,13 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                          "no-gcr/metrics.jsonl: an episode record has no 'gcr'"),
                         (["metrics", "--results", str(tmp_path / "text-gcr")],
                          "text-gcr/metrics.jsonl: an episode record has a bad value"),
+                        (["metrics", "--results", str(tmp_path / "int-method")],
+                         "int-method/metrics.jsonl line 1: method must be a string"),
                         (["execute", "--tree", str(tmp_path / "no-vote.json"), "--scene", str(scene)],
                          "no-vote.json: missing field 'vote'"),
+                        (["execute", "--tree", str(tmp_path / "no-command.json"), "--scene",
+                          str(DATA_DIR / "scenes" / "scene1.json")],
+                         "no-command.json: a node below the root has no command"),
                         *((["diff", "--trace-a", str(tmp_path / f"{name}.json"),
                             "--trace-b", str(tmp_path / "empty-trace.json")], problem)
                           for name, problem in (("no-steps", "no-steps.json: missing field 'steps'"),

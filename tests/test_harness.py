@@ -3,8 +3,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import select
 import signal
 import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -898,34 +900,147 @@ class TestEpisodeWriter:
         assert not multiprocessing.active_children()
 
     def test_a_dead_worker_names_itself(self, bundle, earlier, monkeypatch):
-        """Worker 1 dies in its 9th episode, once worker 0 has run all 31 of
-        its own, so the run's 40th episode is its last."""
+        """Job 17 waits until the other 61 episodes have begun, then kills its
+        own worker, so the episode that dies is the run's last to begin."""
         out, before = earlier
         tasks = evaluated_tasks(bundle)
         calls = multiprocessing.get_context("fork").Value("i", 0)
         run_one_episode = harness.run_one_episode
 
-        def kills_its_worker_at_the_40th(task, rep, memo):
-            if rep * len(tasks) + tasks.index(task) == 17:  # job 17: worker 1's 9th
-                deadline = time.monotonic() + 30
-                while calls.value < 39 and time.monotonic() < deadline:
-                    time.sleep(0.001)
+        def kills_its_worker_in_job_17(task, rep, memo):
             with calls.get_lock():
                 calls.value += 1
-                count = calls.value
-            if count == 40:
+            if rep * len(tasks) + tasks.index(task) == 17:
+                deadline = time.monotonic() + 30
+                while calls.value < 2 * len(tasks) and time.monotonic() < deadline:
+                    time.sleep(0.001)
                 os.kill(os.getpid(), signal.SIGKILL)
             return run_one_episode(task, rep, memo)
 
-        monkeypatch.setattr(harness, "run_one_episode", kills_its_worker_at_the_40th)
+        monkeypatch.setattr(harness, "run_one_episode", kills_its_worker_in_job_17)
         with pytest.raises(OSError) as raised:
             run_suite(RunConfig(master_seed=8, repetitions=2, output_dir=str(out)), bundle)
         assert str(raised.value) == (f"{out / 'episodes'}: an episode worker died "
                                      f"(exit code {-signal.SIGKILL})")
-        assert calls.value == 40
+        assert calls.value == 2 * 31
         assert self._contents(out) == before
         assert not self._leftovers(out)
         assert not multiprocessing.active_children()
+
+    def test_a_dead_worker_stops_the_others(self, bundle, monkeypatch):
+        """The parent sets stop as soon as a worker dies, so the other worker
+        claims no episode after the one it is in."""
+        tasks = evaluated_tasks(bundle)
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        run_one_episode = harness.run_one_episode
+
+        def kills_its_worker_in_job_3(task, rep, memo):
+            with calls.get_lock():
+                calls.value += 1
+            time.sleep(0.01)
+            if rep * len(tasks) + tasks.index(task) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_one_episode(task, rep, memo)
+
+        monkeypatch.setattr(harness, "run_one_episode", kills_its_worker_in_job_3)
+        with pytest.raises(OSError, match=rf"an episode worker died \(exit code {-signal.SIGKILL}\)"):
+            run_suite(RunConfig(master_seed=8, repetitions=2, output_dir=None), bundle)
+        assert 4 <= calls.value < 31
+        assert not multiprocessing.active_children()
+
+    def test_a_worker_dying_with_the_claim_lock_does_not_hang_the_run(self, bundle,
+                                                                      monkeypatch):
+        """A worker killed at its claim, holding the lock: the other waits for
+        the lock with a timeout, sees the stop the parent set and sends."""
+        claims = multiprocessing.get_context("fork").Value("i", 0)
+        fork_context = type(multiprocessing.get_context("fork"))
+        new_lock = fork_context.Lock
+
+        class DiesHoldingIt:
+            def __init__(self, lock):
+                self.lock = lock
+
+            def acquire(self, *args, **kwargs):
+                if not self.lock.acquire(*args, **kwargs):
+                    return False
+                with claims.get_lock():
+                    claims.value += 1
+                    count = claims.value
+                if count == 10:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return True
+
+            def release(self):
+                self.lock.release()
+
+        def hung(signum, frame):
+            raise TimeoutError("the run hung")
+
+        monkeypatch.setattr(fork_context, "Lock", lambda context: DiesHoldingIt(new_lock(context)))
+        alarm = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)  # on a hang the parent leaves early, setting stop as it goes
+        try:
+            with pytest.raises(OSError, match=rf"an episode worker died \(exit code {-signal.SIGKILL}\)"):
+                run_suite(RunConfig(master_seed=8, repetitions=2, output_dir=None), bundle)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, alarm)
+        assert claims.value == 10
+        assert not multiprocessing.active_children()
+
+    def test_the_workers_stop_when_the_run_is_killed(self):
+        """A worker checks at each claim that its parent lives, so a run killed
+        with SIGKILL leaves no worker running the tens of seconds of episodes
+        still unclaimed.  The workers share the run's stdout: its end of file
+        says both exited."""
+        code = ("import os\n"
+                "from votetree import harness\n"
+                "work = harness._work\n"
+                "def announced(*args):\n"
+                "    os.write(1, b'%d\\n' % os.getpid())  # one write: the workers' lines do not mix\n"
+                "    work(*args)\n"
+                "harness._work = announced\n"
+                "harness._worker_count = lambda jobs: 2\n"
+                "harness.run_suite(harness.RunConfig(master_seed=1, repetitions=2000, output_dir=None,\n"
+                "                                    drop_prob=0.2, swap_prob=0.1, insert_prob=0.1))\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        run = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                               env={**os.environ, "PYTHONPATH": src})
+        workers = []
+        try:
+            workers = [int(run.stdout.readline()) for _ in range(2)]
+            time.sleep(0.2)
+            run.kill()
+            run.wait(30)
+            ended, _, _ = select.select([run.stdout], [], [], 5)
+            assert ended and run.stdout.read() == b""
+        finally:
+            run.kill()
+            run.wait(30)
+            run.stdout.close()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+    def test_a_slow_episode_does_not_hold_back_the_others(self, bundle, monkeypatch):
+        """Job 0 sleeps 0.5 s; the other worker takes the jobs meanwhile."""
+        tasks = evaluated_tasks(bundle)
+        pids = multiprocessing.get_context("fork").Array("i", 2 * len(tasks))
+        run_one_episode = harness.run_one_episode
+
+        def job_0_sleeps(task, rep, memo):
+            job = rep * len(tasks) + tasks.index(task)
+            pids[job] = os.getpid()
+            if job == 0:
+                time.sleep(0.5)
+            return run_one_episode(task, rep, memo)
+
+        monkeypatch.setattr(harness, "run_one_episode", job_0_sleeps)
+        run_suite(RunConfig(master_seed=8, repetitions=2, output_dir=None), bundle)
+        assert all(pids) and len(set(pids)) == 2
+        assert pids[1:].count(pids[0]) < 15
 
     def test_the_workers_start_before_any_thread(self, bundle, tmp_path, monkeypatch):
         """A synthetic run forks its workers before any thread starts and
@@ -1016,8 +1131,8 @@ class TestEpisodeWriter:
         assert inline.episodes == forked.episodes
 
     def test_the_earliest_failing_episode_in_run_order_is_raised(self, bundle, monkeypatch):
-        """Task 1 (worker 1) fails after task 2 (worker 0) has; the run raises
-        task 1's error, the one the inline run raises."""
+        """Task 1 fails after task 2 has; the run raises task 1's error, the
+        one the inline run raises."""
         tasks = [task.task_name for task in evaluated_tasks(bundle)]
         make_provider = harness.make_provider
 
