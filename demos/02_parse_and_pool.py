@@ -36,8 +36,8 @@ texts = [
     "find('salmon')\ngrab('salmon')\nfind('microwave')\nputin('salmon', 'microwave')\n",
     "find('fridge')\nopen('fridge')\nfind('salmon')\ngrab('salmon')\n",
 ]
-plans = [parse_plan_text(t, sample_index=k)[0] for k, t in enumerate(texts)]
+plans = [parse_plan_text(t)[0] for t in texts]
 pool = extract_unique_commands(plans)
 print(f"\nunique command pool ({len(pool)} commands):")
 for form in pool.canonical_forms:
-    print(f"  {form:28s} appears in {pool.source_count[form]} sample(s)")
+    print(f"  {form}")

@@ -24,8 +24,8 @@ print("seed plan:", " -> ".join(c.canonical_form for c in task.goal_plan.command
 # Perturb the seed plan the way a sampled generator would vary it.
 noise = NoiseModel(drop_prob=0.25, swap_prob=0.15)
 samples = synthesize_noisy_plans(task.goal_plan, noise, num_samples=12, seed=7)
-for s in samples[:4]:
-    print(f"  sample {s.sample_index}:", " -> ".join(c.canonical_form for c in s.commands))
+for k, s in enumerate(samples[:4]):
+    print(f"  sample {k}:", " -> ".join(c.canonical_form for c in s.commands))
 print("  ...")
 
 root = build_vote_tree([s for s in samples if s.commands])

@@ -18,8 +18,8 @@ from votetree import (
 from votetree.plans import Command
 
 
-def plan_of(*texts, sample_index=0):
-    return Plan(tuple(Command.parse(t) for t in texts), sample_index)
+def plan_of(*texts):
+    return Plan(tuple(Command.parse(t) for t in texts))
 
 
 bundle = load_dataset()
@@ -32,8 +32,8 @@ broken = ["find(salmon)", "grab(salmon)", "find(microwave)",
           "putin(salmon,microwave)", "switchon(microwave)"]
 correct = ["find(salmon)", "grab(salmon)", "find(microwave)", "open(microwave)",
            "putin(salmon,microwave)", "close(microwave)", "switchon(microwave)"]
-plans = [plan_of(*broken, sample_index=i) for i in range(3)]
-plans += [plan_of(*correct, sample_index=3 + i) for i in range(2)]
+plans = [plan_of(*broken) for _ in range(3)]
+plans += [plan_of(*correct) for _ in range(2)]
 root = build_vote_tree(plans)
 
 

@@ -62,8 +62,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_build_tree(args: argparse.Namespace) -> int:
     plans = []
-    for k, body in enumerate(split_corpus(read_text(args.corpus, DatasetError))):
-        plan, _ = parse_plan_text(body, sample_index=k)
+    for body in split_corpus(read_text(args.corpus, DatasetError)):
+        plan, _ = parse_plan_text(body)
         if plan.commands:
             plans.append(plan)
     root = build_vote_tree(plans)

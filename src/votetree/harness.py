@@ -42,7 +42,7 @@ from .executor import (
     run_episode,
     serialize_trace,
 )
-from .plans import Command, ParseDiagnostic, Plan, extract_unique_commands, parse_plan_text
+from .plans import Command, Plan, extract_unique_commands, parse_plan_text
 from .prompts import (
     DATA_DIR,
     PROG,
@@ -286,9 +286,6 @@ class RunMemo:
             self.goals[task] = task.goal_conditions or derive_goal_conditions(
                 self.worlds[task.scene_id], scene.initial_state, task.goal_plan, task.task_name)
 
-    def parse(self, text: str, sample_index: int) -> tuple[Plan, list[ParseDiagnostic]]:
-        return parse_plan_text(text, self.known_actions, sample_index, self.lines)
-
 
 @dataclass
 class PipelineArtifacts:
@@ -308,8 +305,8 @@ def run_one_episode(task: Task, rep: int, memo: RunMemo) -> tuple[EpisodeResult,
     """Run one (repetition, task) episode of ``memo``'s run: sample plans,
     pool their commands, reorder them, vote them into a tree and execute it.
 
-    A stage parses each distinct sample text once; every sample k still gets
-    its own plan, with ``sample_index`` k, and its own diagnostics, in k
+    A stage parses each distinct sample text once, and that plan serves every
+    sample k with the text; diagnostics are still reported per k, in k
     order.  An empty command pool skips the reorder stage; it and a reorder
     stage whose samples all parse empty leave an empty tree and the error,
     and ``run_episode`` then attempts nothing and ends the episode with
@@ -330,9 +327,8 @@ def run_one_episode(task: Task, rep: int, memo: RunMemo) -> tuple[EpisodeResult,
         plans, parsed = [], {}
         for k, text in enumerate(texts):
             if text not in parsed:
-                parsed[text] = memo.parse(text, k)
+                parsed[text] = parse_plan_text(text, memo.known_actions, memo.lines)
             plan, diags = parsed[text]
-            plan = plan if plan.sample_index == k else Plan(plan.commands, sample_index=k)
             if diags:
                 diagnostics.extend(f"{prompt.kind}[{k}]: {d.code}" for d in diags)
             if plan.commands or prompt.kind == PROG:

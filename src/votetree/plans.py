@@ -9,7 +9,7 @@ become diagnostics and the extracted command sequence is returned as a Plan.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EmptyCommandPoolError
@@ -74,10 +74,9 @@ def _call_command(action: str, argtext: str) -> Command:
 
 @dataclass(frozen=True)
 class Plan:
-    """An ordered command sequence attributed to one generator sample."""
+    """An ordered command sequence: what one generated sample asks for."""
 
     commands: tuple[Command, ...]
-    sample_index: int = 0
 
     def __len__(self) -> int:
         return len(self.commands)
@@ -132,7 +131,6 @@ def _parse_line(raw_line: str) -> _LineEntries:
 def parse_plan_text(
     text: str,
     known_actions: set[str] | frozenset[str] | None = None,
-    sample_index: int = 0,
     line_memo: dict[str, _LineEntries] | None = None,
 ) -> tuple[Plan, list[ParseDiagnostic]]:
     """Extract the command sequence from one generated plan text.
@@ -166,7 +164,7 @@ def parse_plan_text(
 
     if not commands:
         diagnostics.append(ParseDiagnostic("no_commands_found"))
-    return Plan(tuple(commands), sample_index=sample_index), diagnostics
+    return Plan(tuple(commands)), diagnostics
 
 
 def split_corpus(text: str) -> list[str]:
@@ -187,7 +185,6 @@ class UniqueCommandSet:
     """Deduplicated pool of commands appearing across generated plans."""
 
     commands: tuple[Command, ...]
-    source_count: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.commands)
@@ -198,22 +195,12 @@ class UniqueCommandSet:
 
 
 def extract_unique_commands(plans: list[Plan]) -> UniqueCommandSet:
-    """Union all plan commands, deduplicated by canonical form.
-
-    ``source_count`` maps each canonical form to the number of input plans
-    containing it (presence, not occurrence count).
-    """
+    """Union all plan commands, deduplicated by canonical form and sorted by
+    it; each form keeps the first command seen with it."""
     by_key: dict[str, Command] = {}
-    source_count: dict[str, int] = {}
     for plan in plans:
-        seen_in_plan = set()
         for command in plan.commands:
-            key = command.canonical_form
-            by_key.setdefault(key, command)
-            if key not in seen_in_plan:
-                source_count[key] = source_count.get(key, 0) + 1
-                seen_in_plan.add(key)
+            by_key.setdefault(command.canonical_form, command)
     if not by_key:
         raise EmptyCommandPoolError("empty_command_pool: no commands in any generated plan")
-    ordered = tuple(by_key[k] for k in sorted(by_key))
-    return UniqueCommandSet(commands=ordered, source_count=source_count)
+    return UniqueCommandSet(tuple(by_key[k] for k in sorted(by_key)))

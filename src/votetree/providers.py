@@ -319,7 +319,7 @@ def synthesize_noisy_plans(
     for k in range(num_samples):
         rng = random.Random(derive_seed(seed, k))
         commands = _perturb(seed_plan.commands, noise, rng)
-        samples.append(Plan(tuple(commands), sample_index=k))
+        samples.append(Plan(tuple(commands)))
     return samples
 
 

@@ -138,10 +138,13 @@ def tree_to_dict(node: VoteTreeNode) -> dict:
 
 def tree_from_dict(doc: dict) -> VoteTreeNode:
     """The tree of a ``tree_to_dict`` document; a node below the root
-    without a command is a ``DatasetError``."""
+    without a command, or a vote that is not an integer, is a
+    ``DatasetError``."""
     command = Command.parse(doc["command"]) if doc.get("command") else None
     node = VoteTreeNode(command)
-    node.vote = int(doc["vote"])
+    node.vote = doc["vote"]
+    if type(node.vote) is not int:
+        raise DatasetError(f"vote must be an integer, got {node.vote!r}")
     node.end_marker = bool(doc.get("end_marker"))
     for child_doc in doc.get("children", []):
         child = tree_from_dict(child_doc)

@@ -51,7 +51,7 @@ class ObjectInstance:
     properties: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not _TOKEN_RE.match(self.class_name):
+        if not _TOKEN_RE.fullmatch(self.class_name):
             raise SceneError(
                 f"object {self.id!r}: class_name must be a non-empty lowercase token, "
                 f"got {self.class_name!r}"
@@ -222,12 +222,11 @@ class ActionCatalog:
         schemas = []
         for number, doc in enumerate(json_document(path, CatalogError, list)):
             with reading(f"{path} entry {number}", CatalogError):
-                name = doc["name"]
-                if type(name) is not str:
-                    raise CatalogError(f"name must be a string, got {name!r}")
-                arity = int(doc["arity"])
-                if arity not in (1, 2):
-                    raise CatalogError(f"action {name!r}: arity must be 1 or 2, got {arity}")
+                name, arity = doc["name"], doc["arity"]
+                if type(name) is not str or not _TOKEN_RE.fullmatch(name):
+                    raise CatalogError(f"name must be a lowercase token, got {name!r}")
+                if type(arity) is not int or arity not in (1, 2):
+                    raise CatalogError(f"action {name!r}: arity must be 1 or 2, got {arity!r}")
                 req = doc.get("required_properties", [])
                 if type(req) is not list:
                     raise CatalogError(f"action {name!r}: required_properties must be a list")

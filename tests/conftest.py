@@ -36,17 +36,17 @@ def cmd(text: str) -> Command:
     return Command.parse(text)
 
 
-def plan_of(*texts: str, sample_index: int = 0) -> Plan:
-    return Plan(tuple(Command.parse(t) for t in texts), sample_index)
+def plan_of(*texts: str) -> Plan:
+    return Plan(tuple(Command.parse(t) for t in texts))
 
 
 @pytest.fixture
 def worked_tree():
     """The worked aggregation example: plans [[a,b], [a,c], [a,b]]."""
     plans = [
-        plan_of("a(x)", "b(x)", sample_index=0),
-        plan_of("a(x)", "c(x)", sample_index=1),
-        plan_of("a(x)", "b(x)", sample_index=2),
+        plan_of("a(x)", "b(x)"),
+        plan_of("a(x)", "c(x)"),
+        plan_of("a(x)", "b(x)"),
     ]
     return build_vote_tree(plans)
 

@@ -13,8 +13,8 @@ top-level file has its own SHA-256, and each top-level directory the digest
 of the listing of the files under it, so a mismatch names the top-level
 entries that differ.  The "noisy seed 7 x2" run is the one
 ``test_noisy_outputs_are_pinned`` and ``test_noisy_episode_files_are_pinned``
-pin: its ``summary.txt``, ``metrics.jsonl`` and ``episodes`` digests are
-theirs.
+pin: they read its ``summary.txt``, ``metrics.jsonl`` and ``episodes``
+digests from the manifest, which holds the one copy of them.
 """
 
 from __future__ import annotations

@@ -44,8 +44,8 @@ def scripted_runner(outcomes):
 def random_plan_set(rng, max_plans=50, max_len=10, alphabet=12):
     commands = [Command(f"act{i}", ("x",)) for i in range(alphabet)]
     return [
-        Plan(tuple(rng.choice(commands) for _ in range(rng.randint(0, max_len))), sample_index=i)
-        for i in range(rng.randint(1, max_plans))
+        Plan(tuple(rng.choice(commands) for _ in range(rng.randint(0, max_len))))
+        for _ in range(rng.randint(1, max_plans))
     ]
 
 

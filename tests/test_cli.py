@@ -395,7 +395,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                  "bad-command": {"steps": [{"idx": 0, "command": "find apple", "outcome": "success"}]},
                  "empty-trace": {"steps": []},
                  "no-command": {"command": None, "vote": 2,
-                                "children": [{"vote": 2, "end_marker": True, "children": []}]}}
+                                "children": [{"vote": 2, "end_marker": True, "children": []}]},
+                 "float-vote": {"command": None, "vote": 1.5, "children": []},
+                 "bool-vote": {"command": None, "vote": True, "children": []}}
     for name, doc in documents.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     catalog = json.loads((DATA_DIR / "actions.json").read_text(encoding="utf-8"))
@@ -404,6 +406,10 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     def edited(name, key, value):
         """The bundled catalog with action ``name``'s ``key`` set to ``value``."""
         return json.dumps([{**e, key: value} if e["name"] == name else e for e in catalog]).encode()
+
+    def extended(name):
+        """The bundled catalog and one more action, a copy of find named ``name``."""
+        return json.dumps(catalog + [{**action["find"], "name": name}]).encode()
 
     files = {"latin1.json": b"\xff", "latin1-corpus.txt": b"\xff", "latin1-tasks.json": b"\xff",
              "latin1-scenes/s.json": b"\xff", "latin1-results/metrics.jsonl": b"\xff",
@@ -419,6 +425,12 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
              "negated-add-actions.json": edited("open", "add", action["open"]["add"] + ["!OPEN(?1)"]),
              "string-required-actions.json": edited("grab", "required_properties", ["GRABBABLE"]),
              "int-name-actions.json": edited("open", "name", 5),
+             "float-arity-actions.json": edited("grab", "arity", 1.5),
+             "bool-arity-actions.json": edited("grab", "arity", True),
+             "empty-name-actions.json": extended(""),
+             "star-name-actions.json": extended("*"),
+             "call-name-actions.json": extended("find(x)"),
+             "newline-name-actions.json": extended("find\n"),
              "string-properties/s.json": b'{"scene_id": "kitchen", "objects": '
                                          b'[{"id": "apple", "properties": "GRABBABLE"}], "init": []}',
              "int-name-tasks.json": b'[{"task_name": 5, "scene_id": "scene1", '
@@ -427,7 +439,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(data)
     for name, edit in (("int-id", lambda d: d["objects"].append({"id": 7, "class_name": "seven"})),
-                       ("list-scene-id", lambda d: d.update(scene_id=[d["scene_id"]]))):
+                       ("list-scene-id", lambda d: d.update(scene_id=[d["scene_id"]])),
+                       ("newline-class", lambda d: d["objects"][0].update(
+                           class_name=d["objects"][0]["class_name"] + "\n"))):
         shutil.copytree(DATA_DIR / "scenes", tmp_path / name)
         doc = json.loads((tmp_path / name / "scene1.json").read_text(encoding="utf-8"))
         edit(doc)
@@ -448,9 +462,16 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                "negated-add-actions.json": {"actions": "negated-add-actions.json"},
                "string-required-actions.json": {"actions": "string-required-actions.json"},
                "int-name-actions.json": {"actions": "int-name-actions.json"},
+               "float-arity-actions.json": {"actions": "float-arity-actions.json"},
+               "bool-arity-actions.json": {"actions": "bool-arity-actions.json"},
+               "empty-name-actions.json": {"actions": "empty-name-actions.json"},
+               "star-name-actions.json": {"actions": "star-name-actions.json"},
+               "call-name-actions.json": {"actions": "call-name-actions.json"},
+               "newline-name-actions.json": {"actions": "newline-name-actions.json"},
                "string-properties/s.json": {"scenes_dir": "string-properties"},
                "int-id/scene1.json": {"scenes_dir": "int-id"},
                "list-scene-id/scene1.json": {"scenes_dir": "list-scene-id"},
+               "newline-class/scene1.json": {"scenes_dir": "newline-class"},
                "int-name-tasks.json": {"dataset": "int-name-tasks.json"},
                "no-scenes": {"scenes_dir": "no-scenes"}}
     for named, paths in configs.items():
@@ -477,6 +498,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                         (["execute", "--tree", str(tmp_path / "no-command.json"), "--scene",
                           str(DATA_DIR / "scenes" / "scene1.json")],
                          "no-command.json: a node below the root has no command"),
+                        *((["execute", "--tree", str(tmp_path / f"{name}.json"), "--scene",
+                            str(scene)], f"{name}.json: vote must be an integer")
+                          for name in ("float-vote", "bool-vote")),
                         *((["diff", "--trace-a", str(tmp_path / f"{name}.json"),
                             "--trace-b", str(tmp_path / "empty-trace.json")], problem)
                           for name, problem in (("no-steps", "no-steps.json: missing field 'steps'"),

@@ -64,9 +64,9 @@ class TestWithCorrection:
 
     def test_multi_level_backtracking(self):
         plans = (
-            [plan_of("a(x)", "b(x)", "c(x)", sample_index=i) for i in range(3)]
-            + [plan_of("a(x)", "b(x)", "d(x)", sample_index=i) for i in range(3, 5)]
-            + [plan_of("e(x)", sample_index=5)]
+            [plan_of("a(x)", "b(x)", "c(x)") for _ in range(3)]
+            + [plan_of("a(x)", "b(x)", "d(x)") for _ in range(2)]
+            + [plan_of("e(x)")]
         )
         tree = build_vote_tree(plans)
         runner = scripted_runner({"c(x)": False, "d(x)": False})
@@ -83,9 +83,9 @@ class TestWithCorrection:
 
     def test_no_world_rollback_on_backtracking(self, bundle, world1, scene1):
         plans = (
-            [plan_of("find(apple)", "grab(apple)", "grab(kitchenchair)", sample_index=i)
-             for i in range(2)]
-            + [plan_of("find(apple)", "grab(apple)", "find(fridge)", sample_index=2)]
+            [plan_of("find(apple)", "grab(apple)", "grab(kitchenchair)")
+             for _ in range(2)]
+            + [plan_of("find(apple)", "grab(apple)", "find(fridge)")]
         )
         tree = build_vote_tree(plans)
         trace = execute_tree(tree, world1.execute, scene1.initial_state, ExecutionMode())
@@ -107,8 +107,8 @@ class TestNoCorrection:
         commands = [Command(f"a{i}", ("x",)) for i in range(6)]
         for trial in range(25):
             plans = [
-                Plan(tuple(rng.choice(commands) for _ in range(rng.randint(1, 6))), sample_index=i)
-                for i in range(rng.randint(1, 15))
+                Plan(tuple(rng.choice(commands) for _ in range(rng.randint(1, 6))))
+                for _ in range(rng.randint(1, 15))
             ]
             plans = [p for p in plans if p.commands] or [plan_of("a0(x)")]
             tree = build_vote_tree(plans)
@@ -125,8 +125,8 @@ class TestNoCorrection:
 
 class TestTermination:
     def test_end_marker_termination_is_opt_in(self):
-        plans = [plan_of("a(x)", "b(x)", sample_index=i) for i in range(5)]
-        plans.append(plan_of("a(x)", "b(x)", "c(x)", sample_index=5))
+        plans = [plan_of("a(x)", "b(x)") for _ in range(5)]
+        plans.append(plan_of("a(x)", "b(x)", "c(x)"))
         tree = build_vote_tree(plans)
         default = execute_tree(tree, scripted_runner({}), WorldState(), ExecutionMode())
         assert [s.command.canonical_form for s in default.steps] == ["a(x)", "b(x)", "c(x)"]
@@ -163,8 +163,8 @@ class TestStructuralProperties:
     def _random_tree(self, rng):
         commands = [Command(f"c{i}", ("x",)) for i in range(8)]
         plans = [
-            Plan(tuple(rng.choice(commands) for _ in range(rng.randint(1, 8))), sample_index=i)
-            for i in range(rng.randint(1, 20))
+            Plan(tuple(rng.choice(commands) for _ in range(rng.randint(1, 8))))
+            for _ in range(rng.randint(1, 20))
         ]
         plans = [p for p in plans if p.commands] or [plan_of("c0(x)")]
         return build_vote_tree(plans)
@@ -215,7 +215,7 @@ class TestStructuralProperties:
     def test_correction_terminates_and_never_reattempts_a_node(
         self, plans, failing, selection, rng_seed, step_limit
     ):
-        tree = build_vote_tree([plan_of(*p, sample_index=i) for i, p in enumerate(plans)])
+        tree = build_vote_tree([plan_of(*p) for p in plans])
         mode = ExecutionMode(selection=SelectionStrategy(selection, rng_seed=rng_seed))
         outcomes = {c: c not in failing for c in self.COMMANDS}
         trace = execute_tree(tree, scripted_runner(outcomes), WorldState(), mode, step_limit)
@@ -293,7 +293,7 @@ class TestMatchesReferenceWalk:
     def test_execute_tree_equals_the_clone_and_remove_walk(
         self, plans, failing, kind, selection, termination, rng_seed, step_limit
     ):
-        tree = build_vote_tree([plan_of(*p, sample_index=i) for i, p in enumerate(plans)])
+        tree = build_vote_tree([plan_of(*p) for p in plans])
         before = tree_to_dict(tree)
 
         def mode():
@@ -312,7 +312,7 @@ class TestRunEpisode:
     def test_perfect_plan_scores_full(self, bundle, world1, scene1):
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
         goal = derive_goal_conditions(world1, scene1.initial_state, task.goal_plan, task.task_name)
-        tree = build_vote_tree([Plan(task.goal_plan.commands, i) for i in range(5)])
+        tree = build_vote_tree([Plan(task.goal_plan.commands) for _ in range(5)])
         episode = run_episode(world1, scene1.initial_state, tree, ExecutionMode())
         assert compute_gcr(episode.achieved, goal) == 1.0
         assert compute_exec(episode.trace) == 1.0

@@ -126,16 +126,15 @@ class TestLineMemo:
     @given(samples=st.lists(st.tuples(PLAN_TEXTS, KNOWN_ACTIONS), max_size=8))
     def test_shared_memo_matches_fresh_parse(self, samples):
         memo: dict = {}
-        for k, (text, known) in enumerate(samples):
-            shared = parse_plan_text(text, known, k, line_memo=memo)
-            assert shared == parse_plan_text(text, known, k)
+        for text, known in samples:
+            shared = parse_plan_text(text, known, line_memo=memo)
+            assert shared == parse_plan_text(text, known)
 
 
 class TestParserProperties:
     @given(text=st.one_of(st.text(), PLAN_TEXTS), known=KNOWN_ACTIONS)
     def test_never_raises_on_arbitrary_text(self, text, known):
-        plan, diagnostics = parse_plan_text(text, known, 3)
-        assert plan.sample_index == 3
+        plan, diagnostics = parse_plan_text(text, known)
         if not plan.commands:
             assert diagnostics[-1].code == "no_commands_found"
 
@@ -152,42 +151,39 @@ class TestCorpusSplit:
 
 
 class TestExtractUniqueCommands:
-    def test_union_and_source_count(self):
+    def test_union_of_plan_commands(self):
         a, b, c = Command("a", ("x",)), Command("b", ("x",)), Command("c", ("x",))
-        plans = [Plan((a, b)), Plan((b, c), sample_index=1)]
+        plans = [Plan((a, b)), Plan((b, c))]
         pool = extract_unique_commands(plans)
         assert set(pool.canonical_forms) == {"a(x)", "b(x)", "c(x)"}
-        assert pool.source_count == {"a(x)": 1, "b(x)": 2, "c(x)": 1}
 
     def test_thirty_identical_plans(self):
         plan = plan_of("find(salmon)", "grab(salmon)", "find(salmon)")
         pool = extract_unique_commands([plan] * 30)
         assert pool.canonical_forms == ["find(salmon)", "grab(salmon)"]
-        assert pool.source_count["find(salmon)"] == 30
 
     def test_all_empty_plans_raise(self):
         with pytest.raises(EmptyCommandPoolError):
-            extract_unique_commands([Plan(()), Plan((), sample_index=1)])
+            extract_unique_commands([Plan(()), Plan(())])
 
     def test_order_independence(self):
         rng = random.Random(3)
         plans = [
             plan_of(*(f"act{rng.randint(0, 5)}(obj{rng.randint(0, 3)})"
-                      for _ in range(rng.randint(1, 8))), sample_index=i)
-            for i in range(20)
+                      for _ in range(rng.randint(1, 8))))
+            for _ in range(20)
         ]
         pool = extract_unique_commands(plans)
         shuffled = plans[:]
         rng.shuffle(shuffled)
         pool2 = extract_unique_commands(shuffled)
         assert pool.canonical_forms == pool2.canonical_forms
-        assert pool.source_count == pool2.source_count
 
     def test_dedup_soundness(self):
         rng = random.Random(5)
         plans = [
-            plan_of(*(f"a{rng.randint(0, 4)}(o)" for _ in range(rng.randint(1, 6))), sample_index=i)
-            for i in range(10)
+            plan_of(*(f"a{rng.randint(0, 4)}(o)" for _ in range(rng.randint(1, 6))))
+            for _ in range(10)
         ]
         pool = extract_unique_commands(plans)
         assert len(pool) <= sum(len(p) for p in plans)
@@ -215,8 +211,8 @@ class TestExtractUniqueCommands:
                 oracle.add(f"{action}({','.join(args)})")
 
         plans = []
-        for k, body in enumerate(bodies):
-            plan, _ = parse_plan_text(body, sample_index=k)
+        for body in bodies:
+            plan, _ = parse_plan_text(body)
             plans.append(plan)
         pool = extract_unique_commands(plans)
         assert set(pool.canonical_forms) == oracle

@@ -2,10 +2,12 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from votetree.errors import ConfigError, EmptyCommandPoolError
 from votetree.harness import RunConfig
-from votetree.plans import extract_unique_commands
+from votetree.plans import Command, Plan, extract_unique_commands
 from votetree.prompts import (
     SamplingConfig,
     default_prog_examples,
@@ -19,6 +21,14 @@ from votetree.prompts import (
 from conftest import plan_of
 
 DATA = Path(__file__).parent / "data" / "golden_prompts"
+
+# Few actions and arguments, so that drawn plans repeat commands.  The
+# arguments ("x,y",) and ("x", "y") give one canonical form, ``find(x,y)``
+# say, so one form can come from unequal commands.
+COMMANDS = st.builds(
+    Command, st.sampled_from(["find", "grab", "putin"]),
+    st.lists(st.sampled_from(["x", "y", "x,y"]), min_size=1, max_size=2).map(tuple))
+PLANS = st.lists(st.lists(COMMANDS, max_size=5).map(lambda cs: Plan(tuple(cs))), max_size=6)
 
 
 def prog_prompt(bundle, instruction="microwave salmon"):
@@ -94,11 +104,33 @@ class TestReorderPrompt:
         b = format_reorder_prompt(pool, "microwave salmon", default_reorder_examples())
         assert a.text == b.text
 
+    @given(plans=PLANS)
+    def test_the_prompt_lists_the_pooled_forms_of_any_plans(self, plans):
+        """The pool holds the sorted distinct canonical forms of the plans,
+        each with the first command seen with it, whatever the plans' order
+        and repetition; the reorder prompt lists exactly those forms under its
+        last ``Commands:``."""
+        first: dict[str, Command] = {}
+        for command in (c for plan in plans for c in plan.commands):
+            first.setdefault(command.canonical_form, command)
+        if not first:
+            with pytest.raises(EmptyCommandPoolError):
+                extract_unique_commands(plans)
+            return
+        pool = extract_unique_commands(plans)
+        assert pool.canonical_forms == sorted(first)
+        assert all(c is first[c.canonical_form] for c in pool.commands)
+        again = extract_unique_commands(plans[::-1] + plans)
+        assert again.canonical_forms == pool.canonical_forms
+        text = format_reorder_prompt(pool, "task", default_reorder_examples()).text
+        listed = text.rsplit("Commands:\n", 1)[1].split("Plan:\n", 1)[0]
+        assert listed.splitlines() == [f"  {form}" for form in sorted(first)]
+
     def test_empty_pool_rejected(self):
         from votetree.plans import UniqueCommandSet
 
         with pytest.raises(EmptyCommandPoolError):
-            format_reorder_prompt(UniqueCommandSet((), {}), "x")
+            format_reorder_prompt(UniqueCommandSet(()), "x")
 
     def test_golden_file(self, bundle):
         apple = next(t for t in bundle.tasks if t.task_name == "put apple in fridge")

@@ -202,7 +202,7 @@ class TestSamplerMatchesReference:
         kept = _reference_perturb(commands, noise, rng)
         if max_length:
             kept = kept[:max_length]
-        expected = render_plan(Plan(tuple(kept), sample_index=k)) + "\n"
+        expected = render_plan(Plan(tuple(kept))) + "\n"
         sample = SyntheticProvider(Plan(tuple(commands)), noise).sampler(prompt, config)(k)
         assert sample == expected
         if drop == 1.0 and not (insert and pool):
@@ -359,8 +359,8 @@ class TestRemoteProvider:
 
         def to_tree(texts):
             plans = []
-            for k, t in enumerate(texts):
-                plan, _ = parse_plan_text(t, sample_index=k)
+            for t in texts:
+                plan, _ = parse_plan_text(t)
                 plans.append(plan)
             return tree_to_dict(build_vote_tree(plans))
 

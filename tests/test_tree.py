@@ -21,9 +21,9 @@ from conftest import plan_of
 def random_plans(rng, max_plans=50, max_len=10, alphabet=12):
     commands = [Command(f"act{i}", ("x",)) for i in range(alphabet)]
     plans = []
-    for i in range(rng.randint(1, max_plans)):
+    for _ in range(rng.randint(1, max_plans)):
         length = rng.randint(0, max_len)
-        plans.append(Plan(tuple(rng.choice(commands) for _ in range(length)), sample_index=i))
+        plans.append(Plan(tuple(rng.choice(commands) for _ in range(length))))
     return plans
 
 
@@ -64,7 +64,7 @@ class TestBuildVoteTree:
         assert votes == [1, 1, 1]
 
     def test_twenty_identical_plans(self):
-        plans = [plan_of("a(x)", "b(x)", sample_index=i) for i in range(20)]
+        plans = [plan_of("a(x)", "b(x)") for _ in range(20)]
         root = build_vote_tree(plans)
         a = root.children["a(x)"]
         assert (root.vote, a.vote, a.children["b(x)"].vote) == (20, 20, 20)
@@ -103,14 +103,14 @@ class TestBuildVoteTree:
             assert sum(c.vote for c in root.children.values()) + empty == len(plans)
 
     def test_strict_prefix_marks_internal_end(self):
-        plans = [plan_of("a(x)", "b(x)"), plan_of("a(x)", "b(x)", "c(x)", sample_index=1)]
+        plans = [plan_of("a(x)", "b(x)"), plan_of("a(x)", "b(x)", "c(x)")]
         root = build_vote_tree(plans)
         b = root.children["a(x)"].children["b(x)"]
         assert b.end_marker
         assert b.vote > sum(c.vote for c in b.children.values())
 
     def test_internal_no_end_has_vote_equality(self):
-        plans = [plan_of("a(x)", "b(x)"), plan_of("a(x)", "c(x)", sample_index=1)]
+        plans = [plan_of("a(x)", "b(x)"), plan_of("a(x)", "c(x)")]
         a = build_vote_tree(plans).children["a(x)"]
         assert not a.end_marker
         assert a.vote == sum(c.vote for c in a.children.values())
@@ -123,7 +123,7 @@ class TestSelectChild:
         assert chosen.key == "b(x)"
 
     def test_lexicographic_tie_break(self):
-        plans = [plan_of("a(x)", "c(x)"), plan_of("a(x)", "b(x)", sample_index=1)]
+        plans = [plan_of("a(x)", "c(x)"), plan_of("a(x)", "b(x)")]
         a = build_vote_tree(plans).children["a(x)"]
         assert select_child(a.children, SelectionStrategy("max_vote")).key == "b(x)"
 
@@ -173,8 +173,8 @@ class TestTreeStats:
     def test_distinct_plans_counts_end_nodes(self):
         plans = [
             plan_of("a(x)", "b(x)"),
-            plan_of("a(x)", "b(x)", "c(x)", sample_index=1),
-            plan_of("a(x)", "b(x)", sample_index=2),
+            plan_of("a(x)", "b(x)", "c(x)"),
+            plan_of("a(x)", "b(x)"),
         ]
         assert tree_stats(build_vote_tree(plans)).distinct_plans_represented == 2
 
