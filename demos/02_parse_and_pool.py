@@ -27,7 +27,7 @@ print("diagnostics:", [d.code for d in diagnostics] or "none")
 
 # A degenerate sample parses to an empty plan plus a diagnostic, never an error.
 empty, diags = parse_plan_text("I could not produce a plan, sorry!")
-print("\ndegenerate sample ->", len(empty.commands), "commands,",
+print("\ndegenerate sample ->", len(empty), "commands,",
       [d.code for d in diags])
 
 # Pool three varied samples.
@@ -39,5 +39,5 @@ texts = [
 plans = [parse_plan_text(t)[0] for t in texts]
 pool = extract_unique_commands(plans)
 print(f"\nunique command pool ({len(pool)} commands):")
-for form in pool.canonical_forms:
-    print(f"  {form}")
+for command in pool:
+    print(f"  {command.canonical_form}")

@@ -19,16 +19,16 @@ from votetree import (
 
 bundle = load_dataset()
 task = next(t for t in bundle.tasks if t.task_name == "put the socks in the dresser")
-print("seed plan:", " -> ".join(c.canonical_form for c in task.goal_plan.commands))
+print("seed plan:", " -> ".join(c.canonical_form for c in task.goal_plan))
 
 # Perturb the seed plan the way a sampled generator would vary it.
 noise = NoiseModel(drop_prob=0.25, swap_prob=0.15)
 samples = synthesize_noisy_plans(task.goal_plan, noise, num_samples=12, seed=7)
 for k, s in enumerate(samples[:4]):
-    print(f"  sample {k}:", " -> ".join(c.canonical_form for c in s.commands))
+    print(f"  sample {k}:", " -> ".join(c.canonical_form for c in s))
 print("  ...")
 
-root = build_vote_tree([s for s in samples if s.commands])
+root = build_vote_tree([s for s in samples if s])
 print("\nvote tree:")
 print(render_outline(root))
 

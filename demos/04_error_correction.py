@@ -7,7 +7,6 @@ correcting executor, which falls back to siblings and backtracks on failure.
 
 from votetree import (
     ExecutionMode,
-    Plan,
     SelectionStrategy,
     World,
     build_vote_tree,
@@ -19,7 +18,7 @@ from votetree.plans import Command
 
 
 def plan_of(*texts):
-    return Plan(tuple(Command.parse(t) for t in texts))
+    return tuple(Command.parse(t) for t in texts)
 
 
 bundle = load_dataset()

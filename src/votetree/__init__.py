@@ -12,7 +12,7 @@ use; everything else is imported from its module.
 from .executor import ExecutionMode, execute_tree
 from .harness import RunConfig, evaluated_tasks, load_dataset, record_suite, run_suite
 from .metrics import format_table
-from .plans import Command, Plan, extract_unique_commands, parse_plan_text, render_plan
+from .plans import Command, extract_unique_commands, parse_plan_text, render_plan
 from .providers import (
     NoiseModel,
     RemoteProvider,

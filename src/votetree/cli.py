@@ -64,7 +64,7 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
     plans = []
     for body in split_corpus(read_text(args.corpus, DatasetError)):
         plan, _ = parse_plan_text(body)
-        if plan.commands:
+        if plan:
             plans.append(plan)
     root = build_vote_tree(plans)
     doc = json.dumps(tree_to_dict(root), indent=2, sort_keys=True) + "\n"
@@ -78,6 +78,12 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
     return 0
 
 
+def _step_ok(outcome: object) -> bool:
+    if outcome not in ("success", "failure"):
+        raise DatasetError(f"outcome must be 'success' or 'failure', got {outcome!r}")
+    return outcome == "success"
+
+
 def _read_trace(path: str) -> ExecutionTrace:
     with reading(path, DatasetError):
         doc = json_document(path, DatasetError)
@@ -85,7 +91,7 @@ def _read_trace(path: str) -> ExecutionTrace:
             StepRecord(
                 index=s["idx"],
                 command=Command.parse(s["command"]),
-                ok=s["outcome"] == "success",
+                ok=_step_ok(s["outcome"]),
                 reason=s.get("reason"),
                 node_path=(),
             )

@@ -19,7 +19,6 @@ UNIQUE = "unique"
 
 @dataclass(frozen=True)
 class DiffEntry:
-    label: str
     index: int
     command: str
     status: str
@@ -56,7 +55,7 @@ class DiffReport:
         return "\n".join(lines) + "\n"
 
 
-def _classify_side(trace: ExecutionTrace, other: ExecutionTrace, label: str) -> tuple[list[DiffEntry], int]:
+def _classify_side(trace: ExecutionTrace, other: ExecutionTrace) -> tuple[list[DiffEntry], int]:
     other_commands = {s.command.canonical_form for s in other.steps}
     seen: set[str] = set()
     duplicates = 0
@@ -80,10 +79,8 @@ def _classify_side(trace: ExecutionTrace, other: ExecutionTrace, label: str) -> 
             for j in (i, i + 1):
                 if statuses[j] != ERRONEOUS:
                     statuses[j] = REDUNDANT
-    entries = [
-        DiffEntry(label, i, c.canonical_form, s)
-        for i, (c, s) in enumerate(zip(commands, statuses))
-    ]
+    entries = [DiffEntry(i, c.canonical_form, s)
+               for i, (c, s) in enumerate(zip(commands, statuses))]
     return entries, duplicates
 
 
@@ -93,8 +90,8 @@ def plan_diff_report(
     labels: tuple[str, str] = ("a", "b"),
 ) -> DiffReport:
     """Side-by-side classification of two traces over the same task."""
-    entries_a, dup_a = _classify_side(trace_a, trace_b, labels[0])
-    entries_b, dup_b = _classify_side(trace_b, trace_a, labels[1])
+    entries_a, dup_a = _classify_side(trace_a, trace_b)
+    entries_b, dup_b = _classify_side(trace_b, trace_a)
     return DiffReport(
         labels=labels,
         entries=(tuple(entries_a), tuple(entries_b)),

@@ -213,7 +213,7 @@ def build_distractors(task: Task, scene: Scene) -> tuple[Command, ...]:
     Mixes executable detours (find/grab of unrelated objects), property and
     precondition violations, and one hallucinated object.
     """
-    used = {a for c in task.goal_plan.commands for a in c.args}
+    used = {a for c in task.goal_plan for a in c.args}
     others = [o for o in sorted(scene.objects) if o not in used]
     pool: list[Command] = [Command("find", (o,)) for o in others[:4]]
     pool += [Command("grab", (o,)) for o in others[:3]]
@@ -331,7 +331,7 @@ def run_one_episode(task: Task, rep: int, memo: RunMemo) -> tuple[EpisodeResult,
             plan, diags = parsed[text]
             if diags:
                 diagnostics.extend(f"{prompt.kind}[{k}]: {d.code}" for d in diags)
-            if plan.commands or prompt.kind == PROG:
+            if plan or prompt.kind == PROG:
                 plans.append(plan)
             else:
                 diagnostics.append(f"{REORDER}[{k}]: degenerate_sample_dropped")

@@ -3,7 +3,8 @@
 Generated plans are program-style call sequences (``find('salmon')`` lines,
 ``#`` comments, ``def task():`` headers, ``assert (...) else: ...`` recovery
 blocks).  Parsing is line-oriented and never aborts: lines it cannot read
-become diagnostics and the extracted command sequence is returned as a Plan.
+become diagnostics and the extracted command sequence is returned as a plan,
+a tuple of commands.
 """
 
 from __future__ import annotations
@@ -72,19 +73,14 @@ def _call_command(action: str, argtext: str) -> Command:
     return Command(action=ACTION_ALIASES.get(token, token), args=args)
 
 
-@dataclass(frozen=True)
-class Plan:
-    """An ordered command sequence: what one generated sample asks for."""
-
-    commands: tuple[Command, ...]
-
-    def __len__(self) -> int:
-        return len(self.commands)
+# An ordered command sequence: what one generated sample asks for.  A type
+# alias for annotations only; a plan is a plain tuple of commands.
+Plan = tuple[Command, ...]
 
 
 def render_plan(plan: Plan) -> str:
     """Serialize a plan canonically: one ``action(arg[,arg])`` per line."""
-    return "\n".join(c.canonical_form for c in plan.commands)
+    return "\n".join(c.canonical_form for c in plan)
 
 
 @dataclass(frozen=True)
@@ -133,12 +129,12 @@ def parse_plan_text(
     known_actions: set[str] | frozenset[str] | None = None,
     line_memo: dict[str, _LineEntries] | None = None,
 ) -> tuple[Plan, list[ParseDiagnostic]]:
-    """Extract the command sequence from one generated plan text.
+    """Extract the plan, a tuple of commands, from one generated plan text.
 
     Comment lines, function headers and assertion conditions are recognized
     scaffolding; action calls inside ``else:`` recovery branches are kept, in
     order.  Unparseable lines become diagnostics, never errors.  A degenerate
-    sample parses to an empty Plan plus a ``no_commands_found`` diagnostic.
+    sample parses to the empty tuple plus a ``no_commands_found`` diagnostic.
 
     ``line_memo`` maps raw lines to what they parse to.  Passing one dict to
     many calls parses each distinct line once; the result is the same as
@@ -164,7 +160,7 @@ def parse_plan_text(
 
     if not commands:
         diagnostics.append(ParseDiagnostic("no_commands_found"))
-    return Plan(tuple(commands)), diagnostics
+    return tuple(commands), diagnostics
 
 
 def split_corpus(text: str) -> list[str]:
@@ -180,27 +176,13 @@ def split_corpus(text: str) -> list[str]:
     return bodies
 
 
-@dataclass(frozen=True)
-class UniqueCommandSet:
-    """Deduplicated pool of commands appearing across generated plans."""
-
-    commands: tuple[Command, ...]
-
-    def __len__(self) -> int:
-        return len(self.commands)
-
-    @property
-    def canonical_forms(self) -> list[str]:
-        return [c.canonical_form for c in self.commands]
-
-
-def extract_unique_commands(plans: list[Plan]) -> UniqueCommandSet:
-    """Union all plan commands, deduplicated by canonical form and sorted by
-    it; each form keeps the first command seen with it."""
+def extract_unique_commands(plans: list[Plan]) -> tuple[Command, ...]:
+    """The command pool: every plan command, deduplicated by canonical form
+    and sorted by it; each form keeps the first command seen with it."""
     by_key: dict[str, Command] = {}
     for plan in plans:
-        for command in plan.commands:
+        for command in plan:
             by_key.setdefault(command.canonical_form, command)
     if not by_key:
         raise EmptyCommandPoolError("empty_command_pool: no commands in any generated plan")
-    return UniqueCommandSet(tuple(by_key[k] for k in sorted(by_key)))
+    return tuple(by_key[k] for k in sorted(by_key))

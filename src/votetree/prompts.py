@@ -25,7 +25,7 @@ from .errors import (
     check_value,
     json_document,
 )
-from .plans import Command, UniqueCommandSet
+from .plans import Command
 
 DATA_DIR = Path(__file__).with_name("data")  # prompt examples; what unset run config paths name
 
@@ -126,7 +126,7 @@ def _program_call(command_text: str) -> str:
 
 
 def format_reorder_prompt(
-    unique: UniqueCommandSet,
+    pool: Sequence[Command],
     instruction: str,
     examples: Sequence[ReorderExample] = (),
 ) -> PromptDocument:
@@ -136,7 +136,7 @@ def format_reorder_prompt(
     for output as one canonical command per line, which feeds straight back
     into the plan parser.
     """
-    if len(unique) == 0:
+    if not pool:
         raise EmptyCommandPoolError("cannot build a reorder prompt from an empty command pool")
 
     lines = [
@@ -151,10 +151,9 @@ def format_reorder_prompt(
         lines.append("Plan:")
         lines.extend(f"  {c}" for c in ex.plan)
         lines.append("")
-    pool = sorted(unique.canonical_forms)
     lines.append(f"Task: {instruction}")
     lines.append("Commands:")
-    lines.extend(f"  {c}" for c in pool)
+    lines.extend(f"  {form}" for form in sorted(c.canonical_form for c in pool))
     lines.append("Plan:")
     text = "\n".join(lines) + "\n"
     return PromptDocument(kind=REORDER, text=text, instruction=instruction)

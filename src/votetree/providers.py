@@ -315,12 +315,8 @@ def synthesize_noisy_plans(
     swap with ``swap_prob``, and a distractor insertion with ``insert_prob``.
     Deterministic given ``seed``; sample k depends only on (seed, k).
     """
-    samples = []
-    for k in range(num_samples):
-        rng = random.Random(derive_seed(seed, k))
-        commands = _perturb(seed_plan.commands, noise, rng)
-        samples.append(Plan(tuple(commands)))
-    return samples
+    return [tuple(_perturb(seed_plan, noise, random.Random(derive_seed(seed, k))))
+            for k in range(num_samples)]
 
 
 class SyntheticProvider:
@@ -334,7 +330,7 @@ class SyntheticProvider:
         self.root = Path(root) if root else None
         if self.root is not None:  # hashed only for a store: a run without one skips the cost
             # The seed plan and distractors come from the dataset, not the prompt.
-            plans = json.dumps([render_plan(seed_plan), render_plan(Plan(noise.distractor_pool))])
+            plans = json.dumps([render_plan(seed_plan), render_plan(noise.distractor_pool)])
             self.identity = {"noise": {"drop_prob": noise.drop_prob, "swap_prob": noise.swap_prob,
                                        "insert_prob": noise.insert_prob},
                              "plans": hashlib.blake2b(plans.encode("utf-8"), digest_size=8).hexdigest()}
@@ -350,7 +346,7 @@ class SyntheticProvider:
         the samples a store lacks can be drawn in any run, in any order.  The
         draws share one generator, so they are called from one thread at a
         time: no synthetic store draw goes through a request pool."""
-        commands, noise, limit = self.seed_plan.commands, self.noise, config.max_length or None
+        commands, noise, limit = self.seed_plan, self.noise, config.max_length or None
         if not (noise.drop_prob or noise.swap_prob or noise.insert_prob and noise.distractor_pool):
             # random() >= 0 keeps every command and random() < 0 swaps none, so
             # no stream can change the plan: each k draws the seed plan's text.

@@ -56,7 +56,7 @@ def build_vote_tree(plans: list[Plan]) -> VoteTreeNode:
     root.vote = len(plans)
     for plan in plans:
         node = root
-        for command in plan.commands:
+        for command in plan:
             key = command.canonical_form
             if key not in node.children:
                 node.children[key] = VoteTreeNode(command)
@@ -138,14 +138,16 @@ def tree_to_dict(node: VoteTreeNode) -> dict:
 
 def tree_from_dict(doc: dict) -> VoteTreeNode:
     """The tree of a ``tree_to_dict`` document; a node below the root
-    without a command, or a vote that is not an integer, is a
-    ``DatasetError``."""
+    without a command, a vote that is not an integer, or an end marker
+    that is not a JSON bool (absent is false), is a ``DatasetError``."""
     command = Command.parse(doc["command"]) if doc.get("command") else None
     node = VoteTreeNode(command)
     node.vote = doc["vote"]
     if type(node.vote) is not int:
         raise DatasetError(f"vote must be an integer, got {node.vote!r}")
-    node.end_marker = bool(doc.get("end_marker"))
+    node.end_marker = doc.get("end_marker", False)
+    if type(node.end_marker) is not bool:
+        raise DatasetError(f"end_marker must be true or false, got {node.end_marker!r}")
     for child_doc in doc.get("children", []):
         child = tree_from_dict(child_doc)
         if child.is_root:

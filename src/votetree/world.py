@@ -415,7 +415,7 @@ def state_diff(initial: WorldState, final: WorldState) -> frozenset[StatePredica
 def simulate_plan(world: World, initial: WorldState, plan: Plan) -> WorldState:
     """Run every command of ``plan``; raise DatasetError on the first failure."""
     state = initial
-    for i, command in enumerate(plan.commands):
+    for i, command in enumerate(plan):
         outcome = world.execute(state, command)
         if not outcome.ok:
             raise DatasetError(
@@ -469,7 +469,7 @@ def load_tasks(path: str | Path) -> list[Task]:
                 Task(
                     task_name=doc["task_name"],
                     scene_id=doc["scene_id"],
-                    goal_plan=Plan(commands),
+                    goal_plan=commands,
                     goal_conditions=(
                         frozenset(StatePredicate.parse(p) for p in conditions)
                         if conditions is not None else None

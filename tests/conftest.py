@@ -37,7 +37,7 @@ def cmd(text: str) -> Command:
 
 
 def plan_of(*texts: str) -> Plan:
-    return Plan(tuple(Command.parse(t) for t in texts))
+    return tuple(Command.parse(t) for t in texts)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from votetree.harness import (
     run_suite,
 )
 from votetree.metrics import compute_exec, compute_gcr, compute_sr
-from votetree.plans import Command, Plan, parse_plan_text, render_plan
+from votetree.plans import Command, parse_plan_text, render_plan
 from votetree.tree import build_vote_tree, tree_stats, tree_to_dict
 from votetree.world import ExecutionOutcome, World, WorldState, load_scene
 
@@ -44,7 +44,7 @@ def scripted_runner(outcomes):
 def random_plan_set(rng, max_plans=50, max_len=10, alphabet=12):
     commands = [Command(f"act{i}", ("x",)) for i in range(alphabet)]
     return [
-        Plan(tuple(rng.choice(commands) for _ in range(rng.randint(0, max_len))))
+        tuple(rng.choice(commands) for _ in range(rng.randint(0, max_len)))
         for _ in range(rng.randint(1, max_plans))
     ]
 
@@ -73,7 +73,7 @@ def test_c01_vote_tree_oracle_equivalence():
             expected = sum(
                 1
                 for p in plans
-                if [c.canonical_form for c in p.commands[: len(prefix)]] == list(prefix)
+                if [c.canonical_form for c in p[: len(prefix)]] == list(prefix)
             )
             assert node.vote == expected
         shuffled = plans[:]
@@ -114,7 +114,7 @@ def test_c03_termination_and_no_reexecution():
     rng = random.Random(SEED + 3)
     for _ in range(500):
         plans = random_plan_set(rng, max_plans=25, max_len=8, alphabet=8)
-        plans = [p for p in plans if p.commands] or [plan_of("act0(x)")]
+        plans = [p for p in plans if p] or [plan_of("act0(x)")]
         root = build_vote_tree(plans)
         bound = tree_stats(root).node_count
         outcomes = {f"act{i}(x)": rng.random() < 0.55 for i in range(8)}
@@ -154,7 +154,7 @@ def test_c04_metric_formulas_and_fixture_oracle(bundle):
     scene = bundle.scenes[task.scene_id]
     world = World(bundle.catalog, scene.objects)
     state = scene.initial_state
-    for command in task.goal_plan.commands:
+    for command in task.goal_plan:
         outcome = world.execute(state, command)
         assert outcome.ok
         state = outcome.state

@@ -397,7 +397,11 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                  "no-command": {"command": None, "vote": 2,
                                 "children": [{"vote": 2, "end_marker": True, "children": []}]},
                  "float-vote": {"command": None, "vote": 1.5, "children": []},
-                 "bool-vote": {"command": None, "vote": True, "children": []}}
+                 "bool-vote": {"command": None, "vote": True, "children": []},
+                 "string-end-marker": {"command": None, "vote": 1, "end_marker": "false",
+                                       "children": []},
+                 "misspelt-outcome": {"steps": [{"idx": 0, "command": "find(apple)",
+                                                 "outcome": "succes"}]}}
     for name, doc in documents.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     catalog = json.loads((DATA_DIR / "actions.json").read_text(encoding="utf-8"))
@@ -501,11 +505,16 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                         *((["execute", "--tree", str(tmp_path / f"{name}.json"), "--scene",
                             str(scene)], f"{name}.json: vote must be an integer")
                           for name in ("float-vote", "bool-vote")),
+                        (["execute", "--tree", str(tmp_path / "string-end-marker.json"), "--scene",
+                          str(scene), "--termination", "end_marker_or_childless"],
+                         "string-end-marker.json: end_marker must be true or false, got 'false'"),
                         *((["diff", "--trace-a", str(tmp_path / f"{name}.json"),
                             "--trace-b", str(tmp_path / "empty-trace.json")], problem)
                           for name, problem in (("no-steps", "no-steps.json: missing field 'steps'"),
                                                 ("bad-command", "bad-command.json: cannot parse command "
-                                                                "string 'find apple'"))),
+                                                                "string 'find apple'"),
+                                                ("misspelt-outcome", "misspelt-outcome.json: outcome must "
+                                                 "be 'success' or 'failure', got 'succes'"))),
                         (["run", "--config", str(tmp_path / "latin1.json")], "latin1.json"),
                         (["metrics", "--results", str(tmp_path / "latin1-results")],
                          "latin1-results/metrics.jsonl"),

@@ -13,7 +13,7 @@ from votetree.executor import (
     run_episode,
 )
 from votetree.metrics import compute_exec, compute_gcr
-from votetree.plans import Command, Plan
+from votetree.plans import Command
 from votetree.providers import NoiseModel, derive_seed, synthesize_noisy_plans
 from votetree.tree import (
     SELECTIONS,
@@ -107,10 +107,10 @@ class TestNoCorrection:
         commands = [Command(f"a{i}", ("x",)) for i in range(6)]
         for trial in range(25):
             plans = [
-                Plan(tuple(rng.choice(commands) for _ in range(rng.randint(1, 6))))
+                tuple(rng.choice(commands) for _ in range(rng.randint(1, 6)))
                 for _ in range(rng.randint(1, 15))
             ]
-            plans = [p for p in plans if p.commands] or [plan_of("a0(x)")]
+            plans = [p for p in plans if p] or [plan_of("a0(x)")]
             tree = build_vote_tree(plans)
             static_path = []
             node = tree
@@ -163,10 +163,10 @@ class TestStructuralProperties:
     def _random_tree(self, rng):
         commands = [Command(f"c{i}", ("x",)) for i in range(8)]
         plans = [
-            Plan(tuple(rng.choice(commands) for _ in range(rng.randint(1, 8))))
+            tuple(rng.choice(commands) for _ in range(rng.randint(1, 8)))
             for _ in range(rng.randint(1, 20))
         ]
-        plans = [p for p in plans if p.commands] or [plan_of("c0(x)")]
+        plans = [p for p in plans if p] or [plan_of("c0(x)")]
         return build_vote_tree(plans)
 
     @pytest.mark.parametrize("selection", ["max_vote", "random"])
@@ -312,7 +312,7 @@ class TestRunEpisode:
     def test_perfect_plan_scores_full(self, bundle, world1, scene1):
         task = next(t for t in bundle.tasks if t.task_name == "microwave salmon")
         goal = derive_goal_conditions(world1, scene1.initial_state, task.goal_plan, task.task_name)
-        tree = build_vote_tree([Plan(task.goal_plan.commands) for _ in range(5)])
+        tree = build_vote_tree([task.goal_plan for _ in range(5)])
         episode = run_episode(world1, scene1.initial_state, tree, ExecutionMode())
         assert compute_gcr(episode.achieved, goal) == 1.0
         assert compute_exec(episode.trace) == 1.0
@@ -343,7 +343,7 @@ class TestRunEpisode:
         recovered = 0
         for trial in range(100):
             samples = synthesize_noisy_plans(seed_plan, noise, 20, seed=derive_seed(777, trial))
-            plans = [p for p in samples if p.commands]
+            plans = [p for p in samples if p]
             tree = build_vote_tree(plans)
             episode = run_episode(world1, scene1.initial_state, tree, ExecutionMode())
             if compute_gcr(episode.achieved, goal) == 1.0:

@@ -8,13 +8,15 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.error
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votetree import harness
@@ -137,7 +139,7 @@ class TestDistractors:
         scene = bundle.scenes[task.scene_id]
         pool = build_distractors(task, scene)
         assert pool == build_distractors(task, scene)
-        used = {a for c in task.goal_plan.commands for a in c.args}
+        used = {a for c in task.goal_plan for a in c.args}
         for command in pool:
             if command.args[0] != "doorknob":
                 assert command.args[0] in scene.objects
@@ -165,7 +167,7 @@ class TestSuite:
         tasks_file = tmp_path / "tasks.json"
         tasks_file.write_text(json.dumps([{
             "task_name": task.task_name, "scene_id": task.scene_id, "goal_conditions": goals,
-            "goal_plan": [c.canonical_form for c in task.goal_plan.commands],
+            "goal_plan": [c.canonical_form for c in task.goal_plan],
         }]), encoding="utf-8")
         out = tmp_path / "out"
         run_suite(RunConfig(master_seed=5, repetitions=1, dataset=str(tasks_file),
@@ -224,6 +226,50 @@ class TestSuite:
             means.append(run_suite(cfg, bundle, write_outputs=False).row.sr_mean)
         slope = statistics.linear_regression(drops, means).slope
         assert slope <= 0.02, f"SR should not increase with drop noise: {means}"
+
+
+class TestEveryRunConfig:
+    """Over drawn run configs and task files of one to three tasks, each run
+    is its own oracle: a rerun into another directory writes the same bytes,
+    ``votetree metrics`` reproduces its summary, and every episode's rates and
+    step count are in range."""
+
+    PROBABILITY = st.floats(0, 1)
+
+    @staticmethod
+    def _outputs(out: Path) -> dict[str, bytes]:
+        """The bytes of summary.txt, metrics.jsonl and every file under episodes/."""
+        files = [out / "summary.txt", out / "metrics.jsonl",
+                 *sorted(p for p in (out / "episodes").rglob("*") if p.is_file())]
+        return {str(p.relative_to(out)): p.read_bytes() for p in files}
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), drop_prob=PROBABILITY, swap_prob=PROBABILITY,
+           insert_prob=PROBABILITY, mode=st.sampled_from(MODES),
+           selection=st.sampled_from(SELECTIONS), termination=st.sampled_from(TERMINATIONS),
+           step_limit=st.integers(1, 60), repetitions=st.integers(1, 2),
+           master_seed=st.integers(0, 2**64))
+    def test_a_run_is_its_own_oracle(self, bundle, data, **config):
+        tasks = data.draw(st.lists(st.sampled_from(evaluated_tasks(bundle)), min_size=1,
+                                   max_size=3, unique=True), label="tasks")
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset = Path(tmp, "tasks.json")
+            dataset.write_text(json.dumps([
+                {"task_name": t.task_name, "scene_id": t.scene_id,
+                 "goal_plan": [c.canonical_form for c in t.goal_plan]} for t in tasks
+            ]), encoding="utf-8")
+            outs = [Path(tmp, "first"), Path(tmp, "second")]
+            for out in outs:
+                run_suite(RunConfig(dataset=str(dataset), output_dir=str(out), **config))
+            first = self._outputs(outs[0])
+            assert first == self._outputs(outs[1])
+            assert format_table([recompute_metrics(outs[0])]).encode("utf-8") == first["summary.txt"]
+            records = [json.loads(line) for line in first["metrics.jsonl"].splitlines()]
+            episodes = [r for r in records if r["kind"] == "episode"]
+            assert len(episodes) == len(tasks) * config["repetitions"]
+            for episode in episodes:
+                assert 0 <= episode["gcr"] <= 1 and 0 <= episode["exec"] <= 1
+                assert episode["steps"] <= config["step_limit"]
 
 
 class TestRunMemo:
@@ -1244,7 +1290,7 @@ class TestNoPlan:
         episode, artifacts = run_one_episode(task, 0, memo)
         assert parsed == ["find('salmon')\n", ""]
         assert len(pooled) == 30
-        assert len({plan.commands for plan in pooled}) == 1
+        assert len(set(pooled)) == 1
         assert artifacts.diagnostics == [
             f"reorder[{k}]: {code}" for k in range(20)
             for code in ("no_commands_found", "degenerate_sample_dropped")]

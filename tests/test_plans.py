@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from votetree.errors import EmptyCommandPoolError
 from votetree.plans import (
     Command,
-    Plan,
     extract_unique_commands,
     parse_plan_text,
     render_plan,
@@ -54,27 +53,27 @@ class TestNormalize:
 class TestParse:
     def test_simple_extraction(self):
         plan, diags = parse_plan_text("def microwave_salmon():\n  find('salmon')\n  grab('salmon')")
-        assert [c.canonical_form for c in plan.commands] == ["find(salmon)", "grab(salmon)"]
+        assert [c.canonical_form for c in plan] == ["find(salmon)", "grab(salmon)"]
         assert diags == []
 
     def test_assertion_recovery_branch_kept(self):
         text = "assert('fridge' is 'opened') else: open('fridge')\nclose('fridge')"
         plan, _ = parse_plan_text(text)
-        assert [c.canonical_form for c in plan.commands] == ["open(fridge)", "close(fridge)"]
+        assert [c.canonical_form for c in plan] == ["open(fridge)", "close(fridge)"]
 
     def test_empty_string(self):
         plan, diags = parse_plan_text("")
-        assert plan.commands == ()
+        assert plan == ()
         assert [d.code for d in diags] == ["no_commands_found"]
 
     def test_unknown_action_flagged(self):
         plan, diags = parse_plan_text("flomp('cup')", known_actions=frozenset({"find"}))
-        assert plan.commands[0].canonical_form == "flomp(cup)"
+        assert plan[0].canonical_form == "flomp(cup)"
         assert any(d.code == "unknown_action" for d in diags)
 
     def test_unparseable_line_diagnostic(self):
         plan, diags = parse_plan_text("this line has no call\nfind('tv')")
-        assert len(plan.commands) == 1
+        assert len(plan) == 1
         assert any(d.code == "unparseable_line" and d.line_no == 1 for d in diags)
 
     @pytest.mark.parametrize("case", sorted(p.stem for p in (DATA / "parser_golden").glob("*.txt")))
@@ -98,9 +97,9 @@ class TestParse:
                     commands.append(Command(rng.choice(actions2), tuple(rng.sample(objects, 2))))
                 else:
                     commands.append(Command(rng.choice(actions1), (rng.choice(objects),)))
-            plan = Plan(tuple(commands))
+            plan = tuple(commands)
             parsed, diags = parse_plan_text(render_plan(plan))
-            assert parsed.commands == plan.commands
+            assert parsed == plan
             assert diags == []
 
 
@@ -135,7 +134,7 @@ class TestParserProperties:
     @given(text=st.one_of(st.text(), PLAN_TEXTS), known=KNOWN_ACTIONS)
     def test_never_raises_on_arbitrary_text(self, text, known):
         plan, diagnostics = parse_plan_text(text, known)
-        if not plan.commands:
+        if not plan:
             assert diagnostics[-1].code == "no_commands_found"
 
 
@@ -153,18 +152,18 @@ class TestCorpusSplit:
 class TestExtractUniqueCommands:
     def test_union_of_plan_commands(self):
         a, b, c = Command("a", ("x",)), Command("b", ("x",)), Command("c", ("x",))
-        plans = [Plan((a, b)), Plan((b, c))]
+        plans = [(a, b), (b, c)]
         pool = extract_unique_commands(plans)
-        assert set(pool.canonical_forms) == {"a(x)", "b(x)", "c(x)"}
+        assert {c.canonical_form for c in pool} == {"a(x)", "b(x)", "c(x)"}
 
     def test_thirty_identical_plans(self):
         plan = plan_of("find(salmon)", "grab(salmon)", "find(salmon)")
         pool = extract_unique_commands([plan] * 30)
-        assert pool.canonical_forms == ["find(salmon)", "grab(salmon)"]
+        assert [c.canonical_form for c in pool] == ["find(salmon)", "grab(salmon)"]
 
     def test_all_empty_plans_raise(self):
         with pytest.raises(EmptyCommandPoolError):
-            extract_unique_commands([Plan(()), Plan(())])
+            extract_unique_commands([(), ()])
 
     def test_order_independence(self):
         rng = random.Random(3)
@@ -177,7 +176,7 @@ class TestExtractUniqueCommands:
         shuffled = plans[:]
         rng.shuffle(shuffled)
         pool2 = extract_unique_commands(shuffled)
-        assert pool.canonical_forms == pool2.canonical_forms
+        assert [c.canonical_form for c in pool] == [c.canonical_form for c in pool2]
 
     def test_dedup_soundness(self):
         rng = random.Random(5)
@@ -187,8 +186,8 @@ class TestExtractUniqueCommands:
         ]
         pool = extract_unique_commands(plans)
         assert len(pool) <= sum(len(p) for p in plans)
-        all_commands = {c.canonical_form for p in plans for c in p.commands}
-        assert set(pool.canonical_forms) <= all_commands
+        all_commands = {c.canonical_form for p in plans for c in p}
+        assert {c.canonical_form for c in pool} <= all_commands
 
     def test_corpus_fixture_matches_line_scan_oracle(self):
         """Brute-force oracle: grep action-call lines, normalize, dedup."""
@@ -215,9 +214,9 @@ class TestExtractUniqueCommands:
             plan, _ = parse_plan_text(body)
             plans.append(plan)
         pool = extract_unique_commands(plans)
-        assert set(pool.canonical_forms) == oracle
+        assert {c.canonical_form for c in pool} == oracle
 
 
 class TestPlanInvariants:
     def test_generated_may_be_empty(self):
-        assert Plan(()).commands == ()
+        assert parse_plan_text("# no calls here")[0] == ()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from votetree.errors import ConfigError, EmptyCommandPoolError
 from votetree.harness import RunConfig
-from votetree.plans import Command, Plan, extract_unique_commands
+from votetree.plans import Command, extract_unique_commands
 from votetree.prompts import (
     SamplingConfig,
     default_prog_examples,
@@ -28,7 +28,7 @@ DATA = Path(__file__).parent / "data" / "golden_prompts"
 COMMANDS = st.builds(
     Command, st.sampled_from(["find", "grab", "putin"]),
     st.lists(st.sampled_from(["x", "y", "x,y"]), min_size=1, max_size=2).map(tuple))
-PLANS = st.lists(st.lists(COMMANDS, max_size=5).map(lambda cs: Plan(tuple(cs))), max_size=6)
+PLANS = st.lists(st.lists(COMMANDS, max_size=5).map(tuple), max_size=6)
 
 
 def prog_prompt(bundle, instruction="microwave salmon"):
@@ -92,7 +92,7 @@ class TestReorderPrompt:
         doc = format_reorder_prompt(pool, "microwave salmon")
         section = doc.text.split("Commands:")[-1]
         listed = [l.strip() for l in section.splitlines() if l.strip() and l.strip() != "Plan:"]
-        assert listed == sorted(pool.canonical_forms)
+        assert listed == sorted([c.canonical_form for c in pool])
 
     def test_two_commands_sorted_order(self):
         pool = extract_unique_commands([plan_of("grab(salmon)", "find(salmon)")])
@@ -111,30 +111,28 @@ class TestReorderPrompt:
         and repetition; the reorder prompt lists exactly those forms under its
         last ``Commands:``."""
         first: dict[str, Command] = {}
-        for command in (c for plan in plans for c in plan.commands):
+        for command in (c for plan in plans for c in plan):
             first.setdefault(command.canonical_form, command)
         if not first:
             with pytest.raises(EmptyCommandPoolError):
                 extract_unique_commands(plans)
             return
         pool = extract_unique_commands(plans)
-        assert pool.canonical_forms == sorted(first)
-        assert all(c is first[c.canonical_form] for c in pool.commands)
+        assert [c.canonical_form for c in pool] == sorted(first)
+        assert all(c is first[c.canonical_form] for c in pool)
         again = extract_unique_commands(plans[::-1] + plans)
-        assert again.canonical_forms == pool.canonical_forms
+        assert [c.canonical_form for c in again] == [c.canonical_form for c in pool]
         text = format_reorder_prompt(pool, "task", default_reorder_examples()).text
         listed = text.rsplit("Commands:\n", 1)[1].split("Plan:\n", 1)[0]
         assert listed.splitlines() == [f"  {form}" for form in sorted(first)]
 
     def test_empty_pool_rejected(self):
-        from votetree.plans import UniqueCommandSet
-
         with pytest.raises(EmptyCommandPoolError):
-            format_reorder_prompt(UniqueCommandSet(()), "x")
+            format_reorder_prompt((), "x")
 
     def test_golden_file(self, bundle):
         apple = next(t for t in bundle.tasks if t.task_name == "put apple in fridge")
-        pool = extract_unique_commands([plan_of(*[c.canonical_form for c in apple.goal_plan.commands])])
+        pool = extract_unique_commands([plan_of(*[c.canonical_form for c in apple.goal_plan])])
         doc = format_reorder_prompt(pool, "put apple in fridge", default_reorder_examples())
         golden = (DATA / "reorder_put_apple_in_fridge.txt").read_text(encoding="utf-8")
         assert doc.text == golden

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from votetree.errors import ConfigError, ProviderError
 from votetree import providers
 from votetree.harness import MAX_INFLIGHT
-from votetree.plans import Command, Plan, parse_plan_text, render_plan
+from votetree.plans import Command, parse_plan_text, render_plan
 from votetree.prompts import PromptDocument, SamplingConfig
 from votetree.providers import (
     NoiseModel,
@@ -119,7 +119,7 @@ class TestSyntheticProvider:
         assert len(texts) == 20
         assert len(set(texts)) == 1
         plan, _ = parse_plan_text(texts[0])
-        assert plan.commands == seed_plan.commands
+        assert plan == seed_plan
 
     def test_seeded_determinism(self, prompt, seed_plan):
         provider = SyntheticProvider(seed_plan, NoiseModel(drop_prob=0.3, swap_prob=0.2))
@@ -202,8 +202,8 @@ class TestSamplerMatchesReference:
         kept = _reference_perturb(commands, noise, rng)
         if max_length:
             kept = kept[:max_length]
-        expected = render_plan(Plan(tuple(kept))) + "\n"
-        sample = SyntheticProvider(Plan(tuple(commands)), noise).sampler(prompt, config)(k)
+        expected = render_plan(tuple(kept)) + "\n"
+        sample = SyntheticProvider(tuple(commands), noise).sampler(prompt, config)(k)
         assert sample == expected
         if drop == 1.0 and not (insert and pool):
             assert sample == "\n"
@@ -218,11 +218,11 @@ class TestNoiseModel:
 
     def test_identity_when_all_zero(self, seed_plan):
         samples = synthesize_noisy_plans(seed_plan, NoiseModel(), 20, seed=3)
-        assert all(s.commands == seed_plan.commands for s in samples)
+        assert all(s == seed_plan for s in samples)
 
     def test_drop_one_annihilates(self, seed_plan):
         samples = synthesize_noisy_plans(seed_plan, NoiseModel(drop_prob=1.0), 10, seed=3)
-        assert all(s.commands == () for s in samples)
+        assert all(s == () for s in samples)
 
     def test_drop_rate_monte_carlo(self, seed_plan):
         # Independent oracle: lengths ~ Binomial(8, 0.8); the mean over 10^4
@@ -233,24 +233,24 @@ class TestNoiseModel:
 
     def test_swap_only_preserves_multiset(self, seed_plan):
         samples = synthesize_noisy_plans(seed_plan, NoiseModel(swap_prob=0.5), 200, seed=17)
-        reference = Counter(seed_plan.commands)
+        reference = Counter(seed_plan)
         for s in samples:
-            assert Counter(s.commands) == reference
+            assert Counter(s) == reference
 
     def test_insert_only_adds_pool_members(self, seed_plan):
         pool = (Command("find", ("doorknob",)), Command("grab", ("sofa",)))
         samples = synthesize_noisy_plans(
             seed_plan, NoiseModel(insert_prob=0.3, distractor_pool=pool), 100, seed=23
         )
-        originals = set(seed_plan.commands)
+        originals = set(seed_plan)
         for s in samples:
             assert len(s) >= len(seed_plan)
-            extras = [c for c in s.commands if c not in originals]
+            extras = [c for c in s if c not in originals]
             assert all(c in pool for c in extras)
 
     def test_insert_without_pool_is_identity(self, seed_plan):
         samples = synthesize_noisy_plans(seed_plan, NoiseModel(insert_prob=0.9), 10, seed=1)
-        assert all(s.commands == seed_plan.commands for s in samples)
+        assert all(s == seed_plan for s in samples)
 
 
 class TestRecordFixtures:
@@ -298,7 +298,7 @@ class TestRecordFixtures:
         cfg = SamplingConfig(num_samples=3, seed=4)
         noise = NoiseModel(drop_prob=0.2)
         SyntheticProvider(seed_plan, noise, tmp_path).generate(prompt, cfg)
-        shorter = plan_of(*(c.canonical_form for c in seed_plan.commands[:-1]))
+        shorter = plan_of(*(c.canonical_form for c in seed_plan[:-1]))
         with pytest.raises(ProviderError, match="recorded by"):
             SyntheticProvider(shorter, noise, tmp_path).generate(prompt, cfg)
         other_pool = NoiseModel(drop_prob=0.2, distractor_pool=(Command("find", ("sofa",)),))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from votetree.errors import ConfigError, NoPlansError
-from votetree.plans import Command, Plan
+from votetree.plans import Command
 from votetree.tree import (
     SelectionStrategy,
     build_vote_tree,
@@ -23,7 +23,7 @@ def random_plans(rng, max_plans=50, max_len=10, alphabet=12):
     plans = []
     for _ in range(rng.randint(1, max_plans)):
         length = rng.randint(0, max_len)
-        plans.append(Plan(tuple(rng.choice(commands) for _ in range(length))))
+        plans.append(tuple(rng.choice(commands) for _ in range(length)))
     return plans
 
 
@@ -31,7 +31,7 @@ def brute_force_vote(plans, prefix):
     """Oracle: how many plans start with the given canonical prefix."""
     n = 0
     for p in plans:
-        forms = [c.canonical_form for c in p.commands]
+        forms = [c.canonical_form for c in p]
         if forms[: len(prefix)] == list(prefix):
             n += 1
     return n
@@ -99,7 +99,7 @@ class TestBuildVoteTree:
         for _ in range(30):
             plans = random_plans(rng, max_plans=30)
             root = build_vote_tree(plans)
-            empty = sum(1 for p in plans if not p.commands)
+            empty = sum(1 for p in plans if not p)
             assert sum(c.vote for c in root.children.values()) + empty == len(plans)
 
     def test_strict_prefix_marks_internal_end(self):

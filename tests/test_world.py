@@ -163,7 +163,7 @@ class TestExecuteCommand:
             scene = bundle.scenes[task.scene_id]
             world = World(bundle.catalog, scene.objects)
             state = scene.initial_state
-            for c in task.goal_plan.commands:
+            for c in task.goal_plan:
                 state = world.execute(state, c).state
                 assert state.invariant_violations() == []
 
