@@ -16,7 +16,7 @@ from votetree import World
 world = World(bundle.catalog, scene.objects)
 state = scene.initial_state
 print("\ninitial predicates (sample):")
-for p in sorted(state.predicates)[:6]:
+for p in sorted(state)[:6]:
     print("  ", p.render())
 
 # Execute a short plan step by step.

@@ -44,7 +44,7 @@ from .tree import (
     tree_from_dict,
     tree_to_dict,
 )
-from .world import ActionCatalog, World, WorldState, load_scene
+from .world import World, load_catalog, load_scene
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -78,33 +78,29 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _step_ok(outcome: object) -> bool:
-    if outcome not in ("success", "failure"):
-        raise DatasetError(f"outcome must be 'success' or 'failure', got {outcome!r}")
-    return outcome == "success"
+def _read_step(step: dict, position: int) -> StepRecord:
+    """One step of a trace file; its ``idx`` must be its position, and its
+    ``outcome`` ``"success"`` or ``"failure"``."""
+    if type(step["idx"]) is not int or step["idx"] != position:
+        raise DatasetError(f"step {position}: idx must be {position}, got {step['idx']!r}")
+    if step["outcome"] not in ("success", "failure"):
+        raise DatasetError(f"outcome must be 'success' or 'failure', got {step['outcome']!r}")
+    return StepRecord(position, Command.parse(step["command"]), step["outcome"] == "success",
+                      step.get("reason"), node_path=())
 
 
 def _read_trace(path: str) -> ExecutionTrace:
     with reading(path, DatasetError):
         doc = json_document(path, DatasetError)
-        steps = tuple(
-            StepRecord(
-                index=s["idx"],
-                command=Command.parse(s["command"]),
-                ok=_step_ok(s["outcome"]),
-                reason=s.get("reason"),
-                node_path=(),
-            )
-            for s in doc["steps"]
-        )
-    return ExecutionTrace(steps=steps, final_state=WorldState(), termination=doc.get("termination", "completed"))
+        steps = tuple(_read_step(step, i) for i, step in enumerate(doc["steps"]))
+    return ExecutionTrace(steps=steps, final_state=frozenset(), termination=doc.get("termination", "completed"))
 
 
 def _cmd_execute(args: argparse.Namespace) -> int:
     with reading(args.tree, DatasetError):
         root = tree_from_dict(json_document(args.tree, DatasetError))
     scene = load_scene(args.scene)
-    world = World(ActionCatalog.from_file(args.actions or DATA_DIR / "actions.json"), scene.objects)
+    world = World(load_catalog(args.actions or DATA_DIR / "actions.json"), scene.objects)
     mode = ExecutionMode(
         kind=args.mode,
         selection=SelectionStrategy(kind=args.selection, rng_seed=args.seed),

@@ -74,6 +74,7 @@ from .world import (
     Task,
     World,
     derive_goal_conditions,
+    load_catalog,
     load_scene,
     load_tasks,
 )
@@ -174,7 +175,7 @@ def load_dataset(config: RunConfig | None = None) -> DatasetBundle:
     """Load the config's catalog, scenes and tasks; an unset path names the
     bundled one under ``prompts.DATA_DIR``.  Scenes load in file name order."""
     config = config or RunConfig()
-    catalog = ActionCatalog.from_file(config.actions or DATA_DIR / "actions.json")
+    catalog = load_catalog(config.actions or DATA_DIR / "actions.json")
     scenes_dir = Path(config.scenes_dir or DATA_DIR / "scenes")
     scenes: dict[str, Scene] = {}
     files: dict[str, Path] = {}
@@ -267,7 +268,7 @@ class RunMemo:
 
     def __init__(self, config: RunConfig, bundle: DatasetBundle, tasks: list[Task]):
         self.config, self.bundle = config, bundle
-        self.known_actions = frozenset(bundle.catalog.action_names)
+        self.known_actions = frozenset(bundle.catalog)
         self.prog_examples = default_prog_examples()
         self.reorder_examples = default_reorder_examples()
         self.lines: dict[str, tuple] = {}
@@ -280,7 +281,7 @@ class RunMemo:
             scene = bundle.scenes[task.scene_id]
             self.providers[task] = make_provider(config, task, scene)
             self.prog_prompts[task] = format_prog_prompt(
-                task.task_name, bundle.catalog.action_names, sorted(scene.objects),
+                task.task_name, sorted(bundle.catalog), sorted(scene.objects),
                 self.prog_examples,
             )
             self.goals[task] = task.goal_conditions or derive_goal_conditions(

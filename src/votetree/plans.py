@@ -59,9 +59,6 @@ class Command:
             raise ValueError(f"cannot parse command string {text!r}")
         return _call_command(*m.groups())
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical_form
-
 
 def _call_command(action: str, argtext: str) -> Command:
     """The command of one ``action(argtext)`` call: tokens lowercased, trimmed

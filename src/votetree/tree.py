@@ -38,10 +38,6 @@ class VoteTreeNode:
     def is_root(self) -> bool:
         return self.command is None
 
-    def __repr__(self) -> str:
-        label = self.key or "<root>"
-        return f"VoteTreeNode({label}, vote={self.vote}, children={len(self.children)})"
-
 
 def build_vote_tree(plans: list[Plan]) -> VoteTreeNode:
     """Aggregate plans into the vote tree.

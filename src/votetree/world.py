@@ -3,9 +3,9 @@
 A scene is a set of objects with boolean properties plus a set of state
 predicates (object states and inter-object relations).  Actions are declared
 in a data catalog as precondition/effect schemas over the parameters ``?1``
-and ``?2``; executing a command applies the matching schema to an immutable
-``WorldState`` value and returns a new state, or a structured failure that
-leaves the input state untouched.
+and ``?2``; a world state is a frozenset of predicates, and executing a
+command applies the matching schema to it and returns a new state, or a
+structured failure that leaves the input state untouched.
 
 The agent is implicit: the reserved token ``agent`` may appear in predicates
 (e.g. ``CLOSE_TO(agent, fridge)``) but is not an object of the scene.  Held
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import CatalogError, DatasetError, SceneError, VoteTreeError, json_document, reading
 from .plans import Command, Plan
@@ -35,7 +35,7 @@ BINARY_PREDICATES = frozenset({"INSIDE", "ON_TOP", "CLOSE_TO", "FACING"})
 EXCLUSIVE_PAIRS = (("OPEN", "CLOSED"), ("ON", "OFF"), ("CLEAN", "DIRTY"))
 
 # Pseudo-predicate allowed only in precondition templates, as HANDS_FREE(agent):
-# true while the agent has a free hand.  It never appears in a WorldState.
+# true while the agent has a free hand.  It never appears in a world state.
 HANDS_FREE = "HANDS_FREE"
 
 _PRED_RE = re.compile(r"^\s*([A-Z_]+)\s*\(\s*([^(),\s]+)\s*(?:,\s*([^(),\s]+)\s*)?\)\s*$")
@@ -95,41 +95,30 @@ class StatePredicate:
             return f"{self.predicate}({self.subject})"
         return f"{self.predicate}({self.subject}, {self.object})"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
+
+# The environment at one instant: the predicates that hold.  What the agent
+# holds is derived from it (``held``), so the set is the single source of truth.
+WorldState = frozenset[StatePredicate]
 
 
-@dataclass(frozen=True)
-class WorldState:
-    """Immutable predicate set describing the environment at one instant.
+def held(state: WorldState) -> frozenset[str]:
+    return frozenset(p.subject for p in state if p.predicate == "HELD_BY_AGENT")
 
-    ``held`` is a derived view over the predicate set, which is the single
-    source of truth.
-    """
 
-    predicates: frozenset[StatePredicate] = frozenset()
-
-    @property
-    def held(self) -> frozenset[str]:
-        return frozenset(p.subject for p in self.predicates if p.predicate == "HELD_BY_AGENT")
-
-    def holds(self, predicate: StatePredicate) -> bool:
-        return predicate in self.predicates
-
-    def invariant_violations(self) -> list[str]:
-        """Return human-readable invariant violations (empty when valid)."""
-        errs: list[str] = []
-        by_subject: dict[str, set[str]] = {}
-        for p in self.predicates:
-            if p.kind == "unary":
-                by_subject.setdefault(p.subject, set()).add(p.predicate)
-        for subj, preds in sorted(by_subject.items()):
-            for a, b in EXCLUSIVE_PAIRS:
-                if a in preds and b in preds:
-                    errs.append(f"{subj} holds both {a} and {b}")
-        if len(self.held) > HAND_CAPACITY:
-            errs.append(f"agent holds {len(self.held)} objects, capacity is {HAND_CAPACITY}")
-        return errs
+def invariant_violations(state: WorldState) -> list[str]:
+    """Return human-readable invariant violations (empty when valid)."""
+    errs: list[str] = []
+    by_subject: dict[str, set[str]] = {}
+    for p in state:
+        if p.kind == "unary":
+            by_subject.setdefault(p.subject, set()).add(p.predicate)
+    for subj, preds in sorted(by_subject.items()):
+        for a, b in EXCLUSIVE_PAIRS:
+            if a in preds and b in preds:
+                errs.append(f"{subj} holds both {a} and {b}")
+    if len(held(state)) > HAND_CAPACITY:
+        errs.append(f"agent holds {len(held(state))} objects, capacity is {HAND_CAPACITY}")
+    return errs
 
 
 @dataclass(frozen=True)
@@ -197,54 +186,39 @@ class ActionSchema:
     del_effects: tuple[_Template, ...]
 
 
-class ActionCatalog:
-    """The full action vocabulary, loaded from a JSON schema list."""
+# The full action vocabulary: each action's schema by name.
+ActionCatalog = dict[str, ActionSchema]
 
-    def __init__(self, schemas: Iterable[ActionSchema]):
-        self.schemas: dict[str, ActionSchema] = {}
-        for s in schemas:
-            if s.name in self.schemas:
-                raise CatalogError(f"duplicate action schema {s.name!r}")
-            self.schemas[s.name] = s
 
-    def __len__(self) -> int:
-        return len(self.schemas)
-
-    def get(self, name: str) -> ActionSchema | None:
-        return self.schemas.get(name)
-
-    @property
-    def action_names(self) -> list[str]:
-        return sorted(self.schemas)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ActionCatalog":
-        schemas = []
-        for number, doc in enumerate(json_document(path, CatalogError, list)):
-            with reading(f"{path} entry {number}", CatalogError):
-                name, arity = doc["name"], doc["arity"]
-                if type(name) is not str or not _TOKEN_RE.fullmatch(name):
-                    raise CatalogError(f"name must be a lowercase token, got {name!r}")
-                if type(arity) is not int or arity not in (1, 2):
-                    raise CatalogError(f"action {name!r}: arity must be 1 or 2, got {arity!r}")
-                req = doc.get("required_properties", [])
-                if type(req) is not list:
-                    raise CatalogError(f"action {name!r}: required_properties must be a list")
-                if len(req) > arity:
-                    raise CatalogError(f"action {name!r}: more property lists than parameters")
-                req_padded = tuple(
-                    frozenset(_strings(req[i], f"action {name!r}: required_properties[{i}]",
-                                       CatalogError)) if i < len(req) else frozenset()
-                    for i in range(arity)
-                )
-                preconditions, adds, dels = (
-                    tuple(_parse_template(t, arity, section)
-                          for t in _strings(doc.get(section, []), f"action {name!r}: {section}",
-                                            CatalogError))
-                    for section in ("preconditions", "add", "del"))
-                schemas.append(ActionSchema(name, arity, req_padded, preconditions, adds, dels))
-        with reading(path, CatalogError):
-            return cls(schemas)
+def load_catalog(path: str | Path) -> ActionCatalog:
+    """Load the action catalog: a JSON list of action schemas."""
+    catalog: ActionCatalog = {}
+    for number, doc in enumerate(json_document(path, CatalogError, list)):
+        with reading(f"{path} entry {number}", CatalogError):
+            name, arity = doc["name"], doc["arity"]
+            if type(name) is not str or not _TOKEN_RE.fullmatch(name):
+                raise CatalogError(f"name must be a lowercase token, got {name!r}")
+            if type(arity) is not int or arity not in (1, 2):
+                raise CatalogError(f"action {name!r}: arity must be 1 or 2, got {arity!r}")
+            req = doc.get("required_properties", [])
+            if type(req) is not list:
+                raise CatalogError(f"action {name!r}: required_properties must be a list")
+            if len(req) > arity:
+                raise CatalogError(f"action {name!r}: more property lists than parameters")
+            req_padded = tuple(
+                frozenset(_strings(req[i], f"action {name!r}: required_properties[{i}]",
+                                   CatalogError)) if i < len(req) else frozenset()
+                for i in range(arity)
+            )
+            preconditions, adds, dels = (
+                tuple(_parse_template(t, arity, section)
+                      for t in _strings(doc.get(section, []), f"action {name!r}: {section}",
+                                        CatalogError))
+                for section in ("preconditions", "add", "del"))
+        if name in catalog:
+            raise CatalogError(f"{path}: duplicate action schema {name!r}")
+        catalog[name] = ActionSchema(name, arity, req_padded, preconditions, adds, dels)
+    return catalog
 
 
 @dataclass(frozen=True)
@@ -297,8 +271,8 @@ def load_scene(document: Mapping | str | Path) -> Scene:
                     raise SceneError(f"init predicate {text!r} references unknown object {ref!r}")
             predicates.add(pred)
 
-        state = WorldState(frozenset(predicates))
-        violations = state.invariant_violations()
+        state = frozenset(predicates)
+        violations = invariant_violations(state)
         if violations:
             raise SceneError(f"invalid initial state: {'; '.join(violations)}")
     return Scene(scene_id=scene_id, objects=objects, initial_state=state)
@@ -381,13 +355,13 @@ class World:
         preconditions, deletes, adds = resolved
         for pred, carried, negated, detail in preconditions:
             if pred is None:
-                met = len(state.held) < HAND_CAPACITY
+                met = len(held(state)) < HAND_CAPACITY
             else:
-                met = pred in state.predicates or (carried is not None and carried in state.held)
+                met = pred in state or (carried is not None and carried in held(state))
             if met == negated:
                 return ExecutionOutcome(False, state, FAIL_PRECONDITION, detail)
 
-        predicates = set(state.predicates)
+        predicates = set(state)
         for delete in deletes:
             if type(delete) is tuple:
                 name, args = delete
@@ -400,7 +374,7 @@ class World:
             else:
                 predicates.discard(delete)
         predicates.update(adds)
-        return ExecutionOutcome(True, WorldState(frozenset(predicates)))
+        return ExecutionOutcome(True, frozenset(predicates))
 
 
 def _pred_args(p: StatePredicate) -> tuple[str, ...]:
@@ -409,7 +383,7 @@ def _pred_args(p: StatePredicate) -> tuple[str, ...]:
 
 def state_diff(initial: WorldState, final: WorldState) -> frozenset[StatePredicate]:
     """Predicates present in ``final`` but not in ``initial``."""
-    return final.predicates - initial.predicates
+    return final - initial
 
 
 def simulate_plan(world: World, initial: WorldState, plan: Plan) -> WorldState:

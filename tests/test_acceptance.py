@@ -21,7 +21,7 @@ from votetree.harness import (
 from votetree.metrics import compute_exec, compute_gcr, compute_sr
 from votetree.plans import Command, parse_plan_text, render_plan
 from votetree.tree import build_vote_tree, tree_stats, tree_to_dict
-from votetree.world import ExecutionOutcome, World, WorldState, load_scene
+from votetree.world import ExecutionOutcome, World, load_scene
 
 from conftest import plan_of
 
@@ -100,7 +100,7 @@ def test_c02_algorithm_conformance_all_outcome_combinations(worked_tree):
     for combo, (expected_steps, expected_term) in expectations.items():
         outcomes = dict(zip(("a(x)", "b(x)", "c(x)"), combo))
         trace = execute_tree(
-            worked_tree, scripted_runner(outcomes), WorldState(), ExecutionMode()
+            worked_tree, scripted_runner(outcomes), frozenset(), ExecutionMode()
         )
         got = [(s.command.canonical_form, s.ok) for s in trace.steps]
         assert got == expected_steps, f"combo {combo}: got {got}"
@@ -119,7 +119,7 @@ def test_c03_termination_and_no_reexecution():
         bound = tree_stats(root).node_count
         outcomes = {f"act{i}(x)": rng.random() < 0.55 for i in range(8)}
         trace = execute_tree(
-            root, scripted_runner(outcomes), WorldState(), ExecutionMode(), step_limit=100_000
+            root, scripted_runner(outcomes), frozenset(), ExecutionMode(), step_limit=100_000
         )
         assert trace.attempted <= bound
         paths = [s.node_path for s in trace.steps]
@@ -158,7 +158,7 @@ def test_c04_metric_formulas_and_fixture_oracle(bundle):
         outcome = world.execute(state, command)
         assert outcome.ok
         state = outcome.state
-    oracle_goal = state.predicates - scene.initial_state.predicates
+    oracle_goal = state - scene.initial_state
     oracle_gcr = 1.0 - len(oracle_goal - episode.achieved) / len(oracle_goal)
     assert compute_gcr(episode.achieved, memo.goals[task]) == oracle_gcr == 1.0
     _pass(4, "metric formulas exact; fixture GCR equals the state-diff oracle")

@@ -401,7 +401,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                  "string-end-marker": {"command": None, "vote": 1, "end_marker": "false",
                                        "children": []},
                  "misspelt-outcome": {"steps": [{"idx": 0, "command": "find(apple)",
-                                                 "outcome": "succes"}]}}
+                                                 "outcome": "succes"}]},
+                 "string-idx": {"steps": [{"idx": "0", "command": "find(apple)",
+                                           "outcome": "success"}]}}
     for name, doc in documents.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     catalog = json.loads((DATA_DIR / "actions.json").read_text(encoding="utf-8"))
@@ -435,6 +437,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
              "star-name-actions.json": extended("*"),
              "call-name-actions.json": extended("find(x)"),
              "newline-name-actions.json": extended("find\n"),
+             "duplicate-find-actions.json": extended("find"),
+             "unlisted-required-actions.json": edited("grab", "required_properties", "GRABBABLE"),
+             "two-required-actions.json": edited("grab", "required_properties", [["GRABBABLE"], []]),
              "string-properties/s.json": b'{"scene_id": "kitchen", "objects": '
                                          b'[{"id": "apple", "properties": "GRABBABLE"}], "init": []}',
              "int-name-tasks.json": b'[{"task_name": 5, "scene_id": "scene1", '
@@ -445,7 +450,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     for name, edit in (("int-id", lambda d: d["objects"].append({"id": 7, "class_name": "seven"})),
                        ("list-scene-id", lambda d: d.update(scene_id=[d["scene_id"]])),
                        ("newline-class", lambda d: d["objects"][0].update(
-                           class_name=d["objects"][0]["class_name"] + "\n"))):
+                           class_name=d["objects"][0]["class_name"] + "\n")),
+                       ("no-scene-id", lambda d: d.pop("scene_id")),
+                       ("agent-object", lambda d: d["objects"].append({"id": "agent"}))):
         shutil.copytree(DATA_DIR / "scenes", tmp_path / name)
         doc = json.loads((tmp_path / name / "scene1.json").read_text(encoding="utf-8"))
         edit(doc)
@@ -472,16 +479,28 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                "star-name-actions.json": {"actions": "star-name-actions.json"},
                "call-name-actions.json": {"actions": "call-name-actions.json"},
                "newline-name-actions.json": {"actions": "newline-name-actions.json"},
+               "duplicate-find-actions.json": {"actions": "duplicate-find-actions.json"},
+               "unlisted-required-actions.json": {"actions": "unlisted-required-actions.json"},
+               "two-required-actions.json": {"actions": "two-required-actions.json"},
                "string-properties/s.json": {"scenes_dir": "string-properties"},
                "int-id/scene1.json": {"scenes_dir": "int-id"},
                "list-scene-id/scene1.json": {"scenes_dir": "list-scene-id"},
                "newline-class/scene1.json": {"scenes_dir": "newline-class"},
+               "no-scene-id/scene1.json": {"scenes_dir": "no-scene-id"},
+               "agent-object/scene1.json": {"scenes_dir": "agent-object"},
                "int-name-tasks.json": {"dataset": "int-name-tasks.json"},
                "no-scenes": {"scenes_dir": "no-scenes"}}
     for named, paths in configs.items():
         doc = {"master_seed": 1, "repetitions": 1, "output_dir": str(tmp_path / "out"),
                **{key: str(tmp_path / value) for key, value in paths.items()}}
         (tmp_path / f"run-{named.replace('/', '-')}").write_text(json.dumps(doc), encoding="utf-8")
+    # What follows the file's name in the error, where a row pins the whole message.
+    grab = f" entry {catalog.index(action['grab'])}: action 'grab'"
+    messages = {"duplicate-find-actions.json": ": duplicate action schema 'find'",
+                "unlisted-required-actions.json": f"{grab}: required_properties must be a list",
+                "two-required-actions.json": f"{grab}: more property lists than parameters",
+                "no-scene-id/scene1.json": ": missing 'scene_id'",
+                "agent-object/scene1.json": ": object id 'agent' is reserved"}
     capsys.readouterr()
     for argv, named in ((["run", "--config", missing], "missing.json"),
                         (["run", "--config", str(not_json)], "line 1"),
@@ -514,7 +533,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                                                 ("bad-command", "bad-command.json: cannot parse command "
                                                                 "string 'find apple'"),
                                                 ("misspelt-outcome", "misspelt-outcome.json: outcome must "
-                                                 "be 'success' or 'failure', got 'succes'"))),
+                                                 "be 'success' or 'failure', got 'succes'"),
+                                                ("string-idx", "string-idx.json: step 0: idx must be 0, "
+                                                               "got '0'"))),
                         (["run", "--config", str(tmp_path / "latin1.json")], "latin1.json"),
                         (["metrics", "--results", str(tmp_path / "latin1-results")],
                          "latin1-results/metrics.jsonl"),
@@ -526,8 +547,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                          "latin1-corpus.txt"),
                         (["run", "--config", str(tmp_path / "run-ok.json"),
                           "--output-dir", str(tmp_path / "taken")], "taken"),
-                        *((["run", "--config", str(tmp_path / f"run-{named.replace('/', '-')}")], named)
-                          for named in configs)):
+                        *((["run", "--config", str(tmp_path / f"run-{named.replace('/', '-')}")],
+                           named + messages.get(named, "")) for named in configs)):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, (argv, err)

@@ -24,7 +24,7 @@ from votetree.tree import (
     tree_stats,
     tree_to_dict,
 )
-from votetree.world import ExecutionOutcome, WorldState, derive_goal_conditions
+from votetree.world import ExecutionOutcome, derive_goal_conditions, held
 
 from conftest import plan_of
 
@@ -46,19 +46,19 @@ def executed(trace):
 
 class TestWithCorrection:
     def test_happy_path_stops_at_childless_leaf(self, worked_tree):
-        trace = execute_tree(worked_tree, scripted_runner({}), WorldState(), ExecutionMode())
+        trace = execute_tree(worked_tree, scripted_runner({}), frozenset(), ExecutionMode())
         assert executed(trace) == [("a(x)", True), ("b(x)", True)]
         assert trace.termination == "completed"
 
     def test_sibling_fallback_on_failure(self, worked_tree):
         runner = scripted_runner({"b(x)": False})
-        trace = execute_tree(worked_tree, runner, WorldState(), ExecutionMode())
+        trace = execute_tree(worked_tree, runner, frozenset(), ExecutionMode())
         assert executed(trace) == [("a(x)", True), ("b(x)", False), ("c(x)", True)]
         assert trace.termination == "completed"
 
     def test_single_always_failing_child_exhausts(self):
         tree = build_vote_tree([plan_of("x(o)")])
-        trace = execute_tree(tree, scripted_runner({"x(o)": False}), WorldState(), ExecutionMode())
+        trace = execute_tree(tree, scripted_runner({"x(o)": False}), frozenset(), ExecutionMode())
         assert executed(trace) == [("x(o)", False)]
         assert trace.termination == "exhausted"
 
@@ -70,7 +70,7 @@ class TestWithCorrection:
         )
         tree = build_vote_tree(plans)
         runner = scripted_runner({"c(x)": False, "d(x)": False})
-        trace = execute_tree(tree, runner, WorldState(), ExecutionMode())
+        trace = execute_tree(tree, runner, frozenset(), ExecutionMode())
         assert executed(trace) == [
             ("a(x)", True), ("b(x)", True), ("c(x)", False), ("d(x)", False), ("e(x)", True),
         ]
@@ -78,7 +78,7 @@ class TestWithCorrection:
 
     def test_input_tree_is_not_mutated(self, worked_tree):
         runner = scripted_runner({"b(x)": False})
-        execute_tree(worked_tree, runner, WorldState(), ExecutionMode())
+        execute_tree(worked_tree, runner, frozenset(), ExecutionMode())
         assert "b(x)" in worked_tree.children["a(x)"].children
 
     def test_no_world_rollback_on_backtracking(self, bundle, world1, scene1):
@@ -90,7 +90,7 @@ class TestWithCorrection:
         tree = build_vote_tree(plans)
         trace = execute_tree(tree, world1.execute, scene1.initial_state, ExecutionMode())
         assert [s.ok for s in trace.steps] == [True, True, False, True]
-        assert "apple" in trace.final_state.held
+        assert "apple" in held(trace.final_state)
         assert trace.termination == "completed"
 
 
@@ -98,7 +98,7 @@ class TestNoCorrection:
     def test_executes_every_command_on_path(self, worked_tree):
         mode = ExecutionMode(kind="no_correction")
         runner = scripted_runner({"a(x)": False})
-        trace = execute_tree(worked_tree, runner, WorldState(), mode)
+        trace = execute_tree(worked_tree, runner, frozenset(), mode)
         assert executed(trace) == [("a(x)", False), ("b(x)", True)]
         assert trace.termination == "completed"
 
@@ -119,7 +119,7 @@ class TestNoCorrection:
                 static_path.append(node.key)
             outcomes = {c.canonical_form: rng.random() < 0.5 for c in commands}
             mode = ExecutionMode(kind="no_correction")
-            trace = execute_tree(tree, scripted_runner(outcomes), WorldState(), mode)
+            trace = execute_tree(tree, scripted_runner(outcomes), frozenset(), mode)
             assert [s.command.canonical_form for s in trace.steps] == static_path
 
 
@@ -128,28 +128,28 @@ class TestTermination:
         plans = [plan_of("a(x)", "b(x)") for _ in range(5)]
         plans.append(plan_of("a(x)", "b(x)", "c(x)"))
         tree = build_vote_tree(plans)
-        default = execute_tree(tree, scripted_runner({}), WorldState(), ExecutionMode())
+        default = execute_tree(tree, scripted_runner({}), frozenset(), ExecutionMode())
         assert [s.command.canonical_form for s in default.steps] == ["a(x)", "b(x)", "c(x)"]
         marker_mode = ExecutionMode(termination="end_marker_or_childless")
-        short = execute_tree(tree, scripted_runner({}), WorldState(), marker_mode)
+        short = execute_tree(tree, scripted_runner({}), frozenset(), marker_mode)
         assert [s.command.canonical_form for s in short.steps] == ["a(x)", "b(x)"]
         assert short.termination == "completed"
 
     def test_step_limit_is_a_safety_valve(self):
         plan = plan_of(*(f"a{i}(x)" for i in range(10)))
         tree = build_vote_tree([plan])
-        trace = execute_tree(tree, scripted_runner({}), WorldState(), ExecutionMode(), step_limit=3)
+        trace = execute_tree(tree, scripted_runner({}), frozenset(), ExecutionMode(), step_limit=3)
         assert trace.termination == "step_limit"
         assert trace.attempted == 3
 
     def test_nonpositive_step_limit_rejected(self, worked_tree):
         with pytest.raises(ConfigError):
-            execute_tree(worked_tree, scripted_runner({}), WorldState(), ExecutionMode(), step_limit=0)
+            execute_tree(worked_tree, scripted_runner({}), frozenset(), ExecutionMode(), step_limit=0)
 
     @pytest.mark.parametrize("step_limit", ["3", 2.5, True, None])
     def test_step_limit_of_a_wrong_type_rejected(self, worked_tree, step_limit):
         with pytest.raises(ConfigError) as raised:
-            execute_tree(worked_tree, scripted_runner({}), WorldState(), ExecutionMode(), step_limit)
+            execute_tree(worked_tree, scripted_runner({}), frozenset(), ExecutionMode(), step_limit)
         assert str(raised.value) == f"step_limit must be an integer >= 1, got {step_limit!r}"
 
     def test_invalid_mode_values_rejected(self):
@@ -178,7 +178,7 @@ class TestStructuralProperties:
             outcomes = {f"c{i}(x)": rng.random() < 0.6 for i in range(8)}
             mode = ExecutionMode(selection=SelectionStrategy(selection, rng_seed=trial))
             trace = execute_tree(
-                tree, scripted_runner(outcomes), WorldState(), mode, step_limit=10_000
+                tree, scripted_runner(outcomes), frozenset(), mode, step_limit=10_000
             )
             assert trace.attempted <= bound
             paths = [s.node_path for s in trace.steps]
@@ -191,7 +191,7 @@ class TestStructuralProperties:
             tree = self._random_tree(rng)
             outcomes = {f"c{i}(x)": rng.random() < 0.5 for i in range(8)}
             trace = execute_tree(
-                tree, scripted_runner(outcomes), WorldState(), ExecutionMode(), step_limit=10_000
+                tree, scripted_runner(outcomes), frozenset(), ExecutionMode(), step_limit=10_000
             )
             # Each successful step's path extends the previous successful
             # step's path or restarts deeper after backtracking; its prefix
@@ -218,7 +218,7 @@ class TestStructuralProperties:
         tree = build_vote_tree([plan_of(*p) for p in plans])
         mode = ExecutionMode(selection=SelectionStrategy(selection, rng_seed=rng_seed))
         outcomes = {c: c not in failing for c in self.COMMANDS}
-        trace = execute_tree(tree, scripted_runner(outcomes), WorldState(), mode, step_limit)
+        trace = execute_tree(tree, scripted_runner(outcomes), frozenset(), mode, step_limit)
         assert trace.attempted <= step_limit
         paths = [s.node_path for s in trace.steps]
         assert len(paths) == len(set(paths))

@@ -14,7 +14,7 @@ from votetree.metrics import (
     score,
 )
 from votetree.plans import Command
-from votetree.world import StatePredicate, WorldState
+from votetree.world import StatePredicate
 
 
 def preds(*names):
@@ -26,7 +26,7 @@ def trace_with(outcomes):
         StepRecord(i, Command("a", (f"o{i}",)), ok, None if ok else "x", (f"a(o{i})",))
         for i, ok in enumerate(outcomes)
     )
-    return ExecutionTrace(steps, WorldState(), "completed")
+    return ExecutionTrace(steps, frozenset(), "completed")
 
 
 class TestGCR:
@@ -78,7 +78,7 @@ class TestExec:
         import logging
 
         with caplog.at_level(logging.WARNING, logger="votetree.metrics"):
-            value = compute_exec(ExecutionTrace((), WorldState(), "exhausted"))
+            value = compute_exec(ExecutionTrace((), frozenset(), "exhausted"))
         assert value == 0.0
         assert any("no commands were attempted" in r.message for r in caplog.records)
 
@@ -87,7 +87,7 @@ class TestExec:
         import logging
 
         with caplog.at_level(logging.WARNING, logger="votetree.metrics"):
-            value = compute_exec(ExecutionTrace((), WorldState(), "no_plan"))
+            value = compute_exec(ExecutionTrace((), frozenset(), "no_plan"))
         assert value == 0.0 and not caplog.records
 
     def test_one_hallucination_in_five(self):

@@ -87,8 +87,8 @@ class TestParse:
 
     def test_round_trip(self, bundle):
         rng = random.Random(11)
-        actions1 = [n for n, s in bundle.catalog.schemas.items() if s.arity == 1]
-        actions2 = [n for n, s in bundle.catalog.schemas.items() if s.arity == 2]
+        actions1 = [n for n, s in bundle.catalog.items() if s.arity == 1]
+        actions2 = [n for n, s in bundle.catalog.items() if s.arity == 2]
         objects = ["apple", "fridge", "mug", "sink"]
         for _ in range(100):
             commands = []

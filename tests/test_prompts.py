@@ -34,7 +34,7 @@ PLANS = st.lists(st.lists(COMMANDS, max_size=5).map(tuple), max_size=6)
 def prog_prompt(bundle, instruction="microwave salmon"):
     scene = bundle.scenes["scene1"]
     return format_prog_prompt(
-        instruction, bundle.catalog.action_names, sorted(scene.objects), default_prog_examples()
+        instruction, sorted(bundle.catalog), sorted(scene.objects), default_prog_examples()
     )
 
 
@@ -49,7 +49,7 @@ class TestProgPrompt:
         text = prog_prompt(bundle).text
         import_line = next(l for l in text.splitlines() if l.startswith("from actions import "))
         tokens = import_line[len("from actions import "):].split(", ")
-        assert sorted(tokens) == bundle.catalog.action_names
+        assert sorted(tokens) == sorted(bundle.catalog)
         assert len(tokens) == len(set(tokens)) == 28
 
     def test_every_object_exactly_once_in_listing(self, bundle):

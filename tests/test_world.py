@@ -18,14 +18,15 @@ from votetree.world import (
     HAND_CAPACITY,
     HANDS_FREE,
     UNARY_PREDICATES,
-    ActionCatalog,
     ExecutionOutcome,
     ObjectInstance,
     StatePredicate,
     Task,
     World,
-    WorldState,
     derive_goal_conditions,
+    held,
+    invariant_violations,
+    load_catalog,
     load_scene,
     load_tasks,
     simulate_plan,
@@ -55,7 +56,7 @@ FRIDGE_SCENE = {
 class TestSceneLoading:
     def test_closed_fridge_is_transcribed(self):
         scene = load_scene(FRIDGE_SCENE)
-        assert StatePredicate("CLOSED", "fridge") in scene.initial_state.predicates
+        assert StatePredicate("CLOSED", "fridge") in scene.initial_state
 
     def test_duplicate_object_id_rejected(self):
         doc = {
@@ -96,13 +97,13 @@ class TestExecuteCommand:
     def test_open_fridge(self, bundle):
         scene = load_scene(FRIDGE_SCENE)
         world = World(bundle.catalog, scene.objects)
-        near = WorldState(
-            scene.initial_state.predicates | {StatePredicate("CLOSE_TO", "agent", "fridge")}
+        near = frozenset(
+            scene.initial_state | {StatePredicate("CLOSE_TO", "agent", "fridge")}
         )
         outcome = world.execute(near, cmd("open(fridge)"))
         assert outcome.ok
-        assert StatePredicate("OPEN", "fridge") in outcome.state.predicates
-        assert StatePredicate("CLOSED", "fridge") not in outcome.state.predicates
+        assert StatePredicate("OPEN", "fridge") in outcome.state
+        assert StatePredicate("CLOSED", "fridge") not in outcome.state
 
     def test_switchon_open_microwave_fails(self, bundle):
         scene = load_scene(FRIDGE_SCENE)
@@ -135,7 +136,7 @@ class TestExecuteCommand:
         state = scene1.initial_state
         for c in ("find(apple)", "grab(apple)", "find(salmon)", "grab(salmon)"):
             state = world1.execute(state, cmd(c)).state
-        assert state.held == frozenset({"apple", "salmon"})
+        assert held(state) == frozenset({"apple", "salmon"})
         state = world1.execute(state, cmd("find(bread)")).state
         out = world1.execute(state, cmd("grab(bread)"))
         assert (out.ok, out.reason) == (False, "precondition_unsatisfied")
@@ -154,8 +155,8 @@ class TestExecuteCommand:
         before = scene1.initial_state
         after = world1.execute(before, cmd("find(apple)")).state
         touched = {"CLOSE_TO", "FACING"}
-        untouched_before = {p for p in before.predicates if p.predicate not in touched}
-        untouched_after = {p for p in after.predicates if p.predicate not in touched}
+        untouched_before = {p for p in before if p.predicate not in touched}
+        untouched_after = {p for p in after if p.predicate not in touched}
         assert untouched_before == untouched_after
 
     def test_exclusivity_preserved_along_goal_plans(self, bundle):
@@ -165,7 +166,7 @@ class TestExecuteCommand:
             state = scene.initial_state
             for c in task.goal_plan:
                 state = world.execute(state, c).state
-                assert state.invariant_violations() == []
+                assert invariant_violations(state) == []
 
 
 class TestInvariantProperty:
@@ -177,7 +178,7 @@ class TestInvariantProperty:
         # again; unknown actions and objects must fail cleanly.
         objects = st.sampled_from(data.draw(st.lists(
             st.sampled_from(sorted(scene.objects)), min_size=1, max_size=3)) + ["doorknob"])
-        arity = {name: bundle.catalog.get(name).arity for name in bundle.catalog.action_names}
+        arity = {name: bundle.catalog.get(name).arity for name in sorted(bundle.catalog)}
         arity["flomp"] = 1
         command = st.builds(lambda action, args: Command(action, tuple(args[:arity[action]])),
                             st.sampled_from(sorted(arity)), st.lists(objects, min_size=2,
@@ -188,14 +189,14 @@ class TestInvariantProperty:
         state = scene.initial_state
         for c in commands:
             state = world.execute(state, c).state
-            assert state.invariant_violations() == []
+            assert invariant_violations(state) == []
 
 
 def _reference_effects(schema, state, command):
     """The state after ``command``'s effects, each wildcard delete rebuilding
     the predicate set as the simulator first did."""
     binding = {f"?{i + 1}": arg for i, arg in enumerate(command.args)}
-    predicates = set(state.predicates)
+    predicates = set(state)
     for tpl in schema.del_effects:
         args = tpl.substitute(binding)
         if "*" in args:
@@ -223,7 +224,7 @@ class TestWildcardDeleteProperty:
         world = World(bundle.catalog, scene.objects)
         objects = st.sampled_from(data.draw(st.lists(
             st.sampled_from(sorted(scene.objects)), min_size=1, max_size=3)))
-        wildcard = [name for name in bundle.catalog.action_names
+        wildcard = [name for name in sorted(bundle.catalog)
                     if any("*" in tpl.args for tpl in bundle.catalog.get(name).del_effects)]
 
         def command(actions):
@@ -233,13 +234,13 @@ class TestWildcardDeleteProperty:
 
         # Half the draws are actions with a wildcard delete.
         commands = data.draw(st.lists(st.one_of(command(wildcard),
-                                                command(bundle.catalog.action_names)),
+                                                command(sorted(bundle.catalog))),
                                       min_size=20, max_size=60))
         state = scene.initial_state
         for c in commands:
             outcome = world.execute(state, c)
             if outcome.ok:
-                assert outcome.state.predicates == _reference_effects(
+                assert outcome.state == _reference_effects(
                     bundle.catalog.get(c.action), state, c)
             state = outcome.state
 
@@ -247,13 +248,13 @@ class TestWildcardDeleteProperty:
 def _reference_precondition_met(state, tpl, binding):
     args = tpl.substitute(binding)
     if tpl.predicate == HANDS_FREE:
-        result = len(state.held) < HAND_CAPACITY
+        result = len(held(state)) < HAND_CAPACITY
     else:
         pred = StatePredicate(tpl.predicate, args[0], args[1] if len(args) > 1 else None)
-        result = state.holds(pred)
+        result = pred in state
         # Held objects travel with the agent.
         if not result and tpl.predicate == "CLOSE_TO" and args[0] == AGENT:
-            result = args[1] in state.held
+            result = args[1] in held(state)
     return not result if tpl.negated else result
 
 
@@ -288,7 +289,7 @@ def _reference_execute(world, state, command):
                 False, state, FAIL_PRECONDITION,
                 f"requires {polarity}{tpl.predicate}{tpl.substitute(binding)}",
             )
-    return ExecutionOutcome(True, WorldState(_reference_effects(schema, state, command)))
+    return ExecutionOutcome(True, frozenset(_reference_effects(schema, state, command)))
 
 
 class TestExecuteMatchesReference:
@@ -304,7 +305,7 @@ class TestExecuteMatchesReference:
         world = World(bundle.catalog, scene.objects)
         objects = st.sampled_from(data.draw(st.lists(
             st.sampled_from(sorted(scene.objects)), min_size=2, max_size=4)) + ["doorknob"])
-        arity = {name: bundle.catalog.get(name).arity for name in bundle.catalog.action_names}
+        arity = {name: bundle.catalog.get(name).arity for name in sorted(bundle.catalog)}
         # Hand actions are drawn more often, so that held objects and full
         # hands come up; one step in four takes the other arity.
         actions = st.one_of(st.sampled_from(sorted(arity) + ["flomp"]),
@@ -356,7 +357,7 @@ class TestAcceptedCatalogProperty:
     @given(data=st.data())
     def test_an_accepted_catalog_executes_any_command_of_its_arity(self, catalog_path, data):
         """Catalogs of one or two actions, each with 0-2 drawn templates in
-        preconditions, add and del: if ``ActionCatalog.from_file`` accepts
+        preconditions, add and del: if ``load_catalog`` accepts
         one, ``World.execute`` returns an outcome, never raises, for every
         command of an action's declared arity, the same object twice included."""
         actions = data.draw(st.lists(st.fixed_dictionaries({
@@ -367,7 +368,7 @@ class TestAcceptedCatalogProperty:
             action["name"] = f"act{number}"
         catalog_path.write_text(json.dumps(actions), encoding="utf-8")
         try:
-            catalog = ActionCatalog.from_file(catalog_path)
+            catalog = load_catalog(catalog_path)
         except CatalogError:
             return
         world = World(catalog, {name: ObjectInstance(name, name) for name in ("a", "b")})
@@ -375,7 +376,7 @@ class TestAcceptedCatalogProperty:
             lambda action, args: Command(action["name"], tuple(args[:action["arity"]])),
             st.sampled_from(actions), st.lists(st.sampled_from(["a", "b"]), min_size=2, max_size=2)),
             min_size=1, max_size=8))
-        state = WorldState(frozenset({StatePredicate("CLOSE_TO", AGENT, "a")}))
+        state = frozenset({StatePredicate("CLOSE_TO", AGENT, "a")})
         for command in commands:
             state = world.execute(state, command).state
 
@@ -385,8 +386,8 @@ class TestStateDiff:
         assert state_diff(scene1.initial_state, scene1.initial_state) == frozenset()
 
     def test_single_element(self):
-        a = WorldState(frozenset())
-        b = WorldState(frozenset({StatePredicate("INSIDE", "salmon", "microwave")}))
+        a = frozenset()
+        b = frozenset({StatePredicate("INSIDE", "salmon", "microwave")})
         assert state_diff(a, b) == {StatePredicate("INSIDE", "salmon", "microwave")}
 
     def test_diff_properties_random(self):
@@ -395,11 +396,11 @@ class TestStateDiff:
         for _ in range(50):
             pool = [StatePredicate("CLEAN", n) for n in names]
             pool += [StatePredicate("INSIDE", n, m) for n in names for m in names if n != m]
-            sa = WorldState(frozenset(rng.sample(pool, rng.randint(0, 10))))
-            sb = WorldState(frozenset(rng.sample(pool, rng.randint(0, 10))))
+            sa = frozenset(rng.sample(pool, rng.randint(0, 10)))
+            sb = frozenset(rng.sample(pool, rng.randint(0, 10)))
             d = state_diff(sa, sb)
-            assert d <= sb.predicates
-            assert not (d & sa.predicates)
+            assert d <= sb
+            assert not (d & sa)
 
     def test_apple_in_fridge_goal_plan_diff(self, bundle, world1, scene1):
         task = next(t for t in bundle.tasks if t.task_name == "put apple in fridge")
