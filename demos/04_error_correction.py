@@ -7,7 +7,6 @@ correcting executor, which falls back to siblings and backtracks on failure.
 
 from votetree import (
     ExecutionMode,
-    SelectionStrategy,
     World,
     build_vote_tree,
     execute_tree,
@@ -48,10 +47,10 @@ def show(label, trace):
     print(f"  -> salmon in microwave: {inside}, microwave on: {cooking}")
 
 
-blind = ExecutionMode(kind="no_correction", selection=SelectionStrategy("max_vote"))
+blind = ExecutionMode(kind="no_correction", selection="max_vote")
 show("no correction (greedy walk)", execute_tree(root, world.execute, scene.initial_state, blind))
 
-correcting = ExecutionMode(kind="with_correction", selection=SelectionStrategy("max_vote"))
+correcting = ExecutionMode(kind="with_correction", selection="max_vote")
 show("with correction (fallback + backtracking)",
      execute_tree(root, world.execute, scene.initial_state, correcting))
 

@@ -20,7 +20,7 @@ from .providers import (
     SyntheticProvider,
     synthesize_noisy_plans,
 )
-from .tree import SelectionStrategy, build_vote_tree, render_outline, tree_stats, tree_to_dict
+from .tree import build_vote_tree, render_outline, tree_stats, tree_to_dict
 from .world import World, state_diff
 
 __version__ = "0.1.0"

@@ -38,7 +38,6 @@ from .providers import atomic_write
 from .tree import (
     MAX_VOTE,
     SELECTIONS,
-    SelectionStrategy,
     build_vote_tree,
     render_outline,
     tree_from_dict,
@@ -101,11 +100,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
         root = tree_from_dict(json_document(args.tree, DatasetError))
     scene = load_scene(args.scene)
     world = World(load_catalog(args.actions or DATA_DIR / "actions.json"), scene.objects)
-    mode = ExecutionMode(
-        kind=args.mode,
-        selection=SelectionStrategy(kind=args.selection, rng_seed=args.seed),
-        termination=args.termination,
-    )
+    mode = ExecutionMode(args.mode, args.selection, args.termination, args.seed)
     trace = run_episode(world, scene.initial_state, root, mode, args.step_limit).trace
     doc = {"termination": trace.termination, "steps": serialize_trace(trace)}
     out = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -12,12 +12,13 @@ every command regardless of outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import INTEGER_AT_LEAST_1, check_choice, check_value
 from .plans import Command
-from .tree import SelectionStrategy, VoteTreeNode, select_child
+from .tree import MAX_VOTE, RANDOM, SELECTIONS, VoteTreeNode, select_child
 from .world import ExecutionOutcome, World, WorldState, state_diff
 
 NO_CORRECTION = "no_correction"
@@ -38,16 +39,19 @@ DEFAULT_STEP_LIMIT = 50
 CommandRunner = Callable[[WorldState, Command], ExecutionOutcome]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionMode:
-    """How the tree is traversed and when traversal stops."""
+    """How the tree is traversed and when traversal stops.  A value: each walk
+    starts its own random selection stream at ``seed``, which max_vote never reads."""
 
     kind: str = WITH_CORRECTION
-    selection: SelectionStrategy = field(default_factory=SelectionStrategy)
+    selection: str = MAX_VOTE
     termination: str = TERMINATE_CHILDLESS
+    seed: int = 0
 
     def __post_init__(self) -> None:
         check_choice("mode", self.kind, MODES)
+        check_choice("selection", self.selection, SELECTIONS)
         check_choice("termination", self.termination, TERMINATIONS)
 
 
@@ -91,12 +95,13 @@ def execute_tree(
     """
     check_value("step_limit", step_limit, INTEGER_AT_LEAST_1)
     correcting = mode.kind == WITH_CORRECTION
+    rng = random.Random(mode.seed) if mode.selection == RANDOM else None
     levels: list[tuple[tuple[str, ...], dict[str, VoteTreeNode]]] = [((), dict(root.children))]
     state = initial_state
     steps: list[StepRecord] = []
     while True:
         path, untried = levels[-1]
-        child = select_child(untried, mode.selection)
+        child = select_child(untried, rng)
         if child is None:
             # Every child here was tried.  Without correction that is only an
             # empty root.  With correction the episode is over at the root;

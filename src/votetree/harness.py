@@ -66,7 +66,7 @@ from .providers import (
     atomic_write,
     derive_seed,
 )
-from .tree import MAX_VOTE, SelectionStrategy, VoteTreeNode, build_vote_tree, tree_to_dict
+from .tree import MAX_VOTE, VoteTreeNode, build_vote_tree, tree_to_dict
 from .world import (
     ActionCatalog,
     Scene,
@@ -143,7 +143,7 @@ class RunConfig:
                 check_value(name, getattr(self, name), rule)
         check_choice("provider", self.provider, (SYNTHETIC, REPLAY, REMOTE))
         NoiseModel(self.drop_prob, self.swap_prob, self.insert_prob)
-        ExecutionMode(self.mode, SelectionStrategy(self.selection), self.termination)
+        ExecutionMode(self.mode, self.selection, self.termination)
         if self.provider != SYNTHETIC and not self.fixtures_dir:
             raise ConfigError(f"{self.provider} provider needs fixtures_dir")
 
@@ -192,7 +192,8 @@ def load_dataset(config: RunConfig | None = None) -> DatasetBundle:
     slugs: dict[str, Task] = {}  # a task's slug names its episode directory
     for task in tasks:
         if task.scene_id not in scenes:
-            raise DatasetError(f"task {task.task_name!r} references unknown scene {task.scene_id!r}")
+            raise DatasetError(f"{tasks_path}: task {task.task_name!r} references unknown scene "
+                               f"{task.scene_id!r}")
         taken = slugs.setdefault(slug := instruction_slug(task.task_name), task)
         if taken is not task:
             raise DatasetError(f"{tasks_path}: tasks {taken.task_name!r} and {task.task_name!r} "
@@ -348,7 +349,7 @@ def run_one_episode(task: Task, rep: int, memo: RunMemo) -> tuple[EpisodeResult,
     except (EmptyCommandPoolError, NoPlansError) as exc:
         root, error = VoteTreeNode(), str(exc)
     seed = derive_seed(config.master_seed, rep, task.task_name, "selection")
-    mode = ExecutionMode(config.mode, SelectionStrategy(config.selection, seed), config.termination)
+    mode = ExecutionMode(config.mode, config.selection, config.termination, seed)
     episode = run_episode(memo.worlds[task.scene_id], scene.initial_state, root, mode,
                           config.step_limit)
     return episode, PipelineArtifacts(len(pool), root, diagnostics, error)

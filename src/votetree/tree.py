@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DatasetError, NoPlansError, check_choice
+from .errors import DatasetError, NoPlansError
 from .plans import Command, Plan
 
 MAX_VOTE = "max_vote"
@@ -62,34 +62,21 @@ def build_vote_tree(plans: list[Plan]) -> VoteTreeNode:
     return root
 
 
-@dataclass
-class SelectionStrategy:
-    """Child selection policy: vote-greedy (deterministic) or seeded random."""
-
-    kind: str = MAX_VOTE
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_choice("selection", self.kind, SELECTIONS)
-        # max_vote never draws, so only random selection seeds a stream.
-        self._rng = random.Random(self.rng_seed) if self.kind == RANDOM else None
-
-
 def select_child(
-    children: Mapping[str, VoteTreeNode], strategy: SelectionStrategy
+    children: Mapping[str, VoteTreeNode], rng: random.Random | None = None
 ) -> VoteTreeNode | None:
     """Pick one of ``children`` (keyed by canonical form), or None when there are none.
 
-    max_vote takes the highest vote, breaking ties toward the
-    lexicographically smallest canonical form; random draws uniformly from
-    the strategy's seeded stream.  Both are independent of dict insertion
+    Without ``rng`` (max_vote) the highest vote wins, ties going to the
+    lexicographically smallest canonical form; with it (random) the pick is
+    a uniform draw from ``rng``.  Both are independent of dict insertion
     order.
     """
     if not children:
         return None
     ordered_keys = sorted(children)
-    if strategy.kind == RANDOM:
-        return children[strategy._rng.choice(ordered_keys)]
+    if rng is not None:
+        return children[rng.choice(ordered_keys)]
     return max((children[k] for k in ordered_keys), key=lambda ch: ch.vote)
 
 

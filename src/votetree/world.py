@@ -234,8 +234,8 @@ def load_scene(document: Mapping | str | Path) -> Scene:
     """Load and validate a scene document, given as a dict or a JSON file path.
 
     Raises SceneError naming the file (for a dict, the scene) on malformed
-    input (a ``scene_id`` or object id that is not a string among it),
-    duplicate ids or predicate references to unknown objects.
+    input (a ``scene_id`` that is not a string, an object id that is not a
+    lowercase token), duplicate ids or predicate references to unknown objects.
     """
     source = f"scene {document.get('scene_id')!r}" if isinstance(document, Mapping) else document
     with reading(source, SceneError):
@@ -249,8 +249,8 @@ def load_scene(document: Mapping | str | Path) -> Scene:
 
         objects: dict[str, ObjectInstance] = {}
         for entry in document.get("objects", []):
-            if type(entry["id"]) is not str:
-                raise SceneError(f"object id must be a string, got {entry['id']!r}")
+            if type(entry["id"]) is not str or not _TOKEN_RE.fullmatch(entry["id"]):
+                raise SceneError(f"object id must be a lowercase token, got {entry['id']!r}")
             obj = ObjectInstance(
                 id=entry["id"],
                 class_name=entry.get("class_name", entry["id"]),

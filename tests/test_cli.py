@@ -10,7 +10,7 @@ from votetree import cli, harness
 from votetree.cli import main
 from votetree.executor import TERMINATE_CHILDLESS, TERMINATIONS
 from votetree.harness import RunConfig, record_suite
-from votetree.prompts import DATA_DIR, instruction_slug
+from votetree.prompts import DATA_DIR, instruction_slug, seen_task_names
 
 
 @pytest.fixture(scope="module")
@@ -387,7 +387,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     text_gcr = json.dumps({"kind": "episode", "rep": 0, "task_index": 0, "gcr": "x", "exec": 1.0})
     int_method = json.dumps({"kind": "run", "method": 5, "repetitions": 1, "master_seed": 1})
     for name, lines in (("bad-line", [run_record, "3"]), ("no-gcr", [run_record, no_gcr]),
-                        ("text-gcr", [run_record, text_gcr]), ("int-method", [int_method, no_gcr.replace('"exec"', '"gcr": 1.0, "exec"')])):
+                        ("text-gcr", [run_record, text_gcr]), ("int-method", [int_method, no_gcr.replace('"exec"', '"gcr": 1.0, "exec"')]),
+                        ("header-only", [run_record])):
         (tmp_path / name).mkdir()
         (tmp_path / name / "metrics.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     documents = {"no-vote": {"command": None, "children": []},
@@ -440,10 +441,23 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
              "duplicate-find-actions.json": extended("find"),
              "unlisted-required-actions.json": edited("grab", "required_properties", "GRABBABLE"),
              "two-required-actions.json": edited("grab", "required_properties", [["GRABBABLE"], []]),
+             "unparsed-template-actions.json": edited(
+                 "open", "preconditions", action["open"]["preconditions"] + ["OPEN fridge"]),
+             "flying-actions.json": edited("open", "add", ["FLYING(?1)"]),
+             "undeclared-parameter-actions.json": edited("open", "add", ["INSIDE(?1, ?2)"]),
+             "wildcard-precondition-actions.json": edited("find", "preconditions",
+                                                          ["CLOSE_TO(agent, *)"]),
+             "literal-actions.json": edited("grab", "add",
+                                            action["grab"]["add"] + ["ON_TOP(?1, table)"]),
              "string-properties/s.json": b'{"scene_id": "kitchen", "objects": '
                                          b'[{"id": "apple", "properties": "GRABBABLE"}], "init": []}',
              "int-name-tasks.json": b'[{"task_name": 5, "scene_id": "scene1", '
-                                    b'"goal_plan": ["find(\'salmon\')"]}]'}
+                                    b'"goal_plan": ["find(\'salmon\')"]}]',
+             "nowhere-tasks.json": b'[{"task_name": "wash mug", "scene_id": "nowhere", '
+                                   b'"goal_plan": ["find(mug)"]}]',
+             "seen-tasks.json": json.dumps([t for t in json.loads(
+                 (DATA_DIR / "tasks.json").read_text(encoding="utf-8"))
+                 if t["task_name"] in seen_task_names()]).encode()}
     for name, data in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(data)
@@ -452,7 +466,15 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                        ("newline-class", lambda d: d["objects"][0].update(
                            class_name=d["objects"][0]["class_name"] + "\n")),
                        ("no-scene-id", lambda d: d.pop("scene_id")),
-                       ("agent-object", lambda d: d["objects"].append({"id": "agent"}))):
+                       ("agent-object", lambda d: d["objects"].append({"id": "agent"})),
+                       ("call-id", lambda d: d["objects"].append(
+                           {"id": "find(x)", "class_name": "apple"})),
+                       ("empty-id", lambda d: d["objects"].append({"id": "", "class_name": "apple"})),
+                       *((name, lambda d, text=text: d["init"].append(text))
+                         for name, text in (("binary-open-init", "OPEN(fridge, microwave)"),
+                                            ("unary-inside-init", "INSIDE(salmon)"),
+                                            ("flying-init", "FLYING(salmon)"),
+                                            ("sentence-init", "salmon is open")))):
         shutil.copytree(DATA_DIR / "scenes", tmp_path / name)
         doc = json.loads((tmp_path / name / "scene1.json").read_text(encoding="utf-8"))
         edit(doc)
@@ -460,6 +482,10 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     (tmp_path / "no-scenes").mkdir()
     (tmp_path / "taken").write_text("a file, not a directory", encoding="utf-8")
     (tmp_path / "run-ok.json").write_text('{"master_seed": 1, "repetitions": 1}', encoding="utf-8")
+    (tmp_path / "run-seen.json").write_text(json.dumps(
+        {"master_seed": 1, "repetitions": 1, "dataset": str(tmp_path / "seen-tasks.json"),
+         "output_dir": str(tmp_path / "out")}),
+        encoding="utf-8")
     configs = {"latin1-tasks.json": {"dataset": "latin1-tasks.json"},
                "latin1-scenes/s.json": {"scenes_dir": "latin1-scenes"},
                "string-task.json": {"dataset": "string-task.json"},
@@ -482,12 +508,25 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                "duplicate-find-actions.json": {"actions": "duplicate-find-actions.json"},
                "unlisted-required-actions.json": {"actions": "unlisted-required-actions.json"},
                "two-required-actions.json": {"actions": "two-required-actions.json"},
+               "unparsed-template-actions.json": {"actions": "unparsed-template-actions.json"},
+               "flying-actions.json": {"actions": "flying-actions.json"},
+               "undeclared-parameter-actions.json": {"actions": "undeclared-parameter-actions.json"},
+               "wildcard-precondition-actions.json": {
+                   "actions": "wildcard-precondition-actions.json"},
+               "literal-actions.json": {"actions": "literal-actions.json"},
                "string-properties/s.json": {"scenes_dir": "string-properties"},
                "int-id/scene1.json": {"scenes_dir": "int-id"},
                "list-scene-id/scene1.json": {"scenes_dir": "list-scene-id"},
                "newline-class/scene1.json": {"scenes_dir": "newline-class"},
                "no-scene-id/scene1.json": {"scenes_dir": "no-scene-id"},
                "agent-object/scene1.json": {"scenes_dir": "agent-object"},
+               "call-id/scene1.json": {"scenes_dir": "call-id"},
+               "empty-id/scene1.json": {"scenes_dir": "empty-id"},
+               "binary-open-init/scene1.json": {"scenes_dir": "binary-open-init"},
+               "unary-inside-init/scene1.json": {"scenes_dir": "unary-inside-init"},
+               "flying-init/scene1.json": {"scenes_dir": "flying-init"},
+               "sentence-init/scene1.json": {"scenes_dir": "sentence-init"},
+               "nowhere-tasks.json": {"dataset": "nowhere-tasks.json"},
                "int-name-tasks.json": {"dataset": "int-name-tasks.json"},
                "no-scenes": {"scenes_dir": "no-scenes"}}
     for named, paths in configs.items():
@@ -496,11 +535,30 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
         (tmp_path / f"run-{named.replace('/', '-')}").write_text(json.dumps(doc), encoding="utf-8")
     # What follows the file's name in the error, where a row pins the whole message.
     grab = f" entry {catalog.index(action['grab'])}: action 'grab'"
+    entry = {name: f" entry {catalog.index(action[name])}: " for name in ("find", "open", "grab")}
     messages = {"duplicate-find-actions.json": ": duplicate action schema 'find'",
                 "unlisted-required-actions.json": f"{grab}: required_properties must be a list",
                 "two-required-actions.json": f"{grab}: more property lists than parameters",
                 "no-scene-id/scene1.json": ": missing 'scene_id'",
-                "agent-object/scene1.json": ": object id 'agent' is reserved"}
+                "agent-object/scene1.json": ": object id 'agent' is reserved",
+                "call-id/scene1.json": ": object id must be a lowercase token, got 'find(x)'",
+                "empty-id/scene1.json": ": object id must be a lowercase token, got ''",
+                "binary-open-init/scene1.json": ": OPEN is unary, got second object 'microwave'",
+                "unary-inside-init/scene1.json": ": INSIDE is binary and needs a second object",
+                "flying-init/scene1.json": ": unknown predicate token 'FLYING'; expected one of "
+                                           "['CLEAN', 'CLOSED', 'CLOSE_TO', 'DIRTY', 'FACING', "
+                                           "'HELD_BY_AGENT', 'INSIDE', 'OFF', 'ON', 'ON_TOP', 'OPEN']",
+                "sentence-init/scene1.json": ": cannot parse predicate string 'salmon is open'",
+                "unparsed-template-actions.json": f"{entry['open']}cannot parse template 'OPEN fridge'",
+                "flying-actions.json": f"{entry['open']}template 'FLYING(?1)': unknown predicate "
+                                       "'FLYING'",
+                "undeclared-parameter-actions.json": f"{entry['open']}template 'INSIDE(?1, ?2)': "
+                                                     "parameter '?2' not declared (arity 1)",
+                "wildcard-precondition-actions.json": f"{entry['find']}template 'CLOSE_TO(agent, "
+                                                      "*)': wildcard only allowed in delete effects",
+                "literal-actions.json": f"{entry['grab']}template 'ON_TOP(?1, table)': literal "
+                                        "'table' (only ?1, ?2, agent, * allowed)",
+                "nowhere-tasks.json": ": task 'wash mug' references unknown scene 'nowhere'"}
     capsys.readouterr()
     for argv, named in ((["run", "--config", missing], "missing.json"),
                         (["run", "--config", str(not_json)], "line 1"),
@@ -516,6 +574,12 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                          "text-gcr/metrics.jsonl: an episode record has a bad value"),
                         (["metrics", "--results", str(tmp_path / "int-method")],
                          "int-method/metrics.jsonl line 1: method must be a string"),
+                        (["metrics", "--results", str(tmp_path / "header-only")],
+                         f"error: no episode records in {tmp_path}/header-only/metrics.jsonl\n"),
+                        (["run", "--config", str(tmp_path / "run-seen.json")],
+                         "error: no tasks to evaluate after applying the seen-task split\n"),
+                        (["record", "--config", str(tmp_path / "run-ok.json")],
+                         "error: record needs fixtures_dir\n"),
                         (["execute", "--tree", str(tmp_path / "no-vote.json"), "--scene", str(scene)],
                          "no-vote.json: missing field 'vote'"),
                         (["execute", "--tree", str(tmp_path / "no-command.json"), "--scene",

@@ -17,7 +17,6 @@ from votetree.plans import Command
 from votetree.providers import NoiseModel, derive_seed, synthesize_noisy_plans
 from votetree.tree import (
     SELECTIONS,
-    SelectionStrategy,
     VoteTreeNode,
     build_vote_tree,
     select_child,
@@ -115,7 +114,7 @@ class TestNoCorrection:
             static_path = []
             node = tree
             while node.children:
-                node = select_child(node.children, SelectionStrategy("max_vote"))
+                node = select_child(node.children, None)
                 static_path.append(node.key)
             outcomes = {c.canonical_form: rng.random() < 0.5 for c in commands}
             mode = ExecutionMode(kind="no_correction")
@@ -176,7 +175,7 @@ class TestStructuralProperties:
             tree = self._random_tree(rng)
             bound = tree_stats(tree).node_count
             outcomes = {f"c{i}(x)": rng.random() < 0.6 for i in range(8)}
-            mode = ExecutionMode(selection=SelectionStrategy(selection, rng_seed=trial))
+            mode = ExecutionMode(selection=selection, seed=trial)
             trace = execute_tree(
                 tree, scripted_runner(outcomes), frozenset(), mode, step_limit=10_000
             )
@@ -209,14 +208,14 @@ class TestStructuralProperties:
                        min_size=1, max_size=12),
         failing=st.sets(st.sampled_from(COMMANDS)),
         selection=st.sampled_from(["max_vote", "random"]),
-        rng_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
         step_limit=st.integers(1, 60),
     )
     def test_correction_terminates_and_never_reattempts_a_node(
-        self, plans, failing, selection, rng_seed, step_limit
+        self, plans, failing, selection, seed, step_limit
     ):
         tree = build_vote_tree([plan_of(*p) for p in plans])
-        mode = ExecutionMode(selection=SelectionStrategy(selection, rng_seed=rng_seed))
+        mode = ExecutionMode(selection=selection, seed=seed)
         outcomes = {c: c not in failing for c in self.COMMANDS}
         trace = execute_tree(tree, scripted_runner(outcomes), frozenset(), mode, step_limit)
         assert trace.attempted <= step_limit
@@ -245,9 +244,10 @@ def reference_walk(root, run_command, state, mode, step_limit):
     failed child from the copy, deletes a node with no children left from its
     parent and climbs parent links to backtrack."""
     correcting = mode.kind == "with_correction"
+    rng = random.Random(mode.seed) if mode.selection == "random" else None
     node, steps = EditableNode(root), []
     while True:
-        child = select_child(node.children, mode.selection)
+        child = select_child(node.children, rng)
         if child is None:
             if not correcting or node.parent is None:
                 return steps, state, "exhausted" if correcting else "completed"
@@ -287,21 +287,18 @@ class TestMatchesReferenceWalk:
         kind=st.sampled_from(MODES),
         selection=st.sampled_from(SELECTIONS),
         termination=st.sampled_from(TERMINATIONS),
-        rng_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
         step_limit=st.integers(1, 60),
     )
     def test_execute_tree_equals_the_clone_and_remove_walk(
-        self, plans, failing, kind, selection, termination, rng_seed, step_limit
+        self, plans, failing, kind, selection, termination, seed, step_limit
     ):
         tree = build_vote_tree([plan_of(*p) for p in plans])
         before = tree_to_dict(tree)
-
-        def mode():
-            return ExecutionMode(kind, SelectionStrategy(selection, rng_seed), termination)
-
+        mode = ExecutionMode(kind, selection, termination, seed)
         runner = self.logging_runner(failing)
-        trace = execute_tree(tree, runner, (), mode(), step_limit)
-        steps, state, end = reference_walk(tree, runner, (), mode(), step_limit)
+        trace = execute_tree(tree, runner, (), mode, step_limit)
+        steps, state, end = reference_walk(tree, runner, (), mode, step_limit)
         assert [(s.command, s.ok, s.reason, s.node_path) for s in trace.steps] == steps
         assert [s.index for s in trace.steps] == list(range(len(steps)))
         assert (trace.final_state, trace.termination) == (state, end)

@@ -38,7 +38,7 @@ from votetree.metrics import format_table
 from votetree.plans import Command
 from votetree.prompts import DATA_DIR, PROG, instruction_slug
 from votetree.providers import NoiseModel, RemoteProvider, derive_seed
-from votetree.tree import SELECTIONS, SelectionStrategy, build_vote_tree, tree_to_dict
+from votetree.tree import SELECTIONS, build_vote_tree, tree_to_dict
 from votetree.world import World, derive_goal_conditions, load_scene
 
 from conftest import FakeTransport, plan_of
@@ -85,7 +85,7 @@ class TestRunConfig:
         "insert_prob": lambda v: NoiseModel(insert_prob=v),
         "mode": lambda v: ExecutionMode(kind=v),
         "termination": lambda v: ExecutionMode(termination=v),
-        "selection": lambda v: SelectionStrategy(kind=v),
+        "selection": lambda v: ExecutionMode(selection=v),
     }
 
     @pytest.mark.parametrize("name", OWNERS)

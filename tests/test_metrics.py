@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from votetree.executor import ExecutionTrace, StepRecord
@@ -142,6 +142,13 @@ class TestMeanStdMatchesNumpy:
         # per-repetition ratios such as SR over 31 tasks, the values runs aggregate
         st.lists(st.integers(0, 31).map(lambda k: k / 31), min_size=1, max_size=40),
     ))
+    # 8, 9, 128 and 129 values straddle the sizes where numpy's summation order
+    # changes, and the running and pairwise sums of n copies of 0.1 differ in
+    # the last bit at each.
+    @example([0.1] * 8)
+    @example([0.1] * 9)
+    @example([0.1] * 128)
+    @example([0.1] * 129)
     def test_matches_numpy(self, numpy, values):
         arr = numpy.asarray(values, dtype=float)
         assert mean_std(values) == (float(arr.mean()), float(arr.std()))

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from votetree.errors import ConfigError, NoPlansError
+from votetree.executor import ExecutionMode
 from votetree.plans import Command
 from votetree.tree import (
-    SelectionStrategy,
     build_vote_tree,
     render_outline,
     select_child,
@@ -119,30 +119,30 @@ class TestBuildVoteTree:
 class TestSelectChild:
     def test_max_vote_picks_highest(self, worked_tree):
         a = worked_tree.children["a(x)"]
-        chosen = select_child(a.children, SelectionStrategy("max_vote"))
+        chosen = select_child(a.children, None)
         assert chosen.key == "b(x)"
 
     def test_lexicographic_tie_break(self):
         plans = [plan_of("a(x)", "c(x)"), plan_of("a(x)", "b(x)")]
         a = build_vote_tree(plans).children["a(x)"]
-        assert select_child(a.children, SelectionStrategy("max_vote")).key == "b(x)"
+        assert select_child(a.children, None).key == "b(x)"
 
     def test_childless_returns_none(self, worked_tree):
         leaf = worked_tree.children["a(x)"].children["b(x)"]
-        assert select_child(leaf.children, SelectionStrategy("max_vote")) is None
+        assert select_child(leaf.children, None) is None
 
     def test_random_is_seeded_and_uniformish(self, worked_tree):
         a = worked_tree.children["a(x)"]
-        picks_one = [select_child(a.children, SelectionStrategy("random", rng_seed=s)).key
+        picks_one = [select_child(a.children, random.Random(s)).key
                      for s in range(40)]
-        picks_two = [select_child(a.children, SelectionStrategy("random", rng_seed=s)).key
+        picks_two = [select_child(a.children, random.Random(s)).key
                      for s in range(40)]
         assert picks_one == picks_two
         assert set(picks_one) == {"b(x)", "c(x)"}
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):
-            SelectionStrategy("coin_flip")
+            ExecutionMode(selection="coin_flip")
 
 
 class TestRemoveChild:
@@ -150,10 +150,9 @@ class TestRemoveChild:
 
     def test_runner_up_selected_after_removal(self, worked_tree):
         a = worked_tree.children["a(x)"]
-        strategy = SelectionStrategy("max_vote")
         untried = dict(a.children)
-        del untried[select_child(untried, strategy).key]
-        assert select_child(untried, strategy).key == "c(x)"
+        del untried[select_child(untried, None).key]
+        assert select_child(untried, None).key == "c(x)"
         assert set(a.children) == {"b(x)", "c(x)"}
 
 
