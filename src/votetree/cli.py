@@ -25,7 +25,6 @@ from .executor import (
     TERMINATIONS,
     WITH_CORRECTION,
     ExecutionMode,
-    ExecutionTrace,
     StepRecord,
     run_episode,
     serialize_trace,
@@ -77,22 +76,19 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_step(step: dict, position: int) -> StepRecord:
-    """One step of a trace file; its ``idx`` must be its position, and its
-    ``outcome`` ``"success"`` or ``"failure"``."""
-    if type(step["idx"]) is not int or step["idx"] != position:
-        raise DatasetError(f"step {position}: idx must be {position}, got {step['idx']!r}")
-    if step["outcome"] not in ("success", "failure"):
-        raise DatasetError(f"outcome must be 'success' or 'failure', got {step['outcome']!r}")
-    return StepRecord(position, Command.parse(step["command"]), step["outcome"] == "success",
-                      step.get("reason"), node_path=())
-
-
-def _read_trace(path: str) -> ExecutionTrace:
+def _read_steps(path: str) -> list[StepRecord]:
+    """The steps of a trace file; each step's ``idx`` must be its position, and
+    its ``outcome`` ``"success"`` or ``"failure"``."""
+    steps = []
     with reading(path, DatasetError):
-        doc = json_document(path, DatasetError)
-        steps = tuple(_read_step(step, i) for i, step in enumerate(doc["steps"]))
-    return ExecutionTrace(steps=steps, final_state=frozenset(), termination=doc.get("termination", "completed"))
+        for position, step in enumerate(json_document(path, DatasetError)["steps"]):
+            if type(step["idx"]) is not int or step["idx"] != position:
+                raise DatasetError(f"step {position}: idx must be {position}, got {step['idx']!r}")
+            if step["outcome"] not in ("success", "failure"):
+                raise DatasetError(f"outcome must be 'success' or 'failure', got {step['outcome']!r}")
+            steps.append(StepRecord(Command.parse(step["command"]), step["outcome"] == "success",
+                                    step.get("reason"), node_path=()))
+    return steps
 
 
 def _cmd_execute(args: argparse.Namespace) -> int:
@@ -118,9 +114,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    trace_a, trace_b = _read_trace(args.trace_a), _read_trace(args.trace_b)
-    report = plan_diff_report(trace_a, trace_b, labels=(args.label_a, args.label_b))
-    sys.stdout.write(report.render())
+    steps_a, steps_b = _read_steps(args.trace_a), _read_steps(args.trace_b)
+    sys.stdout.write(plan_diff_report(steps_a, steps_b, labels=(args.label_a, args.label_b)))
     return 0
 
 

@@ -57,7 +57,6 @@ class ExecutionMode:
 
 @dataclass(frozen=True)
 class StepRecord:
-    index: int
     command: Command
     ok: bool
     reason: str | None
@@ -117,7 +116,7 @@ def execute_tree(
         del untried[child.key]
         outcome = run_command(state, child.command)
         child_path = (*path, child.key)
-        steps.append(StepRecord(len(steps), child.command, outcome.ok, outcome.reason, child_path))
+        steps.append(StepRecord(child.command, outcome.ok, outcome.reason, child_path))
         if outcome.ok or not correcting:
             state = outcome.state
             if not child.children or (mode.termination == TERMINATE_END_MARKER and child.end_marker):
@@ -155,8 +154,8 @@ def run_episode(
 def serialize_trace(trace: ExecutionTrace) -> list[dict]:
     """Ordered step records as plain dicts for logs and reports."""
     records = []
-    for s in trace.steps:
-        rec = {"idx": s.index, "command": s.command.canonical_form, "outcome": "success" if s.ok else "failure"}
+    for i, s in enumerate(trace.steps):
+        rec = {"idx": i, "command": s.command.canonical_form, "outcome": "success" if s.ok else "failure"}
         if s.reason:
             rec["reason"] = s.reason
         records.append(rec)

@@ -13,8 +13,6 @@ import json
 import os
 import shutil
 import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -465,6 +463,9 @@ def _threaded(run_job, jobs: list, providers):
     last, and both pools are joined before this returns, so no thread of
     the run outlives it.
     """
+    from collections import deque  # both here: only a remote run pays for the imports
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     window: deque[Future] = deque()
     with RequestPool(MAX_INFLIGHT) as requests, \
             ThreadPoolExecutor(max_workers=MAX_INFLIGHT) as pool:
@@ -601,7 +602,8 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     bundle = bundle or load_dataset(config)
     tasks = evaluated_tasks(bundle, config.include_seen)
     if not tasks:
-        raise ConfigError("no tasks to evaluate after applying the seen-task split")
+        raise DatasetError(f"{config.dataset or DATA_DIR / 'tasks.json'}: no tasks to evaluate "
+                           "after applying the seen-task split")
 
     memo = RunMemo(config, bundle, tasks)
     jobs = [(rep, task_index, task) for rep in range(config.repetitions)

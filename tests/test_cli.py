@@ -158,27 +158,57 @@ def test_run_metrics_and_determinism(tmp_path, capsys):
 
 
 def test_diff_command(tmp_path, capsys):
-    trace_a = {
-        "termination": "completed",
-        "steps": [
-            {"idx": 0, "command": "find(salmon)", "outcome": "success"},
-            {"idx": 1, "command": "find(microwave)", "outcome": "success"},
-            {"idx": 2, "command": "find(microwave)", "outcome": "success"},
-        ],
+    """The whole report: a repeated command, an adjacent open/close pair and a
+    failed step on the longer side, and a trace diffed with itself."""
+    def step(command, outcome="success", **reason):
+        return {"command": command, "outcome": outcome, **reason}
+
+    traces = {
+        "a": [step("find(salmon)"), step("find(fridge)"), step("find(fridge)"),
+              step("open(fridge)"), step("close(fridge)"),
+              step("grab(salmon)", "failure", reason="not close to salmon"),
+              step("find(microwave)")],
+        "b": [step("find(salmon)"), step("grab(salmon)"), step("find(table)")],
     }
-    trace_b = {
-        "termination": "completed",
-        "steps": [{"idx": 0, "command": "find(salmon)", "outcome": "success"}],
-    }
-    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    pa.write_text(json.dumps(trace_a), encoding="utf-8")
-    pb.write_text(json.dumps(trace_b), encoding="utf-8")
-    rc = main(["diff", "--trace-a", str(pa), "--trace-b", str(pb),
-               "--label-a", "baseline", "--label-b", "votetree"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "[redundant]" in out
-    assert "votetree is strictly shorter" in out
+    for name, steps in traces.items():
+        doc = {"termination": "completed", "steps": [{"idx": i, **s} for i, s in enumerate(steps)]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    pa, pb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+
+    assert main(["diff", "--trace-a", pa, "--trace-b", pb,
+                 "--label-a", "baseline", "--label-b", "votetree"]) == 0
+    assert capsys.readouterr().out == (
+        "baseline (7 commands, 1 duplicates)\n"
+        "   0. find(salmon)                             [shared-necessary]\n"
+        "   1. find(fridge)                             [unique]\n"
+        "   2. find(fridge)                             [redundant]\n"
+        "   3. open(fridge)                             [redundant]\n"
+        "   4. close(fridge)                            [redundant]\n"
+        "   5. grab(salmon)                             [erroneous]\n"
+        "   6. find(microwave)                          [unique]\n"
+        "\n"
+        "votetree (3 commands, 0 duplicates)\n"
+        "   0. find(salmon)                             [shared-necessary]\n"
+        "   1. grab(salmon)                             [shared-necessary]\n"
+        "   2. find(table)                              [unique]\n"
+        "\n"
+        "votetree is strictly shorter (3 vs 7 commands).\n"
+    )
+
+    assert main(["diff", "--trace-a", pb, "--trace-b", pb]) == 0
+    assert capsys.readouterr().out == (
+        "a (3 commands, 0 duplicates)\n"
+        "   0. find(salmon)                             [shared-necessary]\n"
+        "   1. grab(salmon)                             [shared-necessary]\n"
+        "   2. find(table)                              [shared-necessary]\n"
+        "\n"
+        "b (3 commands, 0 duplicates)\n"
+        "   0. find(salmon)                             [shared-necessary]\n"
+        "   1. grab(salmon)                             [shared-necessary]\n"
+        "   2. find(table)                              [shared-necessary]\n"
+        "\n"
+        "both traces have the same length.\n"
+    )
 
 
 @pytest.mark.parametrize("command, target", [("run", "output_dir"), ("record", "fixtures_dir")])
@@ -577,7 +607,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                         (["metrics", "--results", str(tmp_path / "header-only")],
                          f"error: no episode records in {tmp_path}/header-only/metrics.jsonl\n"),
                         (["run", "--config", str(tmp_path / "run-seen.json")],
-                         "error: no tasks to evaluate after applying the seen-task split\n"),
+                         f"error: {tmp_path}/seen-tasks.json: no tasks to evaluate after applying "
+                         "the seen-task split\n"),
                         (["record", "--config", str(tmp_path / "run-ok.json")],
                          "error: record needs fixtures_dir\n"),
                         (["execute", "--tree", str(tmp_path / "no-vote.json"), "--scene", str(scene)],

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votetree import harness
-from votetree.diff import plan_diff_report
+from votetree.diff import classify, plan_diff_report
 from votetree.errors import ConfigError, DatasetError, ProviderError
 from votetree.executor import MODES, TERMINATIONS, ExecutionMode, execute_tree
 from votetree.harness import (
@@ -111,6 +111,20 @@ class TestSplit:
 
 
 class TestLoadDataset:
+    def test_import_and_load_dataset_leave_run_only_modules_unloaded(self):
+        """``import votetree`` and ``load_dataset()`` in a fresh interpreter
+        import neither the CLI nor a module that only a forked, remote or
+        failed run uses."""
+        lazy = ["multiprocessing", "mmap", "signal", "http.client", "urllib.request", "socket",
+                "concurrent.futures", "votetree.cli", "votetree.diff"]
+        code = ("import sys, votetree\n"
+                "votetree.load_dataset()\n"
+                f"print([name for name in {lazy!r} if name in sys.modules])\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert run.stdout == "[]\n"
+
     def test_two_tasks_with_one_slug_are_refused(self, tmp_path):
         """Both would write episodes/<slug>/<rep>/, so one's files would replace the other's."""
         tasks = [{"task_name": name, "scene_id": "scene1", "goal_plan": ["find(folder)"]}
@@ -1320,8 +1334,7 @@ class TestPlanDiff:
     def test_duplicate_find_flagged_redundant(self, fridge_world):
         world, state = fridge_world
         trace = self._trace(world, state, ["find(salmon)", "find(microwave)", "find(microwave)"])
-        report = plan_diff_report(trace, trace, labels=("x", "y"))
-        statuses = [e.status for e in report.entries[0]]
+        statuses, _ = classify(trace.steps, trace.steps)
         assert statuses[2] == "redundant"
         assert statuses[1] != "redundant"
 
@@ -1329,28 +1342,27 @@ class TestPlanDiff:
         world, state = fridge_world
         commands = ["find(salmon)", "grab(salmon)", "find(fridge)", "open(fridge)"]
         trace = self._trace(world, state, commands)
-        report = plan_diff_report(trace, trace, labels=("a", "b"))
-        for side in (0, 1):
-            assert all(e.status == "shared-necessary" for e in report.entries[side])
-        assert report.shorter_side is None
+        statuses, _ = classify(trace.steps, trace.steps)
+        assert all(status == "shared-necessary" for status in statuses)
+        report = plan_diff_report(trace.steps, trace.steps, labels=("a", "b"))
+        assert report.endswith("both traces have the same length.\n")
 
     def test_adjacent_open_close_pair_flagged(self, fridge_world):
         world, state = fridge_world
         trace = self._trace(world, state, ["find(fridge)", "open(fridge)", "close(fridge)"])
-        report = plan_diff_report(trace, trace, labels=("a", "b"))
-        statuses = [e.status for e in report.entries[0]]
+        statuses, _ = classify(trace.steps, trace.steps)
         assert statuses[1] == "redundant" and statuses[2] == "redundant"
 
     def test_erroneous_takes_priority(self, fridge_world):
         world, state = fridge_world
         trace = self._trace(world, state, ["grab(salmon)"])  # fails: not close
-        report = plan_diff_report(trace, trace, labels=("a", "b"))
-        assert report.entries[0][0].status == "erroneous"
+        statuses, _ = classify(trace.steps, trace.steps)
+        assert statuses[0] == "erroneous"
 
     def test_render_mentions_lengths(self, fridge_world):
         world, state = fridge_world
         a = self._trace(world, state, ["find(salmon)", "grab(salmon)"])
         b = self._trace(world, state, ["find(salmon)"])
-        text = plan_diff_report(a, b, labels=("long", "short")).render()
+        text = plan_diff_report(a.steps, b.steps, labels=("long", "short"))
         assert "long (2 commands" in text
         assert "short is strictly shorter (1 vs 2 commands)." in text

@@ -23,7 +23,7 @@ def preds(*names):
 
 def trace_with(outcomes):
     steps = tuple(
-        StepRecord(i, Command("a", (f"o{i}",)), ok, None if ok else "x", (f"a(o{i})",))
+        StepRecord(Command("a", (f"o{i}",)), ok, None if ok else "x", (f"a(o{i})",))
         for i, ok in enumerate(outcomes)
     )
     return ExecutionTrace(steps, frozenset(), "completed")

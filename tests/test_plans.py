@@ -49,6 +49,10 @@ class TestNormalize:
         with pytest.raises(ValueError):
             Command("find", ("a", "b", "c"))
 
+    def test_empty_action_rejected(self):
+        with pytest.raises(ValueError, match="^command has an empty action token$"):
+            Command("", ("x",))
+
 
 class TestParse:
     def test_simple_extraction(self):
@@ -147,6 +151,12 @@ class TestCorpusSplit:
 
     def test_plain_document_is_one_plan(self):
         assert split_corpus("find('a')\ngrab('a')") == ["find('a')\ngrab('a')"]
+
+    def test_text_before_the_first_separator_is_a_plan(self):
+        assert split_corpus("find(a)\n--- sample 1 ---\nfind(b)\n") == ["find(a)\n", "\nfind(b)\n"]
+
+    def test_whitespace_before_the_first_separator_is_dropped(self):
+        assert split_corpus(" \n\t\n--- sample 1 ---\nfind(b)\n") == ["\nfind(b)\n"]
 
 
 class TestExtractUniqueCommands:
