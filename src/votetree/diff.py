@@ -1,8 +1,9 @@
 """Qualitative comparison of two execution traces over the same task.
 
 Each attempted command is classified as shared with the other trace,
-unique to its own, redundant (a repeat, or half of an adjacent open/close
-pair) or erroneous (it failed), and the report says which trace is shorter.  ``votetree diff`` prints it.
+unique to its own, redundant (a repeat of an earlier successful command, or
+half of an adjacent open/close pair) or erroneous (it failed), and the report
+says which trace is shorter.  ``votetree diff`` prints it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ UNIQUE = "unique"
 
 
 def classify(steps: Sequence[StepRecord], other: Sequence[StepRecord]) -> tuple[list[str], int]:
-    """The status of each step, and how many successful steps repeat an earlier command."""
+    """The status of each step, and how many successful steps repeat an earlier
+    successful command (a failed step changed nothing, so a retry is no repeat)."""
     other_commands = {s.command.canonical_form for s in other}
     seen: set[str] = set()
     duplicates = 0
@@ -32,7 +34,7 @@ def classify(steps: Sequence[StepRecord], other: Sequence[StepRecord]) -> tuple[
             duplicates += 1
         else:
             status = SHARED if key in other_commands else UNIQUE
-        seen.add(key)
+            seen.add(key)
         statuses.append(status)
     # An open(x) immediately followed by close(x) is a no-op pair.
     for i in range(len(steps) - 1):

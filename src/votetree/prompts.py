@@ -65,38 +65,16 @@ def instruction_slug(instruction: str) -> str:
     return slug or "task"
 
 
-@dataclass(frozen=True)
-class ExamplePlan:
-    """One in-context demonstration: an instruction and its plan lines."""
-
-    instruction: str
-    plan: tuple[str, ...]
-
-    @cached_property
-    def program(self) -> str:
-        """The example's block of a prog prompt: its ``def`` header, one call per plan line."""
-        calls = (f"    {_program_call(cmd)}\n" for cmd in self.plan)
-        return f"def {instruction_slug(self.instruction)}():\n" + "".join(calls)
-
-
-@dataclass(frozen=True)
-class ReorderExample:
-    """A reorder demonstration: scrambled command pool and the solved order."""
-
-    instruction: str
-    commands: tuple[str, ...]
-    plan: tuple[str, ...]
-
-
 def format_prog_prompt(
     instruction: str,
     actions: Sequence[str],
     objects: Sequence[str],
-    examples: Sequence[ExamplePlan] = (),
+    examples: str = "",
 ) -> PromptDocument:
     """Build the program-style generation prompt.
 
-    The action and object inventories each appear exactly once, sorted; the
+    The action and object inventories each appear exactly once, sorted, then
+    the text of the in-context examples (``default_prog_examples``); the
     prompt ends with the open ``def`` header for the target instruction so a
     generator completes the body.
     """
@@ -107,15 +85,9 @@ def format_prog_prompt(
 
     action_list = sorted(set(actions))
     object_list = sorted(set(objects))
-    lines = [
-        "from actions import " + ", ".join(action_list),
-        "",
-        "objects = [" + ", ".join(f"'{o}'" for o in object_list) + "]",
-        "",
-    ]
-    lines += [ex.program for ex in examples]
-    lines.append(f"def {instruction_slug(instruction)}():")
-    text = "\n".join(lines) + "\n"
+    text = "from actions import " + ", ".join(action_list) + "\n\n"
+    text += "objects = [" + ", ".join(f"'{o}'" for o in object_list) + "]\n\n"
+    text += examples + f"def {instruction_slug(instruction)}():\n"
     return PromptDocument(kind=PROG, text=text, instruction=instruction)
 
 
@@ -128,34 +100,24 @@ def _program_call(command_text: str) -> str:
 def format_reorder_prompt(
     pool: Sequence[Command],
     instruction: str,
-    examples: Sequence[ReorderExample] = (),
+    examples: str = "",
 ) -> PromptDocument:
     """Build the reordering prompt over the pooled unique commands.
 
-    Every pool member is listed once in stable sorted order; the prompt asks
+    After the text of the in-context examples (``default_reorder_examples``),
+    every pool member is listed once in stable sorted order; the prompt asks
     for output as one canonical command per line, which feeds straight back
     into the plan parser.
     """
     if not pool:
         raise EmptyCommandPoolError("cannot build a reorder prompt from an empty command pool")
 
-    lines = [
-        "# Reorder the given commands into a plan that completes the task.",
-        "# Output one command per line, in execution order.",
-        "",
-    ]
-    for ex in examples:
-        lines.append(f"Task: {ex.instruction}")
-        lines.append("Commands:")
-        lines.extend(f"  {c}" for c in ex.commands)
-        lines.append("Plan:")
-        lines.extend(f"  {c}" for c in ex.plan)
-        lines.append("")
-    lines.append(f"Task: {instruction}")
-    lines.append("Commands:")
-    lines.extend(f"  {form}" for form in sorted(c.canonical_form for c in pool))
-    lines.append("Plan:")
-    text = "\n".join(lines) + "\n"
+    text = "# Reorder the given commands into a plan that completes the task.\n"
+    text += "# Output one command per line, in execution order.\n\n"
+    text += examples + f"Task: {instruction}\nCommands:\n"
+    for form in sorted(c.canonical_form for c in pool):
+        text += f"  {form}\n"
+    text += "Plan:\n"
     return PromptDocument(kind=REORDER, text=text, instruction=instruction)
 
 
@@ -164,19 +126,34 @@ def format_reorder_prompt(
 _EXAMPLES = DATA_DIR / "prompt_examples.json"
 
 
-def default_prog_examples() -> list[ExamplePlan]:
-    raw = json_document(_EXAMPLES, DatasetError)["prog_examples"]
-    return [ExamplePlan(e["instruction"], tuple(e["plan"])) for e in raw]
+def default_prog_examples() -> str:
+    """The prog prompt's in-context examples: each one's ``def`` header, one
+    call per plan line, then a blank line."""
+    text = ""
+    for example in json_document(_EXAMPLES, DatasetError)["prog_examples"]:
+        text += f"def {instruction_slug(example['instruction'])}():\n"
+        for command in example["plan"]:
+            text += f"    {_program_call(command)}\n"
+        text += "\n"
+    return text
 
 
-def default_reorder_examples() -> list[ReorderExample]:
-    raw = json_document(_EXAMPLES, DatasetError)["reorder_examples"]
-    return [
-        ReorderExample(e["instruction"], tuple(e["commands"]), tuple(e["plan"]))
-        for e in raw
-    ]
+def default_reorder_examples() -> str:
+    """The reorder prompt's in-context examples: each one's task, scrambled
+    commands and solved plan, then a blank line."""
+    text = ""
+    for example in json_document(_EXAMPLES, DatasetError)["reorder_examples"]:
+        text += f"Task: {example['instruction']}\nCommands:\n"
+        for command in example["commands"]:
+            text += f"  {command}\n"
+        text += "Plan:\n"
+        for command in example["plan"]:
+            text += f"  {command}\n"
+        text += "\n"
+    return text
 
 
 def seen_task_names() -> frozenset[str]:
     """Instructions used as in-context examples (excluded from the eval split)."""
-    return frozenset(e.instruction for e in default_prog_examples())
+    examples = json_document(_EXAMPLES, DatasetError)["prog_examples"]
+    return frozenset(example["instruction"] for example in examples)

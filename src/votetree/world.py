@@ -42,22 +42,6 @@ _PRED_RE = re.compile(r"^\s*([A-Z_]+)\s*\(\s*([^(),\s]+)\s*(?:,\s*([^(),\s]+)\s*
 _TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class ObjectInstance:
-    """One object of a scene: an id, a category token and property flags."""
-
-    id: str
-    class_name: str
-    properties: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not _TOKEN_RE.fullmatch(self.class_name):
-            raise SceneError(
-                f"object {self.id!r}: class_name must be a non-empty lowercase token, "
-                f"got {self.class_name!r}"
-            )
-
-
 @dataclass(frozen=True, order=True)
 class StatePredicate:
     """A unary object state (``OPEN(fridge)``) or binary relation (``INSIDE(a, b)``)."""
@@ -76,10 +60,6 @@ class StatePredicate:
         else:
             valid = sorted(UNARY_PREDICATES | BINARY_PREDICATES)
             raise ValueError(f"unknown predicate token {self.predicate!r}; expected one of {valid}")
-
-    @property
-    def kind(self) -> str:
-        return "unary" if self.object is None else "binary"
 
     @classmethod
     def parse(cls, text: str) -> "StatePredicate":
@@ -110,7 +90,7 @@ def invariant_violations(state: WorldState) -> list[str]:
     errs: list[str] = []
     by_subject: dict[str, set[str]] = {}
     for p in state:
-        if p.kind == "unary":
+        if p.object is None:
             by_subject.setdefault(p.subject, set()).add(p.predicate)
     for subj, preds in sorted(by_subject.items()):
         for a, b in EXCLUSIVE_PAIRS:
@@ -223,10 +203,10 @@ def load_catalog(path: str | Path) -> ActionCatalog:
 
 @dataclass(frozen=True)
 class Scene:
-    """A loaded scene: object catalog plus the initial world state."""
+    """A loaded scene: each object's property flags by id, plus the initial world state."""
 
     scene_id: str
-    objects: Mapping[str, ObjectInstance]
+    objects: Mapping[str, frozenset[str]]
     initial_state: WorldState
 
 
@@ -234,8 +214,9 @@ def load_scene(document: Mapping | str | Path) -> Scene:
     """Load and validate a scene document, given as a dict or a JSON file path.
 
     Raises SceneError naming the file (for a dict, the scene) on malformed
-    input (a ``scene_id`` that is not a string, an object id that is not a
-    lowercase token), duplicate ids or predicate references to unknown objects.
+    input (a ``scene_id`` that is not a string, an object id or ``class_name``
+    that is not a lowercase token), duplicate ids or predicate references to
+    unknown objects.  An object's ``class_name`` is checked but not kept.
     """
     source = f"scene {document.get('scene_id')!r}" if isinstance(document, Mapping) else document
     with reading(source, SceneError):
@@ -247,21 +228,22 @@ def load_scene(document: Mapping | str | Path) -> Scene:
         if type(scene_id) is not str:
             raise SceneError(f"scene_id must be a string, got {scene_id!r}")
 
-        objects: dict[str, ObjectInstance] = {}
+        objects: dict[str, frozenset[str]] = {}
         for entry in document.get("objects", []):
-            if type(entry["id"]) is not str or not _TOKEN_RE.fullmatch(entry["id"]):
-                raise SceneError(f"object id must be a lowercase token, got {entry['id']!r}")
-            obj = ObjectInstance(
-                id=entry["id"],
-                class_name=entry.get("class_name", entry["id"]),
-                properties=frozenset(_strings(entry.get("properties", []),
-                                              f"object {entry['id']!r}: properties", SceneError)),
-            )
-            if obj.id == AGENT:
+            oid = entry["id"]
+            if type(oid) is not str or not _TOKEN_RE.fullmatch(oid):
+                raise SceneError(f"object id must be a lowercase token, got {oid!r}")
+            properties = frozenset(_strings(entry.get("properties", []),
+                                            f"object {oid!r}: properties", SceneError))
+            class_name = entry.get("class_name", oid)
+            if type(class_name) is not str or not _TOKEN_RE.fullmatch(class_name):
+                raise SceneError(f"object {oid!r}: class_name must be a non-empty lowercase "
+                                 f"token, got {class_name!r}")
+            if oid == AGENT:
                 raise SceneError(f"object id {AGENT!r} is reserved")
-            if obj.id in objects:
-                raise SceneError(f"duplicate object id {obj.id!r}")
-            objects[obj.id] = obj
+            if oid in objects:
+                raise SceneError(f"duplicate object id {oid!r}")
+            objects[oid] = properties
 
         predicates: set[StatePredicate] = set()
         for text in document.get("init", []):
@@ -302,7 +284,7 @@ class World:
     ``execute`` resolves each command once, the first time it sees it, into
     ``_resolved``; a later call only checks the state and applies effects."""
 
-    def __init__(self, catalog: ActionCatalog, objects: Mapping[str, ObjectInstance]):
+    def __init__(self, catalog: ActionCatalog, objects: Mapping[str, frozenset[str]]):
         self.catalog = catalog
         self.objects = dict(objects)
         self._resolved: dict[Command, tuple] = {}
@@ -320,7 +302,7 @@ class World:
             if arg not in self.objects:
                 return FAIL_UNKNOWN_OBJECT, arg
         for i, required in enumerate(schema.required_properties):
-            missing = required - self.objects[command.args[i]].properties
+            missing = required - self.objects[command.args[i]]
             if missing:
                 return FAIL_MISSING_PROPERTY, f"{command.args[i]} lacks {sorted(missing)}"
 

@@ -159,7 +159,8 @@ def test_run_metrics_and_determinism(tmp_path, capsys):
 
 def test_diff_command(tmp_path, capsys):
     """The whole report: a repeated command, an adjacent open/close pair and a
-    failed step on the longer side, and a trace diffed with itself."""
+    failed step on the longer side, a trace diffed with itself, and a trace
+    whose successful retry of a failed command is no repeat."""
     def step(command, outcome="success", **reason):
         return {"command": command, "outcome": outcome, **reason}
 
@@ -169,6 +170,8 @@ def test_diff_command(tmp_path, capsys):
               step("grab(salmon)", "failure", reason="not close to salmon"),
               step("find(microwave)")],
         "b": [step("find(salmon)"), step("grab(salmon)"), step("find(table)")],
+        "retry": [step("find(bread)"), step("cut(bread)", "failure", reason="not holding knife"),
+                  step("find(knife)"), step("cut(bread)")],
     }
     for name, steps in traces.items():
         doc = {"termination": "completed", "steps": [{"idx": i, **s} for i, s in enumerate(steps)]}
@@ -209,6 +212,18 @@ def test_diff_command(tmp_path, capsys):
         "\n"
         "both traces have the same length.\n"
     )
+
+    retry = str(tmp_path / "retry.json")
+    assert main(["diff", "--trace-a", retry, "--trace-b", retry]) == 0
+    side = (
+        "(4 commands, 0 duplicates)\n"
+        "   0. find(bread)                              [shared-necessary]\n"
+        "   1. cut(bread)                               [erroneous]\n"
+        "   2. find(knife)                              [shared-necessary]\n"
+        "   3. cut(bread)                               [shared-necessary]\n"
+        "\n"
+    )
+    assert capsys.readouterr().out == f"a {side}b {side}both traces have the same length.\n"
 
 
 @pytest.mark.parametrize("command, target", [("run", "output_dir"), ("record", "fixtures_dir")])
@@ -495,6 +510,11 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                        ("list-scene-id", lambda d: d.update(scene_id=[d["scene_id"]])),
                        ("newline-class", lambda d: d["objects"][0].update(
                            class_name=d["objects"][0]["class_name"] + "\n")),
+                       ("int-class", lambda d: d["objects"][0].update(class_name=5)),
+                       ("string-properties-bad-class", lambda d: d["objects"][0].update(
+                           properties="CAN_OPEN", class_name="X")),
+                       ("agent-bad-class", lambda d: d["objects"].append(
+                           {"id": "agent", "class_name": "Bad"})),
                        ("no-scene-id", lambda d: d.pop("scene_id")),
                        ("agent-object", lambda d: d["objects"].append({"id": "agent"})),
                        ("call-id", lambda d: d["objects"].append(
@@ -548,6 +568,10 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                "int-id/scene1.json": {"scenes_dir": "int-id"},
                "list-scene-id/scene1.json": {"scenes_dir": "list-scene-id"},
                "newline-class/scene1.json": {"scenes_dir": "newline-class"},
+               "int-class/scene1.json": {"scenes_dir": "int-class"},
+               "string-properties-bad-class/scene1.json": {
+                   "scenes_dir": "string-properties-bad-class"},
+               "agent-bad-class/scene1.json": {"scenes_dir": "agent-bad-class"},
                "no-scene-id/scene1.json": {"scenes_dir": "no-scene-id"},
                "agent-object/scene1.json": {"scenes_dir": "agent-object"},
                "call-id/scene1.json": {"scenes_dir": "call-id"},
@@ -570,6 +594,14 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                 "unlisted-required-actions.json": f"{grab}: required_properties must be a list",
                 "two-required-actions.json": f"{grab}: more property lists than parameters",
                 "no-scene-id/scene1.json": ": missing 'scene_id'",
+                "newline-class/scene1.json": ": object 'fridge': class_name must be a non-empty "
+                                             "lowercase token, got 'fridge\\n'",
+                "int-class/scene1.json": ": object 'fridge': class_name must be a non-empty "
+                                         "lowercase token, got 5",
+                "string-properties-bad-class/scene1.json": ": object 'fridge': properties must be "
+                                                           "a list of strings, got 'CAN_OPEN'",
+                "agent-bad-class/scene1.json": ": object 'agent': class_name must be a non-empty "
+                                               "lowercase token, got 'Bad'",
                 "agent-object/scene1.json": ": object id 'agent' is reserved",
                 "call-id/scene1.json": ": object id must be a lowercase token, got 'find(x)'",
                 "empty-id/scene1.json": ": object id must be a lowercase token, got ''",

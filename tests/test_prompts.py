@@ -61,7 +61,7 @@ class TestProgPrompt:
 
     def test_embeds_four_default_examples(self, bundle):
         text = prog_prompt(bundle).text
-        assert len(default_prog_examples()) == 4
+        assert default_prog_examples().count("def ") == 4
         assert text.count("def ") == 5  # 4 examples + the target header
 
     def test_golden_file(self, bundle):
@@ -73,6 +73,16 @@ class TestProgPrompt:
             format_prog_prompt("x", [], ["apple"])
         with pytest.raises(ConfigError):
             format_prog_prompt("x", ["find"], [])
+
+    def test_whole_text_without_examples(self):
+        doc = format_prog_prompt("microwave salmon", ["grab", "find", "grab"], ["salmon", "fridge"])
+        assert doc.text == (
+            "from actions import find, grab\n"
+            "\n"
+            "objects = ['fridge', 'salmon']\n"
+            "\n"
+            "def microwave_salmon():\n"
+        )
 
     def test_hash_tracks_content(self, bundle):
         a = prog_prompt(bundle, "microwave salmon")
@@ -93,6 +103,20 @@ class TestReorderPrompt:
         section = doc.text.split("Commands:")[-1]
         listed = [l.strip() for l in section.splitlines() if l.strip() and l.strip() != "Plan:"]
         assert listed == sorted([c.canonical_form for c in pool])
+
+    def test_whole_text_without_examples(self, pool):
+        doc = format_reorder_prompt(pool, "microwave salmon")
+        assert doc.text == (
+            "# Reorder the given commands into a plan that completes the task.\n"
+            "# Output one command per line, in execution order.\n"
+            "\n"
+            "Task: microwave salmon\n"
+            "Commands:\n"
+            "  find(salmon)\n"
+            "  grab(salmon)\n"
+            "  putin(salmon,microwave)\n"
+            "Plan:\n"
+        )
 
     def test_two_commands_sorted_order(self):
         pool = extract_unique_commands([plan_of("grab(salmon)", "find(salmon)")])

@@ -19,7 +19,6 @@ from votetree.world import (
     HANDS_FREE,
     UNARY_PREDICATES,
     ExecutionOutcome,
-    ObjectInstance,
     StatePredicate,
     Task,
     World,
@@ -274,7 +273,7 @@ def _reference_execute(world, state, command):
         if arg not in world.objects:
             return ExecutionOutcome(False, state, FAIL_UNKNOWN_OBJECT, arg)
     for i, required in enumerate(schema.required_properties):
-        missing = required - world.objects[command.args[i]].properties
+        missing = required - world.objects[command.args[i]]
         if missing:
             return ExecutionOutcome(
                 False, state, FAIL_MISSING_PROPERTY,
@@ -371,7 +370,7 @@ class TestAcceptedCatalogProperty:
             catalog = load_catalog(catalog_path)
         except CatalogError:
             return
-        world = World(catalog, {name: ObjectInstance(name, name) for name in ("a", "b")})
+        world = World(catalog, {name: frozenset() for name in ("a", "b")})
         commands = data.draw(st.lists(st.builds(
             lambda action, args: Command(action["name"], tuple(args[:action["arity"]])),
             st.sampled_from(actions), st.lists(st.sampled_from(["a", "b"]), min_size=2, max_size=2)),
