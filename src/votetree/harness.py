@@ -61,6 +61,7 @@ from .providers import (
     ReplayProvider,
     RequestPool,
     SyntheticProvider,
+    _fill,
     atomic_write,
     derive_seed,
 )
@@ -423,8 +424,8 @@ def _worker_count(jobs: int) -> int:
     return min(cpus, jobs)
 
 
-def _records(memo: RunMemo, staging: str | None, jobs: list[tuple[int, int, Task]]):
-    """Yield the ``_run_job`` record of each job of ``jobs``, in order.
+def _records(memo: RunMemo, staging: str | None, jobs: list[tuple[int, int, Task]]) -> list[dict]:
+    """The ``_run_job`` record of each job of ``jobs``, in order.
 
     A remote run runs its episodes in threads, as it waits on requests, not
     on the interpreter (see ``_threaded``).  Every other provider is
@@ -449,40 +450,26 @@ def _records(memo: RunMemo, staging: str | None, jobs: list[tuple[int, int, Task
         else:
             where = f"{os.path.join(os.path.dirname(staging), 'episodes')}: " if staging else ""
             return _forked(context, run_job, jobs, workers, where)
-    return (run_job(job) for job in jobs)
+    return [run_job(job) for job in jobs]
 
 
-def _threaded(run_job, jobs: list, providers):
-    """``run_job`` over ``jobs`` in a sliding window of ``MAX_INFLIGHT``
-    episode threads, starting the next job as the oldest result is taken.
+def _threaded(run_job, jobs: list, providers) -> list[dict]:
+    """``run_job`` over ``jobs`` in a pool of ``MAX_INFLIGHT`` episode threads,
+    each taking the next job as it frees up (see ``providers._fill``).
 
     Each of the run's ``providers`` gets the run's ``RequestPool`` of
     ``MAX_INFLIGHT`` threads as its ``requests``; a stage puts the draws of
-    all its missing samples on the pool's queue and waits once (see
-    ``providers._fill``).  The request pool is opened first and closed
-    last, and both pools are joined before this returns, so no thread of
-    the run outlives it.
+    all its missing samples on the pool's queue and waits once.  The request
+    pool is opened first and closed last, and both pools are joined before
+    this returns, so no thread of the run outlives it.
     """
-    from collections import deque  # both here: only a remote run pays for the imports
-    from concurrent.futures import Future, ThreadPoolExecutor
-
-    window: deque[Future] = deque()
-    with RequestPool(MAX_INFLIGHT) as requests, \
-            ThreadPoolExecutor(max_workers=MAX_INFLIGHT) as pool:
+    records: list = [None] * len(jobs)
+    with RequestPool(MAX_INFLIGHT) as requests:
         for provider in providers:
             provider.requests = requests
-        try:
-            for job in jobs:
-                if any(future.done() and future.exception() is not None for future in window):
-                    break
-                window.append(pool.submit(run_job, job))
-                if len(window) == MAX_INFLIGHT:
-                    yield window.popleft().result()
-            while window:
-                yield window.popleft().result()
-        finally:
-            for future in window:
-                future.cancel()
+        with RequestPool(MAX_INFLIGHT) as episodes:
+            _fill(lambda i: run_job(jobs[i]), range(len(jobs)), records, episodes)
+    return records
 
 
 # A forked run's shared mmap holds the next unclaimed job's index in bytes
@@ -490,14 +477,15 @@ def _threaded(run_job, jobs: list, providers):
 _STOP = 8
 
 
-def _forked(context, run_job, jobs: list, workers: int, where: str):
+def _forked(context, run_job, jobs: list, workers: int, where: str) -> list[dict]:
     """``run_job`` over ``jobs`` in ``workers`` forked processes, which
     claim jobs in run order from a shared counter and each send all their
     records in one message (see ``_work``).  The parent sets the shared stop
-    flag as soon as a worker dies; once each has sent or died, it yields the
-    records in run order and raises the first exception it meets or, at a
-    job with no record, a dead worker's error, which ``where`` begins.  A
-    claimed job always runs, so that is the error the inline run raises.
+    flag as soon as a worker dies; once each has sent or died, it returns the
+    records in run order or raises the first exception it meets in that
+    order or, at a job with no record, a dead worker's error, which
+    ``where`` begins.  A claimed job always runs, so that is the error the
+    inline run raises.
 
     Fork, not spawn: a worker starts from the loaded interpreter and the
     run's memo without importing or pickling anything, which needs the fork
@@ -539,7 +527,7 @@ def _forked(context, run_job, jobs: list, workers: int, where: str):
                 raise OSError(f"{where}an episode worker died (exit code {dead[0]})")
             if isinstance(outcomes[i], BaseException):
                 raise outcomes[i]
-            yield outcomes[i]
+        return [outcomes[i] for i in range(len(jobs))]
     finally:
         shared[_STOP] = 1
         for reader in readers:
@@ -590,7 +578,7 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     Every task runs once per repetition, and ``metrics.score`` scores the
     episode records.  The run's memo is built first; then ``_records`` runs
     the episodes, in forked workers when the provider is CPU-bound, and
-    yields their records in run order.  When the run writes outputs, each
+    returns their records in run order.  When the run writes outputs, each
     episode writes its own files into a staging directory
     ``<output_dir>/.episodes-XXXX``, made before the first episode so that
     an unusable ``output_dir`` fails before any work; ``_write_outputs``
@@ -615,18 +603,14 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
         # Not tempfile.mkdtemp: its 0o700 would become the mode of episodes/.
         staging = str(output_dir / f".episodes-{os.urandom(6).hex()}")
         os.mkdir(staging)
-    records = _records(memo, staging, jobs)
     try:
-        episode_records = list(records)
+        episode_records = _records(memo, staging, jobs)
         row, per_rep = metrics_mod.score(config.label, episode_records)
         if output_dir is not None:
             _write_outputs(output_dir, config, row, per_rep, episode_records, staging)
     except BaseException:
-        try:
-            records.close()  # stops and joins the episodes still running
-        finally:
-            if staging is not None:
-                _remove(staging)
+        if staging is not None:
+            _remove(staging)
         raise
     return SuiteResult(row=row, per_rep=per_rep, episodes=episode_records, output_dir=output_dir)
 

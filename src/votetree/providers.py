@@ -61,41 +61,34 @@ class PlanGenerator(Protocol):
 
 # -- request pool ---------------------------------------------------------------
 
-def _fill(draw: Callable[[int], str], missing: list[int], samples: list[str | None],
+def _fill(draw: Callable[[int], object], missing: Sequence[int], samples: list,
           requests: RequestPool | None) -> None:
     """Fill ``samples[k]`` with ``draw(k)`` for each k of ``missing``, or raise
-    the exception of the lowest failing k once the draws still running end.
+    the exception of the lowest failing draw once no draw is running.
 
-    Draw i (of sample ``missing[i]``) returns at once if every draw before
-    the lowest failing one has settled; otherwise it settles under one lock
-    with its sample or its exception, whatever that is, and advances the
-    settled prefix.  Without ``requests`` the draws run in the calling
-    thread in k order, so they stop at the first failure; with a pool they
-    go on its queue together and the calling thread waits once.
+    Draw i (of ``missing[i]``) is skipped once a draw with a lower index has
+    failed, or once the waiting thread is interrupted; every draw below the
+    lowest failure runs.  Without ``requests`` the draws run in the calling
+    thread in order, so they stop at the first failure; with a pool they go
+    on its queue together and the calling thread waits once.
     """
     lock, done = threading.Lock(), threading.Event()
-    settled: dict[int, BaseException | None] = {}
-    started = first = 0  # the draws begun; the draws before ``first`` are settled
+    lowest = len(missing)  # the lowest failing draw's index, or -1 once interrupted
     failure: BaseException | None = None
+    ended = 0
 
     def run(i: int) -> None:
-        nonlocal started, first, failure
+        nonlocal lowest, failure, ended
+        if i < lowest:
+            try:
+                samples[missing[i]] = draw(missing[i])
+            except BaseException as exc:  # the waiter's to raise: a pool thread never dies
+                with lock:
+                    if i < lowest:
+                        lowest, failure = i, exc
         with lock:
-            if failure is not None:
-                return
-            started += 1
-        try:
-            text, error = draw(missing[i]), None
-        except BaseException as exc:  # the waiter's to raise: a pool thread never dies
-            text, error = None, exc
-        with lock:
-            if error is None:
-                samples[missing[i]] = text
-            settled[i] = error
-            while failure is None and first in settled:
-                failure = settled[first]
-                first += 1
-            if len(settled) == (started if failure is not None else len(missing)):
+            ended += 1
+            if ended == len(missing):
                 done.set()
 
     if requests is None:
@@ -103,13 +96,20 @@ def _fill(draw: Callable[[int], str], missing: list[int], samples: list[str | No
             run(i)
     else:
         requests.put_all(run, len(missing))
-        done.wait()
+        try:
+            done.wait()
+        except BaseException:  # a signal: start no further draw, let the running ones end
+            with lock:
+                lowest = -1
+            done.wait()
+            raise
     if failure is not None:
         raise failure
 
 
 class RequestPool:
-    """A remote run's ``size`` request threads and the one queue they read.
+    """``size`` threads and the one queue they read: a remote run has one
+    pool for its requests and one for its episodes.
 
     Each thread calls ``run(i)`` for the ``(run, i)`` items it takes, which
     ``put_all`` puts on the queue together; ``run`` must not raise (see
@@ -417,7 +417,8 @@ class RemoteProvider:
     refused.  Sample k's request depends on k and the sampling config only,
     and its answer lands at index k.  In a remote ``run_suite``,
     ``requests`` is the run's request pool: a stage's missing samples are
-    drawn by its threads (see ``_fill``), so an injected ``transport`` must
+    drawn by its threads, and a request not yet sent is skipped once a
+    lower one has failed (see ``_fill``), so an injected ``transport`` must
     be thread-safe.  With ``requests`` ``None``, as on a provider made
     outside a run, they are sent one at a time, in k order.
 

@@ -214,9 +214,10 @@ def load_scene(document: Mapping | str | Path) -> Scene:
     """Load and validate a scene document, given as a dict or a JSON file path.
 
     Raises SceneError naming the file (for a dict, the scene) on malformed
-    input (a ``scene_id`` that is not a string, an object id or ``class_name``
-    that is not a lowercase token), duplicate ids or predicate references to
-    unknown objects.  An object's ``class_name`` is checked but not kept.
+    input (a ``scene_id`` that is not a string, ``objects`` that is not a
+    list of JSON objects, an object id or ``class_name`` that is not a
+    lowercase token), duplicate ids or predicate references to unknown
+    objects.  An object's ``class_name`` is checked but not kept.
     """
     source = f"scene {document.get('scene_id')!r}" if isinstance(document, Mapping) else document
     with reading(source, SceneError):
@@ -229,7 +230,12 @@ def load_scene(document: Mapping | str | Path) -> Scene:
             raise SceneError(f"scene_id must be a string, got {scene_id!r}")
 
         objects: dict[str, frozenset[str]] = {}
-        for entry in document.get("objects", []):
+        entries = document.get("objects", [])
+        if type(entries) is not list:
+            raise SceneError(f"objects must be a list of JSON objects, got {entries!r}")
+        for number, entry in enumerate(entries):
+            if type(entry) is not dict:
+                raise SceneError(f"objects entry {number} must be a JSON object, got {entry!r}")
             oid = entry["id"]
             if type(oid) is not str or not _TOKEN_RE.fullmatch(oid):
                 raise SceneError(f"object id must be a lowercase token, got {oid!r}")

@@ -515,6 +515,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                            properties="CAN_OPEN", class_name="X")),
                        ("agent-bad-class", lambda d: d["objects"].append(
                            {"id": "agent", "class_name": "Bad"})),
+                       ("string-objects", lambda d: d.update(objects="apple")),
+                       ("string-entry", lambda d: d["objects"].insert(1, "apple")),
                        ("no-scene-id", lambda d: d.pop("scene_id")),
                        ("agent-object", lambda d: d["objects"].append({"id": "agent"})),
                        ("call-id", lambda d: d["objects"].append(
@@ -572,6 +574,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                "string-properties-bad-class/scene1.json": {
                    "scenes_dir": "string-properties-bad-class"},
                "agent-bad-class/scene1.json": {"scenes_dir": "agent-bad-class"},
+               "string-objects/scene1.json": {"scenes_dir": "string-objects"},
+               "string-entry/scene1.json": {"scenes_dir": "string-entry"},
                "no-scene-id/scene1.json": {"scenes_dir": "no-scene-id"},
                "agent-object/scene1.json": {"scenes_dir": "agent-object"},
                "call-id/scene1.json": {"scenes_dir": "call-id"},
@@ -603,6 +607,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                 "agent-bad-class/scene1.json": ": object 'agent': class_name must be a non-empty "
                                                "lowercase token, got 'Bad'",
                 "agent-object/scene1.json": ": object id 'agent' is reserved",
+                "string-objects/scene1.json": ": objects must be a list of JSON objects, got "
+                                              "'apple'",
+                "string-entry/scene1.json": ": objects entry 1 must be a JSON object, got 'apple'",
                 "call-id/scene1.json": ": object id must be a lowercase token, got 'find(x)'",
                 "empty-id/scene1.json": ": object id must be a lowercase token, got ''",
                 "binary-open-init/scene1.json": ": OPEN is unary, got second object 'microwave'",

@@ -532,9 +532,10 @@ class TestRemoteRun:
     """A remote run keeps up to MAX_INFLIGHT requests in flight: up to
     MAX_INFLIGHT episode threads, each stage of which puts its missing samples
     on the run's request queue as one batch and waits once for it, while the
-    run's MAX_INFLIGHT request threads draw them.  A batch skips what has not
-    started once every sample before its lowest failure has ended.  The run
-    scores the episodes in run order."""
+    run's MAX_INFLIGHT request threads draw them.  Samples and episodes go by
+    one fill rule: what has not begun is skipped once a lower one has failed,
+    or once the run is interrupted.  The run scores the episodes in run
+    order."""
 
     def test_make_provider_builds_the_configured_remote_provider(self, bundle, tmp_path):
         config = RunConfig(master_seed=1, provider="remote", fixtures_dir=str(tmp_path / "cache"),
@@ -658,33 +659,39 @@ class TestRemoteRun:
         assert threading.active_count() == threads
 
     def test_a_failure_in_the_middle_of_a_stage(self, bundle, tmp_path, monkeypatch):
-        """In one task's prog stage sample 9 fails at once, and sample 5 once
-        the last sample, 29, is answered.  The run raises sample 5's error, the
-        stage's store file keeps every sample answered, 29 too, and a rerun
-        sends only the requests that were not answered."""
+        """In one task's prog stage sample 9 fails at once, and sample 5 half a
+        second later.  Samples 10-28 each hold a request thread for 0.05 s
+        after sample 9 has failed, so sample 29 could only begin after that:
+        it is never sent, though sample 5 is still running.  The run raises
+        sample 5's error, the stage's store file keeps every sample answered,
+        and a rerun sends only the requests that were not answered."""
         fake = FakeTransport(bundle)
         task = evaluated_tasks(bundle)[2].task_name
         stage_seed = derive_seed(6, 0, task, PROG)
         k_of = {derive_seed(stage_seed, k) % 2**31: k for k in range(30)}
         lock = threading.Lock()
-        last_answered = threading.Event()
+        nine_failed, last_sent, pause = threading.Event(), threading.Event(), threading.Event()
         answered: list[tuple] = []
         stage: dict[int, str] = {}  # the failing stage's answers by k
 
         def transport(request):
             k = k_of.get(request["seed"])
             if k == 9:
+                nine_failed.set()
                 raise urllib.error.HTTPError("https://example.invalid", 403, "nine", {}, None)
             if k == 5:
-                last_answered.wait(10)
+                last_sent.wait(0.5)  # never set: sample 29 is skipped
                 raise urllib.error.HTTPError("https://example.invalid", 400, "five", {}, None)
+            if k == 29:
+                last_sent.set()
+            elif k is not None and k > 9:
+                nine_failed.wait(10)
+                pause.wait(0.05)
             text = fake(request)
             with lock:
                 answered.append(_request_key(request))
                 if k is not None:
                     stage[k] = text
-            if k == 29:
-                last_answered.set()
             return text
 
         _remote_via(monkeypatch, transport)
@@ -696,7 +703,8 @@ class TestRemoteRun:
         [path] = (tmp_path / "resumed" / "cache").glob(f"*/{PROG}/{stage_seed}.json")
         stored = json.loads(path.read_text(encoding="utf-8"))["samples"]
         assert {k: text for k, text in enumerate(stored) if text is not None} == stage
-        assert 29 in stage and 5 not in stage and 9 not in stage
+        assert not last_sent.is_set()
+        assert set(range(5)) <= set(stage) and not {5, 9, 29} & set(stage)
 
         resent: list[tuple] = []
 
@@ -776,7 +784,7 @@ class TestRemoteRun:
                 raise urllib.error.HTTPError("https://example.invalid", 400, "bad", {}, None)
             if index < 3:
                 # Episodes 0-2 end 0.1 s apart, long after episode 3 failed,
-                # and each one taken frees a place in the window.
+                # and each one that ends frees an episode thread.
                 pause.wait(0.002 * (index + 1))
             text = fake(request)
             with lock:
@@ -829,6 +837,60 @@ class TestRemoteRun:
         _remote_via(monkeypatch, transport)
         with pytest.raises(ProviderError, match=rf"task {tasks[1]!r}, repetition 0: .*401"):
             run_suite(_remote_config(tmp_path, "two-failures", output_dir=None), bundle)
+
+    def test_a_slow_episode_does_not_hold_back_the_others(self, bundle, tmp_path, monkeypatch):
+        """Episode 0 waits until episode MAX_INFLIGHT has started: an episode
+        thread takes the next job as soon as it frees up."""
+        tasks = [task.task_name for task in evaluated_tasks(bundle)]
+        later_started = threading.Event()
+        waited: list[bool] = []
+        run_one_episode = harness.run_one_episode
+
+        def first_waits(task, *args):
+            if task.task_name == tasks[harness.MAX_INFLIGHT]:
+                later_started.set()
+            if task.task_name == tasks[0]:
+                waited.append(later_started.wait(10))
+            return run_one_episode(task, *args)
+
+        monkeypatch.setattr(harness, "run_one_episode", first_waits)
+        _remote_via(monkeypatch, FakeTransport(bundle))
+        result = run_suite(_remote_config(tmp_path, "slow", output_dir=None), bundle)
+        assert waited == [True]
+        assert [record["task"] for record in result.episodes] == tasks
+
+    def test_an_interrupt_starts_no_further_episode(self, bundle, tmp_path, monkeypatch):
+        """SIGINT, sent from a request thread, raises KeyboardInterrupt once the
+        episodes running have ended; no other episode starts, and the run
+        leaves no thread and no staging directory."""
+        fake = FakeTransport(bundle)
+        lock = threading.Lock()
+        sent = [0]
+        started: list[str] = []
+        run_one_episode = harness.run_one_episode
+
+        def counted(task, *args):
+            with lock:
+                started.append(task.task_name)
+            return run_one_episode(task, *args)
+
+        def interrupting(request):
+            with lock:
+                sent[0] += 1
+                first = sent[0] == 1
+            if first:
+                os.kill(os.getpid(), signal.SIGINT)
+            return fake(request)
+
+        monkeypatch.setattr(harness, "run_one_episode", counted)
+        _remote_via(monkeypatch, interrupting)
+        config = _remote_config(tmp_path, "interrupted", repetitions=3)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(config, bundle)
+        assert 0 < len(started) <= harness.MAX_INFLIGHT
+        assert threading.active_count() == threads
+        assert list(Path(config.output_dir).iterdir()) == []
 
 
 class TestEpisodeWriter:

@@ -603,29 +603,53 @@ class TestRemoteConcurrency:
         assert stored == ["find('obj0')\n", None, None, None, None, None]
 
     def test_a_batch_raises_its_lowest_failure(self, tmp_path, prompt):
-        """Two request threads: sample 1 fails, the other thread's sample 2 is
-        answered, and only then does sample 0 fail.  Sample 0's error is
-        raised, and sample 2, which was running when it failed, is kept."""
-        cfg = SamplingConfig(num_samples=4, seed=2)
+        """Two request threads: sample 0 is answered, sample 1 waits, sample 2
+        fails.  Samples 3 and 4 are never sent, though sample 1 is still
+        running; then sample 1 fails, and its error is raised.  A rerun sends
+        only the unanswered requests and leaves the store a clean run leaves."""
+        cfg = SamplingConfig(num_samples=5, seed=2)
         k_of = self._k_of(cfg)
-        two_answered = threading.Event()
+        lock = threading.Lock()
+        sent: list[int] = []
+        three_sent = threading.Event()
+
+        def answer(request):
+            return f"find('obj{k_of(request)}')\n"
 
         def transport(request):
             k = k_of(request)
-            if k == 0:
-                two_answered.wait(10)
-                raise urllib.error.HTTPError("https://example.invalid", 401, "zero", {}, None)
+            with lock:
+                sent.append(k)
             if k == 1:
-                raise urllib.error.HTTPError("https://example.invalid", 403, "one", {}, None)
+                three_sent.wait(0.5)  # never set: sample 3 is skipped
+                raise urllib.error.HTTPError("https://example.invalid", 401, "one", {}, None)
             if k == 2:
-                two_answered.set()
-            return f"find('obj{k}')\n"
+                raise urllib.error.HTTPError("https://example.invalid", 403, "two", {}, None)
+            if k == 3:
+                three_sent.set()
+            return answer(request)
 
         with providers.RequestPool(2) as pool, pytest.raises(ProviderError, match="401"):
-            self._through(pool, self._provider(tmp_path, transport), prompt, cfg)
-        stored = json.loads((tmp_path / prompt.content_hash / "prog" / "2.json")
+            self._through(pool, self._provider(tmp_path / "resumed", transport), prompt, cfg)
+        assert sorted(sent) == [0, 1, 2]
+        stored = json.loads((tmp_path / "resumed" / prompt.content_hash / "prog" / "2.json")
                             .read_text(encoding="utf-8"))["samples"]
-        assert stored[:3] == [None, None, "find('obj2')\n"]
+        assert stored == ["find('obj0')\n", None, None, None, None]
+
+        resent: list[int] = []
+
+        def working(request):
+            with lock:
+                resent.append(k_of(request))
+            return answer(request)
+
+        with providers.RequestPool(2) as pool:
+            texts = self._through(pool, self._provider(tmp_path / "resumed", working),
+                                  prompt, cfg)
+        assert sorted(resent) == [1, 2, 3, 4]
+        clean = self._provider(tmp_path / "clean", answer).generate(prompt, cfg)
+        assert texts == clean
+        assert self._files(tmp_path / "resumed") == self._files(tmp_path / "clean")
 
     def test_a_closed_pool_takes_no_batch(self, tmp_path, prompt):
         """An episode still running when its run closes the pool (say, after a
@@ -727,7 +751,7 @@ class _Stop(BaseException):
 
 class TestFillRule:
     """The one rule by which a stage draws its missing samples, in the calling
-    thread or through a request pool."""
+    thread or through a request pool, and a remote run runs its episodes."""
 
     @settings(deadline=None)
     @given(data=st.data(), n=st.integers(1, 12), threads=st.sampled_from([None, 1, 2, 4]),
