@@ -66,16 +66,14 @@ from .providers import (
     derive_seed,
 )
 from .tree import MAX_VOTE, VoteTreeNode, build_vote_tree, tree_to_dict
-from .world import (
-    ActionCatalog,
+from .world import (  # DatasetBundle and load_dataset are re-exported
+    DatasetBundle,
     Scene,
     StatePredicate,
     Task,
     World,
     derive_goal_conditions,
-    load_catalog,
-    load_scene,
-    load_tasks,
+    load_dataset,
 )
 
 SYNTHETIC = "synthetic"
@@ -161,43 +159,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class DatasetBundle:
-    catalog: ActionCatalog
-    scenes: dict[str, Scene]
-    tasks: list[Task]
-
-
-def load_dataset(config: RunConfig | None = None) -> DatasetBundle:
-    """Load the config's catalog, scenes and tasks; an unset path names the
-    bundled one under ``prompts.DATA_DIR``.  Scenes load in file name order."""
-    config = config or RunConfig()
-    catalog = load_catalog(config.actions or DATA_DIR / "actions.json")
-    scenes_dir = Path(config.scenes_dir or DATA_DIR / "scenes")
-    scenes: dict[str, Scene] = {}
-    files: dict[str, Path] = {}
-    for path in sorted(scenes_dir.glob("*.json")):
-        scene = load_scene(path)
-        first = files.setdefault(scene.scene_id, path)
-        if first != path:
-            raise DatasetError(f"{first}, {path}: both define scene {scene.scene_id!r}")
-        scenes[scene.scene_id] = scene
-    if not scenes:
-        raise DatasetError(f"{scenes_dir}: no *.json scene files")
-    tasks_path = config.dataset or DATA_DIR / "tasks.json"
-    tasks = load_tasks(tasks_path)
-    slugs: dict[str, Task] = {}  # a task's slug names its episode directory
-    for task in tasks:
-        if task.scene_id not in scenes:
-            raise DatasetError(f"{tasks_path}: task {task.task_name!r} references unknown scene "
-                               f"{task.scene_id!r}")
-        taken = slugs.setdefault(slug := instruction_slug(task.task_name), task)
-        if taken is not task:
-            raise DatasetError(f"{tasks_path}: tasks {taken.task_name!r} and {task.task_name!r} "
-                               f"share the slug {slug!r}")
-    return DatasetBundle(catalog=catalog, scenes=scenes, tasks=tasks)
 
 
 def evaluated_tasks(bundle: DatasetBundle, include_seen: bool = False) -> list[Task]:

@@ -9,7 +9,6 @@ the text's hash keys replay fixtures and response caches.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,6 +55,8 @@ class PromptDocument:
     @cached_property
     def content_hash(self) -> str:
         """Stable identity for fixtures and caches (kind + text), hashed on first read."""
+        import hashlib  # here: loading a dataset does not pay for the import
+
         digest = hashlib.sha256(f"{self.kind}\n{self.text}".encode("utf-8"))
         return digest.hexdigest()[:16]
 

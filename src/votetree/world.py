@@ -18,10 +18,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import CatalogError, DatasetError, SceneError, VoteTreeError, json_document, reading
 from .plans import Command, Plan
+from .prompts import DATA_DIR, instruction_slug
+
+if TYPE_CHECKING:  # only annotated: loading a dataset does not import the run machinery
+    from .harness import RunConfig
 
 AGENT = "agent"
 HAND_CAPACITY = 2
@@ -175,6 +179,8 @@ def load_catalog(path: str | Path) -> ActionCatalog:
     catalog: ActionCatalog = {}
     for number, doc in enumerate(json_document(path, CatalogError, list)):
         with reading(f"{path} entry {number}", CatalogError):
+            if type(doc) is not dict:
+                raise CatalogError(f"an action schema must be a JSON object, got {doc!r}")
             name, arity = doc["name"], doc["arity"]
             if type(name) is not str or not _TOKEN_RE.fullmatch(name):
                 raise CatalogError(f"name must be a lowercase token, got {name!r}")
@@ -423,6 +429,8 @@ def load_tasks(path: str | Path) -> list[Task]:
     tasks = []
     for number, doc in enumerate(json_document(path, DatasetError, list)):
         with reading(f"{path} entry {number}", DatasetError):
+            if type(doc) is not dict:
+                raise DatasetError(f"a task must be a JSON object, got {doc!r}")
             commands = tuple(Command.parse(c) for c in doc["goal_plan"])
             if not commands:
                 raise DatasetError("goal_plan must be non-empty")
@@ -439,3 +447,41 @@ def load_tasks(path: str | Path) -> list[Task]:
                 )
             )
     return tasks
+
+
+@dataclass
+class DatasetBundle:
+    catalog: ActionCatalog
+    scenes: dict[str, Scene]
+    tasks: list[Task]
+
+
+def load_dataset(config: RunConfig | None = None) -> DatasetBundle:
+    """Load the config's catalog, scenes and tasks; an unset path (or no config)
+    names the bundled one under ``prompts.DATA_DIR``.  Scenes load in file name order."""
+    actions, scenes_dir, tasks_path = (
+        (config.actions, config.scenes_dir, config.dataset) if config else (None, None, None))
+    catalog = load_catalog(actions or DATA_DIR / "actions.json")
+    scenes_dir = Path(scenes_dir or DATA_DIR / "scenes")
+    scenes: dict[str, Scene] = {}
+    files: dict[str, Path] = {}
+    for path in sorted(scenes_dir.glob("*.json")):
+        scene = load_scene(path)
+        first = files.setdefault(scene.scene_id, path)
+        if first != path:
+            raise DatasetError(f"{first}, {path}: both define scene {scene.scene_id!r}")
+        scenes[scene.scene_id] = scene
+    if not scenes:
+        raise DatasetError(f"{scenes_dir}: no *.json scene files")
+    tasks_path = tasks_path or DATA_DIR / "tasks.json"
+    tasks = load_tasks(tasks_path)
+    slugs: dict[str, Task] = {}  # a task's slug names its episode directory
+    for task in tasks:
+        if task.scene_id not in scenes:
+            raise DatasetError(f"{tasks_path}: task {task.task_name!r} references unknown scene "
+                               f"{task.scene_id!r}")
+        taken = slugs.setdefault(slug := instruction_slug(task.task_name), task)
+        if taken is not task:
+            raise DatasetError(f"{tasks_path}: tasks {taken.task_name!r} and {task.task_name!r} "
+                               f"share the slug {slug!r}")
+    return DatasetBundle(catalog=catalog, scenes=scenes, tasks=tasks)

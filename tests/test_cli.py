@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from votetree import cli, harness
+from votetree import cli, harness, world
 from votetree.cli import main
 from votetree.executor import TERMINATE_CHILDLESS, TERMINATIONS
 from votetree.harness import RunConfig, record_suite
@@ -89,8 +89,8 @@ def test_execute_reads_only_the_action_catalog(tmp_path, corpus_file, capsys, mo
     does, and no scene or task file but its own ``--scene``."""
     tree_path = tmp_path / "tree.json"
     main(["build-tree", "--corpus", str(corpus_file), "--out", str(tree_path)])
-    monkeypatch.setattr(harness, "load_scene", None)  # what load_dataset calls
-    monkeypatch.setattr(harness, "load_tasks", None)
+    monkeypatch.setattr(world, "load_scene", None)  # what load_dataset calls
+    monkeypatch.setattr(world, "load_tasks", None)
     scene = str(DATA_DIR / "scenes" / "scene1.json")
     traces = []
     for actions in ([], ["--actions", str(DATA_DIR / "actions.json")]):
@@ -466,6 +466,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     files = {"latin1.json": b"\xff", "latin1-corpus.txt": b"\xff", "latin1-tasks.json": b"\xff",
              "latin1-scenes/s.json": b"\xff", "latin1-results/metrics.jsonl": b"\xff",
              "string-task.json": b'["put apple in fridge"]',
+             "string-entry-tasks.json": b'[{"task_name": "wash mug", "scene_id": "scene1", '
+                                        b'"goal_plan": ["find(mug)"]}, "apple"]',
+             "string-entry-actions.json": json.dumps([catalog[0], "find"]).encode(),
              "int-init/s.json": b'{"scene_id": "kitchen", "objects": [], "init": [3]}',
              "object-tasks.json": b"{}", "object-actions.json": b"{}", "not-json-tasks.json": b"[{",
              "binary-open-actions.json": edited("find", "add",
@@ -541,6 +544,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     configs = {"latin1-tasks.json": {"dataset": "latin1-tasks.json"},
                "latin1-scenes/s.json": {"scenes_dir": "latin1-scenes"},
                "string-task.json": {"dataset": "string-task.json"},
+               "string-entry-tasks.json": {"dataset": "string-entry-tasks.json"},
+               "string-entry-actions.json": {"actions": "string-entry-actions.json"},
                "int-init/s.json": {"scenes_dir": "int-init"},
                "object-tasks.json": {"dataset": "object-tasks.json"},
                "object-actions.json": {"actions": "object-actions.json"},
@@ -627,7 +632,10 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                                                       "*)': wildcard only allowed in delete effects",
                 "literal-actions.json": f"{entry['grab']}template 'ON_TOP(?1, table)': literal "
                                         "'table' (only ?1, ?2, agent, * allowed)",
-                "nowhere-tasks.json": ": task 'wash mug' references unknown scene 'nowhere'"}
+                "nowhere-tasks.json": ": task 'wash mug' references unknown scene 'nowhere'",
+                "string-entry-tasks.json": " entry 1: a task must be a JSON object, got 'apple'",
+                "string-entry-actions.json": " entry 1: an action schema must be a JSON object, "
+                                             "got 'find'"}
     capsys.readouterr()
     for argv, named in ((["run", "--config", missing], "missing.json"),
                         (["run", "--config", str(not_json)], "line 1"),

@@ -116,7 +116,9 @@ class TestLoadDataset:
         import neither the CLI nor a module that only a forked, remote or
         failed run uses."""
         lazy = ["multiprocessing", "mmap", "signal", "http.client", "urllib.request", "socket",
-                "concurrent.futures", "votetree.cli", "votetree.diff"]
+                "concurrent.futures", "votetree.cli", "votetree.diff", "votetree.harness",
+                "votetree.executor", "votetree.providers", "votetree.metrics", "votetree.tree",
+                "logging", "hashlib", "queue", "urllib.error"]
         code = ("import sys, votetree\n"
                 "votetree.load_dataset()\n"
                 f"print([name for name in {lazy!r} if name in sys.modules])\n")
@@ -124,6 +126,38 @@ class TestLoadDataset:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         assert run.stdout == "[]\n"
+
+    def test_top_level_names_load_from_their_modules(self):
+        """In a fresh interpreter a submodule is reached as an attribute and by
+        ``from votetree import``, as the benchmark reaches ``harness``; each
+        exported name is, on first use, the object its module defines; ``dir``
+        lists the exports and an unknown name raises AttributeError."""
+        exports = ["Command", "ExecutionMode", "NoiseModel", "RemoteProvider", "ReplayProvider",
+                   "RunConfig", "SyntheticProvider", "World", "build_vote_tree", "evaluated_tasks",
+                   "execute_tree", "extract_unique_commands", "format_table", "load_dataset",
+                   "parse_plan_text", "record_suite", "render_outline", "render_plan",
+                   "run_suite", "state_diff", "synthesize_noisy_plans", "tree_stats",
+                   "tree_to_dict"]
+        code = ("import importlib, sys, votetree\n"
+                "assert votetree.harness is sys.modules['votetree.harness']\n"
+                "from votetree import cli, harness\n"
+                "assert (cli, harness) == (votetree.cli, votetree.harness)\n"
+                "assert harness.load_dataset is votetree.world.load_dataset\n"
+                "assert harness.DatasetBundle is votetree.world.DatasetBundle\n"
+                f"assert votetree.__all__ == {exports!r}\n"
+                f"assert set({exports!r}) <= set(dir(votetree))\n"
+                f"for name in {exports!r}:\n"
+                "    value = getattr(votetree, name)\n"
+                "    assert getattr(importlib.import_module(value.__module__), name) is value\n"
+                "try:\n"
+                "    votetree.load_datasets\n"
+                "except AttributeError as exc:\n"
+                "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == "module 'votetree' has no attribute 'load_datasets'\n"
 
     def test_two_tasks_with_one_slug_are_refused(self, tmp_path):
         """Both would write episodes/<slug>/<rep>/, so one's files would replace the other's."""
