@@ -10,11 +10,8 @@ walk follows the selection policy from root to a terminal node, executing
 every command regardless of outcome.
 """
 
-from __future__ import annotations
-
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import INTEGER_AT_LEAST_1, check_choice, check_value
 from .plans import Command
@@ -39,32 +36,35 @@ DEFAULT_STEP_LIMIT = 50
 CommandRunner = Callable[[WorldState, Command], ExecutionOutcome]
 
 
-@dataclass(frozen=True)
-class ExecutionMode:
-    """How the tree is traversed and when traversal stops.  A value: each walk
-    starts its own random selection stream at ``seed``, which max_vote never reads."""
-
+class _ExecutionMode(NamedTuple):
     kind: str = WITH_CORRECTION
     selection: str = MAX_VOTE
     termination: str = TERMINATE_CHILDLESS
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class ExecutionMode(_ExecutionMode):
+    """How the tree is traversed and when traversal stops.  A value: each walk
+    starts its own random selection stream at ``seed``, which max_vote never reads."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_choice("mode", self.kind, MODES)
         check_choice("selection", self.selection, SELECTIONS)
         check_choice("termination", self.termination, TERMINATIONS)
+        return self
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     command: Command
     ok: bool
     reason: str | None
     node_path: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     steps: tuple[StepRecord, ...]
     final_state: WorldState
     termination: str
@@ -126,8 +126,7 @@ def execute_tree(
     return ExecutionTrace(tuple(steps), state, termination)
 
 
-@dataclass(frozen=True)
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     """Everything the metrics need from one executed episode besides its goal."""
 
     trace: ExecutionTrace

@@ -6,15 +6,13 @@ seeds.  All randomness is derived from (master_seed, repetition, task, stage),
 so reruns of the same config over the same fixtures are byte-identical.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import os
 import shutil
 import threading
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import metrics as metrics_mod
 from .errors import (
@@ -102,10 +100,7 @@ _FIELD_CHECKS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Everything a run needs; serializable, defaulted, reproducible."""
-
+class _RunConfig(NamedTuple):
     dataset: str | None = None          # tasks file; None = bundled
     scenes_dir: str | None = None       # scene file directory; None = bundled
     actions: str | None = None          # action catalog; None = bundled
@@ -134,7 +129,14 @@ class RunConfig:
     output_dir: str | None = "results"
     method_label: str | None = None
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunConfig):
+    """Everything a run needs; serializable, defaulted, reproducible."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for names, rule in _FIELD_CHECKS:
             for name in names:
                 check_value(name, getattr(self, name), rule)
@@ -143,6 +145,7 @@ class RunConfig:
         ExecutionMode(self.mode, self.selection, self.termination)
         if self.provider != SYNTHETIC and not self.fixtures_dir:
             raise ConfigError(f"{self.provider} provider needs fixtures_dir")
+        return self
 
     @property
     def label(self) -> str:
@@ -152,13 +155,13 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         with reading(path, ConfigError):
             doc = json_document(path, ConfigError)
-            unknown = set(doc) - {f.name for f in fields(cls)}
+            unknown = set(doc) - set(cls._fields)
             if unknown:
                 raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
             return cls(**doc)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def evaluated_tasks(bundle: DatasetBundle, include_seen: bool = False) -> list[Task]:
@@ -249,8 +252,7 @@ class RunMemo:
                 self.worlds[task.scene_id], scene.initial_state, task.goal_plan, task.task_name)
 
 
-@dataclass
-class PipelineArtifacts:
+class PipelineArtifacts(NamedTuple):
     """What one task episode's pipeline produced besides its trace.
 
     ``error`` says why there is no plan to execute (an empty command pool, or
@@ -259,7 +261,7 @@ class PipelineArtifacts:
 
     pool_size: int
     root: VoteTreeNode
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[str]
     error: str | None = None
 
 
@@ -315,8 +317,7 @@ def run_one_episode(task: Task, rep: int, memo: RunMemo) -> tuple[EpisodeResult,
     return episode, PipelineArtifacts(len(pool), root, diagnostics, error)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     row: metrics_mod.MetricsRow
     per_rep: list[dict]
     episodes: list[dict]

@@ -1,11 +1,8 @@
 """Evaluation metrics: success rate, goal condition recall, executability."""
 
-from __future__ import annotations
-
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .executor import NO_PLAN, ExecutionTrace
 from .world import StatePredicate
@@ -83,8 +80,7 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(_pairwise_sum([(x - mean) * (x - mean) for x in xs]) / n)
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     """One table row: mean and std of each metric over repeated runs."""
 
     method_label: str

@@ -7,11 +7,9 @@ become diagnostics and the extracted command sequence is returned as a plan,
 a tuple of commands.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import EmptyCommandPoolError
 
@@ -34,19 +32,23 @@ def _clean_token(raw: str) -> str:
     return _SPACE_RE.sub("_", token.lower())
 
 
-@dataclass(frozen=True, order=True)
-class Command:
-    """One action applied to one or two objects; the atomic executable unit."""
-
+class _Command(NamedTuple):
     action: str
     args: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+
+class Command(_Command):
+    """One action applied to one or two objects; the atomic executable unit."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.action:
             raise ValueError("command has an empty action token")
         if len(self.args) not in (1, 2):
             raise ValueError(f"command {self.action!r} needs 1 or 2 arguments, got {len(self.args)}")
+        return self
 
+    # No ``__slots__ = ()`` here: cached_property keeps its value in the instance dict.
     @cached_property
     def canonical_form(self) -> str:
         return f"{self.action}({','.join(self.args)})"
@@ -80,8 +82,7 @@ def render_plan(plan: Plan) -> str:
     return "\n".join(c.canonical_form for c in plan)
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     code: str
     line_no: int = 0
     text: str = ""

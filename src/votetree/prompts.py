@@ -7,13 +7,10 @@ formatters are pure: identical inputs give byte-identical prompt text, and
 the text's hash keys replay fixtures and response caches.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     INTEGER_AT_LEAST_1,
@@ -32,26 +29,33 @@ PROG = "prog"
 REORDER = "reorder"
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
+class _SamplingConfig(NamedTuple):
     temperature: float = 0.1  # the plan generation stage's defaults: it runs cool and wide
     num_samples: int = 30
     max_length: int = 80
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class SamplingConfig(_SamplingConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_value("temperature", self.temperature, NUMBER_AT_LEAST_0)
         check_value("num_samples", self.num_samples, INTEGER_AT_LEAST_1)
+        return self
 
 
-@dataclass(frozen=True)
-class PromptDocument:
-    """A fully rendered prompt: its stage, text and instruction."""
-
+class _PromptDocument(NamedTuple):
     kind: str
     text: str
     instruction: str
 
+
+class PromptDocument(_PromptDocument):
+    """A fully rendered prompt: its stage, text and instruction."""
+
+    # No ``__slots__ = ()`` here: cached_property keeps its value in the instance dict.
     @cached_property
     def content_hash(self) -> str:
         """Stable identity for fixtures and caches (kind + text), hashed on first read."""

@@ -26,9 +26,8 @@ import threading
 import time
 import urllib.error
 import urllib.parse
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 from .errors import ConfigError, ProviderError, json_document, reading
 from .plans import Command, Plan, render_plan
@@ -269,20 +268,25 @@ class ReplayProvider:
 
 # -- synthetic noise model ----------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-position perturbation probabilities plus an insertion pool."""
-
+class _NoiseModel(NamedTuple):
     drop_prob: float = 0.0
     swap_prob: float = 0.0
     insert_prob: float = 0.0
     distractor_pool: tuple[Command, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class NoiseModel(_NoiseModel):
+    """Per-position perturbation probabilities plus an insertion pool."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("drop_prob", "swap_prob", "insert_prob"):
             p = getattr(self, name)
             if type(p) not in (int, float) or not 0 <= p <= 1:
                 raise ConfigError(f"{name} must be a number in [0, 1], got {p!r}")
+        return self
 
 
 def _perturb(commands: Sequence[Command], noise: NoiseModel, rng: random.Random) -> list[Command]:

@@ -7,11 +7,8 @@ by ``build_vote_tree`` or ``tree_from_dict``, then only read.  Execution never
 edits or re-weights it; backtracking only decides where the walk goes next.
 """
 
-from __future__ import annotations
-
 import random
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DatasetError, NoPlansError
 from .plans import Command, Plan
@@ -80,8 +77,7 @@ def select_child(
     return max((children[k] for k in ordered_keys), key=lambda ch: ch.vote)
 
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(NamedTuple):
     node_count: int
     max_depth: int
     leaf_count: int

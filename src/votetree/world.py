@@ -13,12 +13,9 @@ objects travel with the agent, so a ``CLOSE_TO(agent, x)`` precondition is
 also satisfied whenever ``x`` is currently held.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import CatalogError, DatasetError, SceneError, VoteTreeError, json_document, reading
 from .plans import Command, Plan
@@ -46,15 +43,19 @@ _PRED_RE = re.compile(r"^\s*([A-Z_]+)\s*\(\s*([^(),\s]+)\s*(?:,\s*([^(),\s]+)\s*
 _TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
-@dataclass(frozen=True, order=True)
-class StatePredicate:
-    """A unary object state (``OPEN(fridge)``) or binary relation (``INSIDE(a, b)``)."""
-
+class _StatePredicate(NamedTuple):
     predicate: str
     subject: str
     object: str | None = None
 
-    def __post_init__(self) -> None:
+
+class StatePredicate(_StatePredicate):
+    """A unary object state (``OPEN(fridge)``) or binary relation (``INSIDE(a, b)``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.predicate in UNARY_PREDICATES:
             if self.object is not None:
                 raise ValueError(f"{self.predicate} is unary, got second object {self.object!r}")
@@ -64,6 +65,7 @@ class StatePredicate:
         else:
             valid = sorted(UNARY_PREDICATES | BINARY_PREDICATES)
             raise ValueError(f"unknown predicate token {self.predicate!r}; expected one of {valid}")
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "StatePredicate":
@@ -105,8 +107,7 @@ def invariant_violations(state: WorldState) -> list[str]:
     return errs
 
 
-@dataclass(frozen=True)
-class _Template:
+class _Template(NamedTuple):
     """One predicate template over ``?1``/``?2``/``agent``/``*`` arguments."""
 
     predicate: str
@@ -158,8 +159,7 @@ def _strings(value: object, what: str, error: type[VoteTreeError]) -> list[str]:
     return value
 
 
-@dataclass(frozen=True)
-class ActionSchema:
+class ActionSchema(NamedTuple):
     """Declares one action: arity, property gates, preconditions and effects."""
 
     name: str
@@ -207,8 +207,7 @@ def load_catalog(path: str | Path) -> ActionCatalog:
     return catalog
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     """A loaded scene: each object's property flags by id, plus the initial world state."""
 
     scene_id: str
@@ -258,7 +257,7 @@ def load_scene(document: Mapping | str | Path) -> Scene:
             objects[oid] = properties
 
         predicates: set[StatePredicate] = set()
-        for text in document.get("init", []):
+        for text in _strings(document.get("init", []), "init", SceneError):
             pred = StatePredicate.parse(text)
             for ref in (pred.subject, pred.object):
                 if ref is not None and ref != AGENT and ref not in objects:
@@ -281,8 +280,7 @@ FAIL_MISSING_PROPERTY = "missing_property"
 FAIL_PRECONDITION = "precondition_unsatisfied"
 
 
-@dataclass(frozen=True)
-class ExecutionOutcome:
+class ExecutionOutcome(NamedTuple):
     """Result of executing one command: the next state, or a failure reason."""
 
     ok: bool
@@ -407,21 +405,26 @@ def derive_goal_conditions(world: World, initial: WorldState, goal_plan: Plan,
     return diff
 
 
-@dataclass(frozen=True)
-class Task:
-    """One dataset entry: instruction, scene binding, goal plan, optional goals."""
-
+class _Task(NamedTuple):
     task_name: str
     scene_id: str
     goal_plan: Plan
     goal_conditions: frozenset[StatePredicate] | None = None  # None: derived from goal_plan
 
-    def __post_init__(self) -> None:
+
+class Task(_Task):
+    """One dataset entry: instruction, scene binding, goal plan, optional goals."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("task_name", "scene_id"):
             if type(getattr(self, name)) is not str:
                 raise DatasetError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.goal_conditions is not None and not self.goal_conditions:
             raise DatasetError(f"task {self.task_name!r}: goal_conditions must be non-empty")
+        return self
 
 
 def load_tasks(path: str | Path) -> list[Task]:
@@ -431,7 +434,7 @@ def load_tasks(path: str | Path) -> list[Task]:
         with reading(f"{path} entry {number}", DatasetError):
             if type(doc) is not dict:
                 raise DatasetError(f"a task must be a JSON object, got {doc!r}")
-            commands = tuple(Command.parse(c) for c in doc["goal_plan"])
+            commands = tuple(map(Command.parse, _strings(doc["goal_plan"], "goal_plan", DatasetError)))
             if not commands:
                 raise DatasetError("goal_plan must be non-empty")
             conditions = doc.get("goal_conditions")
@@ -441,7 +444,8 @@ def load_tasks(path: str | Path) -> list[Task]:
                     scene_id=doc["scene_id"],
                     goal_plan=commands,
                     goal_conditions=(
-                        frozenset(StatePredicate.parse(p) for p in conditions)
+                        frozenset(StatePredicate.parse(p)
+                                  for p in _strings(conditions, "goal_conditions", DatasetError))
                         if conditions is not None else None
                     ),
                 )
@@ -449,14 +453,13 @@ def load_tasks(path: str | Path) -> list[Task]:
     return tasks
 
 
-@dataclass
-class DatasetBundle:
+class DatasetBundle(NamedTuple):
     catalog: ActionCatalog
     scenes: dict[str, Scene]
     tasks: list[Task]
 
 
-def load_dataset(config: RunConfig | None = None) -> DatasetBundle:
+def load_dataset(config: "RunConfig | None" = None) -> DatasetBundle:
     """Load the config's catalog, scenes and tasks; an unset path (or no config)
     names the bundled one under ``prompts.DATA_DIR``.  Scenes load in file name order."""
     actions, scenes_dir, tasks_path = (

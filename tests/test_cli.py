@@ -243,6 +243,21 @@ def test_master_seed_option_overrides_the_config(tmp_path, capsys, command, targ
     assert written["option"] and written["option"] == written["config"]
 
 
+def test_run_options_are_recorded_in_run_config_json(tmp_path, capsys):
+    """``run --master-seed N --output-dir D`` runs the file's config with N and
+    D in place of its own, and ``run_config.json`` records that config."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"master_seed": 1, "repetitions": 1, "drop_prob": 0.2,
+                                    "output_dir": str(tmp_path / "unused")}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg_path), "--master-seed", "9", "--output-dir", str(out)]
+    assert main(argv) == 0
+    recorded = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+    assert recorded == {**RunConfig().to_dict(), "master_seed": 9, "repetitions": 1,
+                        "drop_prob": 0.2, "output_dir": str(out)}
+    assert not (tmp_path / "unused").exists()
+
+
 def test_record_command(tmp_path, capsys):
     fixtures = tmp_path / "fx"
     cfg = RunConfig(master_seed=4, provider="synthetic", fixtures_dir=str(fixtures),
@@ -470,6 +485,14 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                                         b'"goal_plan": ["find(mug)"]}, "apple"]',
              "string-entry-actions.json": json.dumps([catalog[0], "find"]).encode(),
              "int-init/s.json": b'{"scene_id": "kitchen", "objects": [], "init": [3]}',
+             "string-init/s.json": b'{"scene_id": "kitchen", "objects": [], "init": "OPEN(x)"}',
+             "string-plan-tasks.json": b'[{"task_name": "wash mug", "scene_id": "scene1", '
+                                       b'"goal_plan": "find(mug)"}]',
+             "int-plan-tasks.json": b'[{"task_name": "wash mug", "scene_id": "scene1", '
+                                    b'"goal_plan": [3]}]',
+             "string-goals-tasks.json": b'[{"task_name": "wash mug", "scene_id": "scene1", '
+                                        b'"goal_plan": ["find(mug)"], "goal_conditions": '
+                                        b'"OPEN(mug)"}]',
              "object-tasks.json": b"{}", "object-actions.json": b"{}", "not-json-tasks.json": b"[{",
              "binary-open-actions.json": edited("find", "add",
                                                 action["find"]["add"] + ["OPEN(?1, agent)"]),
@@ -547,6 +570,10 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                "string-entry-tasks.json": {"dataset": "string-entry-tasks.json"},
                "string-entry-actions.json": {"actions": "string-entry-actions.json"},
                "int-init/s.json": {"scenes_dir": "int-init"},
+               "string-init/s.json": {"scenes_dir": "string-init"},
+               "string-plan-tasks.json": {"dataset": "string-plan-tasks.json"},
+               "int-plan-tasks.json": {"dataset": "int-plan-tasks.json"},
+               "string-goals-tasks.json": {"dataset": "string-goals-tasks.json"},
                "object-tasks.json": {"dataset": "object-tasks.json"},
                "object-actions.json": {"actions": "object-actions.json"},
                "not-json-tasks.json": {"dataset": "not-json-tasks.json"},
@@ -634,6 +661,13 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                                         "'table' (only ?1, ?2, agent, * allowed)",
                 "nowhere-tasks.json": ": task 'wash mug' references unknown scene 'nowhere'",
                 "string-entry-tasks.json": " entry 1: a task must be a JSON object, got 'apple'",
+                "int-init/s.json": ": init must be a list of strings, got [3]",
+                "string-init/s.json": ": init must be a list of strings, got 'OPEN(x)'",
+                "string-plan-tasks.json": " entry 0: goal_plan must be a list of strings, got "
+                                          "'find(mug)'",
+                "int-plan-tasks.json": " entry 0: goal_plan must be a list of strings, got [3]",
+                "string-goals-tasks.json": " entry 0: goal_conditions must be a list of strings, "
+                                           "got 'OPEN(mug)'",
                 "string-entry-actions.json": " entry 1: an action schema must be a JSON object, "
                                              "got 'find'"}
     capsys.readouterr()

@@ -118,10 +118,21 @@ class TestLoadDataset:
         lazy = ["multiprocessing", "mmap", "signal", "http.client", "urllib.request", "socket",
                 "concurrent.futures", "votetree.cli", "votetree.diff", "votetree.harness",
                 "votetree.executor", "votetree.providers", "votetree.metrics", "votetree.tree",
-                "logging", "hashlib", "queue", "urllib.error"]
+                "logging", "hashlib", "queue", "urllib.error", "dataclasses", "inspect"]
         code = ("import sys, votetree\n"
                 "votetree.load_dataset()\n"
                 f"print([name for name in {lazy!r} if name in sys.modules])\n")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert run.stdout == "[]\n"
+
+    def test_importing_the_cli_loads_no_dataclass_machinery(self):
+        """``import votetree.cli``, which every CLI command pays for, loads
+        neither ``dataclasses`` nor the ``inspect`` it imports: value types
+        are named tuples."""
+        code = ("import sys, votetree.cli\n"
+                "print([name for name in ('dataclasses', 'inspect') if name in sys.modules])\n")
         src = os.path.dirname(os.path.dirname(harness.__file__))
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
