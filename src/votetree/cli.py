@@ -12,7 +12,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .harness import RunConfig, recompute_metrics, record_suite, run_suite
 from .metrics import format_table
 from .plans import Command, parse_plan_text, split_corpus
 from .prompts import DATA_DIR
-from .providers import atomic_write
+from .providers import atomic_write, json_text
 from .tree import (
     MAX_VOTE,
     SELECTIONS,
@@ -65,7 +64,7 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
         if plan:
             plans.append(plan)
     root = build_vote_tree(plans)
-    doc = json.dumps(tree_to_dict(root), indent=2, sort_keys=True) + "\n"
+    doc = json_text(tree_to_dict(root))
     if args.out:
         atomic_write(Path(args.out), doc)
         print(f"tree with {len(plans)} plans written to {args.out}")
@@ -98,8 +97,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
     world = World(load_catalog(args.actions or DATA_DIR / "actions.json"), scene.objects)
     mode = ExecutionMode(args.mode, args.selection, args.termination, args.seed)
     trace = run_episode(world, scene.initial_state, root, mode, args.step_limit).trace
-    doc = {"termination": trace.termination, "steps": serialize_trace(trace)}
-    out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out = json_text({"termination": trace.termination, "steps": serialize_trace(trace)})
     if args.out:
         atomic_write(Path(args.out), out)
     else:

@@ -62,6 +62,7 @@ from .providers import (
     _fill,
     atomic_write,
     derive_seed,
+    json_text,
 )
 from .tree import MAX_VOTE, VoteTreeNode, build_vote_tree, tree_to_dict
 from .world import (  # DatasetBundle and load_dataset are re-exported
@@ -159,9 +160,6 @@ class RunConfig(_RunConfig):
             if unknown:
                 raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
             return cls(**doc)
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 def evaluated_tasks(bundle: DatasetBundle, include_seen: bool = False) -> list[Task]:
@@ -369,7 +367,7 @@ def _run_job(memo: RunMemo, staging: str | None, job: tuple[int, int, Task]) -> 
         os.makedirs(episode_dir, exist_ok=True)
         for name, doc in (("trace.json", trace_doc), ("tree.json", tree_to_dict(artifacts.root))):
             with open(os.path.join(episode_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+                fh.write(json_text(doc))
     except OSError as exc:
         path = os.path.relpath(exc.filename or episode_dir, staging)
         raise OSError(exc.errno, exc.strerror or str(exc),
@@ -613,8 +611,7 @@ def _write_outputs(
     atomic_write(output_dir / "metrics.jsonl", "".join(
         json.dumps(record, sort_keys=True) + "\n" for record in [header, *episode_records, *per_rep]
     ))
-    atomic_write(output_dir / "run_config.json",
-                 json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    atomic_write(output_dir / "run_config.json", json_text(config._asdict()))
 
 
 def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:

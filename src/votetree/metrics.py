@@ -93,16 +93,8 @@ class MetricsRow(NamedTuple):
     runs: int
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method_label,
-            "sr_mean": self.sr_mean,
-            "sr_std": self.sr_std,
-            "gcr_mean": self.gcr_mean,
-            "gcr_std": self.gcr_std,
-            "exec_mean": self.exec_mean,
-            "exec_std": self.exec_std,
-            "runs": self.runs,
-        }
+        """The row by field, ``method_label`` named ``method``."""
+        return dict(zip(("method", *self._fields[1:]), self))
 
 
 def aggregate(method_label: str, per_rep: Sequence[dict]) -> MetricsRow:

@@ -79,7 +79,7 @@ Plan = tuple[Command, ...]
 
 def render_plan(plan: Plan) -> str:
     """Serialize a plan canonically: one ``action(arg[,arg])`` per line."""
-    return "\n".join(c.canonical_form for c in plan)
+    return "\n".join([c.canonical_form for c in plan])
 
 
 class ParseDiagnostic(NamedTuple):

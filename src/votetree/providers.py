@@ -226,8 +226,13 @@ def read_through(
         _fill(draw, missing, samples, requests)
     finally:
         document = {**header, **(identity or {}), "num_samples": len(samples), "samples": samples}
-        atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+        atomic_write(path, json_text(document))
     return samples[: config.num_samples]
+
+
+def json_text(doc: object) -> str:
+    """The text of every JSON file the package writes: indented, keys sorted."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -240,7 +245,7 @@ def atomic_write(path: Path, text: str) -> None:
     try:
         fh = open(tmp, "x", encoding="utf-8")
     except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(path.parent, exist_ok=True)  # one mkdir per missing directory
         fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
@@ -354,7 +359,7 @@ class SyntheticProvider:
         if not (noise.drop_prob or noise.swap_prob or noise.insert_prob and noise.distractor_pool):
             # random() >= 0 keeps every command and random() < 0 swaps none, so
             # no stream can change the plan: each k draws the seed plan's text.
-            text = "\n".join([c.canonical_form for c in commands[:limit]]) + "\n"
+            text = render_plan(commands[:limit]) + "\n"
             return lambda k: text
         seed_of = seeds_after(config.seed, prompt.content_hash)
         # Reseeded through the C base seed, rng has the state random.Random(seed_of(k))
@@ -364,8 +369,7 @@ class SyntheticProvider:
 
         def draw(k: int) -> str:
             reseed(seed_of(k))
-            kept = _perturb(commands, noise, rng)
-            return "\n".join([c.canonical_form for c in kept[:limit]]) + "\n"  # render_plan's text
+            return render_plan(_perturb(commands, noise, rng)[:limit]) + "\n"
 
         return draw
 

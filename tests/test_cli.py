@@ -142,7 +142,7 @@ def test_run_metrics_and_determinism(tmp_path, capsys):
     cfg = RunConfig(master_seed=2, provider="replay", fixtures_dir=str(fixtures),
                     repetitions=2, output_dir=None)
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    cfg_path.write_text(json.dumps(cfg._asdict()), encoding="utf-8")
 
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["run", "--config", str(cfg_path), "--output-dir", str(out1)]) == 0
@@ -253,7 +253,7 @@ def test_run_options_are_recorded_in_run_config_json(tmp_path, capsys):
     argv = ["run", "--config", str(cfg_path), "--master-seed", "9", "--output-dir", str(out)]
     assert main(argv) == 0
     recorded = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
-    assert recorded == {**RunConfig().to_dict(), "master_seed": 9, "repetitions": 1,
+    assert recorded == {**RunConfig()._asdict(), "master_seed": 9, "repetitions": 1,
                         "drop_prob": 0.2, "output_dir": str(out)}
     assert not (tmp_path / "unused").exists()
 
@@ -263,7 +263,7 @@ def test_record_command(tmp_path, capsys):
     cfg = RunConfig(master_seed=4, provider="synthetic", fixtures_dir=str(fixtures),
                     output_dir=None)
     cfg_path = tmp_path / "record.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    cfg_path.write_text(json.dumps(cfg._asdict()), encoding="utf-8")
     assert main(["record", "--config", str(cfg_path)]) == 0
     assert "recorded" in capsys.readouterr().out
     assert any(fixtures.iterdir())
@@ -344,7 +344,7 @@ def test_an_interrupted_run_prints_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_error_paths_return_nonzero(tmp_path, capsys):
-    cfg = dict(RunConfig(output_dir=None).to_dict(), provider="replay")  # no master seed, no fixtures
+    cfg = dict(RunConfig(output_dir=None)._asdict(), provider="replay")  # no master seed, no fixtures
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", "--config", str(cfg_path)]) == 1

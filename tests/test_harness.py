@@ -59,7 +59,7 @@ class TestRunConfig:
     def test_round_trip(self, tmp_path):
         cfg = RunConfig(master_seed=9, drop_prob=0.25, repetitions=3)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(cfg._asdict()), encoding="utf-8")
         assert RunConfig.from_file(path) == cfg
 
     def test_missing_master_seed_rejected(self, bundle):
@@ -813,24 +813,35 @@ class TestRemoteRun:
         tasks = [task.task_name for task in evaluated_tasks(bundle)]
         failing = tasks[3]
         lock = threading.Lock()
-        pause = threading.Event()
+        raised = threading.Event()
         started: list[str] = []
+        sent: Counter = Counter()
         answered: list[tuple] = []
         run_one_episode = harness.run_one_episode
 
         def counted(task, *args):
             with lock:
                 started.append(task.task_name)
-            return run_one_episode(task, *args)
+            try:
+                return run_one_episode(task, *args)
+            except BaseException:
+                raised.set()
+                raise
 
         def fails_for_one_task(request):
             index = tasks.index(fake.task_of(request))
             if index == 3:
                 raise urllib.error.HTTPError("https://example.invalid", 400, "bad", {}, None)
-            if index < 3:
-                # Episodes 0-2 end 0.1 s apart, long after episode 3 failed,
-                # and each one that ends frees an episode thread.
-                pause.wait(0.002 * (index + 1))
+            with lock:
+                sent[index] += 1
+                last = sent[index] == 30 + 20
+            if last:
+                # Every other episode holds its last request until episode 3
+                # has raised, so none ends and frees its episode thread for a
+                # later job before then.  The window left is between that raise
+                # and _fill's lock, where episode 3's thread records its
+                # failure: a job taken in it would still start.
+                raised.wait(10)
             text = fake(request)
             with lock:
                 answered.append(_request_key(request))

@@ -827,6 +827,21 @@ class TestAtomicWrite:
         modes = {os.stat(tmp_path / name).st_mode for name in ("atomic.txt", "plain.txt")}
         assert len(modes) == 1
 
+    def test_a_cold_path_costs_one_mkdir_per_missing_directory(self, tmp_path, monkeypatch):
+        """A cold store file's prompt-hash and stage directories: no mkdir is
+        tried before its parent exists."""
+        made: list[str] = []
+        mkdir = os.mkdir
+
+        def counted(path, *args, **kwargs):
+            made.append(os.fspath(path))
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", counted)
+        atomic_write(tmp_path / "hash" / "prog" / "7.json", "{}\n")
+        assert made == [str(tmp_path / "hash"), str(tmp_path / "hash" / "prog")]
+        assert (tmp_path / "hash" / "prog" / "7.json").read_text(encoding="utf-8") == "{}\n"
+
 
 class TestSeedDerivation:
     def test_stable_and_distinct(self):
