@@ -47,9 +47,9 @@ from .world import World, load_catalog, load_scene
 def _cmd_run(args: argparse.Namespace) -> int:
     config = RunConfig.from_file(args.config)
     if args.master_seed is not None:
-        config = RunConfig(**{**config._asdict(), "master_seed": args.master_seed})
+        config = config._replace(master_seed=args.master_seed)
     if args.output_dir:
-        config = RunConfig(**{**config._asdict(), "output_dir": args.output_dir})
+        config = config._replace(output_dir=args.output_dir)
     result = run_suite(config)
     sys.stdout.write(format_table([result.row]))
     if result.output_dir:
@@ -120,7 +120,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_record(args: argparse.Namespace) -> int:
     config = RunConfig.from_file(args.config)
     if args.master_seed is not None:
-        config = RunConfig(**{**config._asdict(), "master_seed": args.master_seed})
+        config = config._replace(master_seed=args.master_seed)
     result = record_suite(config)
     print(f"recorded {len(result.episodes)} episode(s) under {config.fixtures_dir}")
     return 0

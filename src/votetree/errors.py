@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one reader of input files:
-every input file is read by ``read_text`` or ``json_document``, inside ``reading``,
-so any fault in it ends in the caller's typed error naming the file."""
+"""Exception types shared across the package, the decorator that checks a value
+type's every value, and the one reader of input files: every input file is read
+by ``read_text`` or ``json_document``, inside ``reading``, so any fault in it
+ends in the caller's typed error naming the file."""
 
 import json
 from contextlib import contextmanager
@@ -37,6 +38,22 @@ class EmptyCommandPoolError(VoteTreeError):
 
 class NoPlansError(VoteTreeError):
     """A vote tree was requested for an empty plan collection."""
+
+
+def checked(cls: type) -> type:
+    """Make the named tuple ``cls`` call its ``_check()`` on every value it builds:
+    by a call, ``_make``, ``_replace`` (which calls ``_make``) or 3.13's
+    ``copy.replace`` (which calls ``_replace``)."""
+    new = cls.__new__
+
+    def __new__(kind, /, *args, **kwargs):  # a field may be named kind
+        self = new(kind, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda kind, fields: kind(*fields))
+    return cls
 
 
 def check_choice(name: str, value: object, known: tuple[str, ...]) -> None:

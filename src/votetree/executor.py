@@ -13,7 +13,7 @@ every command regardless of outcome.
 import random
 from typing import Callable, NamedTuple
 
-from .errors import INTEGER_AT_LEAST_1, check_choice, check_value
+from .errors import INTEGER_AT_LEAST_1, check_choice, check_value, checked
 from .plans import Command
 from .tree import MAX_VOTE, RANDOM, SELECTIONS, VoteTreeNode, select_child
 from .world import ExecutionOutcome, World, WorldState, state_diff
@@ -36,25 +36,20 @@ DEFAULT_STEP_LIMIT = 50
 CommandRunner = Callable[[WorldState, Command], ExecutionOutcome]
 
 
-class _ExecutionMode(NamedTuple):
+@checked
+class ExecutionMode(NamedTuple):
+    """How the tree is traversed and when traversal stops.  A value: each walk
+    starts its own random selection stream at ``seed``, which max_vote never reads."""
+
     kind: str = WITH_CORRECTION
     selection: str = MAX_VOTE
     termination: str = TERMINATE_CHILDLESS
     seed: int = 0
 
-
-class ExecutionMode(_ExecutionMode):
-    """How the tree is traversed and when traversal stops.  A value: each walk
-    starts its own random selection stream at ``seed``, which max_vote never reads."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         check_choice("mode", self.kind, MODES)
         check_choice("selection", self.selection, SELECTIONS)
         check_choice("termination", self.termination, TERMINATIONS)
-        return self
 
 
 class StepRecord(NamedTuple):

@@ -25,6 +25,7 @@ from .errors import (
     ProviderError,
     check_choice,
     check_value,
+    checked,
     json_document,
     read_text,
     reading,
@@ -101,7 +102,10 @@ _FIELD_CHECKS = (
 )
 
 
-class _RunConfig(NamedTuple):
+@checked
+class RunConfig(NamedTuple):
+    """Everything a run needs; serializable, defaulted, reproducible."""
+
     dataset: str | None = None          # tasks file; None = bundled
     scenes_dir: str | None = None       # scene file directory; None = bundled
     actions: str | None = None          # action catalog; None = bundled
@@ -130,14 +134,7 @@ class _RunConfig(NamedTuple):
     output_dir: str | None = "results"
     method_label: str | None = None
 
-
-class RunConfig(_RunConfig):
-    """Everything a run needs; serializable, defaulted, reproducible."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for names, rule in _FIELD_CHECKS:
             for name in names:
                 check_value(name, getattr(self, name), rule)
@@ -146,7 +143,6 @@ class RunConfig(_RunConfig):
         ExecutionMode(self.mode, self.selection, self.termination)
         if self.provider != SYNTHETIC and not self.fixtures_dir:
             raise ConfigError(f"{self.provider} provider needs fixtures_dir")
-        return self
 
     @property
     def label(self) -> str:

@@ -11,7 +11,7 @@ import re
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import EmptyCommandPoolError
+from .errors import EmptyCommandPoolError, checked
 
 # Aliases mapped onto canonical action names during normalization.
 ACTION_ALIASES = {"walk": "find", "put": "putback"}
@@ -37,16 +37,15 @@ class _Command(NamedTuple):
     args: tuple[str, ...]
 
 
+@checked
 class Command(_Command):
     """One action applied to one or two objects; the atomic executable unit."""
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not self.action:
             raise ValueError("command has an empty action token")
         if len(self.args) not in (1, 2):
             raise ValueError(f"command {self.action!r} needs 1 or 2 arguments, got {len(self.args)}")
-        return self
 
     # No ``__slots__ = ()`` here: cached_property keeps its value in the instance dict.
     @cached_property

@@ -19,6 +19,7 @@ from .errors import (
     DatasetError,
     EmptyCommandPoolError,
     check_value,
+    checked,
     json_document,
 )
 from .plans import Command
@@ -29,21 +30,16 @@ PROG = "prog"
 REORDER = "reorder"
 
 
-class _SamplingConfig(NamedTuple):
+@checked
+class SamplingConfig(NamedTuple):
     temperature: float = 0.1  # the plan generation stage's defaults: it runs cool and wide
     num_samples: int = 30
     max_length: int = 80
     seed: int = 0
 
-
-class SamplingConfig(_SamplingConfig):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         check_value("temperature", self.temperature, NUMBER_AT_LEAST_0)
         check_value("num_samples", self.num_samples, INTEGER_AT_LEAST_1)
-        return self
 
 
 class _PromptDocument(NamedTuple):

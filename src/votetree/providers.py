@@ -29,7 +29,7 @@ import urllib.parse
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
 
-from .errors import ConfigError, ProviderError, json_document, reading
+from .errors import ConfigError, ProviderError, checked, json_document, reading
 from .plans import Command, Plan, render_plan
 from .prompts import PromptDocument, SamplingConfig
 
@@ -193,6 +193,8 @@ def read_through(
     recorded = json_document(path, ProviderError) if path.exists() else {"samples": []}
     with reading(path, ProviderError):
         samples: list[str | None] = recorded.pop("samples")
+        if type(samples) is not list:
+            raise ProviderError(f"samples must be a list, got {samples!r}")
         for k, sample in enumerate(samples):  # a cold store's list is empty here
             if sample is not None and type(sample) is not str:
                 raise ProviderError(f"sample {k} is {sample!r}, not a string or null")
@@ -273,25 +275,20 @@ class ReplayProvider:
 
 # -- synthetic noise model ----------------------------------------------------
 
-class _NoiseModel(NamedTuple):
+@checked
+class NoiseModel(NamedTuple):
+    """Per-position perturbation probabilities plus an insertion pool."""
+
     drop_prob: float = 0.0
     swap_prob: float = 0.0
     insert_prob: float = 0.0
     distractor_pool: tuple[Command, ...] = ()
 
-
-class NoiseModel(_NoiseModel):
-    """Per-position perturbation probabilities plus an insertion pool."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for name in ("drop_prob", "swap_prob", "insert_prob"):
             p = getattr(self, name)
             if type(p) not in (int, float) or not 0 <= p <= 1:
                 raise ConfigError(f"{name} must be a number in [0, 1], got {p!r}")
-        return self
 
 
 def _perturb(commands: Sequence[Command], noise: NoiseModel, rng: random.Random) -> list[Command]:

@@ -116,18 +116,27 @@ def tree_to_dict(node: VoteTreeNode) -> dict:
 
 
 def tree_from_dict(doc: dict) -> VoteTreeNode:
-    """The tree of a ``tree_to_dict`` document; a node below the root
-    without a command, a vote that is not an integer, or an end marker
-    that is not a JSON bool (absent is false), is a ``DatasetError``."""
-    command = Command.parse(doc["command"]) if doc.get("command") else None
-    node = VoteTreeNode(command)
+    """The tree of a ``tree_to_dict`` document; a node that is not a JSON
+    object, a command that is not a string (absent or null is the root's),
+    a node below the root without a command, a vote that is not an integer,
+    an end marker that is not a JSON bool (absent is false), or children
+    that are not a list, is a ``DatasetError``."""
+    if type(doc) is not dict:
+        raise DatasetError(f"a node must be a JSON object, got {doc!r}")
+    command = doc.get("command")
+    if command is not None and type(command) is not str:
+        raise DatasetError(f"command must be a string or null, got {command!r}")
+    node = VoteTreeNode(Command.parse(command) if command else None)
     node.vote = doc["vote"]
     if type(node.vote) is not int:
         raise DatasetError(f"vote must be an integer, got {node.vote!r}")
     node.end_marker = doc.get("end_marker", False)
     if type(node.end_marker) is not bool:
         raise DatasetError(f"end_marker must be true or false, got {node.end_marker!r}")
-    for child_doc in doc.get("children", []):
+    children = doc.get("children", [])
+    if type(children) is not list:
+        raise DatasetError(f"children must be a list, got {children!r}")
+    for child_doc in children:
         child = tree_from_dict(child_doc)
         if child.is_root:
             raise DatasetError("a node below the root has no command")

@@ -17,7 +17,7 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .errors import CatalogError, DatasetError, SceneError, VoteTreeError, json_document, reading
+from .errors import CatalogError, DatasetError, SceneError, VoteTreeError, checked, json_document, reading
 from .plans import Command, Plan
 from .prompts import DATA_DIR, instruction_slug
 
@@ -43,19 +43,15 @@ _PRED_RE = re.compile(r"^\s*([A-Z_]+)\s*\(\s*([^(),\s]+)\s*(?:,\s*([^(),\s]+)\s*
 _TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
-class _StatePredicate(NamedTuple):
+@checked
+class StatePredicate(NamedTuple):
+    """A unary object state (``OPEN(fridge)``) or binary relation (``INSIDE(a, b)``)."""
+
     predicate: str
     subject: str
     object: str | None = None
 
-
-class StatePredicate(_StatePredicate):
-    """A unary object state (``OPEN(fridge)``) or binary relation (``INSIDE(a, b)``)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.predicate in UNARY_PREDICATES:
             if self.object is not None:
                 raise ValueError(f"{self.predicate} is unary, got second object {self.object!r}")
@@ -65,7 +61,6 @@ class StatePredicate(_StatePredicate):
         else:
             valid = sorted(UNARY_PREDICATES | BINARY_PREDICATES)
             raise ValueError(f"unknown predicate token {self.predicate!r}; expected one of {valid}")
-        return self
 
     @classmethod
     def parse(cls, text: str) -> "StatePredicate":
@@ -405,26 +400,21 @@ def derive_goal_conditions(world: World, initial: WorldState, goal_plan: Plan,
     return diff
 
 
-class _Task(NamedTuple):
+@checked
+class Task(NamedTuple):
+    """One dataset entry: instruction, scene binding, goal plan, optional goals."""
+
     task_name: str
     scene_id: str
     goal_plan: Plan
     goal_conditions: frozenset[StatePredicate] | None = None  # None: derived from goal_plan
 
-
-class Task(_Task):
-    """One dataset entry: instruction, scene binding, goal plan, optional goals."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for name in ("task_name", "scene_id"):
             if type(getattr(self, name)) is not str:
                 raise DatasetError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.goal_conditions is not None and not self.goal_conditions:
             raise DatasetError(f"task {self.task_name!r}: goal_conditions must be non-empty")
-        return self
 
 
 def load_tasks(path: str | Path) -> list[Task]:

@@ -464,7 +464,11 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                  "misspelt-outcome": {"steps": [{"idx": 0, "command": "find(apple)",
                                                  "outcome": "succes"}]},
                  "string-idx": {"steps": [{"idx": "0", "command": "find(apple)",
-                                           "outcome": "success"}]}}
+                                           "outcome": "success"}]},
+                 "int-node": {"command": None, "vote": 1, "children": [3]},
+                 "int-children": {"command": None, "vote": 1, "children": 3},
+                 "int-command": {"command": None, "vote": 1,
+                                 "children": [{"command": 3, "vote": 1, "children": []}]}}
     for name, doc in documents.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     catalog = json.loads((DATA_DIR / "actions.json").read_text(encoding="utf-8"))
@@ -564,6 +568,23 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
         {"master_seed": 1, "repetitions": 1, "dataset": str(tmp_path / "seen-tasks.json"),
          "output_dir": str(tmp_path / "out")}),
         encoding="utf-8")
+    task = next(t for t in json.loads((DATA_DIR / "tasks.json").read_text(encoding="utf-8"))
+                if t["task_name"] not in seen_task_names())
+    one_task = tmp_path / "one-task.json"
+    one_task.write_text(json.dumps([task]), encoding="utf-8")
+    record_suite(RunConfig(master_seed=1, repetitions=1, dataset=str(one_task),
+                           fixtures_dir=str(tmp_path / "store")))
+    stores = {}  # a replay store whose one prog file's samples are not a list
+    for name, samples in (("null", None), ("number", 3), ("string", "find(mug)")):
+        shutil.copytree(tmp_path / "store", tmp_path / f"{name}-samples")
+        [path] = (tmp_path / f"{name}-samples").glob("*/prog/*.json")
+        doc = {**json.loads(path.read_text(encoding="utf-8")), "samples": samples}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        (tmp_path / f"run-{name}-samples.json").write_text(json.dumps(
+            {"master_seed": 1, "repetitions": 1, "dataset": str(one_task), "provider": "replay",
+             "fixtures_dir": str(tmp_path / f"{name}-samples"), "output_dir": None}),
+            encoding="utf-8")
+        stores[name] = path, samples
     configs = {"latin1-tasks.json": {"dataset": "latin1-tasks.json"},
                "latin1-scenes/s.json": {"scenes_dir": "latin1-scenes"},
                "string-task.json": {"dataset": "string-task.json"},
@@ -724,7 +745,17 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                         (["run", "--config", str(tmp_path / "run-ok.json"),
                           "--output-dir", str(tmp_path / "taken")], "taken"),
                         *((["run", "--config", str(tmp_path / f"run-{named.replace('/', '-')}")],
-                           named + messages.get(named, "")) for named in configs)):
+                           named + messages.get(named, "")) for named in configs),
+                        *((["run", "--config", str(tmp_path / f"run-{name}-samples.json")],
+                           f"error: task {task['task_name']!r}, repetition 0: {path}: "
+                           f"samples must be a list, got {samples!r}\n")
+                          for name, (path, samples) in stores.items()),
+                        *((["execute", "--tree", str(tmp_path / f"{name}.json"), "--scene",
+                            str(scene)], f"error: {tmp_path}/{name}.json: {problem}\n")
+                          for name, problem in (
+                              ("int-node", "a node must be a JSON object, got 3"),
+                              ("int-children", "children must be a list, got 3"),
+                              ("int-command", "command must be a string or null, got 3")))):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, (argv, err)

@@ -877,22 +877,39 @@ class TestRemoteRun:
 
     def test_the_earliest_failing_episode_in_run_order_is_raised(self, bundle, tmp_path,
                                                                  monkeypatch):
+        """Task 1 fails after task 3 has; the run raises task 1's error."""
         fake = FakeTransport(bundle)
         tasks = [task.task_name for task in evaluated_tasks(bundle)]
-        pause = threading.Event()
+        three_raised = threading.Event()
+        first = threading.Lock()  # the first of task 1's requests to take it waits
+        waited: list[bool] = []
+        run_one_episode = harness.run_one_episode
+
+        def marks_three_raised(task, *args):
+            try:
+                return run_one_episode(task, *args)
+            except BaseException:
+                if task.task_name == tasks[3]:
+                    three_raised.set()
+                raise
 
         def transport(request):
             task = fake.task_of(request)
             if task == tasks[1]:
-                pause.wait(0.05)  # fails after task 3 has
+                if first.acquire(blocking=False):
+                    # The rest of task 1's requests fail at once, so they hold
+                    # no request thread that task 3's requests need.
+                    waited.append(three_raised.wait(10))
                 raise urllib.error.HTTPError("https://example.invalid", 401, "one", {}, None)
             if task == tasks[3]:
                 raise urllib.error.HTTPError("https://example.invalid", 403, "three", {}, None)
             return fake(request)
 
+        monkeypatch.setattr(harness, "run_one_episode", marks_three_raised)
         _remote_via(monkeypatch, transport)
         with pytest.raises(ProviderError, match=rf"task {tasks[1]!r}, repetition 0: .*401"):
             run_suite(_remote_config(tmp_path, "two-failures", output_dir=None), bundle)
+        assert waited == [True]
 
     def test_a_slow_episode_does_not_hold_back_the_others(self, bundle, tmp_path, monkeypatch):
         """Episode 0 waits until episode MAX_INFLIGHT has started: an episode

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from votetree.errors import ConfigError, ProviderError
 from votetree import providers
-from votetree.harness import MAX_INFLIGHT
 from votetree.plans import Command, parse_plan_text, render_plan
 from votetree.prompts import PromptDocument, SamplingConfig
 from votetree.providers import (
@@ -536,44 +535,45 @@ class TestRemoteConcurrency:
         assert sent == [(k, threading.get_ident()) for k in range(cfg.num_samples)]
 
     def test_fatal_error_stops_queued_requests(self, tmp_path, prompt, monkeypatch):
+        """Outside a run the requests go one at a time in k order, so a fatal
+        error at sample 0 sends nothing more and retries nothing."""
         slept: list[float] = []
         monkeypatch.setattr(time, "sleep", slept.append)
         cfg = SamplingConfig(num_samples=40, seed=2)
         k_of = self._k_of(cfg)
         sent: list[int] = []
-        lock = threading.Lock()
-        pause = threading.Event()
 
         def transport(request):
-            k = k_of(request)
-            with lock:
-                sent.append(k)
-            if k == 0:
+            sent.append(k_of(request))
+            if k_of(request) == 0:
                 raise urllib.error.HTTPError("https://example.invalid", 400, "bad", {}, None)
-            pause.wait(0.05)  # still in flight when sample 0 fails
             return "find('a')\n"
 
         with pytest.raises(ProviderError, match="not retried"):
             self._provider(tmp_path, transport).generate(prompt, cfg)
-        assert len(sent) <= MAX_INFLIGHT
+        assert sent == [0]
         assert slept == []
 
     def test_lowest_failing_sample_is_raised(self, tmp_path, prompt):
+        """Outside a run sample 1's failure ends the fill before sample 3 is
+        sent; test_a_batch_raises_its_lowest_failure covers a pool, where
+        sample 1 fails after a higher sample has."""
         cfg = SamplingConfig(num_samples=4, seed=2)
         k_of = self._k_of(cfg)
-        pause = threading.Event()
+        sent: list[int] = []
 
         def transport(request):
             k = k_of(request)
+            sent.append(k)
             if k == 3:
                 raise urllib.error.HTTPError("https://example.invalid", 403, "three", {}, None)
             if k == 1:
-                pause.wait(0.05)  # fails after sample 3 has
                 raise urllib.error.HTTPError("https://example.invalid", 401, "one", {}, None)
             return "find('a')\n"
 
         with pytest.raises(ProviderError, match="401"):
             self._provider(tmp_path, transport).generate(prompt, cfg)
+        assert sent == [0, 1]
 
     @staticmethod
     def _through(pool, provider, prompt, cfg):

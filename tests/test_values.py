@@ -1,5 +1,6 @@
-"""The value contract: a value type is validated when it is built, positionally
-or by keyword, and compares, hashes and orders as the tuple of its fields."""
+"""The value contract: a value type is validated when it is built, positionally,
+by keyword, by ``_make`` or by ``_replace``, and compares, hashes and orders as
+the tuple of its fields."""
 
 import pytest
 from hypothesis import given
@@ -57,14 +58,24 @@ REFUSALS = [
     (RunConfig, {"drop_prob": -0.5}, (None, None, None, "synthetic", None, "", "", "x", 60.0,
                                       3, 0.1, 30, 0.65, 20, 80, -0.5),
      ConfigError, "drop_prob must be a number in [0, 1], got -0.5"),
+    (RunConfig, {"repetitions": 0}, (None, None, None, "synthetic", None, "", "", "x", 60.0, 3,
+                                     0.1, 30, 0.65, 20, 80, 0.0, 0.0, 0.0, "with_correction",
+                                     "max_vote", "childless_success", 0),
+     ConfigError, "repetitions must be an integer >= 1, got 0"),
 ]
+
+# A valid value of each type, which ``_replace`` turns into a row's bad one.
+VALID = {Command: Command("find", ("mug",)), StatePredicate: StatePredicate("OPEN", "fridge"),
+         Task: Task("wash mug", "scene1", ()), SamplingConfig: SamplingConfig(),
+         ExecutionMode: ExecutionMode(), NoiseModel: NoiseModel(), RunConfig: RunConfig()}
 
 
 @pytest.mark.parametrize("kind, by_keyword, by_position, error, message", REFUSALS,
                          ids=[f"{row[0].__name__}-{i}" for i, row in enumerate(REFUSALS)])
 def test_a_bad_value_is_refused_by_keyword_and_by_position(kind, by_keyword, by_position,
                                                            error, message):
-    for build in (lambda: kind(**by_keyword), lambda: kind(*by_position)):
+    for build in (lambda: kind(**by_keyword), lambda: kind(*by_position),
+                  lambda: kind._make(by_position), lambda: VALID[kind]._replace(**by_keyword)):
         with pytest.raises(error) as raised:
             build()
         assert type(raised.value) is error and str(raised.value) == message
