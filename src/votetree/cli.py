@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .diff import plan_diff_report
-from .errors import DatasetError, VoteTreeError, json_document, read_text, reading
+from .errors import (JSON_OBJECT, LIST, STRING, STRING_OR_NULL, DatasetError, VoteTreeError,
+                     check_value, json_document, read_text, reading)
 from .executor import (
     DEFAULT_STEP_LIMIT,
     MODES,
@@ -64,29 +65,39 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
         if plan:
             plans.append(plan)
     root = build_vote_tree(plans)
-    doc = json_text(tree_to_dict(root))
+    with reading(f"{args.corpus}: vote tree", DatasetError):  # a long plan nests it too deeply
+        doc = json_text(tree_to_dict(root))
+        outline = render_outline(root) if args.outline else None
     if args.out:
         atomic_write(Path(args.out), doc)
         print(f"tree with {len(plans)} plans written to {args.out}")
     else:
         sys.stdout.write(doc)
-    if args.outline:
-        print(render_outline(root))
+    if outline is not None:
+        print(outline)
     return 0
 
 
 def _read_steps(path: str) -> list[StepRecord]:
-    """The steps of a trace file; each step's ``idx`` must be its position, and
-    its ``outcome`` ``"success"`` or ``"failure"``."""
+    """The steps of a trace file: a list of JSON objects, each with the
+    integer that is its position as ``idx``, a command string, an ``outcome``
+    of ``"success"`` or ``"failure"`` and a ``reason`` that is a string or
+    null (absent is null)."""
     steps = []
     with reading(path, DatasetError):
-        for position, step in enumerate(json_document(path, DatasetError)["steps"]):
-            if type(step["idx"]) is not int or step["idx"] != position:
-                raise DatasetError(f"step {position}: idx must be {position}, got {step['idx']!r}")
-            if step["outcome"] not in ("success", "failure"):
-                raise DatasetError(f"outcome must be 'success' or 'failure', got {step['outcome']!r}")
-            steps.append(StepRecord(Command.parse(step["command"]), step["outcome"] == "success",
-                                    step.get("reason"), node_path=()))
+        document = json_document(path, DatasetError)
+        for position, step in enumerate(check_value("steps", document["steps"], LIST, DatasetError)):
+            check_value(f"step {position}", step, JSON_OBJECT, DatasetError)
+            check_value(f"step {position}: idx", step["idx"],
+                        (lambda v: type(v) is int and v == position, str(position)), DatasetError)
+            outcome = check_value("outcome", step["outcome"],
+                                  (lambda v: v in ("success", "failure"), "'success' or 'failure'"),
+                                  DatasetError)
+            command = check_value(f"step {position}: command", step["command"], STRING, DatasetError)
+            reason = check_value(f"step {position}: reason", step.get("reason"), STRING_OR_NULL,
+                                 DatasetError)
+            steps.append(StepRecord(Command.parse(command), outcome == "success", reason,
+                                    node_path=()))
     return steps
 
 

@@ -16,8 +16,13 @@ from typing import NamedTuple
 
 from . import metrics as metrics_mod
 from .errors import (
+    BOOL,
+    INTEGER,
     INTEGER_AT_LEAST_1,
     NUMBER_AT_LEAST_0,
+    PROBABILITY,
+    STRING,
+    STRING_OR_NULL,
     ConfigError,
     DatasetError,
     EmptyCommandPoolError,
@@ -95,11 +100,14 @@ _FIELD_CHECKS = (
     (("prog_temperature", "reorder_temperature"), NUMBER_AT_LEAST_0),
     (("remote_timeout",), (lambda v: type(v) in (int, float) and v > 0, "a number > 0")),
     (("dataset", "scenes_dir", "actions", "fixtures_dir", "output_dir", "method_label"),
-     (lambda v: v is None or type(v) is str, "a string or null")),
-    (("remote_endpoint", "remote_model", "remote_api_key_env"),
-     (lambda v: type(v) is str, "a string")),
-    (("include_seen",), (lambda v: type(v) is bool, "true or false")),
+     STRING_OR_NULL),
+    (("remote_endpoint", "remote_model", "remote_api_key_env"), STRING),
+    (("include_seen",), BOOL),
 )
+
+# (field, rule) for each field of a metrics.jsonl episode record that scoring reads.
+_EPISODE_FIELDS = (("rep", INTEGER), ("task_index", INTEGER), ("gcr", PROBABILITY),
+                   ("exec", PROBABILITY))
 
 
 @checked
@@ -621,19 +629,17 @@ def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:
             if not isinstance(record, dict):
                 raise DatasetError("not a JSON object")
             if record.get("kind") == "run":
-                method = record.get("method", method)
-                if type(method) is not str:
-                    raise DatasetError(f"method must be a string, got {method!r}")
+                method = check_value("method", record.get("method", method), STRING, DatasetError)
         if record.get("kind") == "episode":
+            for name, rule in _EPISODE_FIELDS:
+                if name not in record:
+                    raise DatasetError(f"{path}: an episode record has no {name!r}")
+                check_value(f"{path}: an episode record has a bad value: {name}", record[name],
+                            rule, DatasetError)
             episodes.append(record)
     if not episodes:
         raise DatasetError(f"no episode records in {path}")
-    try:
-        return metrics_mod.score(method, episodes)[0]
-    except KeyError as exc:
-        raise DatasetError(f"{path}: an episode record has no {exc}") from exc
-    except TypeError as exc:
-        raise DatasetError(f"{path}: an episode record has a bad value: {exc}") from exc
+    return metrics_mod.score(method, episodes)[0]
 
 
 def record_suite(config: RunConfig, bundle: DatasetBundle | None = None) -> SuiteResult:

@@ -29,7 +29,7 @@ import urllib.parse
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
 
-from .errors import ConfigError, ProviderError, checked, json_document, reading
+from .errors import LIST, PROBABILITY, ProviderError, check_value, checked, json_document, reading
 from .plans import Command, Plan, render_plan
 from .prompts import PromptDocument, SamplingConfig
 
@@ -192,9 +192,8 @@ def read_through(
               "seed": config.seed, "max_length": config.max_length}
     recorded = json_document(path, ProviderError) if path.exists() else {"samples": []}
     with reading(path, ProviderError):
-        samples: list[str | None] = recorded.pop("samples")
-        if type(samples) is not list:
-            raise ProviderError(f"samples must be a list, got {samples!r}")
+        samples: list[str | None] = check_value("samples", recorded.pop("samples"), LIST,
+                                                ProviderError)
         for k, sample in enumerate(samples):  # a cold store's list is empty here
             if sample is not None and type(sample) is not str:
                 raise ProviderError(f"sample {k} is {sample!r}, not a string or null")
@@ -286,9 +285,7 @@ class NoiseModel(NamedTuple):
 
     def _check(self) -> None:
         for name in ("drop_prob", "swap_prob", "insert_prob"):
-            p = getattr(self, name)
-            if type(p) not in (int, float) or not 0 <= p <= 1:
-                raise ConfigError(f"{name} must be a number in [0, 1], got {p!r}")
+            check_value(name, getattr(self, name), PROBABILITY)
 
 
 def _perturb(commands: Sequence[Command], noise: NoiseModel, rng: random.Random) -> list[Command]:

@@ -10,7 +10,8 @@ edits or re-weights it; backtracking only decides where the walk goes next.
 import random
 from typing import Mapping, NamedTuple
 
-from .errors import DatasetError, NoPlansError
+from .errors import (BOOL, INTEGER, JSON_OBJECT, LIST, STRING_OR_NULL, DatasetError, NoPlansError,
+                     check_value)
 from .plans import Command, Plan
 
 MAX_VOTE = "max_vote"
@@ -121,22 +122,12 @@ def tree_from_dict(doc: dict) -> VoteTreeNode:
     a node below the root without a command, a vote that is not an integer,
     an end marker that is not a JSON bool (absent is false), or children
     that are not a list, is a ``DatasetError``."""
-    if type(doc) is not dict:
-        raise DatasetError(f"a node must be a JSON object, got {doc!r}")
-    command = doc.get("command")
-    if command is not None and type(command) is not str:
-        raise DatasetError(f"command must be a string or null, got {command!r}")
+    check_value("a node", doc, JSON_OBJECT, DatasetError)
+    command = check_value("command", doc.get("command"), STRING_OR_NULL, DatasetError)
     node = VoteTreeNode(Command.parse(command) if command else None)
-    node.vote = doc["vote"]
-    if type(node.vote) is not int:
-        raise DatasetError(f"vote must be an integer, got {node.vote!r}")
-    node.end_marker = doc.get("end_marker", False)
-    if type(node.end_marker) is not bool:
-        raise DatasetError(f"end_marker must be true or false, got {node.end_marker!r}")
-    children = doc.get("children", [])
-    if type(children) is not list:
-        raise DatasetError(f"children must be a list, got {children!r}")
-    for child_doc in children:
+    node.vote = check_value("vote", doc["vote"], INTEGER, DatasetError)
+    node.end_marker = check_value("end_marker", doc.get("end_marker", False), BOOL, DatasetError)
+    for child_doc in check_value("children", doc.get("children", []), LIST, DatasetError):
         child = tree_from_dict(child_doc)
         if child.is_root:
             raise DatasetError("a node below the root has no command")

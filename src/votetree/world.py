@@ -17,7 +17,8 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .errors import CatalogError, DatasetError, SceneError, VoteTreeError, checked, json_document, reading
+from .errors import (JSON_OBJECT, LIST, STRING, STRINGS, CatalogError, DatasetError, SceneError,
+                     check_value, checked, json_document, reading)
 from .plans import Command, Plan
 from .prompts import DATA_DIR, instruction_slug
 
@@ -41,6 +42,7 @@ HANDS_FREE = "HANDS_FREE"
 
 _PRED_RE = re.compile(r"^\s*([A-Z_]+)\s*\(\s*([^(),\s]+)\s*(?:,\s*([^(),\s]+)\s*)?\)\s*$")
 _TOKEN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_TOKEN = (lambda v: type(v) is str and _TOKEN_RE.fullmatch(v), "a lowercase token")
 
 
 @checked
@@ -147,13 +149,6 @@ def _parse_template(text: str, arity: int, section: str) -> _Template:
     return _Template(pred, args, negated)
 
 
-def _strings(value: object, what: str, error: type[VoteTreeError]) -> list[str]:
-    """``value``, refused unless it is a list of strings (a string is not one)."""
-    if type(value) is not list or any(type(v) is not str for v in value):
-        raise error(f"{what} must be a list of strings, got {value!r}")
-    return value
-
-
 class ActionSchema(NamedTuple):
     """Declares one action: arity, property gates, preconditions and effects."""
 
@@ -172,29 +167,25 @@ ActionCatalog = dict[str, ActionSchema]
 def load_catalog(path: str | Path) -> ActionCatalog:
     """Load the action catalog: a JSON list of action schemas."""
     catalog: ActionCatalog = {}
-    for number, doc in enumerate(json_document(path, CatalogError, list)):
+    for number, doc in enumerate(json_document(path, CatalogError, LIST)):
         with reading(f"{path} entry {number}", CatalogError):
-            if type(doc) is not dict:
-                raise CatalogError(f"an action schema must be a JSON object, got {doc!r}")
-            name, arity = doc["name"], doc["arity"]
-            if type(name) is not str or not _TOKEN_RE.fullmatch(name):
-                raise CatalogError(f"name must be a lowercase token, got {name!r}")
-            if type(arity) is not int or arity not in (1, 2):
-                raise CatalogError(f"action {name!r}: arity must be 1 or 2, got {arity!r}")
-            req = doc.get("required_properties", [])
-            if type(req) is not list:
-                raise CatalogError(f"action {name!r}: required_properties must be a list")
+            check_value("an action schema", doc, JSON_OBJECT, CatalogError)
+            name = check_value("name", doc["name"], _TOKEN, CatalogError)
+            arity = check_value(f"action {name!r}: arity", doc["arity"],
+                                (lambda v: type(v) is int and v in (1, 2), "1 or 2"), CatalogError)
+            req = check_value(f"action {name!r}: required_properties",
+                              doc.get("required_properties", []), LIST, CatalogError)
             if len(req) > arity:
                 raise CatalogError(f"action {name!r}: more property lists than parameters")
             req_padded = tuple(
-                frozenset(_strings(req[i], f"action {name!r}: required_properties[{i}]",
-                                   CatalogError)) if i < len(req) else frozenset()
+                frozenset(check_value(f"action {name!r}: required_properties[{i}]", req[i],
+                                      STRINGS, CatalogError)) if i < len(req) else frozenset()
                 for i in range(arity)
             )
             preconditions, adds, dels = (
                 tuple(_parse_template(t, arity, section)
-                      for t in _strings(doc.get(section, []), f"action {name!r}: {section}",
-                                        CatalogError))
+                      for t in check_value(f"action {name!r}: {section}", doc.get(section, []),
+                                           STRINGS, CatalogError))
                 for section in ("preconditions", "add", "del"))
         if name in catalog:
             raise CatalogError(f"{path}: duplicate action schema {name!r}")
@@ -226,25 +217,18 @@ def load_scene(document: Mapping | str | Path) -> Scene:
         scene_id = document.get("scene_id")
         if not scene_id:
             raise SceneError("missing 'scene_id'")
-        if type(scene_id) is not str:
-            raise SceneError(f"scene_id must be a string, got {scene_id!r}")
+        check_value("scene_id", scene_id, STRING, SceneError)
 
         objects: dict[str, frozenset[str]] = {}
-        entries = document.get("objects", [])
-        if type(entries) is not list:
-            raise SceneError(f"objects must be a list of JSON objects, got {entries!r}")
+        entries = check_value("objects", document.get("objects", []),
+                              (LIST[0], "a list of JSON objects"), SceneError)
         for number, entry in enumerate(entries):
-            if type(entry) is not dict:
-                raise SceneError(f"objects entry {number} must be a JSON object, got {entry!r}")
-            oid = entry["id"]
-            if type(oid) is not str or not _TOKEN_RE.fullmatch(oid):
-                raise SceneError(f"object id must be a lowercase token, got {oid!r}")
-            properties = frozenset(_strings(entry.get("properties", []),
-                                            f"object {oid!r}: properties", SceneError))
-            class_name = entry.get("class_name", oid)
-            if type(class_name) is not str or not _TOKEN_RE.fullmatch(class_name):
-                raise SceneError(f"object {oid!r}: class_name must be a non-empty lowercase "
-                                 f"token, got {class_name!r}")
+            check_value(f"objects entry {number}", entry, JSON_OBJECT, SceneError)
+            oid = check_value("object id", entry["id"], _TOKEN, SceneError)
+            properties = frozenset(check_value(f"object {oid!r}: properties",
+                                               entry.get("properties", []), STRINGS, SceneError))
+            check_value(f"object {oid!r}: class_name", entry.get("class_name", oid),
+                        (_TOKEN[0], "a non-empty lowercase token"), SceneError)
             if oid == AGENT:
                 raise SceneError(f"object id {AGENT!r} is reserved")
             if oid in objects:
@@ -252,7 +236,7 @@ def load_scene(document: Mapping | str | Path) -> Scene:
             objects[oid] = properties
 
         predicates: set[StatePredicate] = set()
-        for text in _strings(document.get("init", []), "init", SceneError):
+        for text in check_value("init", document.get("init", []), STRINGS, SceneError):
             pred = StatePredicate.parse(text)
             for ref in (pred.subject, pred.object):
                 if ref is not None and ref != AGENT and ref not in objects:
@@ -411,8 +395,7 @@ class Task(NamedTuple):
 
     def _check(self) -> None:
         for name in ("task_name", "scene_id"):
-            if type(getattr(self, name)) is not str:
-                raise DatasetError(f"{name} must be a string, got {getattr(self, name)!r}")
+            check_value(name, getattr(self, name), STRING, DatasetError)
         if self.goal_conditions is not None and not self.goal_conditions:
             raise DatasetError(f"task {self.task_name!r}: goal_conditions must be non-empty")
 
@@ -420,11 +403,11 @@ class Task(NamedTuple):
 def load_tasks(path: str | Path) -> list[Task]:
     """Load the task file: a JSON list of task entries."""
     tasks = []
-    for number, doc in enumerate(json_document(path, DatasetError, list)):
+    for number, doc in enumerate(json_document(path, DatasetError, LIST)):
         with reading(f"{path} entry {number}", DatasetError):
-            if type(doc) is not dict:
-                raise DatasetError(f"a task must be a JSON object, got {doc!r}")
-            commands = tuple(map(Command.parse, _strings(doc["goal_plan"], "goal_plan", DatasetError)))
+            check_value("a task", doc, JSON_OBJECT, DatasetError)
+            commands = tuple(map(Command.parse,
+                                 check_value("goal_plan", doc["goal_plan"], STRINGS, DatasetError)))
             if not commands:
                 raise DatasetError("goal_plan must be non-empty")
             conditions = doc.get("goal_conditions")
@@ -434,8 +417,8 @@ def load_tasks(path: str | Path) -> list[Task]:
                     scene_id=doc["scene_id"],
                     goal_plan=commands,
                     goal_conditions=(
-                        frozenset(StatePredicate.parse(p)
-                                  for p in _strings(conditions, "goal_conditions", DatasetError))
+                        frozenset(StatePredicate.parse(p) for p in
+                                  check_value("goal_conditions", conditions, STRINGS, DatasetError))
                         if conditions is not None else None
                     ),
                 )

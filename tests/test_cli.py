@@ -691,9 +691,53 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                                            "got 'OPEN(mug)'",
                 "string-entry-actions.json": " entry 1: an action schema must be a JSON object, "
                                              "got 'find'"}
+    # Trace steps and episode records refused by name, and inputs nested deeper than the stack.
+    for name, steps in (("string-step", ["x"]), ("string-steps", "x"),
+                        ("int-step-command", [{"idx": 0, "command": 3, "outcome": "success"}]),
+                        ("int-reason", [{"idx": 0, "command": "find(apple)", "outcome": "failure",
+                                         "reason": 3}])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"steps": steps}), encoding="utf-8")
+    episode = {"kind": "episode", "rep": 0, "task_index": 0, "gcr": 1.0, "exec": 1.0}
+    bad_records = (("list-rep", "rep", [1], "an integer"),
+                   ("text-task-index", "task_index", "1", "an integer"),
+                   ("null-gcr", "gcr", None, "a number in [0, 1]"),
+                   ("bool-gcr", "gcr", True, "a number in [0, 1]"),
+                   ("big-exec", "exec", 1.5, "a number in [0, 1]"))
+    for name, field, value, _ in bad_records:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "metrics.jsonl").write_text("\n".join(
+            [run_record, json.dumps({**episode, "task_index": 1}),
+             json.dumps({**episode, field: value})]) + "\n", encoding="utf-8")
+    (tmp_path / "deep-tree.json").write_text(  # 1,500 levels below the root, one child each
+        '{"vote": 1, "children": [' + '{"command": "find(apple)", "vote": 1, "children": [' * 1500
+        + "]}" * 1501, encoding="utf-8")
+    # 20,000 levels: Python 3.13 decodes 5,000, and fails on them as bad JSON instead.
+    (tmp_path / "deep-config.json").write_text("[" * 20_000, encoding="utf-8")
+    (tmp_path / "long-corpus.txt").write_text("".join(f"find(x{i})\n" for i in range(1400)),
+                                              encoding="utf-8")
     capsys.readouterr()
     for argv, named in ((["run", "--config", missing], "missing.json"),
                         (["run", "--config", str(not_json)], "line 1"),
+                        *((["diff", "--trace-a", str(tmp_path / f"{name}.json"),
+                            "--trace-b", str(tmp_path / "empty-trace.json")],
+                           f"error: {tmp_path}/{name}.json: {problem}\n")
+                          for name, problem in (
+                              ("string-step", "step 0 must be a JSON object, got 'x'"),
+                              ("string-steps", "steps must be a list, got 'x'"),
+                              ("int-step-command", "step 0: command must be a string, got 3"),
+                              ("int-reason", "step 0: reason must be a string or null, got 3"))),
+                        *((["metrics", "--results", str(tmp_path / name)],
+                           f"error: {tmp_path}/{name}/metrics.jsonl: an episode record has a bad "
+                           f"value: {field} must be {expected}, got {value!r}\n")
+                          for name, field, value, expected in bad_records),
+                        (["execute", "--tree", str(tmp_path / "deep-tree.json"),
+                          "--scene", str(scene)],
+                         f"error: {tmp_path}/deep-tree.json: nested too deeply\n"),
+                        (["run", "--config", str(tmp_path / "deep-config.json")],
+                         f"error: {tmp_path}/deep-config.json: nested too deeply\n"),
+                        *((["build-tree", "--corpus", str(tmp_path / "long-corpus.txt"), *outline],
+                           f"error: {tmp_path}/long-corpus.txt: vote tree: nested too deeply\n")
+                          for outline in ([], ["--outline"])),
                         *((["run", "--config", str(path)], "JSON object") for path in not_objects),
                         (["record", "--config", missing], "missing.json"),
                         (["execute", "--tree", missing, "--scene", str(scene)], "missing.json"),

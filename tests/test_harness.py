@@ -1,8 +1,10 @@
+import ast
 import errno
 import hashlib
 import json
 import multiprocessing
 import os
+import re
 import select
 import signal
 import statistics
@@ -137,6 +139,28 @@ class TestLoadDataset:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         assert run.stdout == "[]\n"
+
+    def test_a_field_refusal_is_written_only_in_check_value(self):
+        """``<field> must be <expected>, got <value>`` is written once, in
+        ``errors.check_value``, which every refusal of a field calls."""
+        written = []
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            exempt = {id(node) for function in ast.walk(tree)
+                      if isinstance(function, ast.FunctionDef)
+                      and (path.name, function.name) == ("errors.py", "check_value")
+                      for node in ast.walk(function)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.JoinedStr):
+                    text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                   for part in node.values)
+                elif isinstance(node, ast.Constant) and type(node.value) is str:
+                    text = node.value
+                else:
+                    continue
+                if re.search(r"must be .*, got ", text, re.DOTALL) and id(node) not in exempt:
+                    written.append(f"{path.name}:{node.lineno}")
+        assert written == []
 
     def test_top_level_names_load_from_their_modules(self):
         """In a fresh interpreter a submodule is reached as an attribute and by
