@@ -64,6 +64,8 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
         plan, _ = parse_plan_text(body)
         if plan:
             plans.append(plan)
+    if not plans:
+        raise DatasetError(f"{args.corpus}: no plan to build a vote tree from")
     root = build_vote_tree(plans)
     with reading(f"{args.corpus}: vote tree", DatasetError):  # a long plan nests it too deeply
         doc = json_text(tree_to_dict(root))

@@ -33,14 +33,6 @@ class ProviderError(VoteTreeError):
     """A plan generator could not deliver the requested samples."""
 
 
-class EmptyCommandPoolError(VoteTreeError):
-    """No commands could be extracted from the generated plans."""
-
-
-class NoPlansError(VoteTreeError):
-    """A vote tree was requested for an empty plan collection."""
-
-
 def checked(cls: type) -> type:
     """Make the named tuple ``cls`` call its ``_check()`` on every value it builds:
     by a call, ``_make``, ``_replace`` (which calls ``_make``) or 3.13's

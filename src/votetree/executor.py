@@ -29,7 +29,7 @@ TERMINATIONS = (TERMINATE_CHILDLESS, TERMINATE_END_MARKER)
 COMPLETED = "completed"
 EXHAUSTED = "exhausted"
 STEP_LIMIT = "step_limit"
-NO_PLAN = "no_plan"  # nothing to execute: an empty tree in run_episode, never execute_tree
+NO_PLAN = "no_plan"  # nothing to execute: the tree has no command
 
 DEFAULT_STEP_LIMIT = 50
 
@@ -86,8 +86,12 @@ def execute_tree(
     ExecutionOutcome and must leave the state unchanged on failure.  The tree
     is never touched: the walk keeps, per level from the root down, the
     command path there and a shallow copy of the children not yet tried.
+    A tree with no command is an episode with no plan: it attempts nothing
+    and ends ``no_plan`` in either mode.
     """
     check_value("step_limit", step_limit, INTEGER_AT_LEAST_1)
+    if not root.children:
+        return ExecutionTrace((), initial_state, NO_PLAN)
     correcting = mode.kind == WITH_CORRECTION
     rng = random.Random(mode.seed) if mode.selection == RANDOM else None
     levels: list[tuple[tuple[str, ...], dict[str, VoteTreeNode]]] = [((), dict(root.children))]
@@ -97,11 +101,11 @@ def execute_tree(
         path, untried = levels[-1]
         child = select_child(untried, rng)
         if child is None:
-            # Every child here was tried.  Without correction that is only an
-            # empty root.  With correction the episode is over at the root;
-            # elsewhere resume selection one level up.
-            if not correcting or len(levels) == 1:
-                termination = EXHAUSTED if correcting else COMPLETED
+            # Every child here was tried, which happens only with correction:
+            # the episode is over at the root; elsewhere resume selection one
+            # level up.
+            if len(levels) == 1:
+                termination = EXHAUSTED
                 break
             levels.pop()
             continue
@@ -135,13 +139,8 @@ def run_episode(
     mode: ExecutionMode,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> EpisodeResult:
-    """Execute the tree in the world and bundle the metric inputs.  An empty
-    tree is an episode with no plan: it attempts nothing and ends ``no_plan``."""
-    check_value("step_limit", step_limit, INTEGER_AT_LEAST_1)
-    if root.children:
-        trace = execute_tree(root, world.execute, initial_state, mode, step_limit)
-    else:
-        trace = ExecutionTrace((), initial_state, NO_PLAN)
+    """Execute the tree in the world and bundle the metric inputs."""
+    trace = execute_tree(root, world.execute, initial_state, mode, step_limit)
     return EpisodeResult(trace, state_diff(initial_state, trace.final_state))
 
 

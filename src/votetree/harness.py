@@ -25,8 +25,6 @@ from .errors import (
     STRING_OR_NULL,
     ConfigError,
     DatasetError,
-    EmptyCommandPoolError,
-    NoPlansError,
     ProviderError,
     check_choice,
     check_value,
@@ -66,7 +64,6 @@ from .providers import (
     RequestPool,
     SyntheticProvider,
     _fill,
-    atomic_write,
     derive_seed,
     json_text,
 )
@@ -104,6 +101,10 @@ _FIELD_CHECKS = (
     (("remote_endpoint", "remote_model", "remote_api_key_env"), STRING),
     (("include_seen",), BOOL),
 )
+
+# The error of an episode with no plan, in its trace.json.
+NO_POOL = "empty_command_pool: no commands in any generated plan"
+NO_PLANS = "no_plans: cannot build a vote tree from an empty plan list"
 
 # (field, rule) for each field of a metrics.jsonl episode record that scoring reads.
 _EPISODE_FIELDS = (("rep", INTEGER), ("task_index", INTEGER), ("gcr", PROBABILITY),
@@ -275,8 +276,8 @@ def run_one_episode(task: Task, rep: int, memo: RunMemo) -> tuple[EpisodeResult,
     sample k with the text; diagnostics are still reported per k, in k
     order.  An empty command pool skips the reorder stage; it and a reorder
     stage whose samples all parse empty leave an empty tree and the error,
-    and ``run_episode`` then attempts nothing and ends the episode with
-    termination ``no_plan``.
+    and ``run_episode`` then attempts nothing and ends the episode
+    ``no_plan``.
     """
     config, bundle, provider = memo.config, memo.bundle, memo.providers[task]
     scene = bundle.scenes[task.scene_id]
@@ -304,14 +305,11 @@ def run_one_episode(task: Task, rep: int, memo: RunMemo) -> tuple[EpisodeResult,
         return plans
 
     generated = sample(memo.prog_prompts[task], config.prog_temperature, config.prog_num_samples)
-    pool, error = (), None
-    try:
-        pool = extract_unique_commands(generated)
+    pool, root, error = extract_unique_commands(generated), VoteTreeNode(), NO_POOL
+    if pool:
         reorder_prompt = format_reorder_prompt(pool, task.task_name, memo.reorder_examples)
-        root = build_vote_tree(
-            sample(reorder_prompt, config.reorder_temperature, config.reorder_num_samples))
-    except (EmptyCommandPoolError, NoPlansError) as exc:
-        root, error = VoteTreeNode(), str(exc)
+        plans = sample(reorder_prompt, config.reorder_temperature, config.reorder_num_samples)
+        root, error = build_vote_tree(plans), None if plans else NO_PLANS
     seed = derive_seed(config.master_seed, rep, task.task_name, "selection")
     mode = ExecutionMode(config.mode, config.selection, config.termination, seed)
     episode = run_episode(memo.worlds[task.scene_id], scene.initial_state, root, mode,
@@ -579,16 +577,18 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     return SuiteResult(row=row, per_rep=per_rep, episodes=episode_records, output_dir=output_dir)
 
 
-def _remove(staging: str) -> None:
-    """Remove the ``staging`` directory of a failed run with SIGINT blocked in
-    this thread, so that a second Ctrl-C cannot stop the removal half done;
-    it is delivered once the directory is gone."""
-    import signal  # here: only a failed run pays for the import
+def _remove(path: str, renames: tuple = ()) -> None:
+    """Make each (source, target) rename of ``renames`` in turn, then remove
+    the directory ``path``, with SIGINT blocked in this thread, so that a
+    second Ctrl-C cannot stop them half done; it is delivered once they are."""
+    import signal  # here: a run that writes nothing does not pay for the import
 
     block = getattr(signal, "pthread_sigmask", None)  # None on Windows
     mask = block(signal.SIG_BLOCK, {signal.SIGINT}) if block else None
     try:
-        shutil.rmtree(staging, ignore_errors=True)
+        for source, target in renames:
+            os.replace(source, target)
+        shutil.rmtree(path, ignore_errors=True)
     finally:
         if block:
             block(signal.SIG_SETMASK, mask)
@@ -602,20 +602,25 @@ def _write_outputs(
     episode_records: list[dict],
     staging: str,
 ) -> None:
-    """Rename the ``staging`` directory the episodes wrote to ``episodes/``,
-    replacing the last run's, then replace the run's three top-level files,
-    each by rename.  Nothing else in ``output_dir`` is touched."""
-    episodes_dir = output_dir / "episodes"
-    if episodes_dir.exists():
-        shutil.rmtree(episodes_dir)
-    os.rename(staging, episodes_dir)
-    atomic_write(output_dir / "summary.txt", metrics_mod.format_table([row]))
+    """Write the run's three top-level files into the ``staging`` directory the
+    episodes wrote to; then, by ``_remove``, move them over the last run's,
+    swap ``staging`` in as ``episodes/`` and remove the last run's.  A fault
+    before the swap leaves the last run's four outputs as they were.  Nothing
+    else in ``output_dir`` is touched."""
     header = {"kind": "run", "method": config.label, "repetitions": config.repetitions,
               "master_seed": config.master_seed}
-    atomic_write(output_dir / "metrics.jsonl", "".join(
-        json.dumps(record, sort_keys=True) + "\n" for record in [header, *episode_records, *per_rep]
-    ))
-    atomic_write(output_dir / "run_config.json", json_text(config._asdict()))
+    files = {"summary.txt": metrics_mod.format_table([row]),
+             "metrics.jsonl": "".join(json.dumps(record, sort_keys=True) + "\n"
+                                      for record in [header, *episode_records, *per_rep]),
+             "run_config.json": json_text(config._asdict())}
+    for name, text in files.items():  # no slug has a dot: these clash with no episode
+        with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    episodes_dir, earlier = output_dir / "episodes", f"{staging}-earlier"
+    renames = [(os.path.join(staging, name), output_dir / name) for name in files]
+    if episodes_dir.exists():
+        renames.append((episodes_dir, earlier))
+    _remove(earlier, (*renames, (staging, episodes_dir)))
 
 
 def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:

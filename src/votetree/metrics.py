@@ -1,13 +1,10 @@
 """Evaluation metrics: success rate, goal condition recall, executability."""
 
-import logging
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .executor import NO_PLAN, ExecutionTrace
+from .executor import ExecutionTrace
 from .world import StatePredicate
-
-logger = logging.getLogger(__name__)
 
 
 def compute_gcr(achieved: Iterable[StatePredicate], target: Iterable[StatePredicate]) -> float:
@@ -28,10 +25,8 @@ def compute_sr(gcrs: Sequence[float]) -> float:
 
 def compute_exec(trace: ExecutionTrace) -> float:
     """Fraction of attempted commands that executed successfully; 0 for an
-    empty trace, with a warning unless the episode had no plan to execute."""
+    empty trace, which only an episode with no plan gives."""
     if trace.attempted == 0:
-        if trace.termination != NO_PLAN:
-            logger.warning("empty trace: no commands were attempted, Exec defined as 0")
         return 0.0
     return trace.succeeded / trace.attempted
 

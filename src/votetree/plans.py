@@ -11,7 +11,7 @@ import re
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import EmptyCommandPoolError, checked
+from .errors import checked
 
 # Aliases mapped onto canonical action names during normalization.
 ACTION_ALIASES = {"walk": "find", "put": "putback"}
@@ -175,11 +175,10 @@ def split_corpus(text: str) -> list[str]:
 
 def extract_unique_commands(plans: list[Plan]) -> tuple[Command, ...]:
     """The command pool: every plan command, deduplicated by canonical form
-    and sorted by it; each form keeps the first command seen with it."""
+    and sorted by it; each form keeps the first command seen with it.  Plans
+    with no command give the empty pool ``()``."""
     by_key: dict[str, Command] = {}
     for plan in plans:
         for command in plan:
             by_key.setdefault(command.canonical_form, command)
-    if not by_key:
-        raise EmptyCommandPoolError("empty_command_pool: no commands in any generated plan")
     return tuple(by_key[k] for k in sorted(by_key))

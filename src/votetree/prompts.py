@@ -13,11 +13,11 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import (
+    INTEGER,
     INTEGER_AT_LEAST_1,
     NUMBER_AT_LEAST_0,
     ConfigError,
     DatasetError,
-    EmptyCommandPoolError,
     check_value,
     checked,
     json_document,
@@ -40,6 +40,8 @@ class SamplingConfig(NamedTuple):
     def _check(self) -> None:
         check_value("temperature", self.temperature, NUMBER_AT_LEAST_0)
         check_value("num_samples", self.num_samples, INTEGER_AT_LEAST_1)
+        check_value("max_length", self.max_length, INTEGER_AT_LEAST_1)
+        check_value("seed", self.seed, INTEGER)
 
 
 class _PromptDocument(NamedTuple):
@@ -111,7 +113,7 @@ def format_reorder_prompt(
     into the plan parser.
     """
     if not pool:
-        raise EmptyCommandPoolError("cannot build a reorder prompt from an empty command pool")
+        raise ConfigError("cannot build a reorder prompt from an empty command pool")
 
     text = "# Reorder the given commands into a plan that completes the task.\n"
     text += "# Output one command per line, in execution order.\n\n"

@@ -349,7 +349,7 @@ class SyntheticProvider:
         the samples a store lacks can be drawn in any run, in any order.  The
         draws share one generator, so they are called from one thread at a
         time: no synthetic store draw goes through a request pool."""
-        commands, noise, limit = self.seed_plan, self.noise, config.max_length or None
+        commands, noise, limit = self.seed_plan, self.noise, config.max_length
         if not (noise.drop_prob or noise.swap_prob or noise.insert_prob and noise.distractor_pool):
             # random() >= 0 keeps every command and random() < 0 swaps none, so
             # no stream can change the plan: each k draws the seed plan's text.

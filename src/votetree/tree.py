@@ -10,8 +10,7 @@ edits or re-weights it; backtracking only decides where the walk goes next.
 import random
 from typing import Mapping, NamedTuple
 
-from .errors import (BOOL, INTEGER, JSON_OBJECT, LIST, STRING_OR_NULL, DatasetError, NoPlansError,
-                     check_value)
+from .errors import BOOL, INTEGER, JSON_OBJECT, LIST, STRING_OR_NULL, DatasetError, check_value
 from .plans import Command, Plan
 
 MAX_VOTE = "max_vote"
@@ -42,10 +41,9 @@ def build_vote_tree(plans: list[Plan]) -> VoteTreeNode:
 
     For each plan, walk from the root creating absent children and increment
     the vote of every visited child.  The result is order independent: any
-    permutation of ``plans`` builds the identical tree.
+    permutation of ``plans`` builds the identical tree, and no plans build
+    the empty tree (vote 0, no end marker, no children).
     """
-    if not plans:
-        raise NoPlansError("no_plans: cannot build a vote tree from an empty plan list")
     root = VoteTreeNode()
     root.vote = len(plans)
     for plan in plans:

@@ -715,6 +715,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
     (tmp_path / "deep-config.json").write_text("[" * 20_000, encoding="utf-8")
     (tmp_path / "long-corpus.txt").write_text("".join(f"find(x{i})\n" for i in range(1400)),
                                               encoding="utf-8")
+    (tmp_path / "comments-corpus.txt").write_text("# no plan here\n# nor here\n",
+                                                  encoding="utf-8")
     capsys.readouterr()
     for argv, named in ((["run", "--config", missing], "missing.json"),
                         (["run", "--config", str(not_json)], "line 1"),
@@ -738,6 +740,9 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                         *((["build-tree", "--corpus", str(tmp_path / "long-corpus.txt"), *outline],
                            f"error: {tmp_path}/long-corpus.txt: vote tree: nested too deeply\n")
                           for outline in ([], ["--outline"])),
+                        (["build-tree", "--corpus", str(tmp_path / "comments-corpus.txt")],
+                         f"error: {tmp_path}/comments-corpus.txt: no plan to build a vote tree "
+                         "from\n"),
                         *((["run", "--config", str(path)], "JSON object") for path in not_objects),
                         (["record", "--config", missing], "missing.json"),
                         (["execute", "--tree", missing, "--scene", str(scene)], "missing.json"),

@@ -242,10 +242,13 @@ class EditableNode:
 def reference_walk(root, run_command, state, mode, step_limit):
     """Oracle: the clone-and-remove executor.  It copies the tree, deletes a
     failed child from the copy, deletes a node with no children left from its
-    parent and climbs parent links to backtrack."""
+    parent and climbs parent links to backtrack.  A childless root is
+    ``no_plan``."""
     correcting = mode.kind == "with_correction"
     rng = random.Random(mode.seed) if mode.selection == "random" else None
     node, steps = EditableNode(root), []
+    if not node.children:
+        return steps, state, "no_plan"
     while True:
         child = select_child(node.children, rng)
         if child is None:
@@ -317,12 +320,20 @@ class TestRunEpisode:
     @pytest.mark.parametrize("kind", MODES)
     def test_an_empty_tree_is_no_plan(self, world1, scene1, kind):
         """An empty tree attempts nothing and ends ``no_plan`` in either mode,
-        where ``execute_tree`` ends it ``exhausted`` or ``completed``."""
+        in ``execute_tree`` as in ``run_episode``; a bad step limit is refused
+        first."""
         episode = run_episode(world1, scene1.initial_state, VoteTreeNode(), ExecutionMode(kind))
         assert (episode.trace.steps, episode.trace.termination) == ((), "no_plan")
         assert (episode.trace.final_state, episode.achieved) == (scene1.initial_state, frozenset())
+        trace = execute_tree(VoteTreeNode(), world1.execute, scene1.initial_state,
+                             ExecutionMode(kind))
+        assert (trace.steps, trace.final_state, trace.termination) == (
+            (), scene1.initial_state, "no_plan")
         with pytest.raises(ConfigError, match="step_limit"):
             run_episode(world1, scene1.initial_state, VoteTreeNode(), ExecutionMode(kind), 0)
+        with pytest.raises(ConfigError, match="step_limit"):
+            execute_tree(VoteTreeNode(), world1.execute, scene1.initial_state,
+                         ExecutionMode(kind), 0)
 
     def test_noisy_recovery_rate_regression(self, bundle, world1, scene1):
         """100 seeded trials; drop-noise samples must recover the goal on a

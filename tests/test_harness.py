@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import select
+import shutil
 import signal
 import statistics
 import subprocess
@@ -1103,6 +1104,49 @@ class TestEpisodeWriter:
         assert self._contents(out) == before
         assert not self._leftovers(out)
         assert not multiprocessing.active_children()
+
+    def test_an_interrupt_while_removing_the_earlier_episodes_leaves_the_new_run(
+            self, bundle, earlier, monkeypatch):
+        """A Ctrl-C that arrives after the earlier ``episodes/`` lost its first
+        file waits until the swap and the removal are done: the directory holds
+        the new run's four outputs, byte for byte."""
+        out, _ = earlier
+        rmtree = harness.shutil.rmtree
+
+        def interrupted(path, *args, **kwargs):
+            monkeypatch.setattr(harness.shutil, "rmtree", rmtree)  # only the first call
+            sorted(Path(path).rglob("trace.json"))[0].unlink()
+            signal.raise_signal(signal.SIGINT)
+            return rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness.shutil, "rmtree", interrupted)
+        config = RunConfig(master_seed=8, repetitions=1, output_dir=str(out))
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(config, bundle)
+        contents, leftovers = self._contents(out), self._leftovers(out)
+        shutil.rmtree(out)
+        run_suite(config, bundle)
+        assert contents == self._contents(out) and not leftovers
+
+    def test_a_full_disk_writing_metrics_leaves_the_earlier_run(self, bundle, earlier,
+                                                                monkeypatch):
+        """The three top-level files are written before anything of the earlier
+        run is touched, so failing at ``metrics.jsonl`` leaves its four outputs
+        as they were."""
+        out, before = earlier
+        real_open = open
+
+        def full_disk(file, *args, **kwargs):
+            if not isinstance(file, int) and os.path.basename(file).startswith("metrics.jsonl"):
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", full_disk)
+        with pytest.raises(OSError) as raised:
+            run_suite(RunConfig(master_seed=8, repetitions=1, output_dir=str(out)), bundle)
+        assert raised.value.errno == errno.ENOSPC
+        assert self._contents(out) == before
+        assert not self._leftovers(out)
 
     @pytest.mark.parametrize("failure", ["episode", "interrupt"])
     def test_a_failed_recording_leaves_no_temporary_file(self, bundle, tmp_path, monkeypatch,

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from votetree.errors import EmptyCommandPoolError
 from votetree.plans import (
     Command,
     extract_unique_commands,
@@ -171,9 +170,8 @@ class TestExtractUniqueCommands:
         pool = extract_unique_commands([plan] * 30)
         assert [c.canonical_form for c in pool] == ["find(salmon)", "grab(salmon)"]
 
-    def test_all_empty_plans_raise(self):
-        with pytest.raises(EmptyCommandPoolError):
-            extract_unique_commands([(), ()])
+    def test_all_empty_plans_give_the_empty_pool(self):
+        assert extract_unique_commands([(), ()]) == ()
 
     def test_order_independence(self):
         rng = random.Random(3)

@@ -170,14 +170,14 @@ PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
 
 class TestSamplerMatchesReference:
     """Sample k is ``random.Random(derive_seed(seed, prompt hash, k))`` perturbing
-    the seed plan, cut to ``max_length`` (0: no cut) and rendered one command a
+    the seed plan, cut to ``max_length`` and rendered one command a
     line with a final newline; fixture stores hold these texts, so they are a
     contract."""
 
     @given(seed=st.integers(-2**64, 2**64), k=st.integers(0, 200), text=st.text(max_size=20),
            commands=st.lists(COMMANDS, min_size=1, max_size=10),
            drop=PROBABILITIES, swap=PROBABILITIES, insert=PROBABILITIES,
-           pool=st.lists(COMMANDS, max_size=4), max_length=st.integers(0, 12))
+           pool=st.lists(COMMANDS, max_size=4), max_length=st.integers(1, 12))
     @example(seed=3, k=0, text="", commands=[Command("find", ("apple",))], drop=1.0, swap=0.0,
              insert=0.0, pool=[], max_length=80)
     # Noise-free models, whose samples draw no stream: no noise beside a pool,
@@ -187,7 +187,7 @@ class TestSamplerMatchesReference:
              drop=0.0, swap=0.0, insert=0.0, pool=[Command("open", ("fridge",))], max_length=80)
     @example(seed=-2, k=3, text="", commands=[Command("find", ("sofa",)),
                                               Command("open", ("fridge",))],
-             drop=0.0, swap=0.0, insert=0.5, pool=[], max_length=0)
+             drop=0.0, swap=0.0, insert=0.5, pool=[], max_length=80)
     @example(seed=11, k=1, text="y", commands=[Command("find", ("apple",)),
                                                Command("grab", ("apple",)),
                                                Command("open", ("fridge",))],
@@ -199,9 +199,7 @@ class TestSamplerMatchesReference:
         noise = NoiseModel(drop, swap, insert, tuple(pool))
         rng = random.Random(derive_seed(seed, prompt.content_hash, k))
         kept = _reference_perturb(commands, noise, rng)
-        if max_length:
-            kept = kept[:max_length]
-        expected = render_plan(tuple(kept)) + "\n"
+        expected = render_plan(tuple(kept[:max_length])) + "\n"
         sample = SyntheticProvider(tuple(commands), noise).sampler(prompt, config)(k)
         assert sample == expected
         if drop == 1.0 and not (insert and pool):

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from votetree.errors import ConfigError, NoPlansError
+from votetree.errors import ConfigError
 from votetree.executor import ExecutionMode
 from votetree.plans import Command
 from votetree.tree import (
+    VoteTreeNode,
     build_vote_tree,
     render_outline,
     select_child,
@@ -70,9 +71,8 @@ class TestBuildVoteTree:
         assert (root.vote, a.vote, a.children["b(x)"].vote) == (20, 20, 20)
         assert len(a.children) == 1
 
-    def test_empty_plan_list_rejected(self):
-        with pytest.raises(NoPlansError, match="no_plans"):
-            build_vote_tree([])
+    def test_empty_plan_list_gives_the_empty_tree(self):
+        assert tree_to_dict(build_vote_tree([])) == tree_to_dict(VoteTreeNode())
 
     def test_votes_match_brute_force_oracle(self):
         rng = random.Random(2024)

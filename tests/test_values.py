@@ -62,6 +62,12 @@ REFUSALS = [
                                      0.1, 30, 0.65, 20, 80, 0.0, 0.0, 0.0, "with_correction",
                                      "max_vote", "childless_success", 0),
      ConfigError, "repetitions must be an integer >= 1, got 0"),
+    *((SamplingConfig, {"max_length": value}, (0.1, 30, value),
+       ConfigError, f"max_length must be an integer >= 1, got {value!r}")
+      for value in (0, None, True, 2.5, "80")),
+    *((SamplingConfig, {"seed": value}, (0.1, 30, 80, value),
+       ConfigError, f"seed must be an integer, got {value!r}")
+      for value in ("7", 2.5, None)),
 ]
 
 # A valid value of each type, which ``_replace`` turns into a row's bad one.
