@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 from .diff import plan_diff_report
-from .errors import (JSON_OBJECT, LIST, STRING, STRING_OR_NULL, DatasetError, VoteTreeError,
-                     check_value, json_document, read_text, reading)
+from .errors import DatasetError, VoteTreeError, json_document, read_text, reading
 from .executor import (
     DEFAULT_STEP_LIMIT,
     MODES,
@@ -25,13 +24,13 @@ from .executor import (
     TERMINATIONS,
     WITH_CORRECTION,
     ExecutionMode,
-    StepRecord,
+    read_steps,
     run_episode,
     serialize_trace,
 )
 from .harness import RunConfig, recompute_metrics, record_suite, run_suite
 from .metrics import format_table
-from .plans import Command, parse_plan_text, split_corpus
+from .plans import parse_plan_text, split_corpus
 from .prompts import DATA_DIR
 from .providers import atomic_write, json_text
 from .tree import (
@@ -80,29 +79,6 @@ def _cmd_build_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_steps(path: str) -> list[StepRecord]:
-    """The steps of a trace file: a list of JSON objects, each with the
-    integer that is its position as ``idx``, a command string, an ``outcome``
-    of ``"success"`` or ``"failure"`` and a ``reason`` that is a string or
-    null (absent is null)."""
-    steps = []
-    with reading(path, DatasetError):
-        document = json_document(path, DatasetError)
-        for position, step in enumerate(check_value("steps", document["steps"], LIST, DatasetError)):
-            check_value(f"step {position}", step, JSON_OBJECT, DatasetError)
-            check_value(f"step {position}: idx", step["idx"],
-                        (lambda v: type(v) is int and v == position, str(position)), DatasetError)
-            outcome = check_value("outcome", step["outcome"],
-                                  (lambda v: v in ("success", "failure"), "'success' or 'failure'"),
-                                  DatasetError)
-            command = check_value(f"step {position}: command", step["command"], STRING, DatasetError)
-            reason = check_value(f"step {position}: reason", step.get("reason"), STRING_OR_NULL,
-                                 DatasetError)
-            steps.append(StepRecord(Command.parse(command), outcome == "success", reason,
-                                    node_path=()))
-    return steps
-
-
 def _cmd_execute(args: argparse.Namespace) -> int:
     with reading(args.tree, DatasetError):
         root = tree_from_dict(json_document(args.tree, DatasetError))
@@ -110,7 +86,7 @@ def _cmd_execute(args: argparse.Namespace) -> int:
     world = World(load_catalog(args.actions or DATA_DIR / "actions.json"), scene.objects)
     mode = ExecutionMode(args.mode, args.selection, args.termination, args.seed)
     trace = run_episode(world, scene.initial_state, root, mode, args.step_limit).trace
-    out = json_text({"termination": trace.termination, "steps": serialize_trace(trace)})
+    out = json_text(serialize_trace(trace))
     if args.out:
         atomic_write(Path(args.out), out)
     else:
@@ -125,7 +101,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    steps_a, steps_b = _read_steps(args.trace_a), _read_steps(args.trace_b)
+    steps_a, steps_b = read_steps(args.trace_a), read_steps(args.trace_b)
     sys.stdout.write(plan_diff_report(steps_a, steps_b, labels=(args.label_a, args.label_b)))
     return 0
 

@@ -13,7 +13,8 @@ every command regardless of outcome.
 import random
 from typing import Callable, NamedTuple
 
-from .errors import INTEGER_AT_LEAST_1, check_choice, check_value, checked
+from .errors import (INTEGER_AT_LEAST_1, JSON_OBJECT, LIST, STRING, STRING_OR_NULL, DatasetError,
+                     check_choice, check_value, checked, json_document, reading)
 from .plans import Command
 from .tree import MAX_VOTE, RANDOM, SELECTIONS, VoteTreeNode, select_child
 from .world import ExecutionOutcome, World, WorldState, state_diff
@@ -144,12 +145,36 @@ def run_episode(
     return EpisodeResult(trace, state_diff(initial_state, trace.final_state))
 
 
-def serialize_trace(trace: ExecutionTrace) -> list[dict]:
-    """Ordered step records as plain dicts for logs and reports."""
-    records = []
+def serialize_trace(trace: ExecutionTrace) -> dict:
+    """The ``{"termination", "steps"}`` document of a ``trace.json``, its steps
+    in order as plain dicts (``read_steps`` reads them back)."""
+    steps = []
     for i, s in enumerate(trace.steps):
         rec = {"idx": i, "command": s.command.canonical_form, "outcome": "success" if s.ok else "failure"}
         if s.reason:
             rec["reason"] = s.reason
-        records.append(rec)
-    return records
+        steps.append(rec)
+    return {"termination": trace.termination, "steps": steps}
+
+
+def read_steps(path: str) -> list[StepRecord]:
+    """The steps of a trace file: a list of JSON objects, each with the
+    integer that is its position as ``idx``, a command string, an ``outcome``
+    of ``"success"`` or ``"failure"`` and a ``reason`` that is a string or
+    null (absent is null)."""
+    steps = []
+    with reading(path, DatasetError):
+        document = json_document(path, DatasetError)
+        for position, step in enumerate(check_value("steps", document["steps"], LIST, DatasetError)):
+            check_value(f"step {position}", step, JSON_OBJECT, DatasetError)
+            check_value(f"step {position}: idx", step["idx"],
+                        (lambda v: type(v) is int and v == position, str(position)), DatasetError)
+            outcome = check_value("outcome", step["outcome"],
+                                  (lambda v: v in ("success", "failure"), "'success' or 'failure'"),
+                                  DatasetError)
+            command = check_value(f"step {position}: command", step["command"], STRING, DatasetError)
+            reason = check_value(f"step {position}: reason", step.get("reason"), STRING_OR_NULL,
+                                 DatasetError)
+            steps.append(StepRecord(Command.parse(command), outcome == "success", reason,
+                                    node_path=()))
+    return steps

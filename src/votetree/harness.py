@@ -63,6 +63,7 @@ from .providers import (
     ReplayProvider,
     RequestPool,
     SyntheticProvider,
+    WAIT_SLICE,
     _fill,
     derive_seed,
     json_text,
@@ -106,7 +107,9 @@ _FIELD_CHECKS = (
 NO_POOL = "empty_command_pool: no commands in any generated plan"
 NO_PLANS = "no_plans: cannot build a vote tree from an empty plan list"
 
-# (field, rule) for each field of a metrics.jsonl episode record that scoring reads.
+# The kinds of metrics.jsonl record, and (field, rule) for each field of an
+# episode record that scoring reads.
+_KINDS = (lambda v: v in ("run", "episode", "repetition"), "'run', 'episode' or 'repetition'")
 _EPISODE_FIELDS = (("rep", INTEGER), ("task_index", INTEGER), ("gcr", PROBABILITY),
                    ("exec", PROBABILITY))
 
@@ -354,13 +357,12 @@ def _run_job(memo: RunMemo, staging: str | None, job: tuple[int, int, Task]) -> 
     if staging is None:
         return record
     trace_doc = {
+        **serialize_trace(episode.trace),
         "task": task.task_name,
-        "termination": episode.trace.termination,
         "gcr": gcr,
         "exec": exec_rate,
         "goal_conditions": sorted(p.render() for p in goal),
         "achieved": sorted(p.render() for p in episode.achieved),
-        "steps": serialize_trace(episode.trace),
     }
     if artifacts.error is not None:
         trace_doc["error"] = artifacts.error
@@ -476,7 +478,7 @@ def _forked(context, run_job, jobs: list, workers: int, where: str) -> list[dict
         outcomes, dead = {}, []
         live = dict(zip(readers, procs))
         while live:
-            for reader in wait(list(live)):
+            for reader in wait(list(live), WAIT_SLICE):
                 proc = live.pop(reader)
                 try:
                     outcomes.update(reader.recv())
@@ -624,27 +626,35 @@ def _write_outputs(
 
 
 def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:
-    """Rebuild the summary row from persisted per-episode records."""
+    """Rebuild the summary row from persisted per-episode records, which must
+    score to the file's own per-repetition records."""
     path = Path(results_dir) / "metrics.jsonl"
     method = "unknown"
     episodes: list[dict] = []
+    repetitions: list[dict] = []
     for number, line in enumerate(read_text(path, DatasetError).splitlines(), 1):
         with reading(f"{path} line {number}", DatasetError):
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise DatasetError("not a JSON object")
-            if record.get("kind") == "run":
+            kind = check_value("kind", record["kind"], _KINDS, DatasetError)
+            if kind == "run":
                 method = check_value("method", record.get("method", method), STRING, DatasetError)
-        if record.get("kind") == "episode":
+        if kind == "episode":
             for name, rule in _EPISODE_FIELDS:
                 if name not in record:
                     raise DatasetError(f"{path}: an episode record has no {name!r}")
                 check_value(f"{path}: an episode record has a bad value: {name}", record[name],
                             rule, DatasetError)
             episodes.append(record)
+        elif kind == "repetition":
+            repetitions.append(record)
     if not episodes:
         raise DatasetError(f"no episode records in {path}")
-    return metrics_mod.score(method, episodes)[0]
+    row, per_rep = metrics_mod.score(method, episodes)
+    if per_rep != repetitions:
+        raise DatasetError(f"{path}: the repetition records do not match the episode records")
+    return row
 
 
 def record_suite(config: RunConfig, bundle: DatasetBundle | None = None) -> SuiteResult:

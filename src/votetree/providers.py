@@ -60,6 +60,18 @@ class PlanGenerator(Protocol):
 
 # -- request pool ---------------------------------------------------------------
 
+WAIT_SLICE = 0.05
+"""The longest a run's wait blocks at once, in seconds.  A signal handler runs
+only when the main thread runs Python code, so a SIGINT that lands just before
+an untimed wait blocks would be handled only once the wait ends."""
+
+
+def _wait(event: threading.Event) -> None:
+    """Wait for ``event`` in slices of ``WAIT_SLICE``, so that a Ctrl-C is seen."""
+    while not event.wait(WAIT_SLICE):
+        pass
+
+
 def _fill(draw: Callable[[int], object], missing: Sequence[int], samples: list,
           requests: RequestPool | None) -> None:
     """Fill ``samples[k]`` with ``draw(k)`` for each k of ``missing``, or raise
@@ -96,11 +108,11 @@ def _fill(draw: Callable[[int], object], missing: Sequence[int], samples: list,
     else:
         requests.put_all(run, len(missing))
         try:
-            done.wait()
+            _wait(done)
         except BaseException:  # a signal: start no further draw, let the running ones end
             with lock:
                 lowest = -1
-            done.wait()
+            _wait(done)
             raise
     if failure is not None:
         raise failure

@@ -2,14 +2,17 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from votetree import cli, harness, world
 from votetree.cli import main
 from votetree.executor import TERMINATE_CHILDLESS, TERMINATIONS
-from votetree.harness import RunConfig, record_suite
+from votetree.harness import RunConfig, record_suite, run_suite
 from votetree.prompts import DATA_DIR, instruction_slug, seen_task_names
 
 
@@ -131,6 +134,36 @@ def test_execute_reproduces_every_episode_of_a_run(tmp_path, capsys):
             got = json.loads(replayed.read_text(encoding="utf-8"))
             assert (got["termination"], got["steps"]) == (expected["termination"],
                                                           expected["steps"])
+
+
+def test_execute_repeats_a_random_walk_and_ends_an_empty_tree_no_plan(tmp_path, capsys):
+    """``votetree execute`` with random selection and one seed writes the same
+    bytes twice for a tree of a noisy run, and ends the empty tree of a run
+    with no plan ``no_plan`` without correction as with it."""
+    for name, noise in (("noisy", {"drop_prob": 0.2, "swap_prob": 0.1, "insert_prob": 0.1}),
+                        ("no-plan", {"drop_prob": 1.0})):
+        run_suite(RunConfig(master_seed=1, repetitions=1, output_dir=str(tmp_path / name), **noise))
+
+    def first_episode(out):
+        """The --tree and --scene of the run's first episode."""
+        record = json.loads((out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()[1])
+        return ["--tree", str(out / "episodes" / instruction_slug(record["task"]) / "0" /
+                              "tree.json"),
+                "--scene", str(DATA_DIR / "scenes" / f"{record['scene']}.json")]
+
+    traces = []
+    for n in range(2):
+        out = tmp_path / f"random-{n}.json"
+        assert main(["execute", *first_episode(tmp_path / "noisy"), "--selection", "random",
+                     "--seed", "7", "--out", str(out)]) == 0
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1] and json.loads(traces[0])["steps"]
+    for mode in ("with_correction", "no_correction"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["execute", *first_episode(tmp_path / "no-plan"), "--mode", mode,
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8")) == {"termination": "no_plan",
+                                                                "steps": []}
 
 
 def test_run_metrics_and_determinism(tmp_path, capsys):
@@ -430,6 +463,35 @@ def test_remote_run_with_a_bad_step_limit_sends_no_request(tmp_path, capsys, mon
     assert not (tmp_path / "cache").exists()
 
 
+def test_a_remote_run_without_an_endpoint_writes_no_store(tmp_path, capsys, monkeypatch):
+    """The default ``remote_endpoint``, empty, is refused before any request is
+    sent and before any store file or output is written."""
+    opened: list = []
+    monkeypatch.setenv("VOTETREE_API_KEY", "test-key")
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: opened.append(a))
+    cfg_path = tmp_path / "remote.json"
+    cfg_path.write_text(json.dumps({"master_seed": 1, "repetitions": 1, "provider": "remote",
+                                    "fixtures_dir": str(tmp_path / "store")}), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.err.endswith(": remote endpoint '' is not an http(s) URL\n")
+    assert opened == [] and not (tmp_path / "store").exists()
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_the_entry_point_exits_1_on_a_refusal(tmp_path):
+    """``python -m votetree.cli`` as a process: a refusal goes through
+    ``sys.exit(main())`` to exit status 1, ``error: `` first, no traceback."""
+    config = tmp_path / "latin1.json"
+    config.write_bytes(b"\xff")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "votetree.cli", "run", "--config", str(config)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
 def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file):
     not_json = tmp_path / "run.json"
     not_json.write_text("{master_seed: 1", encoding="utf-8")
@@ -541,6 +603,7 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                        ("newline-class", lambda d: d["objects"][0].update(
                            class_name=d["objects"][0]["class_name"] + "\n")),
                        ("int-class", lambda d: d["objects"][0].update(class_name=5)),
+                       ("upper-class", lambda d: d["objects"][0].update(class_name="Apple")),
                        ("string-properties-bad-class", lambda d: d["objects"][0].update(
                            properties="CAN_OPEN", class_name="X")),
                        ("agent-bad-class", lambda d: d["objects"].append(
@@ -624,6 +687,7 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                "list-scene-id/scene1.json": {"scenes_dir": "list-scene-id"},
                "newline-class/scene1.json": {"scenes_dir": "newline-class"},
                "int-class/scene1.json": {"scenes_dir": "int-class"},
+               "upper-class/scene1.json": {"scenes_dir": "upper-class"},
                "string-properties-bad-class/scene1.json": {
                    "scenes_dir": "string-properties-bad-class"},
                "agent-bad-class/scene1.json": {"scenes_dir": "agent-bad-class"},
@@ -655,6 +719,8 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                                              "lowercase token, got 'fridge\\n'",
                 "int-class/scene1.json": ": object 'fridge': class_name must be a non-empty "
                                          "lowercase token, got 5",
+                "upper-class/scene1.json": ": object 'fridge': class_name must be a non-empty "
+                                           "lowercase token, got 'Apple'",
                 "string-properties-bad-class/scene1.json": ": object 'fridge': properties must be "
                                                            "a list of strings, got 'CAN_OPEN'",
                 "agent-bad-class/scene1.json": ": object 'agent': class_name must be a non-empty "
@@ -708,6 +774,16 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
         (tmp_path / name / "metrics.jsonl").write_text("\n".join(
             [run_record, json.dumps({**episode, "task_index": 1}),
              json.dumps({**episode, field: value})]) + "\n", encoding="utf-8")
+    run_suite(RunConfig(master_seed=1, repetitions=2, drop_prob=0.2, swap_prob=0.1,
+                        output_dir=str(tmp_path / "two-reps")))
+    lines = (tmp_path / "two-reps" / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+    second = json.loads(lines[1])
+    for name, line in (("deleted-line", None), ("empty-record", "{}"),
+                       ("x-kind", json.dumps({**second, "kind": "x"}))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "metrics.jsonl").write_text("".join(
+            f"{text}\n" for text in [lines[0], line, *lines[2:]] if text is not None),
+            encoding="utf-8")
     (tmp_path / "deep-tree.json").write_text(  # 1,500 levels below the root, one child each
         '{"vote": 1, "children": [' + '{"command": "find(apple)", "vote": 1, "children": [' * 1500
         + "]}" * 1501, encoding="utf-8")
@@ -757,6 +833,15 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                          "int-method/metrics.jsonl line 1: method must be a string"),
                         (["metrics", "--results", str(tmp_path / "header-only")],
                          f"error: no episode records in {tmp_path}/header-only/metrics.jsonl\n"),
+                        (["metrics", "--results", str(tmp_path / "deleted-line")],
+                         f"error: {tmp_path}/deleted-line/metrics.jsonl: the repetition records do "
+                         "not match the episode records\n"),
+                        (["metrics", "--results", str(tmp_path / "empty-record")],
+                         f"error: {tmp_path}/empty-record/metrics.jsonl line 2: missing field "
+                         "'kind'\n"),
+                        (["metrics", "--results", str(tmp_path / "x-kind")],
+                         f"error: {tmp_path}/x-kind/metrics.jsonl line 2: kind must be 'run', "
+                         "'episode' or 'repetition', got 'x'\n"),
                         (["run", "--config", str(tmp_path / "run-seen.json")],
                          f"error: {tmp_path}/seen-tasks.json: no tasks to evaluate after applying "
                          "the seen-task split\n"),

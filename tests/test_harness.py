@@ -960,11 +960,15 @@ class TestRemoteRun:
     def test_an_interrupt_starts_no_further_episode(self, bundle, tmp_path, monkeypatch):
         """SIGINT, sent from a request thread, raises KeyboardInterrupt once the
         episodes running have ended; no other episode starts, and the run
-        leaves no thread and no staging directory."""
+        leaves no thread and no staging directory.  No request returns before
+        the main thread has run the SIGINT handler, so no episode can end
+        before the interrupt is seen; a wait that missed the signal would
+        hold the requests for 10 s and then let every episode run."""
         fake = FakeTransport(bundle)
         lock = threading.Lock()
         sent = [0]
         started: list[str] = []
+        seen = threading.Event()
         run_one_episode = harness.run_one_episode
 
         def counted(task, *args):
@@ -978,14 +982,23 @@ class TestRemoteRun:
                 first = sent[0] == 1
             if first:
                 os.kill(os.getpid(), signal.SIGINT)
+            seen.wait(10)
             return fake(request)
+
+        def handler(signum, frame):
+            seen.set()
+            raise KeyboardInterrupt
 
         monkeypatch.setattr(harness, "run_one_episode", counted)
         _remote_via(monkeypatch, interrupting)
         config = _remote_config(tmp_path, "interrupted", repetitions=3)
         threads = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            run_suite(config, bundle)
+        previous = signal.signal(signal.SIGINT, handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_suite(config, bundle)
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert 0 < len(started) <= harness.MAX_INFLIGHT
         assert threading.active_count() == threads
         assert list(Path(config.output_dir).iterdir()) == []
