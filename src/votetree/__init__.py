@@ -24,7 +24,7 @@ _EXPORTS = {
     "world": ("World", "load_dataset", "state_diff"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", "diff", "errors", "prompts", *_EXPORTS)
+_SUBMODULES = ("cli", "diff", "errors", "prompts", "rundir", *_EXPORTS)
 
 __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"

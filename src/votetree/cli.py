@@ -28,11 +28,12 @@ from .executor import (
     run_episode,
     serialize_trace,
 )
-from .harness import RunConfig, recompute_metrics, record_suite, run_suite
+from .harness import RunConfig, record_suite, run_suite
 from .metrics import format_table
 from .plans import parse_plan_text, split_corpus
 from .prompts import DATA_DIR
 from .providers import atomic_write, json_text
+from .rundir import recompute_metrics
 from .tree import (
     MAX_VOTE,
     SELECTIONS,
@@ -44,13 +45,16 @@ from .tree import (
 from .world import World, load_catalog, load_scene
 
 
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The run config at ``--config``, with each field the command line gives
+    (``--master-seed``, and ``run``'s ``--output-dir`` unless empty) over its own."""
+    given = {"master_seed": args.master_seed, "output_dir": args.output_dir or None}
+    return RunConfig.from_file(args.config)._replace(
+        **{name: value for name, value in given.items() if value is not None})
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = RunConfig.from_file(args.config)
-    if args.master_seed is not None:
-        config = config._replace(master_seed=args.master_seed)
-    if args.output_dir:
-        config = config._replace(output_dir=args.output_dir)
-    result = run_suite(config)
+    result = run_suite(_config(args))
     sys.stdout.write(format_table([result.row]))
     if result.output_dir:
         print(f"artifacts written to {result.output_dir}")
@@ -107,9 +111,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    config = RunConfig.from_file(args.config)
-    if args.master_seed is not None:
-        config = config._replace(master_seed=args.master_seed)
+    config = _config(args)
     result = record_suite(config)
     print(f"recorded {len(result.episodes)} episode(s) under {config.fixtures_dir}")
     return 0
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("record", help="fill the fixture store from a provider")
     p.add_argument("--config", required=True)
     p.add_argument("--master-seed", type=int, default=None)
-    p.set_defaults(func=_cmd_record)
+    p.set_defaults(func=_cmd_record, output_dir=None)
     return parser
 
 

@@ -7,20 +7,17 @@ so reruns of the same config over the same fixtures are byte-identical.
 """
 
 import functools
-import json
 import os
-import shutil
 import threading
 from pathlib import Path
 from typing import NamedTuple
 
 from . import metrics as metrics_mod
+from . import rundir
 from .errors import (
     BOOL,
-    INTEGER,
     INTEGER_AT_LEAST_1,
     NUMBER_AT_LEAST_0,
-    PROBABILITY,
     STRING,
     STRING_OR_NULL,
     ConfigError,
@@ -30,7 +27,6 @@ from .errors import (
     check_value,
     checked,
     json_document,
-    read_text,
     reading,
 )
 from .executor import (
@@ -53,7 +49,6 @@ from .prompts import (
     default_reorder_examples,
     format_prog_prompt,
     format_reorder_prompt,
-    instruction_slug,
     seen_task_names,
 )
 from .providers import (
@@ -66,8 +61,8 @@ from .providers import (
     WAIT_SLICE,
     _fill,
     derive_seed,
-    json_text,
 )
+from .rundir import write_outputs as _write_outputs  # called by this name: the benchmark wraps it
 from .tree import MAX_VOTE, VoteTreeNode, build_vote_tree, tree_to_dict
 from .world import (  # DatasetBundle and load_dataset are re-exported
     DatasetBundle,
@@ -106,12 +101,6 @@ _FIELD_CHECKS = (
 # The error of an episode with no plan, in its trace.json.
 NO_POOL = "empty_command_pool: no commands in any generated plan"
 NO_PLANS = "no_plans: cannot build a vote tree from an empty plan list"
-
-# The kinds of metrics.jsonl record, and (field, rule) for each field of an
-# episode record that scoring reads.
-_KINDS = (lambda v: v in ("run", "episode", "repetition"), "'run', 'episode' or 'repetition'")
-_EPISODE_FIELDS = (("rep", INTEGER), ("task_index", INTEGER), ("gcr", PROBABILITY),
-                   ("exec", PROBABILITY))
 
 
 @checked
@@ -328,54 +317,19 @@ class SuiteResult(NamedTuple):
 
 
 def _run_job(memo: RunMemo, staging: str | None, job: tuple[int, int, Task]) -> dict:
-    """Run one (rep, task index, task) job of a run and return its episode
-    record.  With a ``staging`` directory, also write the episode's files
-    ``<staging>/<slug>/<rep>/{trace,tree}.json``; an error writing them is an
-    ``OSError`` naming the file as it would be under ``episodes/``.
-
-    Every episode of a run goes through here: in a forked worker, inline, or
-    in a remote run's thread.
-    """
-    rep, task_index, task = job
+    """Run and score one (rep, task index, task) job of a run, write its files
+    into ``staging`` if there is one, and return its episode record.  Every
+    episode of a run goes through here: in a forked worker, inline, or in a
+    remote run's thread."""
+    rep, _, task = job
     episode, artifacts = run_one_episode(task, rep, memo)
     goal = memo.goals[task]
-    gcr = metrics_mod.compute_gcr(episode.achieved, goal)
-    exec_rate = metrics_mod.compute_exec(episode.trace)
-    record = {
-        "kind": "episode",
-        "rep": rep,
-        "task_index": task_index,
-        "task": task.task_name,
-        "scene": task.scene_id,
-        "gcr": gcr,
-        "exec": exec_rate,
-        "success": gcr == 1.0,
-        "steps": episode.trace.attempted,
-        "termination": episode.trace.termination,
-        "pool_size": artifacts.pool_size,
-    }
-    if staging is None:
-        return record
-    trace_doc = {
-        **serialize_trace(episode.trace),
-        "task": task.task_name,
-        "gcr": gcr,
-        "exec": exec_rate,
-        "goal_conditions": sorted(p.render() for p in goal),
-        "achieved": sorted(p.render() for p in episode.achieved),
-    }
-    if artifacts.error is not None:
-        trace_doc["error"] = artifacts.error
-    episode_dir = os.path.join(staging, instruction_slug(task.task_name), str(rep))
-    try:
-        os.makedirs(episode_dir, exist_ok=True)
-        for name, doc in (("trace.json", trace_doc), ("tree.json", tree_to_dict(artifacts.root))):
-            with open(os.path.join(episode_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(json_text(doc))
-    except OSError as exc:
-        path = os.path.relpath(exc.filename or episode_dir, staging)
-        raise OSError(exc.errno, exc.strerror or str(exc),
-                      os.path.join(os.path.dirname(staging), "episodes", path)) from None
+    record = rundir.episode_record(job, episode.trace, artifacts.pool_size,
+                                   metrics_mod.compute_gcr(episode.achieved, goal),
+                                   metrics_mod.compute_exec(episode.trace))
+    if staging is not None:
+        rundir.write_episode(staging, record, serialize_trace(episode.trace),
+                             tree_to_dict(artifacts.root), goal, episode.achieved, artifacts.error)
     return record
 
 
@@ -412,7 +366,7 @@ def _records(memo: RunMemo, staging: str | None, jobs: list[tuple[int, int, Task
         except ValueError:  # no fork on this platform
             pass
         else:
-            where = f"{os.path.join(os.path.dirname(staging), 'episodes')}: " if staging else ""
+            where = f"{rundir.published(staging)}: " if staging else ""
             return _forked(context, run_job, jobs, workers, where)
     return [run_job(job) for job in jobs]
 
@@ -543,11 +497,11 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     episode records.  The run's memo is built first; then ``_records`` runs
     the episodes, in forked workers when the provider is CPU-bound, and
     returns their records in run order.  When the run writes outputs, each
-    episode writes its own files into a staging directory
-    ``<output_dir>/.episodes-XXXX``, made before the first episode so that
-    an unusable ``output_dir`` fails before any work; ``_write_outputs``
-    swaps it in.  If the run fails or is interrupted, the staging directory
-    is removed and the files of an earlier run there stay as they were.
+    episode writes its own files into a ``rundir`` staging directory, made
+    before the first episode so that an unusable ``output_dir`` fails before
+    any work; ``_write_outputs`` commits it.  If the run fails or is
+    interrupted, the staging directory is removed and the files of an
+    earlier run there stay as they were.
     """
     if config.master_seed is None:
         raise ConfigError("run config needs a master_seed")
@@ -561,12 +515,7 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
     jobs = [(rep, task_index, task) for rep in range(config.repetitions)
             for task_index, task in enumerate(tasks)]
     output_dir = Path(config.output_dir) if write_outputs and config.output_dir else None
-    staging = None
-    if output_dir is not None:
-        output_dir.mkdir(parents=True, exist_ok=True)
-        # Not tempfile.mkdtemp: its 0o700 would become the mode of episodes/.
-        staging = str(output_dir / f".episodes-{os.urandom(6).hex()}")
-        os.mkdir(staging)
+    staging = None if output_dir is None else rundir.make_staging(output_dir)
     try:
         episode_records = _records(memo, staging, jobs)
         row, per_rep = metrics_mod.score(config.label, episode_records)
@@ -574,87 +523,9 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
             _write_outputs(output_dir, config, row, per_rep, episode_records, staging)
     except BaseException:
         if staging is not None:
-            _remove(staging)
+            rundir.remove(staging)
         raise
     return SuiteResult(row=row, per_rep=per_rep, episodes=episode_records, output_dir=output_dir)
-
-
-def _remove(path: str, renames: tuple = ()) -> None:
-    """Make each (source, target) rename of ``renames`` in turn, then remove
-    the directory ``path``, with SIGINT blocked in this thread, so that a
-    second Ctrl-C cannot stop them half done; it is delivered once they are."""
-    import signal  # here: a run that writes nothing does not pay for the import
-
-    block = getattr(signal, "pthread_sigmask", None)  # None on Windows
-    mask = block(signal.SIG_BLOCK, {signal.SIGINT}) if block else None
-    try:
-        for source, target in renames:
-            os.replace(source, target)
-        shutil.rmtree(path, ignore_errors=True)
-    finally:
-        if block:
-            block(signal.SIG_SETMASK, mask)
-
-
-def _write_outputs(
-    output_dir: Path,
-    config: RunConfig,
-    row: metrics_mod.MetricsRow,
-    per_rep: list[dict],
-    episode_records: list[dict],
-    staging: str,
-) -> None:
-    """Write the run's three top-level files into the ``staging`` directory the
-    episodes wrote to; then, by ``_remove``, move them over the last run's,
-    swap ``staging`` in as ``episodes/`` and remove the last run's.  A fault
-    before the swap leaves the last run's four outputs as they were.  Nothing
-    else in ``output_dir`` is touched."""
-    header = {"kind": "run", "method": config.label, "repetitions": config.repetitions,
-              "master_seed": config.master_seed}
-    files = {"summary.txt": metrics_mod.format_table([row]),
-             "metrics.jsonl": "".join(json.dumps(record, sort_keys=True) + "\n"
-                                      for record in [header, *episode_records, *per_rep]),
-             "run_config.json": json_text(config._asdict())}
-    for name, text in files.items():  # no slug has a dot: these clash with no episode
-        with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    episodes_dir, earlier = output_dir / "episodes", f"{staging}-earlier"
-    renames = [(os.path.join(staging, name), output_dir / name) for name in files]
-    if episodes_dir.exists():
-        renames.append((episodes_dir, earlier))
-    _remove(earlier, (*renames, (staging, episodes_dir)))
-
-
-def recompute_metrics(results_dir: str | Path) -> metrics_mod.MetricsRow:
-    """Rebuild the summary row from persisted per-episode records, which must
-    score to the file's own per-repetition records."""
-    path = Path(results_dir) / "metrics.jsonl"
-    method = "unknown"
-    episodes: list[dict] = []
-    repetitions: list[dict] = []
-    for number, line in enumerate(read_text(path, DatasetError).splitlines(), 1):
-        with reading(f"{path} line {number}", DatasetError):
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise DatasetError("not a JSON object")
-            kind = check_value("kind", record["kind"], _KINDS, DatasetError)
-            if kind == "run":
-                method = check_value("method", record.get("method", method), STRING, DatasetError)
-        if kind == "episode":
-            for name, rule in _EPISODE_FIELDS:
-                if name not in record:
-                    raise DatasetError(f"{path}: an episode record has no {name!r}")
-                check_value(f"{path}: an episode record has a bad value: {name}", record[name],
-                            rule, DatasetError)
-            episodes.append(record)
-        elif kind == "repetition":
-            repetitions.append(record)
-    if not episodes:
-        raise DatasetError(f"no episode records in {path}")
-    row, per_rep = metrics_mod.score(method, episodes)
-    if per_rep != repetitions:
-        raise DatasetError(f"{path}: the repetition records do not match the episode records")
-    return row
 
 
 def record_suite(config: RunConfig, bundle: DatasetBundle | None = None) -> SuiteResult:

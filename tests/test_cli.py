@@ -784,6 +784,15 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
         (tmp_path / name / "metrics.jsonl").write_text("".join(
             f"{text}\n" for text in [lines[0], line, *lines[2:]] if text is not None),
             encoding="utf-8")
+    header = json.loads(lines[0])
+    for name, kept in (("no-run-record", lines[1:]), ("two-run-records", [lines[0], *lines]),
+                       ("lost-repetition", [line for line in lines if json.loads(line).get("rep") != 1]),
+                       ("no-method", [json.dumps({k: v for k, v in header.items() if k != "method"}),
+                                      *lines[1:]]),
+                       ("text-repetitions", [json.dumps({**header, "repetitions": "2"}), *lines[1:]])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "metrics.jsonl").write_text("".join(f"{text}\n" for text in kept),
+                                                         encoding="utf-8")
     (tmp_path / "deep-tree.json").write_text(  # 1,500 levels below the root, one child each
         '{"vote": 1, "children": [' + '{"command": "find(apple)", "vote": 1, "children": [' * 1500
         + "]}" * 1501, encoding="utf-8")
@@ -842,6 +851,16 @@ def test_unreadable_inputs_fail_without_traceback(tmp_path, capsys, corpus_file)
                         (["metrics", "--results", str(tmp_path / "x-kind")],
                          f"error: {tmp_path}/x-kind/metrics.jsonl line 2: kind must be 'run', "
                          "'episode' or 'repetition', got 'x'\n"),
+                        *((["metrics", "--results", str(tmp_path / name)],
+                           f"error: {tmp_path}/{name}/metrics.jsonl{problem}\n")
+                          for name, problem in (
+                              ("no-run-record", ": 0 run records, where a run has one"),
+                              ("two-run-records", ": 2 run records, where a run has one"),
+                              ("lost-repetition", ": 1 repetition record(s), where the run record "
+                                                  "says 2"),
+                              ("no-method", " line 1: missing field 'method'"),
+                              ("text-repetitions", " line 1: repetitions must be an integer >= 1, "
+                                                   "got '2'"))),
                         (["run", "--config", str(tmp_path / "run-seen.json")],
                          f"error: {tmp_path}/seen-tasks.json: no tasks to evaluate after applying "
                          "the seen-task split\n"),

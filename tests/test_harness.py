@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votetree import harness
+from votetree import harness, rundir
 from votetree.diff import classify, plan_diff_report
 from votetree.errors import ConfigError, DatasetError, ProviderError
 from votetree.executor import MODES, TERMINATIONS, ExecutionMode, execute_tree
@@ -32,7 +32,6 @@ from votetree.harness import (
     build_distractors,
     evaluated_tasks,
     load_dataset,
-    recompute_metrics,
     record_suite,
     run_one_episode,
     run_suite,
@@ -41,6 +40,7 @@ from votetree.metrics import format_table
 from votetree.plans import Command
 from votetree.prompts import DATA_DIR, PROG, instruction_slug
 from votetree.providers import NoiseModel, RemoteProvider, derive_seed
+from votetree.rundir import recompute_metrics
 from votetree.tree import SELECTIONS, build_vote_tree, tree_to_dict
 from votetree.world import World, derive_goal_conditions, load_scene
 
@@ -121,6 +121,7 @@ class TestLoadDataset:
         lazy = ["multiprocessing", "mmap", "signal", "http.client", "urllib.request", "socket",
                 "concurrent.futures", "votetree.cli", "votetree.diff", "votetree.harness",
                 "votetree.executor", "votetree.providers", "votetree.metrics", "votetree.tree",
+                "votetree.rundir",
                 "logging", "hashlib", "queue", "urllib.error", "dataclasses", "inspect"]
         code = ("import sys, votetree\n"
                 "votetree.load_dataset()\n"
@@ -215,6 +216,40 @@ class TestLoadDataset:
             load_dataset(RunConfig(scenes_dir=str(tmp_path)))
         assert str(info.value) == (
             f"{tmp_path / 'scene1.json'}, {tmp_path / 'zz_copy.json'}: both define scene 'scene1'")
+
+
+class TestBenchmarkSurface:
+    def test_the_names_the_benchmark_reads_on_harness_resolve(self, bundle, tmp_path,
+                                                               monkeypatch):
+        """``bench/`` wraps and patches names on ``votetree.harness`` and does
+        not change with the package: every (target, attribute) its traced pass
+        wraps resolves for each workload, the names its workloads read are
+        there, and a writing run calls ``make_provider`` and ``_write_outputs``
+        through ``harness``, so a span or a patch on either sees the calls."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+        import run_bench
+        import votetree
+        import workloads
+
+        for name, workload in workloads.WORKLOADS.items():
+            wraps = run_bench.span_targets(votetree, workload(bundle, tmp_path, None),
+                                           run_bench.Observations(votetree.tree_stats))
+            assert [(attr, span) for target, attr, span, _ in wraps
+                    if not hasattr(target, attr)] == [], name
+        assert [name for name in ("make_provider", "DatasetBundle", "SuiteResult")
+                if not hasattr(harness, name)] == []
+        calls = Counter()
+        for name in ("make_provider", "_write_outputs"):
+            def counted(*args, name=name, call=getattr(harness, name)):
+                calls[name] += 1
+                return call(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: 1)
+        run_suite(RunConfig(master_seed=1, repetitions=1, output_dir=str(tmp_path / "out")),
+                  bundle)
+        assert calls == {"make_provider": 31, "_write_outputs": 1}
 
 
 class TestDistractors:
@@ -1124,15 +1159,15 @@ class TestEpisodeWriter:
         file waits until the swap and the removal are done: the directory holds
         the new run's four outputs, byte for byte."""
         out, _ = earlier
-        rmtree = harness.shutil.rmtree
+        rmtree = rundir.shutil.rmtree
 
         def interrupted(path, *args, **kwargs):
-            monkeypatch.setattr(harness.shutil, "rmtree", rmtree)  # only the first call
+            monkeypatch.setattr(rundir.shutil, "rmtree", rmtree)  # only the first call
             sorted(Path(path).rglob("trace.json"))[0].unlink()
             signal.raise_signal(signal.SIGINT)
             return rmtree(path, *args, **kwargs)
 
-        monkeypatch.setattr(harness.shutil, "rmtree", interrupted)
+        monkeypatch.setattr(rundir.shutil, "rmtree", interrupted)
         config = RunConfig(master_seed=8, repetitions=1, output_dir=str(out))
         with pytest.raises(KeyboardInterrupt):
             run_suite(config, bundle)
@@ -1378,14 +1413,14 @@ class TestEpisodeWriter:
                 raise RuntimeError("episode")
             return run_one_episode(task, rep, memo)
 
-        rmtree = harness.shutil.rmtree
+        rmtree = rundir.shutil.rmtree
 
         def interrupted_rmtree(path, *args, **kwargs):
             os.kill(os.getpid(), signal.SIGINT)
             return rmtree(path, *args, **kwargs)
 
         monkeypatch.setattr(harness, "run_one_episode", fails_in_repetition_1)
-        monkeypatch.setattr(harness.shutil, "rmtree", interrupted_rmtree)
+        monkeypatch.setattr(rundir.shutil, "rmtree", interrupted_rmtree)
         with pytest.raises(KeyboardInterrupt):
             run_suite(RunConfig(master_seed=8, repetitions=2, output_dir=str(out)), bundle)
         monkeypatch.undo()
