@@ -8,9 +8,10 @@ so reruns of the same config over the same fixtures are byte-identical.
 
 import functools
 import os
+import queue
 import threading
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import metrics as metrics_mod
 from . import rundir
@@ -56,10 +57,7 @@ from .providers import (
     PlanGenerator,
     RemoteProvider,
     ReplayProvider,
-    RequestPool,
     SyntheticProvider,
-    WAIT_SLICE,
-    _fill,
     derive_seed,
 )
 from .rundir import write_outputs as _write_outputs  # called by this name: the benchmark wraps it
@@ -80,8 +78,18 @@ REMOTE = "remote"
 
 MAX_INFLIGHT = 16
 """Most requests a remote run keeps in flight, and most episodes: the run's
-request pool has this many threads reading one queue of sample draws, and
-its episode pool has this many threads."""
+request pool and its episode pool (see ``_threaded``) each have this many
+threads reading one queue."""
+
+MAX_EPISODES = 10**6
+"""Most episodes (repetitions x tasks) one run may have.  A run holds about
+1.1 kB per episode, its job and record, until it returns: this bounds that
+to about 1 GB.  A larger run is refused before any work."""
+
+WAIT_SLICE = 0.05
+"""The longest a run's wait blocks at once, in seconds.  A signal handler runs
+only when the main thread runs Python code, so a SIGINT that lands just before
+an untimed wait blocks would be handled only once the wait ends."""
 
 
 # (fields, rule) for the RunConfig fields no library type checks under the same
@@ -371,22 +379,110 @@ def _records(memo: RunMemo, staging: str | None, jobs: list[tuple[int, int, Task
     return [run_job(job) for job in jobs]
 
 
-def _threaded(run_job, jobs: list, providers) -> list[dict]:
-    """``run_job`` over ``jobs`` in a pool of ``MAX_INFLIGHT`` episode threads,
-    each taking the next job as it frees up (see ``providers._fill``).
+class RequestPool:
+    """``size`` threads and the one queue they read: a remote run has one
+    pool for its requests and one for its episodes.  ``close``, which
+    leaving a ``with`` block calls, takes no further ``fill``, lets the
+    threads finish the queue and joins them.
+    """
 
-    Each of the run's ``providers`` gets the run's ``RequestPool`` of
-    ``MAX_INFLIGHT`` threads as its ``requests``; a stage puts the draws of
-    all its missing samples on the pool's queue and waits once.  The request
-    pool is opened first and closed last, and both pools are joined before
-    this returns, so no thread of the run outlives it.
+    def __init__(self, size: int):
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()  # puts a fill's items before close()'s stops
+        self._closed = False
+        self._threads: list[threading.Thread] = []
+        try:
+            for _ in range(size):
+                thread = threading.Thread(target=self._serve)
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "RequestPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _serve(self) -> None:
+        for run, i in iter(self._queue.get, None):
+            run(i)
+
+    def fill(self, draw: Callable[[int], object], missing: Sequence[int], results: list) -> None:
+        """Fill ``results[k]`` with ``draw(k)`` for each k of ``missing`` in
+        this pool's threads, or raise the exception of the lowest failing draw
+        once no draw is running.
+
+        The draws go on the queue together, and the calling thread waits
+        once, in slices of ``WAIT_SLICE`` so that a Ctrl-C is seen.  Draw i
+        (of ``missing[i]``) is skipped once a draw with a lower index has
+        failed, or once the waiting thread is interrupted; every draw below
+        the lowest failure runs.  A closed pool is refused.
+        """
+        lock, done = threading.Lock(), threading.Event()
+        lowest = len(missing)  # the lowest failing draw's index, or -1 once interrupted
+        failure: BaseException | None = None
+        ended = 0
+
+        def run(i: int) -> None:
+            nonlocal lowest, failure, ended
+            if i < lowest:
+                try:
+                    results[missing[i]] = draw(missing[i])
+                except BaseException as exc:  # the waiter's to raise: a pool thread never dies
+                    with lock:
+                        if i < lowest:
+                            lowest, failure = i, exc
+            with lock:
+                ended += 1
+                if ended == len(missing):
+                    done.set()
+
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the run's request pool is closed")
+            for i in range(len(missing)):
+                self._queue.put((run, i))
+        try:
+            while not done.wait(WAIT_SLICE):
+                pass
+        except BaseException:  # a signal: start no further draw, let the running ones end
+            with lock:
+                lowest = -1
+            while not done.wait(WAIT_SLICE):
+                pass
+            raise
+        if failure is not None:
+            raise failure
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            for _ in self._threads:
+                self._queue.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
+def _threaded(run_job, jobs: list, providers) -> list[dict]:
+    """``run_job`` over ``jobs`` in a ``RequestPool`` of ``MAX_INFLIGHT``
+    episode threads, each taking the next job as it frees up, by
+    ``RequestPool.fill``'s rule.
+
+    Each of the run's ``providers`` gets the run's request pool of
+    ``MAX_INFLIGHT`` threads as its ``requests``; a stage fills its missing
+    samples through it, waiting once.  The request pool is opened first and
+    closed last, and both pools are joined before this returns, so no thread
+    of the run outlives it.
     """
     records: list = [None] * len(jobs)
     with RequestPool(MAX_INFLIGHT) as requests:
         for provider in providers:
             provider.requests = requests
         with RequestPool(MAX_INFLIGHT) as episodes:
-            _fill(lambda i: run_job(jobs[i]), range(len(jobs)), records, episodes)
+            episodes.fill(lambda i: run_job(jobs[i]), range(len(jobs)), records)
     return records
 
 
@@ -511,6 +607,9 @@ def run_suite(config: RunConfig, bundle: DatasetBundle | None = None,
         raise DatasetError(f"{config.dataset or DATA_DIR / 'tasks.json'}: no tasks to evaluate "
                            "after applying the seen-task split")
 
+    if config.repetitions * len(tasks) > MAX_EPISODES:
+        raise ConfigError(f"{config.repetitions} repetitions of {len(tasks)} tasks are more "
+                          f"than the {MAX_EPISODES} episodes a run may have")
     memo = RunMemo(config, bundle, tasks)
     jobs = [(rep, task_index, task) for rep in range(config.repetitions)
             for task_index, task in enumerate(tasks)]

@@ -20,18 +20,19 @@ import functools
 import hashlib
 import json
 import os
-import queue
 import random
-import threading
 import time
 import urllib.error
 import urllib.parse
 from pathlib import Path
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
 
 from .errors import LIST, PROBABILITY, ProviderError, check_value, checked, json_document, reading
 from .plans import Command, Plan, render_plan
 from .prompts import PromptDocument, SamplingConfig
+
+if TYPE_CHECKING:  # only annotated: harness, which owns a run's threads, imports this module
+    from .harness import RequestPool
 
 
 def derive_seed(*parts: object) -> int:
@@ -58,117 +59,6 @@ class PlanGenerator(Protocol):
         ...
 
 
-# -- request pool ---------------------------------------------------------------
-
-WAIT_SLICE = 0.05
-"""The longest a run's wait blocks at once, in seconds.  A signal handler runs
-only when the main thread runs Python code, so a SIGINT that lands just before
-an untimed wait blocks would be handled only once the wait ends."""
-
-
-def _wait(event: threading.Event) -> None:
-    """Wait for ``event`` in slices of ``WAIT_SLICE``, so that a Ctrl-C is seen."""
-    while not event.wait(WAIT_SLICE):
-        pass
-
-
-def _fill(draw: Callable[[int], object], missing: Sequence[int], samples: list,
-          requests: RequestPool | None) -> None:
-    """Fill ``samples[k]`` with ``draw(k)`` for each k of ``missing``, or raise
-    the exception of the lowest failing draw once no draw is running.
-
-    Draw i (of ``missing[i]``) is skipped once a draw with a lower index has
-    failed, or once the waiting thread is interrupted; every draw below the
-    lowest failure runs.  Without ``requests`` the draws run in the calling
-    thread in order, so they stop at the first failure; with a pool they go
-    on its queue together and the calling thread waits once.
-    """
-    lock, done = threading.Lock(), threading.Event()
-    lowest = len(missing)  # the lowest failing draw's index, or -1 once interrupted
-    failure: BaseException | None = None
-    ended = 0
-
-    def run(i: int) -> None:
-        nonlocal lowest, failure, ended
-        if i < lowest:
-            try:
-                samples[missing[i]] = draw(missing[i])
-            except BaseException as exc:  # the waiter's to raise: a pool thread never dies
-                with lock:
-                    if i < lowest:
-                        lowest, failure = i, exc
-        with lock:
-            ended += 1
-            if ended == len(missing):
-                done.set()
-
-    if requests is None:
-        for i in range(len(missing)):
-            run(i)
-    else:
-        requests.put_all(run, len(missing))
-        try:
-            _wait(done)
-        except BaseException:  # a signal: start no further draw, let the running ones end
-            with lock:
-                lowest = -1
-            _wait(done)
-            raise
-    if failure is not None:
-        raise failure
-
-
-class RequestPool:
-    """``size`` threads and the one queue they read: a remote run has one
-    pool for its requests and one for its episodes.
-
-    Each thread calls ``run(i)`` for the ``(run, i)`` items it takes, which
-    ``put_all`` puts on the queue together; ``run`` must not raise (see
-    ``_fill``).  ``close``, which leaving a ``with`` block calls, takes no
-    further items, lets the threads finish the queue and joins them.
-    """
-
-    def __init__(self, size: int):
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._lock = threading.Lock()  # puts a stage's items before close()'s stops
-        self._closed = False
-        self._threads: list[threading.Thread] = []
-        try:
-            for _ in range(size):
-                thread = threading.Thread(target=self._serve)
-                thread.start()
-                self._threads.append(thread)
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self) -> RequestPool:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _serve(self) -> None:
-        for run, i in iter(self._queue.get, None):
-            run(i)
-
-    def put_all(self, run: Callable[[int], None], count: int) -> None:
-        """Queue ``run(i)`` for i in ``range(count)``, or refuse a closed pool."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("the run's request pool is closed")
-            for i in range(count):
-                self._queue.put((run, i))
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            for _ in self._threads:
-                self._queue.put(None)
-        for thread in self._threads:
-            thread.join()
-
-
 # -- fixture store --------------------------------------------------------------
 
 def _describe(identity: dict) -> str:
@@ -193,8 +83,9 @@ def read_through(
     ``sampler`` a missing sample is an error and nothing is written.
     Otherwise ``sampler(prompt, config)``, called only when samples are
     missing and before any write, gives the function that draws sample k.
-    The missing samples are drawn by ``_fill``, in the calling thread or
-    through the ``requests`` pool; the file is then written once,
+    Without ``requests`` the missing samples are drawn in the calling
+    thread in k order, so they stop at the first failure; with a run's
+    pool, ``requests.fill`` draws them.  The file is then written once,
     atomically, keeping every sample drawn, and the failure of the lowest
     failing k, if any, is raised.
     """
@@ -236,7 +127,11 @@ def read_through(
         return samples[: config.num_samples]
     draw = sampler(prompt, config)
     try:
-        _fill(draw, missing, samples, requests)
+        if requests is None:
+            for k in missing:
+                samples[k] = draw(k)
+        else:
+            requests.fill(draw, missing, samples)
     finally:
         document = {**header, **(identity or {}), "num_samples": len(samples), "samples": samples}
         atomic_write(path, json_text(document))
@@ -430,11 +325,11 @@ class RemoteProvider:
     pointing a ReplayProvider at it, and a store recorded by another model is
     refused.  Sample k's request depends on k and the sampling config only,
     and its answer lands at index k.  In a remote ``run_suite``,
-    ``requests`` is the run's request pool: a stage's missing samples are
-    drawn by its threads, and a request not yet sent is skipped once a
-    lower one has failed (see ``_fill``), so an injected ``transport`` must
-    be thread-safe.  With ``requests`` ``None``, as on a provider made
-    outside a run, they are sent one at a time, in k order.
+    ``requests`` is the run's ``harness.RequestPool``: a stage's missing
+    samples are drawn by its threads, and a request not yet sent is skipped
+    once a lower one has failed (see ``RequestPool.fill``), so an injected
+    ``transport`` must be thread-safe.  With ``requests`` ``None``, as on a
+    provider made outside a run, they are sent one at a time, in k order.
 
     Timeouts, connection errors (refused, reset or dropped before the
     response), broken HTTP responses (a truncated body), HTTP 5xx, 408 and

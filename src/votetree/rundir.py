@@ -46,12 +46,18 @@ def published(staging: str, *path: str) -> str:
                         *(os.path.relpath(p, staging) for p in path))
 
 
-def _write(directory: str, files: dict[str, str]) -> None:
-    """Write each (name, text) of ``files`` into ``directory``, made if need be."""
-    os.makedirs(directory, exist_ok=True)
-    for name, text in files.items():
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(directory: str, files: dict[str, str], named) -> None:
+    """Write each (name, text) of ``files`` into ``directory``, made if need be.
+    An ``OSError`` names its file, or ``directory``, where ``named`` maps it: a
+    failed run removes its staging directory before the user reads the error."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc),
+                      named(exc.filename or directory)) from None
 
 
 def write_episode(staging: str, record: dict, trace_doc: dict, tree_doc: dict, goal, achieved,
@@ -65,11 +71,8 @@ def write_episode(staging: str, record: dict, trace_doc: dict, tree_doc: dict, g
     if error is not None:
         trace_doc["error"] = error
     episode_dir = os.path.join(staging, instruction_slug(record["task"]), str(record["rep"]))
-    try:
-        _write(episode_dir, {TRACE: json_text(trace_doc), TREE: json_text(tree_doc)})
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror or str(exc),
-                      published(staging, exc.filename or episode_dir)) from None
+    _write(episode_dir, {TRACE: json_text(trace_doc), TREE: json_text(tree_doc)},
+           lambda path: published(staging, path))
 
 
 def remove(path: str, renames: tuple = ()) -> None:
@@ -94,15 +97,17 @@ def write_outputs(output_dir: Path, config, row: metrics_mod.MetricsRow, per_rep
     """Write the run's three top-level files into the ``staging`` directory the
     episodes wrote to; then, by ``remove``, move them over the last run's,
     swap ``staging`` in as ``episodes/`` and remove the last run's.  A fault
-    before the swap leaves the last run's four outputs as they were.  Nothing
-    else in ``output_dir`` is touched."""
+    before the swap leaves the last run's four outputs as they were, and an
+    ``OSError`` names the file in ``output_dir``.  Nothing else in
+    ``output_dir`` is touched."""
     header = {"kind": "run", "method": config.label, "repetitions": config.repetitions,
               "master_seed": config.master_seed}
     files = {SUMMARY: metrics_mod.format_table([row]),
              METRICS: "".join(json.dumps(record, sort_keys=True) + "\n"
                               for record in [header, *episode_records, *per_rep]),
              CONFIG: json_text(config._asdict())}
-    _write(staging, files)  # no slug has a dot: these clash with no episode
+    _write(staging, files,  # no slug has a dot: these clash with no episode
+           lambda path: str(output_dir / os.path.relpath(path, staging)))
     episodes_dir, earlier = output_dir / EPISODES, f"{staging}-earlier"
     renames = [(os.path.join(staging, name), output_dir / name) for name in files]
     if episodes_dir.exists():

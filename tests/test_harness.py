@@ -164,6 +164,28 @@ class TestLoadDataset:
                     written.append(f"{path.name}:{node.lineno}")
         assert written == []
 
+    def test_only_harness_starts_threads_and_no_module_imports_a_private_name(self):
+        """``harness`` owns a run's threads, processes and shared memory, so no
+        other module imports ``threading``, ``queue``, ``multiprocessing`` or
+        ``mmap``; and no module imports a ``_``-prefixed name from another."""
+        concurrency = {"threading", "queue", "multiprocessing", "mmap"}
+        found = []
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] if node.level == 0 else []
+                    if node.level or (node.module or "").startswith("votetree"):
+                        found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                                  for alias in node.names if alias.name.startswith("_")]
+                else:
+                    continue
+                if path.name != "harness.py":
+                    found += [f"{path.name}:{node.lineno} imports {module}" for module in modules
+                              if module.split(".")[0] in concurrency]
+        assert found == []
+
     def test_top_level_names_load_from_their_modules(self):
         """In a fresh interpreter a submodule is reached as an attribute and by
         ``from votetree import``, as the benchmark reaches ``harness``; each
@@ -274,6 +296,23 @@ class TestSuite:
         assert result.row.sr_std == 0.0
         assert result.row.exec_mean == 1.0
         assert len(result.episodes) == 2 * 31
+
+    def test_a_run_of_more_episodes_than_the_bound_is_refused_before_any_work(
+            self, bundle, tmp_path, monkeypatch):
+        """10**9 repetitions would build a job list of 3.1e10 tuples and exhaust
+        memory before the first episode: the run is refused before its memo,
+        so no provider is made and nothing is written.  A provider made
+        fails the test at once, before the job list."""
+        def make_provider(*args):
+            raise AssertionError("make_provider was called")
+
+        monkeypatch.setattr(harness, "make_provider", make_provider)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as refused:
+            run_suite(RunConfig(master_seed=1, repetitions=10**9, output_dir=str(out)), bundle)
+        assert str(refused.value) == (f"1000000000 repetitions of 31 tasks are more than the "
+                                      f"{harness.MAX_EPISODES} episodes a run may have")
+        assert not out.exists()
 
     def test_explicit_goal_conditions_are_the_episode_goals(self, bundle, tmp_path):
         """A task's explicit ``goal_conditions``, not its goal plan's state
@@ -899,7 +938,7 @@ class TestRemoteRun:
                 # Every other episode holds its last request until episode 3
                 # has raised, so none ends and frees its episode thread for a
                 # later job before then.  The window left is between that raise
-                # and _fill's lock, where episode 3's thread records its
+                # and RequestPool.fill's lock, where episode 3's thread records its
                 # failure: a job taken in it would still start.
                 raised.wait(10)
             text = fake(request)
@@ -1180,7 +1219,8 @@ class TestEpisodeWriter:
                                                                 monkeypatch):
         """The three top-level files are written before anything of the earlier
         run is touched, so failing at ``metrics.jsonl`` leaves its four outputs
-        as they were."""
+        as they were.  The error names the file in ``out``, not in the staging
+        directory the failed run removed."""
         out, before = earlier
         real_open = open
 
@@ -1193,6 +1233,7 @@ class TestEpisodeWriter:
         with pytest.raises(OSError) as raised:
             run_suite(RunConfig(master_seed=8, repetitions=1, output_dir=str(out)), bundle)
         assert raised.value.errno == errno.ENOSPC
+        assert raised.value.filename == str(out / "metrics.jsonl")
         assert self._contents(out) == before
         assert not self._leftovers(out)
 

@@ -2,19 +2,21 @@ import io
 import json
 import os
 import random
+import tempfile
 import threading
 import time
 import urllib.error
 import urllib.request
 from collections import Counter
 from http.client import IncompleteRead, RemoteDisconnected
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votetree.errors import ConfigError, ProviderError
-from votetree import providers
+from votetree import harness, providers
 from votetree.plans import Command, parse_plan_text, render_plan
 from votetree.prompts import PromptDocument, SamplingConfig
 from votetree.providers import (
@@ -24,6 +26,7 @@ from votetree.providers import (
     SyntheticProvider,
     atomic_write,
     derive_seed,
+    read_through,
     synthesize_noisy_plans,
 )
 from votetree.tree import build_vote_tree, tree_to_dict
@@ -593,7 +596,7 @@ class TestRemoteConcurrency:
                 raise urllib.error.HTTPError("https://example.invalid", 400, "bad", {}, None)
             return f"find('obj{k_of(request)}')\n"
 
-        with providers.RequestPool(1) as pool, pytest.raises(ProviderError, match="not retried"):
+        with harness.RequestPool(1) as pool, pytest.raises(ProviderError, match="not retried"):
             self._through(pool, self._provider(tmp_path, transport), prompt, cfg)
         assert sent == [0, 1]
         stored = json.loads((tmp_path / prompt.content_hash / "prog" / "2.json")
@@ -627,7 +630,7 @@ class TestRemoteConcurrency:
                 three_sent.set()
             return answer(request)
 
-        with providers.RequestPool(2) as pool, pytest.raises(ProviderError, match="401"):
+        with harness.RequestPool(2) as pool, pytest.raises(ProviderError, match="401"):
             self._through(pool, self._provider(tmp_path / "resumed", transport), prompt, cfg)
         assert sorted(sent) == [0, 1, 2]
         stored = json.loads((tmp_path / "resumed" / prompt.content_hash / "prog" / "2.json")
@@ -641,7 +644,7 @@ class TestRemoteConcurrency:
                 resent.append(k_of(request))
             return answer(request)
 
-        with providers.RequestPool(2) as pool:
+        with harness.RequestPool(2) as pool:
             texts = self._through(pool, self._provider(tmp_path / "resumed", working),
                                   prompt, cfg)
         assert sorted(resent) == [1, 2, 3, 4]
@@ -653,7 +656,7 @@ class TestRemoteConcurrency:
         """An episode still running when its run closes the pool (say, after a
         second Ctrl-C) fails at its next stage instead of waiting forever."""
         sent: list[dict] = []
-        with providers.RequestPool(2) as pool:
+        with harness.RequestPool(2) as pool:
             pass
         with pytest.raises(RuntimeError, match="closed"):
             self._through(pool, self._provider(tmp_path, sent.append), prompt,
@@ -748,8 +751,9 @@ class _Stop(BaseException):
 
 
 class TestFillRule:
-    """The one rule by which a stage draws its missing samples, in the calling
-    thread or through a request pool, and a remote run runs its episodes."""
+    """The rule by which a stage draws its missing samples, in the calling
+    thread in k order or through a request pool (``RequestPool.fill``, by
+    which a remote run also runs its episodes)."""
 
     @settings(deadline=None)
     @given(data=st.data(), n=st.integers(1, 12), threads=st.sampled_from([None, 1, 2, 4]),
@@ -772,15 +776,24 @@ class TestFillRule:
 
         samples: list[str | None] = [None] * n
         raised = None
-        pool = providers.RequestPool(threads) if threads else None
-        try:
-            providers._fill(draw, list(range(n)), samples, pool)
-        except BaseException as exc:
-            raised = exc
-        finally:
-            if pool is not None:
-                pool.close()
         lowest = min(failing, default=n)
+        if threads is None:  # a cold store's draws outside a run
+            prompt = PromptDocument(kind="prog", text="def f():\n", instruction="f")
+            with tempfile.TemporaryDirectory() as root:
+                try:
+                    read_through(root, prompt, SamplingConfig(num_samples=n), None,
+                                 lambda prompt, config: draw)
+                except BaseException as exc:
+                    raised = exc
+                samples = json.loads((Path(root) / prompt.content_hash / "prog" / "0.json")
+                                     .read_text(encoding="utf-8"))["samples"]
+            assert samples == [f"sample {k}" for k in range(lowest)] + [None] * (n - lowest)
+        else:
+            with harness.RequestPool(threads) as pool:
+                try:
+                    pool.fill(draw, list(range(n)), samples)
+                except BaseException as exc:
+                    raised = exc
         if failing:
             assert type(raised) is error and raised.args == (lowest,)
         else:
@@ -804,7 +817,7 @@ class TestFillRule:
         threads = threading.active_count()
         monkeypatch.setattr(threading.Thread, "start", third_fails)
         with pytest.raises(RuntimeError, match="can't start"):
-            providers.RequestPool(4)
+            harness.RequestPool(4)
         monkeypatch.undo()
         assert calls[0] == 3
         assert threading.active_count() == threads
